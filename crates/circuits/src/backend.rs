@@ -336,7 +336,6 @@ impl SpiceCircuit {
                         })
                         .expect("inverters always compile a leakage bench");
                     let sol = dc_bench.run_operating_point()?;
-                    trace::add("spice.dc.solves", 1);
                     trace::observe("spice.newton.iterations", sol.iterations as f64);
                     // Branch 0 is VDD; delivered current is −i_branch.
                     i_leak += 0.5 * -sol.branch_currents[0];
@@ -391,7 +390,6 @@ impl CircuitBackend for SpiceCircuit {
             key,
             || {
                 let sols = dc_sweep(&bench.net, source, &sweep)?;
-                trace::add("spice.dc.solves", sols.len() as u64);
                 for s in &sols {
                     trace::observe("spice.newton.iterations", s.iterations as f64);
                 }

@@ -884,7 +884,6 @@ pub fn cached_gate_vtc(
     let v_out =
         global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
             let vtc = bench.run_transfer()?;
-            trace::add("spice.dc.solves", vtc.v_in.len() as u64);
             Ok(vtc.v_out)
         })?;
     Ok(Vtc {
@@ -949,7 +948,6 @@ pub fn cached_gate_leakage(
     let rec =
         global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
             let sol = bench.run_operating_point()?;
-            trace::add("spice.dc.solves", 1);
             trace::observe("spice.newton.iterations", sol.iterations as f64);
             let MeasurePlan::StaticCurrent { branch } = bench.plan else {
                 unreachable!("leakage benches carry a static-current plan");
@@ -1029,7 +1027,6 @@ pub fn cached_inverter_vtc(pair: &CmosPair, v_dd: Volts, points: usize) -> Resul
     let v_out =
         global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
             let vtc = bench.run_transfer()?;
-            trace::add("spice.dc.solves", vtc.v_in.len() as u64);
             Ok(vtc.v_out)
         })?;
     Ok(Vtc {

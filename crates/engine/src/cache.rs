@@ -27,16 +27,17 @@
 //! silently wrong. Lines without a `crc` field (written by older
 //! builds) are accepted when structurally intact. Saving rewrites the
 //! whole file through a sibling temp file plus atomic rename, which
-//! also compacts away superseded duplicate entries, and
-//! [`CacheLock`] provides an advisory lock file so two processes can
-//! share a cache directory without clobbering each other's saves.
+//! also compacts away superseded duplicate entries.
+//!
+//! Processes that share one cache file never save it directly: each
+//! appends to its own leased segment, and only [`seg::compact`] — run
+//! under the compaction lease — rewrites the base file (see [`seg`]).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use crate::trace;
 
@@ -390,25 +391,45 @@ impl Cache {
     /// Propagates I/O errors other than "file not found" (including
     /// failure to write the quarantine sidecar).
     pub fn load_jsonl_report(&self, path: &Path) -> std::io::Result<LoadReport> {
-        self.load_jsonl_impl(path, true)
+        self.load_jsonl_impl(path, true, true)
+    }
+
+    /// [`Cache::load_jsonl_report`] that only *adds*: an entry already
+    /// in memory (or on an earlier line) wins over the file's, and is
+    /// not counted. Compaction merges the base file and segments into a
+    /// cache that already holds them this way, so a session's close
+    /// neither rebuilds a second cache nor reports its own entries as
+    /// superseded. Damaged lines are quarantined as in the full load.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors other than "file not found" (including
+    /// failure to write the quarantine sidecar).
+    pub fn merge_jsonl(&self, path: &Path) -> std::io::Result<LoadReport> {
+        self.load_jsonl_impl(path, true, false)
     }
 
     /// [`Cache::load_jsonl_report`] without the quarantine sidecar:
     /// damaged lines are counted but left in place and nothing is
     /// written anywhere. This is the right load for files another
-    /// *live* process may still be appending to — a fleet peer's
-    /// segment, or a base file a primary is about to rewrite — where a
-    /// torn final line is expected (the peer is mid-append) and writing
-    /// a sidecar would race the owner.
+    /// *live* process may still be appending to (a peer's segment,
+    /// where a torn final line is expected mid-append), or that only the
+    /// compaction-lease holder may act on (the base file, whose damaged
+    /// lines compaction quarantines).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "file not found".
     pub fn load_jsonl_lenient(&self, path: &Path) -> std::io::Result<LoadReport> {
-        self.load_jsonl_impl(path, false)
+        self.load_jsonl_impl(path, false, true)
     }
 
-    fn load_jsonl_impl(&self, path: &Path, quarantine: bool) -> std::io::Result<LoadReport> {
+    fn load_jsonl_impl(
+        &self,
+        path: &Path,
+        quarantine: bool,
+        overwrite: bool,
+    ) -> std::io::Result<LoadReport> {
         let file = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadReport::default()),
@@ -445,6 +466,9 @@ impl Cache {
             let nsh = crate::KeyBuilder::new("ns").str(&ns).finish();
             let blob: Vec<f64> = bits.iter().map(|b| f64::from_bits(*b)).collect();
             let mut inner = lock_recover(&self.inner);
+            if !overwrite && matches!(inner.map.get(&(nsh, key)), Some(Slot::Ready(_))) {
+                continue;
+            }
             if inner
                 .map
                 .insert((nsh, key), Slot::Ready(Arc::new(blob)))
@@ -512,7 +536,7 @@ pub fn format_line_f64(ns: &str, key: u64, values: &[f64]) -> String {
     let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
     let mut line = format!(
         "{{\"ns\":{},\"key\":\"{key:016x}\",\"bits\":[",
-        trace::json_str(ns)
+        crate::json::json_str(ns)
     );
     for (i, b) in bits.iter().enumerate() {
         if i > 0 {
@@ -556,145 +580,6 @@ fn line_crc(ns: &str, key: u64, bits: &[u64]) -> u64 {
         h.write(&b.to_le_bytes());
     }
     h.finish()
-}
-
-/// Advisory lock file guarding a shared cache path.
-///
-/// [`CacheLock::acquire`] atomically creates `<path>.lock` (containing
-/// the holder's pid, for post-mortem debugging); the file is removed
-/// when the guard drops. `Ok(None)` means another process holds the
-/// lock — callers are expected to degrade gracefully (run without
-/// persisting, or skip the save) rather than fail. That degradation is
-/// never silent: the losing acquire publishes a
-/// `cache.<file-stem>.readonly` gauge (value 1) so a read-only process
-/// is visible in every drained trace and `/metrics` dump.
-#[derive(Debug)]
-pub struct CacheLock {
-    path: PathBuf,
-}
-
-/// The metric name flagging read-only degradation for a cache path:
-/// `cache.<file-stem>.readonly`.
-pub fn readonly_gauge_name(cache_path: &Path) -> String {
-    format!("cache.{}.readonly", cache_stem(cache_path))
-}
-
-/// The counter name for stale-lock reclaims on a cache path:
-/// `cache.<file-stem>.lock_reclaimed`.
-pub fn lock_reclaim_counter_name(cache_path: &Path) -> String {
-    format!("cache.{}.lock_reclaimed", cache_stem(cache_path))
-}
-
-pub(crate) fn cache_stem(cache_path: &Path) -> String {
-    cache_path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "cache".to_owned())
-}
-
-/// Whether `pid` names a live process. On Linux this checks
-/// `/proc/<pid>`; elsewhere liveness cannot be probed without unsafe
-/// syscalls, so every recorded holder is conservatively assumed alive
-/// (stale locks then require manual removal, exactly the pre-reclaim
-/// behaviour).
-pub(crate) fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
-/// Grace period before an unreadable/unparseable lock or lease file is
-/// treated as abandoned: a holder that just won `create_new` may not
-/// have written its pid yet, so freshly created files are never
-/// reclaimed on content alone.
-pub(crate) const UNPARSEABLE_GRACE: Duration = Duration::from_secs(10);
-
-/// Whether the lock/lease file at `path` belongs to a dead holder.
-///
-/// A parseable pid line is authoritative: dead pid = stale. An empty or
-/// garbled file is stale only once it is older than
-/// [`UNPARSEABLE_GRACE`] (by mtime), which closes the race against a
-/// holder between `create_new` and its pid write. A file that vanished
-/// concurrently is not stale — someone else already cleaned it up and
-/// the caller should simply retry its `create_new`.
-pub(crate) fn holder_is_dead(path: &Path) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    match text
-        .lines()
-        .next()
-        .and_then(|l| l.trim().parse::<u32>().ok())
-    {
-        Some(pid) => !pid_alive(pid),
-        None => match std::fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(mtime) => matches!(mtime.elapsed(), Ok(age) if age > UNPARSEABLE_GRACE),
-            Err(_) => false,
-        },
-    }
-}
-
-impl CacheLock {
-    /// Tries to take the lock for `cache_path`, reclaiming it first if
-    /// the recorded holder is dead.
-    ///
-    /// A lock file whose pid no longer names a live process (crashed or
-    /// SIGKILL'd holder — `Drop` never ran) is removed and the acquire
-    /// retried, with a `cache.<stem>.lock_reclaimed` counter recording
-    /// the reclaim; a crashed holder therefore never leaves later runs
-    /// read-only. Only a *live* holder produces `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "already exists" (which maps to
-    /// `Ok(None)` when the holder is alive).
-    pub fn acquire(cache_path: &Path) -> std::io::Result<Option<Self>> {
-        let mut os = cache_path.as_os_str().to_owned();
-        os.push(".lock");
-        let path = PathBuf::from(os);
-        // Bounded retries: each loop either wins the create_new, yields
-        // to a live holder, or removes a provably stale file. Two
-        // reclaimers racing is fine — remove_file losing the race just
-        // means the other one cleaned up.
-        for _ in 0..4 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = writeln!(f, "{}", std::process::id());
-                    trace::gauge(&readonly_gauge_name(cache_path), 0.0);
-                    return Ok(Some(Self { path }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if holder_is_dead(&path) {
-                        let _ = std::fs::remove_file(&path);
-                        trace::add(&lock_reclaim_counter_name(cache_path), 1);
-                        continue;
-                    }
-                    trace::gauge(&readonly_gauge_name(cache_path), 1.0);
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        trace::gauge(&readonly_gauge_name(cache_path), 1.0);
-        Ok(None)
-    }
-
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for CacheLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 impl Default for Cache {
@@ -965,6 +850,32 @@ mod tests {
     }
 
     #[test]
+    fn merge_adds_missing_entries_and_keeps_those_in_memory() {
+        let dir = std::env::temp_dir().join(format!("subvt-cache-m-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("merge.jsonl");
+        let disk = Cache::new();
+        disk.get_or_compute("m", 1, || 1.0);
+        disk.get_or_compute("m", 2, || 2.0);
+        disk.save_jsonl(&path).unwrap();
+
+        let cache = Cache::new();
+        cache.get_or_compute("m", 1, || -1.0);
+        let report = cache.merge_jsonl(&path).unwrap();
+        assert_eq!(
+            report,
+            LoadReport {
+                loaded: 1,
+                superseded: 0,
+                quarantined: 0
+            }
+        );
+        assert_eq!(cache.peek("m", 1), Some(vec![-1.0]), "memory wins");
+        assert_eq!(cache.peek("m", 2), Some(vec![2.0]), "missing entry added");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn legacy_lines_without_crc_still_load() {
         let dir = std::env::temp_dir().join(format!("subvt-cache-l-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1012,41 +923,6 @@ mod tests {
         let (r, how) = waiter.join().unwrap();
         assert_eq!(r.unwrap(), 5.0);
         assert_eq!(how, Lookup::Coalesced, "waiter must report coalescing");
-    }
-
-    #[test]
-    fn losing_lock_acquire_publishes_readonly_gauge() {
-        let dir = std::env::temp_dir().join(format!("subvt-cache-ro-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("degraded.jsonl");
-        let lock = CacheLock::acquire(&path).unwrap().expect("first acquire");
-        assert!(CacheLock::acquire(&path).unwrap().is_none());
-        let snap = trace::global().snapshot();
-        assert_eq!(
-            snap.gauges.get(&readonly_gauge_name(&path)).copied(),
-            Some(1.0),
-            "read-only degradation must be observable"
-        );
-        assert_eq!(readonly_gauge_name(&path), "cache.degraded.readonly");
-        drop(lock);
-    }
-
-    #[test]
-    fn cache_lock_is_exclusive_and_released_on_drop() {
-        let dir = std::env::temp_dir().join(format!("subvt-cache-k-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("locked.jsonl");
-        let lock = CacheLock::acquire(&path).unwrap().expect("first acquire");
-        assert!(lock.path().exists());
-        assert!(
-            CacheLock::acquire(&path).unwrap().is_none(),
-            "second acquire must observe the held lock"
-        );
-        let lock_path = lock.path().to_owned();
-        drop(lock);
-        assert!(!lock_path.exists(), "drop must remove the lock file");
-        let again = CacheLock::acquire(&path).unwrap();
-        assert!(again.is_some(), "lock is reacquirable after release");
     }
 
     #[test]
@@ -1146,60 +1022,5 @@ mod tests {
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 1, "hook fires once: compute yes, hit no");
         assert_eq!(seen[0], ("ph".to_owned(), 7, vec![1.0, 2.0]));
-    }
-
-    #[test]
-    fn stale_lock_from_dead_holder_is_reclaimed() {
-        let dir = std::env::temp_dir().join(format!("subvt-cache-stale-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stale.jsonl");
-        // Fabricate a lock left by a crashed holder: a pid far above
-        // any real /proc entry stands in for a dead process.
-        let lock_path = {
-            let mut os = path.as_os_str().to_owned();
-            os.push(".lock");
-            PathBuf::from(os)
-        };
-        std::fs::write(&lock_path, "999999999\n").unwrap();
-        let before = trace::global()
-            .snapshot()
-            .counters
-            .get("cache.stale.lock_reclaimed")
-            .copied();
-        let lock = CacheLock::acquire(&path).unwrap();
-        assert!(
-            lock.is_some(),
-            "dead holder must be reclaimed, not honoured"
-        );
-        let after = trace::global()
-            .snapshot()
-            .counters
-            .get("cache.stale.lock_reclaimed")
-            .copied()
-            .unwrap_or(0);
-        assert!(after > before.unwrap_or(0), "reclaim must be counted");
-        let snap = trace::global().snapshot();
-        assert_eq!(snap.gauges.get("cache.stale.readonly").copied(), Some(0.0));
-        drop(lock);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fresh_unparseable_lock_is_not_stolen() {
-        let dir = std::env::temp_dir().join(format!("subvt-cache-fresh-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fresh.jsonl");
-        let lock_path = {
-            let mut os = path.as_os_str().to_owned();
-            os.push(".lock");
-            PathBuf::from(os)
-        };
-        // A just-created empty lock models a holder that won create_new
-        // but has not written its pid yet: within the grace window it
-        // must be honoured, not reclaimed.
-        std::fs::write(&lock_path, "").unwrap();
-        assert!(!holder_is_dead(&lock_path));
-        assert!(CacheLock::acquire(&path).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,53 +1,54 @@
 //! Segmented shared-cache store: per-process append-only segments
-//! claimed by lease files.
+//! claimed by lease files, merged into the base file by compaction.
 //!
-//! The base JSONL file (`<cache>.jsonl`) stays the canonical compacted
-//! store, guarded by the primary [`super::CacheLock`]. Around it, a
-//! sibling directory `<cache>.d/` holds one append-only segment per
-//! concurrent writer:
+//! The base JSONL file (`<cache>.jsonl`) is the canonical compacted
+//! store, and nobody appends to it. Every writer — a single `repro`
+//! run, the serve daemon, each fleet worker — appends to its own
+//! segment in the sibling directory `<cache>.d/`, and [`compact`],
+//! run under the compaction lease, is the only code that rewrites the
+//! base file:
 //!
 //! ```text
-//! results.jsonl            # canonical store (primary lock holder)
-//! results.jsonl.lock       # advisory primary lock
+//! results.jsonl            # canonical store (rewritten only by compaction)
 //! results.jsonl.d/
-//!   seg-0.jsonl            # worker 0's appends (same line format + CRC)
-//!   seg-0.lease            # {"pid":…,"acquired_utc":"…","acquired_unix":…,"ttl_secs":…}
-//!   seg-1.jsonl
+//!   compact.lease          # held while compacting (a fleet parent: whole run)
+//!   seg-p4242-0.jsonl      # one session's appends (same line format + CRC)
+//!   seg-p4242-0.lease      # {"pid":…,"acquired_utc":"…","acquired_unix":…}
+//!   seg-1.jsonl            # fleet worker 1
 //!   seg-1.lease
 //! ```
 //!
-//! A segment is claimed by atomically creating its lease file. A lease
-//! is **reclaimable** when its holder pid is dead or its TTL has
-//! lapsed (and, as with the primary lock, an unparseable lease older
-//! than the grace window). Reclaiming a dead worker's segment first
-//! *scrubs* it: intact CRC'd lines are kept, the torn tail a crash can
-//! leave is quarantined through the same sidecar path the base store
+//! A segment is claimed by atomically creating its lease file, which
+//! the holder keeps open and locked (`flock`) for as long as it holds
+//! the lease. The lock alone decides liveness: the kernel drops it when
+//! the holder exits or dies, so a [`Lease`] stays live for as long as
+//! its process lives, idle or not, with nothing to refresh, and an
+//! unlocked lease file — left by a crash, or written by hand — is
+//! **reclaimable** (when unparseable, only once it is older than the
+//! grace window). Adopting a dead writer's segment quarantines the torn
+//! tail a crash can leave through the same sidecar path the base store
 //! uses — so a partial append is never loaded and never silently lost.
 //!
 //! Writers append each freshly computed entry immediately (via
 //! [`super::Cache::set_persist`]), so a SIGKILL loses at most the line
-//! being written. On clean shutdown the fleet parent (or the next
-//! primary-lock holder) **compacts**: base + dead segments merge into
-//! one canonical JSONL, byte-identical to what a single process would
-//! have written, and the merged segments are removed.
+//! being written. Compaction merges the base and every sealed or dead
+//! segment into one canonical JSONL, byte-identical to what a single
+//! process would have written, and removes the merged segments.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::Duration;
 
-use super::{
-    cache_stem, format_line_f64, line_crc, lock_recover, parse_entry, pid_alive, quarantine_path,
-    Cache, LoadReport, UNPARSEABLE_GRACE,
-};
+use super::{format_line_f64, line_crc, lock_recover, parse_entry, quarantine_path, Cache};
 use crate::{clock, trace};
 
-/// Default lease TTL. Generous on purpose: TTL reclaim exists to clear
-/// leases whose holder is alive-but-wedged (or unkillable on a foreign
-/// machine), not to race healthy long-running workers. Liveness is
-/// normally decided by the pid check; the TTL is the backstop.
-pub const DEFAULT_TTL_SECS: u64 = 3600;
+/// Grace period before an unreadable/unparseable lease file is treated
+/// as abandoned: a holder that just won `create_new` may not have
+/// written its content yet, so freshly created files are never
+/// reclaimed on content alone.
+const UNPARSEABLE_GRACE: Duration = Duration::from_secs(10);
 
 /// The segment directory for a cache path: `<path>.d`.
 pub fn segment_dir(cache_path: &Path) -> PathBuf {
@@ -56,10 +57,33 @@ pub fn segment_dir(cache_path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// The compaction lease for a cache path: `<path>.d/compact.lease`.
+pub fn compaction_lease_path(cache_path: &Path) -> PathBuf {
+    segment_dir(cache_path).join("compact.lease")
+}
+
 /// The counter name for lease reclaims on a cache path:
 /// `cache.<file-stem>.lease_reclaimed`.
 pub fn lease_reclaim_counter_name(cache_path: &Path) -> String {
-    format!("cache.{}.lease_reclaimed", cache_stem(cache_path))
+    let stem = cache_path
+        .file_stem()
+        .map_or_else(|| "cache".into(), |s| s.to_string_lossy());
+    format!("cache.{stem}.lease_reclaimed")
+}
+
+/// Claims the compaction lease for `cache_path`, reclaiming a stale
+/// holder first (counted as `cache.<stem>.lease_reclaimed`). `Ok(None)`
+/// means a live process holds it — a fleet parent for its whole run,
+/// or a session compacting on close.
+///
+/// # Errors
+///
+/// Propagates I/O errors other than "already exists".
+pub fn claim_compaction(cache_path: &Path) -> std::io::Result<Option<Lease>> {
+    Lease::claim(
+        &compaction_lease_path(cache_path),
+        &lease_reclaim_counter_name(cache_path),
+    )
 }
 
 /// One lease file's decoded content.
@@ -67,38 +91,30 @@ pub fn lease_reclaim_counter_name(cache_path: &Path) -> String {
 pub struct LeaseInfo {
     /// Holder process id.
     pub pid: u32,
-    /// Unix seconds at acquire (or last refresh).
+    /// Unix seconds at acquire.
     pub acquired_unix: u64,
-    /// Seconds after `acquired_unix` at which the lease lapses.
-    pub ttl_secs: u64,
 }
 
 impl LeaseInfo {
     /// Renders the lease file body (one JSON object + newline).
     pub fn render(&self) -> String {
         format!(
-            "{{\"pid\":{},\"acquired_utc\":{},\"acquired_unix\":{},\"ttl_secs\":{}}}\n",
+            "{{\"pid\":{},\"acquired_utc\":{},\"acquired_unix\":{}}}\n",
             self.pid,
-            trace::json_str(&clock::iso8601_utc(self.acquired_unix)),
-            self.acquired_unix,
-            self.ttl_secs
+            crate::json::json_str(&clock::iso8601_utc(self.acquired_unix)),
+            self.acquired_unix
         )
     }
 
     /// Parses a lease file body; `None` if any required field is
-    /// missing or malformed.
+    /// missing or malformed, including a pid outside the `u32` range
+    /// (which must not wrap onto another process). Fields it does not
+    /// know, such as an older format's `ttl_secs`, are ignored.
     pub fn parse(text: &str) -> Option<Self> {
         Some(Self {
-            pid: json_u64_field(text, "pid")? as u32,
+            pid: u32::try_from(json_u64_field(text, "pid")?).ok()?,
             acquired_unix: json_u64_field(text, "acquired_unix")?,
-            ttl_secs: json_u64_field(text, "ttl_secs")?,
         })
-    }
-
-    /// Whether this lease no longer protects its segment: the holder
-    /// pid is dead, or the TTL has lapsed.
-    pub fn is_stale(&self, now_unix: u64) -> bool {
-        !pid_alive(self.pid) || now_unix > self.acquired_unix.saturating_add(self.ttl_secs)
     }
 }
 
@@ -114,84 +130,126 @@ fn json_u64_field(text: &str, name: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Whether the lease file at `path` is reclaimable right now.
-/// Missing file → not stale (nothing to reclaim; claim by `create_new`).
+/// Whether the lease file at `path` is stale: no holder has it locked.
+/// A lock the filesystem refuses counts as held. Missing file → not
+/// stale (nothing to reclaim; claim by `create_new`).
 fn lease_is_stale(path: &Path) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    // A shared lock, so concurrent checkers do not mistake each other
+    // for the holder.
+    std::fs::File::open(path).is_ok_and(|file| file.try_lock_shared().is_ok() && abandoned(&file))
+}
+
+/// Whether an unlocked lease file was abandoned. One that parses was
+/// written by a holder that has since exited or crashed. An
+/// unparseable one may belong to a holder between `create_new` and
+/// `lock`, so it is abandoned only once older than the grace window.
+fn abandoned(mut file: &std::fs::File) -> bool {
+    let mut text = String::new();
+    if file.read_to_string(&mut text).is_err() {
+        return false;
+    }
+    LeaseInfo::parse(&text).is_some()
+        || file
+            .metadata()
+            .and_then(|m| m.modified())
+            .is_ok_and(|mtime| matches!(mtime.elapsed(), Ok(age) if age > UNPARSEABLE_GRACE))
+}
+
+/// Removes the lease file at `path` if it is stale, bumping `counter`,
+/// and reports whether it did. The file stays exclusively locked while
+/// it is checked and removed, and it is removed only while `path`
+/// still names it, so of two reclaimers of one stale lease only one
+/// removes it, never the new lease the other has claimed in its place.
+fn reclaim_stale(path: &Path, counter: &str) -> bool {
+    let Ok(file) = std::fs::File::open(path) else {
         return false;
     };
-    match LeaseInfo::parse(&text) {
-        Some(info) => info.is_stale(clock::unix_now()),
-        None => match std::fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(mtime) => matches!(mtime.elapsed(), Ok(age) if age > UNPARSEABLE_GRACE),
-            Err(_) => false,
-        },
+    let reclaim = file.try_lock().is_ok()
+        && abandoned(&file)
+        && still_at(&file, path)
+        && std::fs::remove_file(path).is_ok();
+    if reclaim {
+        trace::add(counter, 1);
+    }
+    reclaim
+}
+
+/// Whether `path` still names the open `file` (same device and inode).
+#[cfg(unix)]
+fn still_at(file: &std::fs::File, path: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    match (file.metadata(), std::fs::metadata(path)) {
+        (Ok(a), Ok(b)) => (a.dev(), a.ino()) == (b.dev(), b.ino()),
+        _ => false,
     }
 }
 
-/// An exclusive claim on one segment, backed by a lease file. Removed
-/// on drop; a crash leaves the file behind for the next claimant to
-/// reclaim via the staleness rules.
+/// Elsewhere there is no inode to compare; `path` is trusted.
+#[cfg(not(unix))]
+fn still_at(_file: &std::fs::File, _path: &Path) -> bool {
+    true
+}
+
+/// An exclusive claim backed by a lease file that stays open and
+/// locked while the claim is held. Dropping it removes the file and
+/// releases the lock; a crash releases only the lock, leaving the file
+/// for the next claimant to reclaim.
 #[derive(Debug)]
 pub struct Lease {
     path: PathBuf,
-    ttl_secs: u64,
+    /// The locked lease file; closing it releases the lock.
+    _file: std::fs::File,
 }
 
 impl Lease {
-    /// Claims the lease at `path`, reclaiming a stale holder first.
-    /// `Ok(None)` means a live holder owns it. `counter` is bumped once
-    /// per reclaimed stale lease.
+    /// Claims the lease at `path` (creating its directory if needed),
+    /// reclaiming a stale holder first. `Ok(None)` means a live holder
+    /// owns it. `counter` is bumped once per reclaimed stale lease.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than "already exists".
-    pub fn claim(path: &Path, ttl_secs: u64, counter: &str) -> std::io::Result<Option<Self>> {
+    /// Propagates I/O errors other than "already exists", including a
+    /// filesystem that refuses the lock.
+    pub fn claim(path: &Path, counter: &str) -> std::io::Result<Option<Self>> {
         for _ in 0..4 {
             match std::fs::OpenOptions::new()
                 .write(true)
                 .create_new(true)
                 .open(path)
             {
-                Ok(mut f) => {
+                Ok(mut file) => {
+                    // Lock before writing: until then the file is empty,
+                    // and an empty lease falls under the grace rule. The
+                    // wait is at most a checker's brief lock.
+                    if let Err(e) = file.lock() {
+                        let _ = std::fs::remove_file(path);
+                        return Err(e);
+                    }
                     let info = LeaseInfo {
                         pid: std::process::id(),
                         acquired_unix: clock::unix_now(),
-                        ttl_secs,
                     };
-                    let _ = f.write_all(info.render().as_bytes());
+                    let _ = file.write_all(info.render().as_bytes());
                     return Ok(Some(Self {
                         path: path.to_owned(),
-                        ttl_secs,
+                        _file: file,
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if lease_is_stale(path) {
-                        let _ = std::fs::remove_file(path);
-                        trace::add(counter, 1);
-                        continue;
+                    if !reclaim_stale(path, counter) {
+                        return Ok(None);
                     }
-                    return Ok(None);
                 }
+                // No directory yet, or a concurrent compaction just
+                // retired it: (re)create it and retry.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => match path.parent() {
+                    Some(dir) => std::fs::create_dir_all(dir)?,
+                    None => return Err(e),
+                },
                 Err(e) => return Err(e),
             }
         }
         Ok(None)
-    }
-
-    /// Re-stamps the lease's acquire time, extending the TTL window.
-    /// Written through a sibling temp file + atomic rename so a reader
-    /// never sees a partial lease.
-    pub fn refresh(&self) {
-        let info = LeaseInfo {
-            pid: std::process::id(),
-            acquired_unix: clock::unix_now(),
-            ttl_secs: self.ttl_secs,
-        };
-        let tmp = self.path.with_extension("lease.tmp");
-        if std::fs::write(&tmp, info.render()).is_ok() {
-            let _ = std::fs::rename(&tmp, &self.path);
-        }
     }
 
     /// The lease file's path.
@@ -202,6 +260,8 @@ impl Lease {
 
 impl Drop for Lease {
     fn drop(&mut self) {
+        // The file closes (unlocks) after this, so a checker that
+        // opened it in between finds it locked, or no longer at `path`.
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -274,16 +334,13 @@ pub fn scrub_segment(seg_path: &Path) -> std::io::Result<ScrubReport> {
 ///
 /// Install [`SegmentSession::persist_hook`] on the in-memory cache and
 /// every freshly computed entry is appended (CRC'd, flushed) to this
-/// process's segment the moment it exists. Appends refresh the lease at
-/// most every `ttl/4` so a long-running writer is never TTL-reclaimed.
+/// process's segment the moment it exists. The lease's lock keeps the
+/// claim live for the session's whole life, appending or idle.
 pub struct SegmentSession {
-    cache_path: PathBuf,
     seg_path: PathBuf,
     lease: Mutex<Option<Lease>>,
     file: Mutex<std::fs::File>,
     appended: AtomicU64,
-    last_refresh: Mutex<Instant>,
-    ttl_secs: u64,
     /// What the claim-time scrub of a previous incarnation's leftover
     /// segment found (all zeros on a fresh segment).
     pub scrub: ScrubReport,
@@ -292,8 +349,8 @@ pub struct SegmentSession {
 impl SegmentSession {
     /// Claims segment `name` under `cache_path`'s segment directory.
     ///
-    /// Creates `<cache>.d/` if needed, claims `seg-<name>.lease`
-    /// (reclaiming a stale holder, which bumps
+    /// Claims `<cache>.d/seg-<name>.lease` (creating the directory, and
+    /// reclaiming a stale holder, which bumps
     /// `cache.<stem>.lease_reclaimed`), scrubs any leftover
     /// `seg-<name>.jsonl` from a crashed previous incarnation, and
     /// opens the segment for append. `Ok(None)` = a live holder owns
@@ -302,13 +359,12 @@ impl SegmentSession {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn claim(cache_path: &Path, name: &str, ttl_secs: u64) -> std::io::Result<Option<Self>> {
+    pub fn claim(cache_path: &Path, name: &str) -> std::io::Result<Option<Self>> {
         let dir = segment_dir(cache_path);
-        std::fs::create_dir_all(&dir)?;
         let lease_path = dir.join(format!("seg-{name}.lease"));
         let seg_path = dir.join(format!("seg-{name}.jsonl"));
         let counter = lease_reclaim_counter_name(cache_path);
-        let Some(lease) = Lease::claim(&lease_path, ttl_secs, &counter)? else {
+        let Some(lease) = Lease::claim(&lease_path, &counter)? else {
             return Ok(None);
         };
         // A crashed previous holder of this name may have left a torn
@@ -319,13 +375,10 @@ impl SegmentSession {
             .append(true)
             .open(&seg_path)?;
         Ok(Some(Self {
-            cache_path: cache_path.to_owned(),
             seg_path,
             lease: Mutex::new(Some(lease)),
             file: Mutex::new(file),
             appended: AtomicU64::new(0),
-            last_refresh: Mutex::new(Instant::now()),
-            ttl_secs,
             scrub,
         }))
     }
@@ -333,11 +386,6 @@ impl SegmentSession {
     /// The segment file's path.
     pub fn path(&self) -> &Path {
         &self.seg_path
-    }
-
-    /// The cache path this segment belongs to.
-    pub fn cache_path(&self) -> &Path {
-        &self.cache_path
     }
 
     /// Lines appended by this session so far.
@@ -353,30 +401,12 @@ impl SegmentSession {
         // Same chaos hook as base-file saves: a fault plan can tear a
         // segment append too.
         crate::faultinject::corrupt_point(&mut line);
-        {
-            let mut f = lock_recover(&self.file);
-            if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
-                trace::add("cache.segment_append_errors", 1);
-                return;
-            }
-        }
-        self.appended.fetch_add(1, Ordering::Relaxed);
-        self.maybe_refresh();
-    }
-
-    /// Refreshes the lease if more than `ttl/4` has passed since the
-    /// last refresh. Cheap enough to call per append.
-    pub fn maybe_refresh(&self) {
-        let min_gap = std::time::Duration::from_secs((self.ttl_secs / 4).max(1));
-        let mut last = lock_recover(&self.last_refresh);
-        if last.elapsed() < min_gap {
+        let mut f = lock_recover(&self.file);
+        if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
+            trace::add("cache.segment_append_errors", 1);
             return;
         }
-        *last = Instant::now();
-        drop(last);
-        if let Some(lease) = lock_recover(&self.lease).as_ref() {
-            lease.refresh();
-        }
+        self.appended.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Loads this session's own segment (scrubbed at claim time, so
@@ -386,7 +416,7 @@ impl SegmentSession {
     /// # Errors
     ///
     /// Propagates I/O errors other than "file not found".
-    pub fn load_into(&self, cache: &Cache) -> std::io::Result<LoadReport> {
+    pub fn load_into(&self, cache: &Cache) -> std::io::Result<super::LoadReport> {
         cache.load_jsonl_lenient(&self.seg_path)
     }
 
@@ -399,7 +429,7 @@ impl SegmentSession {
         })
     }
 
-    /// Closes the session: flushes, removes an empty segment file, and
+    /// Seals the session: flushes, removes an empty segment file, and
     /// releases the lease. Idempotent. A non-empty segment is *kept* —
     /// its entries merge into the canonical file at the next
     /// compaction.
@@ -422,41 +452,20 @@ impl Drop for SegmentSession {
     }
 }
 
-/// What adopting orphaned segments found.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AdoptReport {
-    /// Segment files merged into the in-memory cache, ready for
-    /// removal once the merged state is durably saved.
-    pub adopted: Vec<PathBuf>,
-    /// Stale lease files belonging to adopted segments.
-    pub stale_leases: Vec<PathBuf>,
-    /// Entries loaded across all adopted segments.
-    pub loaded: usize,
-    /// Damaged lines quarantined across all adopted segments.
-    pub quarantined: usize,
-    /// Segments skipped because a live lease protects them.
-    pub skipped_live: usize,
-}
-
-/// Scans `<cache>.d/` for segments whose lease is absent or stale,
-/// scrubs each (torn tails → quarantine sidecar), and loads the intact
-/// entries into `cache`. Segments protected by a live lease are
-/// skipped. The caller decides when the adopted files may be removed —
-/// only after the merged state has been durably saved (see
-/// [`compact`] and the primary-session close path).
+/// Every segment file (`seg-*.jsonl`) under `cache_path`'s segment
+/// directory, sorted for a deterministic load order. A missing
+/// directory has none.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors (a missing segment directory is an empty
-/// report, not an error).
-pub fn adopt_dead_segments(cache_path: &Path, cache: &Cache) -> std::io::Result<AdoptReport> {
-    let dir = segment_dir(cache_path);
-    let entries = match std::fs::read_dir(&dir) {
+/// Propagates I/O errors other than "not found".
+pub fn segment_files(cache_path: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let entries = match std::fs::read_dir(segment_dir(cache_path)) {
         Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(AdoptReport::default()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    let mut seg_paths: Vec<PathBuf> = entries
+    let mut segments: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| {
             p.file_name()
@@ -464,20 +473,43 @@ pub fn adopt_dead_segments(cache_path: &Path, cache: &Cache) -> std::io::Result<
                 .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".jsonl"))
         })
         .collect();
-    // Deterministic merge order (later entries supersede earlier ones
-    // for duplicate keys, though duplicates are byte-identical here).
-    seg_paths.sort();
+    segments.sort();
+    Ok(segments)
+}
+
+/// What adopting sealed and dead segments found.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct AdoptReport {
+    /// Segment files merged into the in-memory cache, ready for
+    /// removal once the merged state is durably saved.
+    adopted: Vec<PathBuf>,
+    /// Stale lease files belonging to adopted segments.
+    stale_leases: Vec<PathBuf>,
+    /// Entries added across all adopted segments.
+    loaded: usize,
+    /// Damaged lines quarantined across all adopted segments.
+    quarantined: usize,
+    /// Segments skipped because a live lease protects them.
+    skipped_live: usize,
+}
+
+/// Merges the intact entries of every segment whose lease is absent or
+/// stale into `cache`; the merge quarantines torn tails to the
+/// segment's sidecar, which [`remove_adopted`] folds into the base one.
+/// Segments protected by a live lease are skipped. The adopted files
+/// are removed only after the merged state has been durably saved (see
+/// [`compact`]).
+fn adopt_dead_segments(cache_path: &Path, cache: &Cache) -> std::io::Result<AdoptReport> {
     let mut report = AdoptReport::default();
-    for seg in seg_paths {
+    for seg in segment_files(cache_path)? {
         let lease = seg.with_extension("lease");
         if lease.exists() && !lease_is_stale(&lease) {
             report.skipped_live += 1;
             continue;
         }
-        let scrub = scrub_segment(&seg)?;
-        report.quarantined += scrub.quarantined;
-        let load = cache.load_jsonl_lenient(&seg)?;
-        report.loaded += load.loaded;
+        let merged = cache.merge_jsonl(&seg)?;
+        report.quarantined += merged.quarantined;
+        report.loaded += merged.loaded;
         if lease.exists() {
             report.stale_leases.push(lease);
         }
@@ -499,25 +531,31 @@ pub struct CompactReport {
     pub skipped_live: usize,
 }
 
-/// Merges the base file and every dead/unleased segment into one
-/// canonical JSONL at `cache_path`, then removes the merged segments
-/// (and their stale leases, and the segment directory if it ends up
-/// empty). Segment quarantine sidecars are folded into the base
-/// `<cache>.quarantine` sidecar so the evidence survives directory
-/// removal.
+/// Merges the base file and every sealed or dead segment into `cache`,
+/// saves it as the canonical JSONL at `cache_path`, then removes the
+/// merged segments and their stale leases. Segment quarantine sidecars
+/// fold into the base `<cache>.quarantine` so the evidence survives;
+/// once `lease` is released the segment directory is retired too, if
+/// nothing else remains in it.
 ///
-/// The caller must hold the primary [`super::CacheLock`]; live-leased
+/// This is the only code that rewrites the base file. `lease` is the
+/// compaction lease from [`claim_compaction`], which makes compactions
+/// of one store mutually exclusive. A session passes the cache it has
+/// already loaded; a process holding none of the entries (the fleet
+/// parent) passes a fresh one. Entries already in `cache` win over the
+/// files' (content-addressed values agree anyway), and live-leased
 /// segments are skipped, never stolen.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn compact(cache_path: &Path) -> std::io::Result<CompactReport> {
-    let cache = Cache::new();
-    let base = cache.load_jsonl_report(cache_path)?;
-    let adopt = adopt_dead_segments(cache_path, &cache)?;
+pub fn compact(cache_path: &Path, cache: &Cache, lease: Lease) -> std::io::Result<CompactReport> {
+    let base = cache.merge_jsonl(cache_path)?;
+    let adopt = adopt_dead_segments(cache_path, cache)?;
     let written = cache.save_jsonl(cache_path)?;
     remove_adopted(cache_path, &adopt);
+    drop(lease);
+    let _ = std::fs::remove_dir(segment_dir(cache_path));
     Ok(CompactReport {
         written,
         segments_merged: adopt.adopted.len(),
@@ -526,13 +564,12 @@ pub fn compact(cache_path: &Path) -> std::io::Result<CompactReport> {
     })
 }
 
-/// Retires segments whose entries have been made durable elsewhere:
-/// folds their quarantine sidecars into the base `<cache>.quarantine`,
-/// removes the segment and stale lease files, and removes the segment
-/// directory if nothing (live segments, staged files) remains. All
-/// removals are best-effort — the entries are already durable, so a
+/// Retires segments whose entries have been made durable in the base
+/// file: folds their quarantine sidecars into the base
+/// `<cache>.quarantine` and removes the segment and stale lease files.
+/// All removals are best-effort — the entries are already durable, so a
 /// leftover file costs a redundant merge later, not correctness.
-pub fn remove_adopted(cache_path: &Path, adopt: &AdoptReport) {
+fn remove_adopted(cache_path: &Path, adopt: &AdoptReport) {
     let base_sidecar = quarantine_path(cache_path);
     for seg in &adopt.adopted {
         let _ = fold_sidecar(&quarantine_path(seg), &base_sidecar);
@@ -557,7 +594,6 @@ pub fn remove_adopted(cache_path: &Path, adopt: &AdoptReport) {
             }
         }
     }
-    let _ = std::fs::remove_dir(segment_dir(cache_path));
 }
 
 /// Appends `src` sidecar's lines to `dst` and removes `src`. Missing
@@ -599,31 +635,31 @@ mod tests {
         let info = LeaseInfo {
             pid: std::process::id(),
             acquired_unix: 1_000_000,
-            ttl_secs: 600,
         };
         let text = info.render();
         assert_eq!(LeaseInfo::parse(&text), Some(info));
-        // Live pid, inside TTL: not stale.
-        assert!(!info.is_stale(1_000_000 + 599));
-        // Live pid, TTL lapsed: stale.
-        assert!(info.is_stale(1_000_000 + 601));
-        // Dead pid: stale regardless of TTL.
-        let dead = LeaseInfo {
-            pid: 999_999_999,
-            ..info
-        };
-        assert!(dead.is_stale(1_000_000));
         assert!(LeaseInfo::parse("{\"pid\":oops}").is_none());
+        // The same content is live while a holder has the file locked,
+        // however old it is, and stale once the lock is gone.
+        let dir = scratch("rules");
+        let path = dir.join("seg-r.lease");
+        std::fs::write(&path, &text).unwrap();
+        let holder = std::fs::File::open(&path).unwrap();
+        holder.lock().unwrap();
+        assert!(!lease_is_stale(&path), "a locked lease is live");
+        drop(holder);
+        assert!(lease_is_stale(&path), "an unlocked lease is stale");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lease_claim_is_exclusive_released_on_drop_and_reclaims_dead() {
         let dir = scratch("lease");
         let path = dir.join("seg-a.lease");
-        let lease = Lease::claim(&path, 600, "t.reclaim").unwrap().unwrap();
+        let lease = Lease::claim(&path, "t.reclaim").unwrap().unwrap();
         assert!(path.exists());
         assert!(
-            Lease::claim(&path, 600, "t.reclaim").unwrap().is_none(),
+            Lease::claim(&path, "t.reclaim").unwrap().is_none(),
             "live holder must be honoured"
         );
         drop(lease);
@@ -632,10 +668,9 @@ mod tests {
         let dead = LeaseInfo {
             pid: 999_999_999,
             acquired_unix: clock::unix_now(),
-            ttl_secs: 600,
         };
         std::fs::write(&path, dead.render()).unwrap();
-        let lease = Lease::claim(&path, 600, "t.reclaim").unwrap();
+        let lease = Lease::claim(&path, "t.reclaim").unwrap();
         assert!(lease.is_some(), "dead holder's lease must be reclaimable");
         let n = trace::global()
             .snapshot()
@@ -648,17 +683,79 @@ mod tests {
     }
 
     #[test]
+    fn lease_pid_beyond_u32_is_unparseable_not_wrapped() {
+        // 2^32 + 1 would truncate to pid 1.
+        let text = "{\"pid\":4294967297,\"acquired_unix\":1}";
+        assert_eq!(LeaseInfo::parse(text), None);
+        // Unparseable, so a fresh file falls under the grace rule.
+        let dir = scratch("bigpid");
+        let path = dir.join("seg-b.lease");
+        std::fs::write(&path, text).unwrap();
+        assert!(
+            !lease_is_stale(&path),
+            "fresh unparseable lease is honoured"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unparseable_lease_is_honoured_until_the_grace_lapses() {
+        let dir = scratch("grace");
+        let path = dir.join("seg-g.lease");
+        let counter = lease_reclaim_counter_name(&dir.join("grace.jsonl"));
+        // A just-created empty lease models a holder that won
+        // create_new but has not written its content yet: within the
+        // grace window it must be honoured, not reclaimed.
+        std::fs::write(&path, "").unwrap();
+        assert!(Lease::claim(&path, &counter).unwrap().is_none());
+        // Past the grace window the same empty file is abandoned.
+        let old = std::time::SystemTime::now() - UNPARSEABLE_GRACE - Duration::from_secs(5);
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let lease = Lease::claim(&path, &counter).unwrap();
+        assert!(lease.is_some(), "an aged unparseable lease is reclaimed");
+        let reclaimed = trace::global().snapshot().counters.get(&counter).copied();
+        assert!(reclaimed >= Some(1), "reclaim must be counted");
+        drop(lease);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn idle_session_lease_is_not_adopted() {
+        let dir = scratch("idle");
+        let cache_path = dir.join("store.jsonl");
+        let session = SegmentSession::claim(&cache_path, "idle").unwrap().unwrap();
+        session.append("idle", 1, &[1.0]);
+        // The session appends nothing more: only the lock it holds on
+        // its lease keeps the segment its own.
+        let lease = claim_compaction(&cache_path).unwrap().unwrap();
+        let merged = Cache::new();
+        let report = compact(&cache_path, &merged, lease).unwrap();
+        assert_eq!(report.skipped_live, 1, "a live idle session is not adopted");
+        assert_eq!(report.segments_merged, 0);
+        assert!(merged.peek("idle", 1).is_none());
+        assert!(session.path().exists());
+        session.close();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lease_ttl_lapse_is_reclaimable() {
         let dir = scratch("ttl");
         let path = dir.join("seg-t.lease");
-        // Our own (live) pid, but a TTL that lapsed long ago.
-        let lapsed = LeaseInfo {
-            pid: std::process::id(),
-            acquired_unix: clock::unix_now().saturating_sub(10_000),
-            ttl_secs: 1,
-        };
-        std::fs::write(&path, lapsed.render()).unwrap();
-        assert!(Lease::claim(&path, 600, "t.ttl").unwrap().is_some());
+        // An older-format lease with a lapsed TTL that names our own
+        // live pid, as a crashed holder whose pid was reused leaves it:
+        // nobody holds its lock, so it is reclaimed.
+        let lapsed = format!(
+            "{{\"pid\":{},\"acquired_unix\":1,\"ttl_secs\":1}}\n",
+            std::process::id()
+        );
+        std::fs::write(&path, lapsed).unwrap();
+        assert!(Lease::claim(&path, "t.ttl").unwrap().is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -700,15 +797,13 @@ mod tests {
         let dir = scratch("session");
         let cache_path = dir.join("store.jsonl");
         let session = Arc::new(
-            SegmentSession::claim(&cache_path, "0", 600)
+            SegmentSession::claim(&cache_path, "0")
                 .unwrap()
                 .expect("claim fresh segment"),
         );
         // Second claimant of the same name loses; another name wins.
-        assert!(SegmentSession::claim(&cache_path, "0", 600)
-            .unwrap()
-            .is_none());
-        let other = SegmentSession::claim(&cache_path, "1", 600)
+        assert!(SegmentSession::claim(&cache_path, "0").unwrap().is_none());
+        let other = SegmentSession::claim(&cache_path, "1")
             .unwrap()
             .expect("distinct name claims");
 
@@ -736,8 +831,9 @@ mod tests {
         assert!(!other.path().exists(), "empty segment is removed");
 
         // Compaction folds the segment into the canonical file and
-        // removes the directory.
-        let report = compact(&cache_path).unwrap();
+        // removes the directory once the compaction lease is released.
+        let lease = claim_compaction(&cache_path).unwrap().expect("lease free");
+        let report = compact(&cache_path, &Cache::new(), lease).unwrap();
         assert_eq!(report.written, 2);
         assert_eq!(report.segments_merged, 1);
         assert!(!segment_dir(&cache_path).exists(), "empty dir removed");
@@ -765,12 +861,10 @@ mod tests {
         let dir = scratch("adopt");
         let cache_path = dir.join("store.jsonl");
         // A live session with one entry...
-        let live = SegmentSession::claim(&cache_path, "live", 600)
-            .unwrap()
-            .unwrap();
+        let live = SegmentSession::claim(&cache_path, "live").unwrap().unwrap();
         live.append("a", 1, &[1.0]);
-        // ...and a dead worker's segment: entries + torn tail, lease
-        // held by a dead pid.
+        // ...and a dead worker's segment: entries + torn tail, and the
+        // unlocked lease it left.
         let sd = segment_dir(&cache_path);
         let dead_seg = sd.join("seg-dead.jsonl");
         let good = format_line_f64("a", 2, &[2.0]);
@@ -778,7 +872,6 @@ mod tests {
         let dead_lease = LeaseInfo {
             pid: 999_999_999,
             acquired_unix: clock::unix_now(),
-            ttl_secs: 600,
         };
         std::fs::write(sd.join("seg-dead.lease"), dead_lease.render()).unwrap();
 

@@ -53,6 +53,7 @@ pub mod executor;
 pub mod faultinject;
 pub mod fleet;
 pub mod hash;
+pub mod json;
 pub mod recovery;
 pub mod rng;
 pub mod supervisor;

@@ -47,6 +47,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::{json_f64, json_str};
+
 /// JSONL schema version written by [`Tracer::write_jsonl`].
 pub const SCHEMA_VERSION: u64 = 2;
 
@@ -737,37 +739,6 @@ pub fn observe(name: &str, value: f64) {
 /// bounds (used on first sight of `name`).
 pub fn observe_with(name: &str, value: f64, bounds: &[f64]) {
     global().observe_with(name, value, bounds);
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (`null` for non-finite values,
-/// which plain JSON cannot express).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `Display` omits the fraction for integral floats; that is
-        // still a valid JSON number.
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]

@@ -178,11 +178,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Advisory lock + load, shared with `subvt-serve`: a concurrent run
-    // against the same file persists through a leased segment under
-    // `<cache>.d/` instead of clobbering the file (or losing its work),
-    // and a crashed holder's lock is reclaimed instead of wedging every
-    // later run read-only.
+    // Leased segment + load, shared with `subvt-serve`: every run
+    // appends to its own segment under `<cache>.d/`, so concurrent runs
+    // against the same file all persist, and the close compacts under
+    // the compaction lease.
     let mut cache_session: Option<subvt_exp::CacheSession> = None;
     if let Some(path) = &cache_path {
         match subvt_exp::CacheSession::open(path.as_ref()) {
@@ -454,7 +453,7 @@ fn scan_counter(manifest: &str, name: &str) -> u64 {
 fn fleet_main(args: &[String]) -> ExitCode {
     use std::path::PathBuf;
     use std::time::Duration;
-    use subvt_engine::cache::{seg, CacheLock};
+    use subvt_engine::cache::seg;
     use subvt_engine::fleet::{plan, supervise, FleetPolicy, ShardStrategy};
 
     let mut workers = 2usize;
@@ -574,31 +573,31 @@ fn fleet_main(args: &[String]) -> ExitCode {
         (None, None) => unreachable!(),
     };
 
-    // The parent holds the primary lock for the whole fleet run: a
-    // stale (dead-holder) lock is reclaimed, a live holder is an error
-    // — two fleets over one store must not interleave compactions.
-    let lock = match CacheLock::acquire(&cache_path) {
-        Ok(Some(lock)) => lock,
+    // The parent holds the compaction lease for the whole fleet run: a
+    // stale (dead-holder) lease is reclaimed, a live holder is an error
+    // — two fleets over one store must not interleave compactions — and
+    // its workers' closes never compact behind its back.
+    let lease = match seg::claim_compaction(&cache_path) {
+        Ok(Some(lease)) => lease,
         Ok(None) => {
             eprintln!(
-                "cache file {} is held by a live process; \
+                "cache file {} has a live compaction-lease holder; \
                  refusing to run a fleet over it",
                 cache_path.display()
             );
             return ExitCode::FAILURE;
         }
         Err(e) => {
-            eprintln!("cannot lock cache file {}: {e}", cache_path.display());
+            eprintln!(
+                "cannot claim the compaction lease for {}: {e}",
+                cache_path.display()
+            );
             return ExitCode::FAILURE;
         }
     };
 
     let shards = plan(&ids, workers, strategy);
     let outdir = seg::segment_dir(&cache_path);
-    if let Err(e) = std::fs::create_dir_all(&outdir) {
-        eprintln!("cannot create segment dir {}: {e}", outdir.display());
-        return ExitCode::FAILURE;
-    }
     let active = shards.iter().filter(|s| !s.ids.is_empty()).count();
     eprintln!(
         "fleet: {} experiment(s) over {active} worker(s) ({strategy} sharding)",
@@ -743,7 +742,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
     for id in &ids {
         std::fs::remove_file(outdir.join(format!("out-{id}.{ext}"))).ok();
     }
-    match seg::compact(&cache_path) {
+    match seg::compact(&cache_path, &subvt_engine::Cache::new(), lease) {
         Ok(r) => eprintln!(
             "fleet: compacted cache ({} entries, {} segment(s) merged)",
             r.written, r.segments_merged
@@ -753,7 +752,6 @@ fn fleet_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    drop(lock);
     if let Some(dir) = &scratch_dir {
         std::fs::remove_dir_all(dir).ok();
     }
@@ -921,6 +919,8 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
 /// atomically claims the marker file (losers return and run on), tears
 /// the segment's tail mid-append, and SIGKILLs this process.
 fn fleet_crash_once(marker: &std::path::Path, session: &subvt_exp::CacheSession) {
+    use std::io::Write as _;
+
     if std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
@@ -929,14 +929,14 @@ fn fleet_crash_once(marker: &std::path::Path, session: &subvt_exp::CacheSession)
     {
         return;
     }
-    if let Some(seg_path) = session.segment_path() {
-        use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(seg_path) {
-            // A torn line: no newline, CRC impossible — what a real
-            // kill mid-append leaves behind.
-            let _ = f.write_all(b"{\"ns\":\"torn-by-injected-crash\",\"key\":\"00");
-            let _ = f.flush();
-        }
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .append(true)
+        .open(session.segment_path())
+    {
+        // A torn line: no newline, CRC impossible — what a real kill
+        // mid-append leaves behind.
+        let _ = f.write_all(b"{\"ns\":\"torn-by-injected-crash\",\"key\":\"00");
+        let _ = f.flush();
     }
     eprintln!("fleet: injecting SIGKILL crash (SUBVT_FLEET_CRASH_ONCE)");
     let pid = std::process::id().to_string();

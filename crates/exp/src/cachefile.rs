@@ -1,184 +1,103 @@
-//! Shared persistent-cache session handling for long-lived processes.
+//! Persistent-cache sessions for long-lived processes.
 //!
 //! Both entry points that persist the engine's result cache — the
 //! one-shot `repro` CLI and the `subvt-serve` daemon — need the same
 //! open/close choreography, packaged as [`CacheSession`] so the two
-//! binaries cannot drift apart. A session opens in one of three modes:
+//! binaries cannot drift apart. There is one way to write the cache:
 //!
-//! * **Primary** — won the advisory [`CacheLock`] (reclaiming it first
-//!   if the recorded holder is dead): loads the base file with
-//!   quarantine accounting, *adopts* any orphaned segments a crashed
-//!   fleet left under `<cache>.d/`, and on clean close rewrites the
-//!   canonical file through the atomic temp-file path (compacting
-//!   superseded duplicates and the adopted segments away).
-//! * **Segment** — a live process holds the primary lock, so this
-//!   session claims a leased per-process segment
-//!   (`<cache>.d/seg-p<pid>-<n>.jsonl`) instead of degrading: it loads
-//!   the base file and every peer segment leniently for warm hits, and
-//!   write-through appends each freshly computed entry to its own
-//!   segment. The next primary-lock holder compacts it in. Concurrent
-//!   runs therefore *all* persist — nobody loses their work to the
-//!   lock race anymore.
-//! * **ReadOnly** — the segment claim also failed (pathological);
-//!   loads what it can and persists nothing, loudly: the engine
-//!   publishes the `cache.<file-stem>.readonly` gauge and
-//!   [`CacheSession::open`] prints a one-line warning, so a degraded
-//!   process is observable in `/metrics` and in its logs instead of
-//!   silently not persisting.
+//! * **Open** claims a leased segment `<cache>.d/seg-p<pid>-<n>.jsonl`,
+//!   loads the base file and every segment for warm hits, and installs
+//!   the write-through hook, so each freshly computed entry is appended
+//!   to the segment the moment it exists.
+//! * **Close** seals the segment and then, if it wins the compaction
+//!   lease, runs [`seg::compact`] over the cache it already holds: the
+//!   base file and every sealed or dead segment merge into the
+//!   canonical file and the segment directory retires. A session that
+//!   loses the compaction lease (to a fleet parent, or a concurrent
+//!   run's close) leaves its sealed segment for that holder.
+//!
+//! Concurrent runs therefore all persist, and only compaction rewrites
+//! the base file. Damaged base lines are counted at open and moved to
+//! the `<cache>.quarantine` sidecar by compaction.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use subvt_engine::cache::seg::{self, AdoptReport, SegmentSession};
-use subvt_engine::cache::{quarantine_path, CacheLock, LoadReport};
+use subvt_engine::cache::seg::{self, SegmentSession};
+use subvt_engine::cache::{quarantine_path, LoadReport};
 
 /// Distinguishes sibling sessions opened by one process (tests, mostly)
 /// so their segment names cannot collide.
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// How an open [`CacheSession`] persists results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionMode {
-    /// Holds the primary lock; closes by rewriting the canonical file.
-    Primary,
-    /// Holds a leased segment; closes by sealing the segment for the
-    /// next compaction.
-    Segment,
-    /// Persists nothing.
-    ReadOnly,
-}
-
-enum State {
-    Primary {
-        lock: CacheLock,
-        adopted: AdoptReport,
-    },
-    Segment {
-        session: Arc<SegmentSession>,
-    },
-    ReadOnly,
-}
-
-/// An open session against a persistent cache file: a persistence mode
-/// (primary lock, leased segment, or observable read-only degradation)
+/// An open session against a persistent cache file: a leased segment
 /// plus the loaded entries.
 pub struct CacheSession {
     path: PathBuf,
-    state: State,
+    segment: Arc<SegmentSession>,
     report: LoadReport,
 }
 
 impl CacheSession {
-    /// Opens `path` against the process-wide cache. Mode selection and
-    /// loading are described on the module; every load summary goes to
-    /// stderr.
+    /// Opens `path` against the process-wide cache, as described on the
+    /// module; the load summary goes to stderr.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the lock/lease files or the cache
-    /// file (a missing cache file is not an error — it loads empty).
+    /// Propagates I/O errors from the lease or cache files (a missing
+    /// cache file is not an error — it loads empty), and fails when a
+    /// live process holds this session's segment name.
     pub fn open(path: &Path) -> std::io::Result<Self> {
         let cache = subvt_engine::global_cache();
-        if let Some(lock) = CacheLock::acquire(path)? {
-            let mut report = cache.load_jsonl_report(path)?;
-            let adopted = seg::adopt_dead_segments(path, cache)?;
-            if !adopted.adopted.is_empty() {
-                eprintln!(
-                    "adopted {} orphaned cache segment(s): {} entries, {} damaged lines quarantined",
-                    adopted.adopted.len(),
-                    adopted.loaded,
-                    adopted.quarantined
-                );
-            }
-            report.loaded += adopted.loaded;
-            report.quarantined += adopted.quarantined;
-            let session = Self {
-                path: path.to_owned(),
-                state: State::Primary { lock, adopted },
-                report,
-            };
-            session.log_load();
-            return Ok(session);
-        }
-        // A live process holds the primary lock: claim a segment so
-        // this run still persists.
         let name = format!(
             "p{}-{}",
             std::process::id(),
             SESSION_SEQ.fetch_add(1, Ordering::Relaxed)
         );
-        match SegmentSession::claim(path, &name, seg::DEFAULT_TTL_SECS)? {
-            Some(session) => {
-                let session = Arc::new(session);
-                let mut report = cache.load_jsonl_lenient(path)?;
-                for peer in peer_segments(path, session.path())? {
-                    let r = cache.load_jsonl_lenient(&peer)?;
-                    report.loaded += r.loaded;
-                    report.superseded += r.superseded;
-                }
-                let own = session.load_into(cache)?;
-                report.loaded += own.loaded;
-                cache.set_persist(Some(session.persist_hook()));
-                // Not read-only: this session persists through its
-                // segment. Overwrite the gauge the losing lock acquire
-                // published.
-                subvt_engine::trace::gauge(&subvt_engine::cache::readonly_gauge_name(path), 0.0);
-                eprintln!(
-                    "cache file {} is held by another process; persisting to segment {}",
-                    path.display(),
-                    session.path().display()
-                );
-                let session = Self {
-                    path: path.to_owned(),
-                    state: State::Segment { session },
-                    report,
-                };
-                session.log_load();
-                Ok(session)
-            }
-            None => {
-                eprintln!(
-                    "warning: cache file {} is locked by another process; \
-                     running read-only (no results will be persisted)",
-                    path.display()
-                );
-                let report = cache.load_jsonl_lenient(path)?;
-                let session = Self {
-                    path: path.to_owned(),
-                    state: State::ReadOnly,
-                    report,
-                };
-                session.log_load();
-                Ok(session)
-            }
+        let segment = SegmentSession::claim(path, &name)?.ok_or_else(|| {
+            std::io::Error::other(format!(
+                "cache segment seg-{name} of {} is held by another live process",
+                path.display()
+            ))
+        })?;
+        let mut report = cache.load_jsonl_lenient(path)?;
+        for seg_path in seg::segment_files(path)? {
+            let r = cache.load_jsonl_lenient(&seg_path)?;
+            report.loaded += r.loaded;
+            report.superseded += r.superseded;
         }
+        let session = Self::start(path, segment, report);
+        session.log_load();
+        Ok(session)
     }
 
-    /// Opens an explicit *segment* session named `name` — the fleet
-    /// worker path. No primary-lock attempt, no peer-segment loads
-    /// (fleet shards are disjoint; each worker sees the base file plus
-    /// its own scrubbed leftovers). `Ok(None)` means a live process
-    /// already holds this segment name.
+    /// Opens an explicit segment named `name` — the fleet worker path.
+    /// No peer-segment loads (fleet shards are disjoint; each worker
+    /// sees the base file plus its own scrubbed leftovers). `Ok(None)`
+    /// means a live process already holds this segment name.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn open_segment(path: &Path, name: &str) -> std::io::Result<Option<Self>> {
         let cache = subvt_engine::global_cache();
-        let Some(session) = SegmentSession::claim(path, name, seg::DEFAULT_TTL_SECS)? else {
+        let Some(segment) = SegmentSession::claim(path, name)? else {
             return Ok(None);
         };
-        let session = Arc::new(session);
         let mut report = cache.load_jsonl_lenient(path)?;
-        let own = session.load_into(cache)?;
-        report.loaded += own.loaded;
-        cache.set_persist(Some(session.persist_hook()));
-        Ok(Some(Self {
+        report.loaded += segment.load_into(cache)?.loaded;
+        Ok(Some(Self::start(path, segment, report)))
+    }
+
+    fn start(path: &Path, segment: SegmentSession, report: LoadReport) -> Self {
+        let segment = Arc::new(segment);
+        subvt_engine::global_cache().set_persist(Some(segment.persist_hook()));
+        Self {
             path: path.to_owned(),
-            state: State::Segment { session },
+            segment,
             report,
-        }))
+        }
     }
 
     fn log_load(&self) {
@@ -194,27 +113,11 @@ impl CacheSession {
         }
         if self.report.quarantined > 0 {
             eprintln!(
-                "  ({} corrupted lines quarantined to {})",
+                "  ({} corrupted lines skipped; quarantined to {} at compaction)",
                 self.report.quarantined,
                 quarantine_path(&self.path).display()
             );
         }
-    }
-
-    /// This session's persistence mode.
-    pub fn mode(&self) -> SessionMode {
-        match &self.state {
-            State::Primary { .. } => SessionMode::Primary,
-            State::Segment { .. } => SessionMode::Segment,
-            State::ReadOnly => SessionMode::ReadOnly,
-        }
-    }
-
-    /// Whether this session persists nothing. Note that losing the
-    /// primary lock no longer implies read-only — a segment session
-    /// persists through its segment.
-    pub fn read_only(&self) -> bool {
-        matches!(self.state, State::ReadOnly)
     }
 
     /// The cache file path this session manages.
@@ -222,77 +125,67 @@ impl CacheSession {
         &self.path
     }
 
-    /// The segment file this session appends to (segment mode only).
-    pub fn segment_path(&self) -> Option<&Path> {
-        match &self.state {
-            State::Segment { session } => Some(session.path()),
-            _ => None,
-        }
+    /// The segment file this session appends to.
+    pub fn segment_path(&self) -> &Path {
+        self.segment.path()
     }
 
-    /// What the open-time load found (base file plus adopted or peer
-    /// segments, depending on mode).
+    /// What the open-time load found (base file plus segments).
     pub fn load_report(&self) -> LoadReport {
         self.report
     }
 
-    /// Closes the session. Primary: rewrites the canonical file
-    /// (atomic temp-file + rename, compacting superseded duplicates
-    /// and adopted segments) and releases the lock. Segment: seals the
-    /// segment (kept for the next compaction if non-empty) and
-    /// releases the lease. Returns the number of entries made durable
-    /// by *this* close (segment mode: lines this session appended;
-    /// read-only: 0).
+    /// Closes the session: seals the segment (kept if non-empty),
+    /// releases its lease, then compacts if the compaction lease is
+    /// free. Returns the number of entries made durable by this close:
+    /// the canonical file's entry count when it compacted, else the
+    /// lines this session appended to its sealed segment. The outcome
+    /// goes to stderr.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the save.
+    /// Propagates I/O errors from the compaction.
     pub fn close(self) -> std::io::Result<usize> {
-        match self.state {
-            State::Primary { lock, adopted } => {
-                let written = subvt_engine::global_cache().save_jsonl(&self.path)?;
-                // The adopted segments' entries are durable in the
-                // canonical file now; retire the source files.
-                seg::remove_adopted(&self.path, &adopted);
-                drop(lock);
-                Ok(written)
+        let cache = subvt_engine::global_cache();
+        cache.set_persist(None);
+        let appended = self.segment.appended() as usize;
+        self.segment.close();
+        let Some(lease) = seg::claim_compaction(&self.path)? else {
+            if appended > 0 {
+                eprintln!(
+                    "cache segment {} sealed ({appended} entries appended); \
+                     another process holds the compaction lease",
+                    self.segment.path().display()
+                );
             }
-            State::Segment { session } => {
-                subvt_engine::global_cache().set_persist(None);
-                let appended = session.appended() as usize;
-                session.close();
-                Ok(appended)
-            }
-            State::ReadOnly => Ok(0),
+            return Ok(appended);
+        };
+        let report = seg::compact(&self.path, cache, lease)?;
+        eprintln!("cache compacted ({} entries written)", report.written);
+        if report.quarantined > 0 {
+            eprintln!(
+                "  ({} corrupted lines quarantined to {})",
+                report.quarantined,
+                quarantine_path(&self.path).display()
+            );
         }
+        Ok(report.written)
     }
-}
-
-/// Every peer segment under `path`'s segment directory except `own`.
-/// Sorted for deterministic load order.
-fn peer_segments(path: &Path, own: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let dir = seg::segment_dir(path);
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut peers: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p != own
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".jsonl"))
-        })
-        .collect();
-    peers.sort();
-    Ok(peers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sessions share the process-wide cache and its write-through hook,
+    /// so tests that open them take turns.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("subvt-exp-cachefile-{}", std::process::id()));
@@ -302,65 +195,107 @@ mod tests {
 
     #[test]
     fn open_missing_file_is_writable_and_empty() {
+        let _serial = serial();
         let path = temp_path("fresh");
         std::fs::remove_file(&path).ok();
         let session = CacheSession::open(&path).unwrap();
-        assert!(!session.read_only());
-        assert_eq!(session.mode(), SessionMode::Primary);
         assert_eq!(session.load_report(), LoadReport::default());
+        assert!(session.segment_path().exists(), "open claims a segment");
         session.close().unwrap();
         assert!(path.exists(), "close must persist the (compacted) file");
+        assert!(
+            !seg::segment_dir(&path).exists(),
+            "compaction retires the segment dir"
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn second_session_persists_through_a_segment() {
+        let _serial = serial();
         let path = temp_path("contended");
         std::fs::remove_file(&path).ok();
-        let holder = CacheSession::open(&path).unwrap();
-        assert_eq!(holder.mode(), SessionMode::Primary);
+        let first = CacheSession::open(&path).unwrap();
         let second = CacheSession::open(&path).unwrap();
-        assert_eq!(
-            second.mode(),
-            SessionMode::Segment,
-            "losing the lock must claim a segment, not fail or go read-only"
+        assert_ne!(
+            first.segment_path(),
+            second.segment_path(),
+            "overlapping sessions must claim distinct segments"
         );
-        assert!(
-            !second.read_only(),
-            "a segment session persists — it is not read-only"
-        );
-        let gauge = subvt_engine::trace::global()
-            .snapshot()
-            .gauges
-            .get(subvt_engine::cache::readonly_gauge_name(&path).as_str())
-            .copied();
-        assert_eq!(gauge, Some(0.0), "segment fallback clears the gauge");
-        second.close().unwrap();
-        holder.close().unwrap();
+        // A live process holds the compaction lease: the close seals its
+        // segment and leaves the base file alone.
+        let held = seg::claim_compaction(&path).unwrap().expect("lease free");
+        subvt_engine::global_cache().get_or_compute("cachefile.contended", 1, || 1.5);
+        let sealed = second.segment_path().to_owned();
+        assert!(second.close().unwrap() >= 1, "the compute was appended");
+        assert!(sealed.exists(), "the sealed segment is kept");
+        assert!(!path.exists(), "the base file is untouched");
+        drop(held);
+        // The next close wins the lease and folds the sealed segment in.
+        first.close().unwrap();
+        assert!(!sealed.exists());
+        let merged = subvt_engine::Cache::new();
+        merged.load_jsonl(&path).unwrap();
+        assert_eq!(merged.peek("cachefile.contended", 1), Some(vec![1.5]));
         std::fs::remove_file(&path).ok();
-        std::fs::remove_dir_all(seg::segment_dir(&path)).ok();
     }
 
     #[test]
-    fn stale_primary_lock_is_reclaimed_by_open() {
-        let path = temp_path("stale-lock");
+    fn stale_compaction_lease_is_reclaimed_by_close() {
+        let _serial = serial();
+        let path = temp_path("stale-lease");
         std::fs::remove_file(&path).ok();
-        // A crashed holder: lock file recording a pid that cannot be a
+        // A crashed compactor: a lease recording a pid that cannot be a
         // live process.
-        let lock_path = {
-            let mut os = path.as_os_str().to_owned();
-            os.push(".lock");
-            PathBuf::from(os)
+        let lease = seg::compaction_lease_path(&path);
+        std::fs::create_dir_all(lease.parent().unwrap()).unwrap();
+        let dead = seg::LeaseInfo {
+            pid: 999_999_999,
+            acquired_unix: subvt_engine::clock::unix_now(),
         };
-        std::fs::write(&lock_path, "999999999\n").unwrap();
+        std::fs::write(&lease, dead.render()).unwrap();
+        CacheSession::open(&path).unwrap().close().unwrap();
+        assert!(path.exists(), "a dead holder's lease must be reclaimed");
+        let reclaimed = subvt_engine::trace::global()
+            .snapshot()
+            .counters
+            .get("cache.stale-lease.lease_reclaimed")
+            .copied();
+        assert!(reclaimed >= Some(1), "the reclaim must be counted");
+        assert!(!seg::segment_dir(&path).exists());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recycled_pid_lease_is_reclaimed_by_open() {
+        let _serial = serial();
+        let path = temp_path("recycled");
+        std::fs::remove_file(&path).ok();
+        // A lease naming our (live) pid that this process never claimed:
+        // what a crashed process with the same pid leaves behind.
+        let next = SESSION_SEQ.load(Ordering::Relaxed);
+        let leftover =
+            seg::segment_dir(&path).join(format!("seg-p{}-{next}.lease", std::process::id()));
+        std::fs::create_dir_all(leftover.parent().unwrap()).unwrap();
+        let recycled = seg::LeaseInfo {
+            pid: std::process::id(),
+            acquired_unix: subvt_engine::clock::unix_now(),
+        };
+        std::fs::write(&leftover, recycled.render()).unwrap();
         let session = CacheSession::open(&path).unwrap();
         assert_eq!(
-            session.mode(),
-            SessionMode::Primary,
-            "a dead holder's lock must be reclaimed read-write"
+            session.segment_path().with_extension("lease"),
+            leftover,
+            "open reclaims the unlocked leftover"
         );
+        let reclaimed = subvt_engine::trace::global()
+            .snapshot()
+            .counters
+            .get("cache.recycled.lease_reclaimed")
+            .copied();
+        assert!(reclaimed >= Some(1), "the reclaim must be counted");
         session.close().unwrap();
-        assert!(path.exists());
+        assert!(!seg::segment_dir(&path).exists());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -32,7 +32,7 @@ pub mod table;
 pub mod tables;
 pub mod tracefmt;
 
-pub use cachefile::{CacheSession, SessionMode};
+pub use cachefile::CacheSession;
 pub use context::StudyContext;
 pub use runner::{
     run, run_all, run_guarded, FigureFailure, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,

@@ -42,6 +42,7 @@
 use std::io::{self, Write};
 
 use subvt_engine::cache::CacheStats;
+use subvt_engine::json::{json_f64, json_str};
 use subvt_engine::recovery::RecoveryRecord;
 use subvt_engine::trace::{self, TraceSnapshot};
 
@@ -73,29 +74,6 @@ pub fn provenance_fragment() -> String {
         git_rev(),
         subvt_engine::clock::iso8601_utc(subvt_engine::clock::unix_now()),
     )
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 /// Renders the manifest JSON from an explicit snapshot + cache stats

@@ -190,23 +190,7 @@ pub fn error_line(id: &str, code: ErrorCode, message: &str) -> String {
 }
 
 /// Escapes `s` as a JSON string literal (quotes included).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use subvt_engine::json::json_str;
 
 /// Formats an `f64` as a JSON number: shortest round-trip decimal,
 /// with non-finite values mapped to `null` (JSON has no NaN/inf).

@@ -72,8 +72,9 @@ pub struct Config {
     /// Extra wall-clock allowance past `deadline` when draining
     /// workers at shutdown.
     pub drain_grace: Duration,
-    /// Persistent response/design cache file (loaded at start, saved
-    /// compacted at shutdown).
+    /// Persistent response/design cache file (loaded at start, every
+    /// fresh result appended to a leased segment, compacted at
+    /// shutdown).
     pub cache_path: Option<PathBuf>,
     /// Also honor the process-wide SIGTERM/SIGINT flag (the binary
     /// sets this; in-process tests leave it off).
@@ -160,27 +161,11 @@ impl Server {
     ///
     /// I/O errors from the bind or from opening the cache file.
     pub fn start(config: Config) -> std::io::Result<Server> {
-        let cache = match &config.cache_path {
-            Some(path) => {
-                let session = CacheSession::open(path)?;
-                match session.mode() {
-                    subvt_exp::SessionMode::Primary => {}
-                    subvt_exp::SessionMode::Segment => eprintln!(
-                        "cache session: segment mode (primary lock held elsewhere); \
-                         results persist to {}",
-                        session.segment_path().map_or_else(
-                            || "a leased segment".to_owned(),
-                            |p| p.display().to_string()
-                        )
-                    ),
-                    subvt_exp::SessionMode::ReadOnly => {
-                        eprintln!("cache session: read-only (nothing will be persisted)")
-                    }
-                }
-                Some(session)
-            }
-            None => None,
-        };
+        let cache = config
+            .cache_path
+            .as_deref()
+            .map(CacheSession::open)
+            .transpose()?;
         let access_log = match &config.access_log {
             Some(path) => Some(AccessLog::open(path)?),
             None => None,
@@ -246,12 +231,13 @@ impl Server {
 
     /// Blocks until the server exits (signal, `shutdown` method, or
     /// [`Server::shutdown`]), drains the workers bounded by
-    /// `deadline + drain_grace`, then saves and compacts the
-    /// persistent cache.
+    /// `deadline + drain_grace`, then closes the persistent cache
+    /// session (compacting it unless another process holds the
+    /// compaction lease).
     ///
     /// # Errors
     ///
-    /// I/O errors from the final cache save.
+    /// I/O errors from the final compaction.
     pub fn join(mut self) -> std::io::Result<()> {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -282,14 +268,7 @@ impl Server {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .take();
         if let Some(session) = session {
-            let mode = session.mode();
-            let written = session.close()?;
-            match mode {
-                subvt_exp::SessionMode::Segment => {
-                    eprintln!("cache segment sealed ({written} entries appended)")
-                }
-                _ => eprintln!("cache compacted ({written} entries written)"),
-            }
+            session.close()?;
         }
         Ok(())
     }

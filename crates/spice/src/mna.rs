@@ -527,7 +527,8 @@ const GMIN_LADDER: [f64; 5] = [1.0e-3, 1.0e-5, 1.0e-7, 1.0e-9, GMIN];
 /// retry, source stepping (sources ramped 10 % → 100 %), then gmin
 /// stepping (minimum conductance relaxed and walked back down to
 /// [`GMIN`] with continuation). Each rung is recorded via
-/// [`subvt_engine::recovery`] under the `spice.dc` site.
+/// [`subvt_engine::recovery`] under the `spice.dc` site. Each call
+/// counts one `spice.dc.solves`, whichever rungs it climbs.
 ///
 /// # Errors
 ///
@@ -537,6 +538,7 @@ pub fn dc_operating_point(net: &Netlist) -> Result<DcSolution, SpiceError> {
     use subvt_engine::{faultinject, recovery, recovery::RecoveryStep};
 
     net.validate()?;
+    trace::add("spice.dc.solves", 1);
     let mut solver = Solver::new(net);
     let x0 = vec![0.0; solver.dim()];
 
@@ -656,7 +658,8 @@ pub fn cold_start_forced() -> bool {
 /// (continuation) — used by sweeps, Monte-Carlo samples, and the
 /// transient initial condition.
 ///
-/// Counts as a warm start (`spice.newton.warm_start`); when
+/// Counts as one DC solve (`spice.dc.solves`) and one warm start
+/// (`spice.newton.warm_start`); when
 /// [`cold_start_forced`] is set the initial guess is ignored and the
 /// solve routes through the cold [`dc_operating_point`] path instead.
 pub fn dc_operating_point_from(
@@ -689,6 +692,7 @@ pub(crate) fn dc_operating_point_from_with(
             x0[n_v + i] = b;
         }
     }
+    trace::add("spice.dc.solves", 1);
     trace::add("spice.newton.warm_start", 1);
     let result = solver.newton(x0, CapMode::Open);
     *lu = core::mem::take(&mut solver.lu);

@@ -208,66 +208,90 @@ fn chaos_manifest_round_trips_through_trace_report() {
 
 #[test]
 fn cache_lock_contention_persists_through_segment() {
+    use subvt_engine::cache::seg;
+
     let dir = tmpdir("lock");
     let cache = dir.join("cache.jsonl");
-    // This test process is a *live* primary-lock holder, so the child
-    // run cannot reclaim the lock — it must fall back to a leased
-    // segment under <cache>.d/ and still persist its results there.
-    let _lock = subvt_engine::cache::CacheLock::acquire(&cache)
+    // This test process is a *live* holder of the compaction lease, so
+    // the child run cannot compact: it must seal its leased segment
+    // under <cache>.d/ and leave the base file alone.
+    let lease = seg::claim_compaction(&cache)
         .unwrap()
-        .expect("lock is free");
+        .expect("lease is free");
 
-    let trace = dir.join("trace.jsonl");
-    let out = run_ok(
-        repro()
-            .arg("--cache")
-            .arg(&cache)
-            .arg("--trace")
-            .arg(&trace)
-            .arg("table2"),
-    );
+    let out = run_ok(repro().arg("--cache").arg(&cache).arg("table2"));
     assert_eq!(
         out.status.code(),
         Some(0),
-        "a held lock must not fail the run"
+        "a held compaction lease must not fail the run"
     );
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("held by another process"), "{stderr}");
-    assert!(stderr.contains("persisting to segment"), "{stderr}");
+    assert!(
+        stderr.contains("another process holds the compaction lease"),
+        "{stderr}"
+    );
     assert!(
         !cache.exists(),
-        "a run without the primary lock must not write the canonical file"
+        "a run without the compaction lease must not write the canonical file"
     );
-    let seg_dir = subvt_engine::cache::seg::segment_dir(&cache);
-    let segments: Vec<_> = std::fs::read_dir(&seg_dir)
-        .expect("segment dir created")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".jsonl"))
-        })
-        .collect();
+    let segments = seg::segment_files(&cache).unwrap();
     assert_eq!(segments.len(), 1, "the run must leave one sealed segment");
     let loaded = subvt_engine::Cache::new();
     assert!(
         loaded.load_jsonl(&segments[0]).unwrap() > 0,
         "the segment must hold the run's computed entries"
     );
-    let trace_text = std::fs::read_to_string(&trace).expect("trace written");
-    assert!(
-        trace_text.contains("\"name\":\"cache.cache.readonly\",\"value\":0"),
-        "segment fallback must clear the readonly gauge (not read-only!)"
-    );
 
-    // Once the primary holder is gone, the next primary run adopts the
-    // sealed segment and compacts it into the canonical file.
-    drop(_lock);
-    let report = subvt_engine::cache::seg::compact(&cache).unwrap();
+    // The lease holder compacts the sealed segment into the canonical
+    // file.
+    let report = seg::compact(&cache, &subvt_engine::Cache::new(), lease).unwrap();
     assert_eq!(report.segments_merged, 1);
     assert!(report.written > 0);
     assert!(cache.exists(), "compaction writes the canonical file");
-    assert!(!seg_dir.exists(), "compaction retires the segment dir");
+    assert!(
+        !seg::segment_dir(&cache).exists(),
+        "compaction retires the segment dir"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn overlapping_runs_both_persist_and_the_next_run_is_all_hits() {
+    let dir = tmpdir("overlap");
+    let cache = dir.join("cache.jsonl");
+    let spawn = |id: &str| {
+        repro()
+            .args(["--circuit-backend", "spice", "--cache"])
+            .arg(&cache)
+            .arg(id)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("repro spawns")
+    };
+    let (mut a, mut b) = (spawn("fig4"), spawn("fig6"));
+    assert!(a.wait().unwrap().success(), "first overlapping run");
+    assert!(b.wait().unwrap().success(), "second overlapping run");
+
+    let trace = dir.join("trace.jsonl");
+    let warm = run_ok(
+        repro()
+            .args(["--circuit-backend", "spice", "--cache"])
+            .arg(&cache)
+            .arg("--trace")
+            .arg(&trace)
+            .args(["fig4", "fig6"]),
+    );
+    assert_eq!(warm.status.code(), Some(0));
+    let trace_text = std::fs::read_to_string(&trace).unwrap();
+    assert!(
+        trace_text.contains("\"name\":\"cache.miss\",\"value\":0}"),
+        "both runs must have persisted everything the union needs"
+    );
+    let cold = run_ok(repro().args(["--circuit-backend", "spice", "fig4", "fig6"]));
+    assert_eq!(cold.stdout, warm.stdout, "warm union matches a cold run");
+    assert!(!subvt_engine::cache::seg::segment_dir(&cache).exists());
 
     std::fs::remove_dir_all(&dir).ok();
 }

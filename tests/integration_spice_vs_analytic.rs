@@ -293,3 +293,42 @@ fn non_finite_netlist_parameters_surface_typed_errors() {
         Err(SpiceError::InvalidNetlist { .. })
     ));
 }
+
+/// The solver owns `spice.dc.solves`: a spice Monte Carlo run (whose
+/// drive-current decks call the solver directly) counts every solve,
+/// warm-started ones included.
+#[test]
+fn spice_montecarlo_counts_every_dc_solve() {
+    let dir = std::env::temp_dir().join(format!("subvt-mc-solves-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("BENCH_spice.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--circuit-backend", "spice", "--bench"])
+        .arg(&bench)
+        .arg("montecarlo")
+        .output()
+        .expect("repro spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&bench).expect("bench artifact written");
+    let json = subvt_exp::tracefmt::parse_json(text.trim()).expect("valid JSON");
+    let counter = |name: &str| {
+        json.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("{name} missing from {text}"))
+    };
+    let (solves, warm) = (
+        counter("spice.dc.solves"),
+        counter("spice.newton.warm_start"),
+    );
+    assert!(warm > 0, "Monte Carlo samples warm-start");
+    assert!(
+        solves >= warm,
+        "every warm start is a DC solve: {solves} < {warm}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
