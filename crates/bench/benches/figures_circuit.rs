@@ -11,10 +11,10 @@ fn main() {
     let mut h = Harness::new("figures_circuit").max_samples(20);
     let ctx = StudyContext::cached();
     h.bench("fig4_snm_90nm_at_250mV", || {
-        snm_at(&ctx.supervth[0], Volts::new(0.25))
+        snm_at(&ctx.study, &ctx.supervth[0], Volts::new(0.25))
     });
     h.bench("fig5_spice_fo1_delay_90nm_at_250mV", || {
-        delay_at(&ctx.supervth[0], Volts::new(0.25))
+        delay_at(&ctx.study, &ctx.supervth[0], Volts::new(0.25))
     });
     let chain = InverterChain::paper_chain(ctx.supervth[0].cmos_pair());
     h.bench("fig6_minimum_energy_point_90nm", || {

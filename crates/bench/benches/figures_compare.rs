@@ -13,8 +13,8 @@ fn main() {
     let mut h = Harness::new("figures_compare").max_samples(20);
     let ctx = StudyContext::cached();
     h.bench("fig10_snm_both_strategies_32nm", || {
-        let a = snm_at(&ctx.supervth[3], Volts::new(0.25));
-        let b = snm_at(&ctx.subvth[3], Volts::new(0.25));
+        let a = snm_at(&ctx.study, &ctx.supervth[3], Volts::new(0.25));
+        let b = snm_at(&ctx.study, &ctx.subvth[3], Volts::new(0.25));
         (a, b)
     });
     h.bench("fig11_delay_compare_analytic", || {

@@ -17,7 +17,7 @@ use subvt_physics::iv::MosModel;
 use subvt_physics::math::{bisect, linspace};
 use subvt_spice::mna::SpiceError;
 use subvt_spice::netlist::{Netlist, NodeId};
-use subvt_units::Volts;
+use subvt_units::{Temperature, Volts};
 
 /// A complementary device pair with widths — the unit cell every analysis
 /// in this crate is built from.
@@ -226,6 +226,16 @@ impl CmosPair {
         let mut out = *self;
         out.nfet.v_dd = v_dd;
         out.pfet.v_dd = v_dd;
+        out
+    }
+
+    /// Returns a copy of the pair operating at temperature `t`. The
+    /// widths stay as sized; every later characterization of either
+    /// device sees `t`.
+    pub fn at_temperature(&self, t: Temperature) -> Self {
+        let mut out = *self;
+        out.nfet.temperature = t;
+        out.pfet.temperature = t;
         out
     }
 

@@ -42,6 +42,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use super::{format_line_f64, line_crc, lock_recover, parse_entry, quarantine_path, Cache};
+use crate::json::json_u64_field;
 use crate::{clock, trace};
 
 /// Grace period before an unreadable/unparseable lease file is treated
@@ -116,18 +117,6 @@ impl LeaseInfo {
             acquired_unix: json_u64_field(text, "acquired_unix")?,
         })
     }
-}
-
-/// Extracts an unsigned integer field `"name":123` from a flat JSON
-/// object without pulling in a parser.
-fn json_u64_field(text: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let start = text.find(&pat)? + pat.len();
-    let rest = &text[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Whether the lease file at `path` is stale: no holder has it locked.

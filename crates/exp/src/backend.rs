@@ -1,127 +1,77 @@
-//! Process-wide device-model and circuit-backend selection.
+//! Process-default run configuration for the standalone
+//! `subvt-benchmark` package, which predates [`Study`].
 //!
-//! The `repro` binary picks backends once (`--backend analytic|tcad` for
-//! device characterization, `--circuit-backend analytic|spice` for
-//! circuit metrics) before any experiment runs; every design flow,
-//! figure and extension then evaluates devices through [`model`] and
-//! circuit metrics through [`circuit`]. The defaults are the analytic
-//! paths, which reproduce the historical output byte for byte. The two
-//! seams compose: `--backend tcad --circuit-backend spice` produces
-//! Fig. 4–6 fully simulator-backed at both layers.
+//! Nothing in this workspace calls these: every program passes its
+//! [`Study`] explicitly. They are one-line delegates kept so the
+//! benchmark package builds unchanged; delete this module, the free
+//! [`crate::run`] re-export and `StudyContext::{compute, compute_with}`
+//! once the benchmark takes a `Study` itself.
 
 use std::sync::OnceLock;
 
-use subvt_circuits::backend::{CircuitBackend, CircuitBackendKind};
-use subvt_circuits::inverter::CmosPair;
-use subvt_core::strategy::NodeDesign;
-use subvt_core::supervth::at_subthreshold_supply_with;
+use subvt_circuits::backend::CircuitBackendKind;
+use subvt_core::strategy::DesignError;
 use subvt_model::{Backend, DeviceModel};
-use subvt_units::{Temperature, Volts};
 
-static SELECTED: OnceLock<Backend> = OnceLock::new();
-static CIRCUIT_SELECTED: OnceLock<CircuitBackendKind> = OnceLock::new();
-static TEMPERATURE: OnceLock<Temperature> = OnceLock::new();
+use crate::context::{design_context, Study, StudyContext};
+use crate::table::Table;
 
-/// Locks in the process-wide backend. The first selection wins; returns
-/// `false` when a *different* backend was already locked (selecting the
-/// active backend again is a no-op success).
-pub fn configure(backend: Backend) -> bool {
-    *SELECTED.get_or_init(|| backend) == backend
-}
+static BACKEND: OnceLock<Backend> = OnceLock::new();
+static CIRCUIT: OnceLock<CircuitBackendKind> = OnceLock::new();
 
-/// The selected backend; defaults to [`Backend::Analytic`] when nothing
-/// was configured.
-pub fn selected() -> Backend {
-    *SELECTED.get_or_init(Backend::default)
-}
-
-/// Resolves a backend selector to its model instance without touching
-/// the process-wide selection — the construction path shared by the
-/// `repro` CLI (through [`model`]) and the `subvt-serve` daemon (which
-/// resolves per request). TCAD maps to the coarse-mesh anchored model,
-/// which pays for one anchor extraction and then runs design searches
-/// at analytic speed.
-pub fn model_for(backend: Backend) -> &'static dyn DeviceModel {
-    match backend {
-        Backend::Analytic => subvt_model::analytic(),
-        Backend::Tcad => &subvt_tcad::model::TCAD_COARSE,
+/// The process-default study: the configured backends at room
+/// temperature.
+fn process_default() -> Study {
+    Study {
+        backend: *BACKEND.get_or_init(Backend::default),
+        circuit: *CIRCUIT.get_or_init(CircuitBackendKind::default),
+        ..Study::default()
     }
 }
 
-/// Resolves a circuit-backend selector to its instance without touching
-/// the process-wide selection; the circuit-layer sibling of
-/// [`model_for`].
-pub fn circuit_for(kind: CircuitBackendKind) -> &'static dyn CircuitBackend {
-    kind.instance()
+/// Sets the process-default device backend. The first selection wins;
+/// returns `false` when a *different* backend was already set.
+pub fn configure(backend: Backend) -> bool {
+    *BACKEND.get_or_init(|| backend) == backend
 }
 
-/// The model instance experiments evaluate devices through.
-pub fn model() -> &'static dyn DeviceModel {
-    model_for(selected())
-}
-
-/// Locks in the process-wide circuit backend. The first selection wins;
-/// returns `false` when a *different* backend was already locked
-/// (selecting the active backend again is a no-op success).
+/// Sets the process-default circuit backend. The first selection wins;
+/// returns `false` when a *different* backend was already set.
 pub fn configure_circuit(kind: CircuitBackendKind) -> bool {
-    *CIRCUIT_SELECTED.get_or_init(|| kind) == kind
+    *CIRCUIT.get_or_init(|| kind) == kind
 }
 
-/// The selected circuit backend kind; defaults to
-/// [`CircuitBackendKind::Analytic`] when nothing was configured.
-pub fn circuit_selected() -> CircuitBackendKind {
-    *CIRCUIT_SELECTED.get_or_init(CircuitBackendKind::default)
+/// The process-default study's device model.
+pub fn model() -> &'static dyn DeviceModel {
+    process_default().model()
 }
 
-/// The circuit backend experiments evaluate SNM, delay and chain-energy
-/// metrics through.
-pub fn circuit() -> &'static dyn CircuitBackend {
-    circuit_for(circuit_selected())
+/// Runs one experiment under the process-default study; `None` for an
+/// unknown id.
+pub fn run(id: &str) -> Option<Table> {
+    process_default().run(id)
 }
 
-/// Locks in the process-wide operating temperature (the `repro --temp`
-/// surface). The first selection wins; returns `false` when a
-/// *different* temperature was already locked (re-selecting the active
-/// temperature is a no-op success).
-pub fn configure_temperature(t: Temperature) -> bool {
-    *TEMPERATURE.get_or_init(|| t) == t
-}
+impl StudyContext {
+    /// The default [`Study`]'s context.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DesignError`] from either flow.
+    pub fn compute() -> Result<Self, DesignError> {
+        Study::default().context()
+    }
 
-/// The selected operating temperature; defaults to
-/// [`Temperature::room`] when nothing was configured — the paper's
-/// fixed-temperature assumption.
-pub fn temperature() -> Temperature {
-    *TEMPERATURE.get_or_init(Temperature::room)
-}
-
-/// A node's circuit-level device pair, characterized through the
-/// selected backend at the selected operating temperature.
-pub fn pair(design: &NodeDesign) -> CmosPair {
-    pair_at(design, temperature())
-}
-
-/// A node's circuit-level device pair at an explicit temperature —
-/// the building block of the `ext-temp` sweep (and of [`pair`], which
-/// passes the process-wide selection). Characterizations are lazy, so
-/// retagging the device parameters is all the plumbing required.
-pub fn pair_at(design: &NodeDesign, t: Temperature) -> CmosPair {
-    let mut p = design.cmos_pair_with(model());
-    p.nfet.temperature = t;
-    p.pfet.temperature = t;
-    p
-}
-
-/// Re-characterizes a design at a subthreshold supply through the
-/// selected backend.
-///
-/// # Panics
-///
-/// Panics if the backend fails on the already-designed device — designs
-/// come out of the same backend, so a failure here is a backend bug, not
-/// an input error.
-pub fn at_subthreshold(design: &NodeDesign, v_dd: Volts) -> NodeDesign {
-    at_subthreshold_supply_with(design, v_dd, model())
-        .expect("selected backend failed on a design it produced")
+    /// The process-default study's context with the flows run through
+    /// an explicit `model` (the benchmark passes a timing wrapper that
+    /// reports the wrapped model's cache id).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DesignError`] from either flow.
+    pub fn compute_with(model: &'static dyn DeviceModel) -> Result<Self, DesignError> {
+        design_context(process_default(), model)
+    }
 }
 
 #[cfg(test)]
@@ -130,9 +80,8 @@ mod tests {
 
     #[test]
     fn default_backend_is_analytic() {
-        // Nothing configures a backend in the test process, so the
+        // Nothing configures a tcad backend in the test process, so the
         // default must route to the analytic model.
-        assert_eq!(selected(), Backend::Analytic);
         assert_eq!(model().cache_id(), "analytic");
     }
 
@@ -144,17 +93,8 @@ mod tests {
 
     #[test]
     fn default_circuit_backend_is_analytic() {
-        assert_eq!(circuit_selected(), CircuitBackendKind::Analytic);
-        assert_eq!(circuit().cache_id(), "analytic");
-    }
-
-    #[test]
-    fn explicit_resolution_covers_every_backend() {
-        assert_eq!(model_for(Backend::Analytic).cache_id(), "analytic");
-        assert!(model_for(Backend::Tcad).cache_id().starts_with("tcad"));
-        for kind in CircuitBackendKind::ALL {
-            assert_eq!(circuit_for(kind).name(), kind.as_str());
-        }
+        assert_eq!(process_default().circuit, CircuitBackendKind::Analytic);
+        assert_eq!(process_default(), Study::default());
     }
 
     #[test]

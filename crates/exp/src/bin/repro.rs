@@ -27,11 +27,8 @@
 
 use std::process::ExitCode;
 
-use subvt_circuits::CircuitBackendKind;
-use subvt_exp::{
-    run, run_guarded, tracefmt, FigureFailure, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
-};
-use subvt_model::Backend;
+use subvt_engine::json::json_u64_field;
+use subvt_exp::{tracefmt, FigureFailure, Study, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 use subvt_units::Temperature;
 
 fn main() -> ExitCode {
@@ -61,12 +58,19 @@ fn main() -> ExitCode {
     let mut manifest_path: Option<String> = None;
     let mut bench_path: Option<String> = None;
     let mut cache_path: Option<String> = None;
+    let mut study = StudyArgs::default();
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--csv" => csv = true,
             "--keep-going" => keep_going = true,
+            "--backend" | "--circuit-backend" | "--temp" => {
+                if let Err(e) = study.apply(arg, iter.next()) {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            }
             "--jobs" => {
                 let Some(n) = iter
                     .next()
@@ -110,43 +114,6 @@ fn main() -> ExitCode {
                 };
                 bench_path = Some(path.clone());
             }
-            "--backend" => {
-                let Some(backend) = iter.next().and_then(|v| v.parse::<Backend>().ok()) else {
-                    eprintln!("--backend needs one of: analytic, tcad");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_exp::backend::configure(backend) {
-                    eprintln!("--backend given twice with conflicting values");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--circuit-backend" => {
-                let Some(kind) = iter
-                    .next()
-                    .and_then(|v| v.parse::<CircuitBackendKind>().ok())
-                else {
-                    eprintln!("--circuit-backend needs one of: analytic, spice");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_exp::backend::configure_circuit(kind) {
-                    eprintln!("--circuit-backend given twice with conflicting values");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--temp" => {
-                let Some(kelvin) = iter
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|k| k.is_finite() && *k > 0.0)
-                else {
-                    eprintln!("--temp needs a positive temperature in kelvin");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_exp::backend::configure_temperature(Temperature::from_kelvin(kelvin)) {
-                    eprintln!("--temp given twice with conflicting values");
-                    return ExitCode::FAILURE;
-                }
-            }
             "--cache" => {
                 let Some(path) = iter.next() else {
                     eprintln!("--cache needs a file path");
@@ -164,19 +131,14 @@ fn main() -> ExitCode {
                 print_help();
                 return ExitCode::SUCCESS;
             }
-            "all" => ids.extend(ALL_EXPERIMENTS.iter().map(|s| (*s).to_owned())),
-            "ext" => ids.extend(EXTENSION_EXPERIMENTS.iter().map(|s| (*s).to_owned())),
-            "everything" => {
-                ids.extend(ALL_EXPERIMENTS.iter().map(|s| (*s).to_owned()));
-                ids.extend(EXTENSION_EXPERIMENTS.iter().map(|s| (*s).to_owned()));
-            }
-            other => ids.push(other.to_owned()),
+            other => expand_ids(&mut ids, other),
         }
     }
     if ids.is_empty() {
         print_help();
         return ExitCode::FAILURE;
     }
+    let study = study.study;
 
     // Leased segment + load, shared with `subvt-serve`: every run
     // appends to its own segment under `<cache>.d/`, so concurrent runs
@@ -196,14 +158,8 @@ fn main() -> ExitCode {
     let mut failures: Vec<FigureFailure> = Vec::new();
     for id in &ids {
         if keep_going {
-            match run_guarded(id) {
-                Some(Ok(table)) => {
-                    if csv {
-                        print!("{}", table.to_csv());
-                    } else {
-                        println!("{}", table.to_text());
-                    }
-                }
+            match study.run_guarded(id) {
+                Some(Ok(table)) => print!("{}", table.render(csv)),
                 Some(Err(failure)) => {
                     eprintln!("FAILED {}: {}", failure.id, failure.message);
                     failures.push(failure);
@@ -217,14 +173,8 @@ fn main() -> ExitCode {
                 }
             }
         } else {
-            match run(id) {
-                Some(table) => {
-                    if csv {
-                        print!("{}", table.to_csv());
-                    } else {
-                        println!("{}", table.to_text());
-                    }
-                }
+            match study.run(id) {
+                Some(table) => print!("{}", table.render(csv)),
                 None => {
                     eprintln!("unknown experiment `{id}` (try --list)");
                     return ExitCode::FAILURE;
@@ -275,7 +225,7 @@ fn main() -> ExitCode {
     if let Some(path) = &manifest_path {
         let write = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(path)?;
-            subvt_exp::report::write_manifest(&mut file, &failures)
+            subvt_exp::report::write_manifest(&mut file, &study, &failures)
         };
         if let Err(e) = write() {
             eprintln!("cannot write manifest file {path}: {e}");
@@ -432,17 +382,46 @@ fn expand_ids(ids: &mut Vec<String>, token: &str) {
     }
 }
 
-/// Extracts an integer counter `"name":123` from a rendered manifest.
-fn scan_counter(manifest: &str, name: &str) -> u64 {
-    let pat = format!("\"{name}\":");
-    let Some(start) = manifest.find(&pat) else {
-        return 0;
-    };
-    let rest = &manifest[start + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().unwrap_or(0)
+/// The `--backend/--circuit-backend/--temp` flags parsed into one
+/// [`Study`]: the one parser behind `repro`, the study `repro fleet`
+/// records and forwards to its workers, and `--fleet-worker`.
+#[derive(Default)]
+struct StudyArgs {
+    study: Study,
+    given: Vec<String>,
+}
+
+impl StudyArgs {
+    /// Applies one study flag and its value; a flag repeated with a
+    /// different value is an error.
+    fn apply(&mut self, flag: &str, value: Option<&String>) -> Result<(), String> {
+        let before = self.study;
+        let value = value.map(String::as_str);
+        match flag {
+            "--backend" => {
+                self.study.backend = value
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--backend needs one of: analytic, tcad")?;
+            }
+            "--circuit-backend" => {
+                self.study.circuit = value
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--circuit-backend needs one of: analytic, spice")?;
+            }
+            _ => {
+                let kelvin = value
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|k| k.is_finite() && *k > 0.0)
+                    .ok_or("--temp needs a positive temperature in kelvin")?;
+                self.study.temp = Temperature::from_kelvin(kelvin);
+            }
+        }
+        if self.given.iter().any(|g| g == flag) && self.study != before {
+            return Err(format!("{flag} given twice with conflicting values"));
+        }
+        self.given.push(flag.to_owned());
+        Ok(())
+    }
 }
 
 /// The fleet driver: shards the sweep matrix across N worker
@@ -463,6 +442,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
     let mut csv = false;
     let mut cache_arg: Option<String> = None;
     let mut manifest_path: Option<String> = None;
+    let mut study = StudyArgs::default();
     let mut passthrough: Vec<String> = Vec::new();
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -534,6 +514,12 @@ fn fleet_main(args: &[String]) -> ExitCode {
                     eprintln!("{arg} needs a value");
                     return ExitCode::FAILURE;
                 };
+                if arg != "--jobs" {
+                    if let Err(e) = study.apply(arg, Some(value)) {
+                        eprintln!("{e}");
+                        return ExitCode::FAILURE;
+                    }
+                }
                 passthrough.push(arg.clone());
                 passthrough.push(value.clone());
             }
@@ -691,7 +677,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         let path = outdir.join(format!("seg-{}-manifest.json", shard.index));
         if let Ok(text) = std::fs::read_to_string(&path) {
-            lease_reclaimed += scan_counter(&text, &reclaim_counter);
+            lease_reclaimed += json_u64_field(&text, &reclaim_counter).unwrap_or(0);
             worker_manifests.push(text.trim().to_owned());
         }
         std::fs::remove_file(&path).ok();
@@ -726,6 +712,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
             let mut file = std::fs::File::create(path)?;
             subvt_exp::report::write_fleet_manifest(
                 &mut file,
+                &study.study,
                 &failures,
                 &fragment,
                 &worker_manifests,
@@ -777,6 +764,7 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
     let mut worker_idx: Option<usize> = None;
     let mut cache_arg: Option<String> = None;
     let mut csv = false;
+    let mut study = StudyArgs::default();
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -807,33 +795,11 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
                 };
                 subvt_engine::configure_jobs(n);
             }
-            "--backend" => {
-                let Some(backend) = iter.next().and_then(|v| v.parse::<Backend>().ok()) else {
-                    eprintln!("--backend needs one of: analytic, tcad");
+            "--backend" | "--circuit-backend" | "--temp" => {
+                if let Err(e) = study.apply(arg, iter.next()) {
+                    eprintln!("{e}");
                     return ExitCode::FAILURE;
-                };
-                subvt_exp::backend::configure(backend);
-            }
-            "--circuit-backend" => {
-                let Some(kind) = iter
-                    .next()
-                    .and_then(|v| v.parse::<CircuitBackendKind>().ok())
-                else {
-                    eprintln!("--circuit-backend needs one of: analytic, spice");
-                    return ExitCode::FAILURE;
-                };
-                subvt_exp::backend::configure_circuit(kind);
-            }
-            "--temp" => {
-                let Some(kelvin) = iter
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|k| k.is_finite() && *k > 0.0)
-                else {
-                    eprintln!("--temp needs a positive temperature in kelvin");
-                    return ExitCode::FAILURE;
-                };
-                subvt_exp::backend::configure_temperature(Temperature::from_kelvin(kelvin));
+                }
             }
             other if other.starts_with('-') => {
                 eprintln!("unknown fleet-worker option {other}");
@@ -846,6 +812,7 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
         eprintln!("--fleet-worker requires --cache and a worker index");
         return ExitCode::FAILURE;
     };
+    let study = study.study;
     let cache_path = std::path::Path::new(&cache_arg);
 
     let session = match subvt_exp::CacheSession::open_segment(cache_path, &idx.to_string()) {
@@ -867,15 +834,11 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
     let crash_marker = std::env::var_os("SUBVT_FLEET_CRASH_ONCE");
 
     for (i, id) in ids.iter().enumerate() {
-        let Some(table) = run(id) else {
+        let Some(table) = study.run(id) else {
             eprintln!("fleet worker {idx}: unknown experiment `{id}`");
             return ExitCode::FAILURE;
         };
-        let rendered = if csv {
-            table.to_csv()
-        } else {
-            format!("{}\n", table.to_text())
-        };
+        let rendered = table.render(csv);
         let staged = outdir.join(format!("out-{id}.{ext}"));
         let tmp = outdir.join(format!("out-{id}.{ext}.tmp"));
         let write = std::fs::write(&tmp, &rendered).and_then(|()| std::fs::rename(&tmp, &staged));
@@ -897,7 +860,7 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
     // Stage this worker's manifest (atomically — a kill mid-write must
     // not hand the parent a torn file).
     let mut buf: Vec<u8> = Vec::new();
-    if let Err(e) = subvt_exp::report::write_manifest(&mut buf, &[]) {
+    if let Err(e) = subvt_exp::report::write_manifest(&mut buf, &study, &[]) {
         eprintln!("fleet worker {idx}: cannot render manifest: {e}");
         return ExitCode::FAILURE;
     }

@@ -1,6 +1,6 @@
-//! Shared study context: both strategies designed once per process and
-//! reused by every experiment (the design searches are the expensive
-//! step).
+//! The run configuration, [`Study`], and the design context it
+//! produces: both strategies designed once and reused by every
+//! experiment (the design searches are the expensive step).
 //!
 //! Each flow's result lives in the engine's content-addressed cache
 //! under the `design` namespace, keyed by the strategy's own parameters.
@@ -11,11 +11,14 @@
 
 use std::sync::OnceLock;
 
+use subvt_circuits::backend::CircuitBackendKind;
+use subvt_circuits::inverter::CmosPair;
 use subvt_core::strategy::{DesignError, NodeDesign, ScalingStrategy};
+use subvt_core::supervth::at_subthreshold_supply_with;
 use subvt_core::{SubVthStrategy, SuperVthStrategy};
 use subvt_engine::KeyBuilder;
-use subvt_model::DeviceModel;
-use subvt_units::Temperature;
+use subvt_model::{Backend, DeviceModel};
+use subvt_units::{Temperature, Volts};
 
 use crate::codec::DesignSet;
 
@@ -23,9 +26,72 @@ use crate::codec::DesignSet;
 /// sub-V_th regime" — every Table 2 device has `V_th > 400 mV`).
 pub const V_SUBVT: f64 = 0.25;
 
-/// Designs for all four nodes under both strategies.
+/// One run configuration, passed by value to every experiment, manifest
+/// writer and served request. The default is the paper's setting:
+/// analytic devices, analytic circuit metrics, room temperature.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Study {
+    /// Device-model backend every characterization goes through.
+    pub backend: Backend,
+    /// Circuit backend for SNM, delay and chain-energy metrics.
+    pub circuit: CircuitBackendKind,
+    /// Operating temperature. [`Study::context`] re-characterizes the
+    /// designed devices at it (the `repro --temp` meaning).
+    pub temp: Temperature,
+}
+
+impl Study {
+    /// The device model [`Study::backend`] selects. TCAD maps to the
+    /// coarse-mesh anchored model, which pays for one anchor extraction
+    /// and then runs design searches at analytic speed.
+    pub fn model(&self) -> &'static dyn DeviceModel {
+        match self.backend {
+            Backend::Analytic => subvt_model::analytic(),
+            Backend::Tcad => &subvt_tcad::model::TCAD_COARSE,
+        }
+    }
+
+    /// Runs (or recalls) both design flows through [`Study::model`] at
+    /// [`Study::temp`]. A cold run costs a few hundred milliseconds in a
+    /// release build; warm runs are cache lookups.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DesignError`] from either flow.
+    pub fn context(&self) -> Result<StudyContext, DesignError> {
+        design_context(*self, self.model())
+    }
+
+    /// A node's circuit-level device pair: sized from the design through
+    /// [`Study::model`], operating at [`Study::temp`]. For designs out of
+    /// [`Study::context`] the devices already sit at that temperature.
+    pub fn pair(&self, design: &NodeDesign) -> CmosPair {
+        design
+            .cmos_pair_with(self.model())
+            .at_temperature(self.temp)
+    }
+
+    /// Re-characterizes a design at a subthreshold supply through
+    /// [`Study::model`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend fails on the already-designed device —
+    /// designs come out of the same backend, so a failure here is a
+    /// backend bug, not an input error.
+    pub fn at_subthreshold(&self, design: &NodeDesign, v_dd: Volts) -> NodeDesign {
+        at_subthreshold_supply_with(design, v_dd, self.model())
+            .expect("backend failed on a design it produced")
+    }
+}
+
+/// Designs for all four nodes under both strategies, with the study
+/// that produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyContext {
+    /// The run configuration the designs were produced under; the
+    /// experiments that take this context evaluate through it.
+    pub study: Study,
     /// Super-V_th (Table 2) designs, 90 → 32 nm.
     pub supervth: Vec<NodeDesign>,
     /// Sub-V_th (Table 3) designs, 90 → 32 nm.
@@ -94,53 +160,43 @@ fn design_cached(
     Ok(set.0)
 }
 
+/// Runs (or recalls) both flows through `model` at `study.temp`. Each
+/// backend ([`DeviceModel::cache_id`]) and each temperature keys its own
+/// `design` entries, so `--temp` runs never collide with the paper's
+/// room-temperature records.
+pub(crate) fn design_context(
+    study: Study,
+    model: &'static dyn DeviceModel,
+) -> Result<StudyContext, DesignError> {
+    // The two flows are independent; overlap them.
+    let t = study.temp;
+    let mut flows = subvt_engine::global().map(vec![true, false], move |is_super| {
+        if is_super {
+            let s = SuperVthStrategy::default();
+            design_cached("supervth", supervth_key(&s, model, t), move || {
+                s.design_all_with(model)
+                    .and_then(|d| at_temperature(d, t, model))
+            })
+        } else {
+            let s = SubVthStrategy::default();
+            design_cached("subvth", subvth_key(&s, model, t), move || {
+                s.design_all_with(model)
+                    .and_then(|d| at_temperature(d, t, model))
+            })
+        }
+    });
+    let subvth = flows.pop().expect("two flows")?;
+    let supervth = flows.pop().expect("two flows")?;
+    Ok(StudyContext {
+        study,
+        supervth,
+        subvth,
+    })
+}
+
 impl StudyContext {
-    /// Runs (or recalls) both design flows. A cold run costs a few
-    /// hundred milliseconds in a release build and overlaps the two
-    /// flows on the engine pool; warm runs are cache lookups.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DesignError`] from either flow.
-    pub fn compute() -> Result<Self, DesignError> {
-        Self::compute_with(subvt_model::analytic())
-    }
-
-    /// Like [`Self::compute`] but runs (or recalls) both flows through
-    /// an explicit device-model backend. Each backend keeps its own
-    /// entries in the `design` cache namespace, keyed by
-    /// [`DeviceModel::cache_id`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DesignError`] from either flow.
-    pub fn compute_with(model: &'static dyn DeviceModel) -> Result<Self, DesignError> {
-        // The two flows are independent; overlap them. The process-wide
-        // operating temperature keys the cache entries and re-tags the
-        // designed devices, so `--temp` runs never collide with the
-        // paper's room-temperature records.
-        let t = crate::backend::temperature();
-        let mut flows = subvt_engine::global().map(vec![true, false], move |is_super| {
-            if is_super {
-                let s = SuperVthStrategy::default();
-                design_cached("supervth", supervth_key(&s, model, t), move || {
-                    s.design_all_with(model)
-                        .and_then(|d| at_temperature(d, t, model))
-                })
-            } else {
-                let s = SubVthStrategy::default();
-                design_cached("subvth", subvth_key(&s, model, t), move || {
-                    s.design_all_with(model)
-                        .and_then(|d| at_temperature(d, t, model))
-                })
-            }
-        });
-        let subvth = flows.pop().expect("two flows")?;
-        let supervth = flows.pop().expect("two flows")?;
-        Ok(Self { supervth, subvth })
-    }
-
-    /// Process-wide cached context (design flows are deterministic).
+    /// The default [`Study`]'s context, computed once per process
+    /// (design flows are deterministic).
     ///
     /// # Panics
     ///
@@ -148,7 +204,11 @@ impl StudyContext {
     /// a failure is a programming error, not an input error.
     pub fn cached() -> &'static StudyContext {
         static CTX: OnceLock<StudyContext> = OnceLock::new();
-        CTX.get_or_init(|| StudyContext::compute().expect("design flows failed on roadmap inputs"))
+        CTX.get_or_init(|| {
+            Study::default()
+                .context()
+                .expect("design flows failed on roadmap inputs")
+        })
     }
 }
 
@@ -161,6 +221,7 @@ mod tests {
         let ctx = StudyContext::cached();
         assert_eq!(ctx.supervth.len(), 4);
         assert_eq!(ctx.subvth.len(), 4);
+        assert_eq!(ctx.study, Study::default());
     }
 
     #[test]
@@ -175,12 +236,44 @@ mod tests {
         let first = StudyContext::cached();
         let cache = subvt_engine::global_cache();
         let before = cache.stats().hits;
-        let second = StudyContext::compute().unwrap();
+        let second = Study::default().context().unwrap();
         assert_eq!(*first, second, "cache recall must be bit-exact");
         assert!(
             cache.stats().hits >= before + 2,
             "both flows must be cache hits on recompute"
         );
+    }
+
+    #[test]
+    fn explicit_resolution_covers_every_backend() {
+        let model = |backend| {
+            Study {
+                backend,
+                ..Study::default()
+            }
+            .model()
+            .cache_id()
+        };
+        assert_eq!(model(Backend::Analytic), "analytic");
+        assert!(model(Backend::Tcad).starts_with("tcad"));
+        for kind in CircuitBackendKind::ALL {
+            assert_eq!(kind.instance().name(), kind.as_str());
+        }
+    }
+
+    #[test]
+    fn pair_operates_at_the_study_temperature() {
+        let ctx = StudyContext::cached();
+        let hot = Temperature::from_kelvin(350.0);
+        let room_pair = ctx.study.pair(&ctx.supervth[0]);
+        let hot_pair = Study {
+            temp: hot,
+            ..ctx.study
+        }
+        .pair(&ctx.supervth[0]);
+        assert_eq!(room_pair.nfet.temperature, Temperature::room());
+        assert_eq!(hot_pair, room_pair.at_temperature(hot));
+        assert_eq!(hot_pair.pfet.temperature, hot);
     }
 
     #[test]

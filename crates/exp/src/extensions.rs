@@ -19,8 +19,7 @@ use subvt_model::DeviceModel;
 use subvt_physics::device::{DeviceKind, DeviceParams};
 use subvt_units::{Temperature, Volts};
 
-use crate::backend;
-use crate::context::{StudyContext, V_SUBVT};
+use crate::context::{Study, StudyContext, V_SUBVT};
 use crate::table::{fmt, Table};
 
 /// Extension A — temperature: subthreshold swing, leakage and the
@@ -28,7 +27,7 @@ use crate::table::{fmt, Table};
 ///
 /// Expected physics: `S_S ∝ T`, `I_off` exponential in `T`, and `V_min`
 /// rising with temperature (leakage energy grows).
-pub fn ext_temperature() -> Table {
+pub fn ext_temperature(study: &Study) -> Table {
     let mut t = Table::new(
         "Ext A: temperature dependence, 90 nm reference device",
         &[
@@ -39,7 +38,7 @@ pub fn ext_temperature() -> Table {
             "E@Vmin (fJ)",
         ],
     );
-    let model = backend::model();
+    let model = study.model();
     for celsius in [-25.0, 0.0, 25.0, 50.0, 75.0, 100.0] {
         let mut dev = DeviceParams::reference_90nm_nfet();
         dev.temperature = Temperature::from_celsius(celsius);
@@ -63,7 +62,7 @@ pub fn ext_temperature() -> Table {
 ///
 /// This isolates the paper's root cause: if the oxide had kept pace,
 /// performance-driven scaling would NOT wreck the subthreshold swing.
-pub fn ext_oxide_scaling() -> Table {
+pub fn ext_oxide_scaling(study: &Study) -> Table {
     let paper = SuperVthStrategy::default();
     let ideal = SuperVthStrategy::with_ideal_oxide_scaling();
     let mut t = Table::new(
@@ -76,7 +75,7 @@ pub fn ext_oxide_scaling() -> Table {
             "S_S ideal-rate",
         ],
     );
-    let model = backend::model();
+    let model = study.model();
     for node in TechNode::ALL {
         let d_paper = paper
             .design_device_with(node, DeviceKind::Nfet, model)
@@ -112,8 +111,8 @@ pub fn ext_sram(ctx: &StudyContext) -> Table {
         ],
     );
     for (sup, sub) in ctx.supervth.iter().zip(&ctx.subvth) {
-        let cell_sup = SramCell::subthreshold_cell(backend::pair(sup));
-        let cell_sub = SramCell::subthreshold_cell(backend::pair(sub));
+        let cell_sup = SramCell::subthreshold_cell(ctx.study.pair(sup));
+        let cell_sub = SramCell::subthreshold_cell(ctx.study.pair(sub));
         let hold = cell_sup
             .hold_snm(v, 121)
             .map(|s| s * 1e3)
@@ -148,8 +147,8 @@ pub fn ext_variability(ctx: &StudyContext) -> Table {
             "SNM fail 32nm (%)",
         ],
     );
-    let p90 = backend::pair(&ctx.supervth[0]);
-    let p32 = backend::pair(&ctx.supervth[3]);
+    let p90 = ctx.study.pair(&ctx.supervth[0]);
+    let p32 = ctx.study.pair(&ctx.supervth[3]);
     for mv in [200.0, 250.0, 300.0, 400.0, 1200.0] {
         let v = Volts::from_millivolts(mv);
         let d90 = delay_variability(&p90, v, 400, 2007);
@@ -183,7 +182,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
     const DELAY_SAMPLES: usize = 200;
     const SNM_SAMPLES: usize = 100;
     const SEED: u64 = 2007;
-    let circuit = backend::circuit();
+    let circuit = ctx.study.circuit.instance();
     let title = format!(
         "Monte Carlo via `{}` circuit backend ({DELAY_SAMPLES} delay / {SNM_SAMPLES} SNM samples, seed {SEED})",
         circuit.cache_id()
@@ -199,7 +198,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
             "SNM fail (%)",
         ],
     );
-    let pair = backend::pair(&ctx.supervth[0]);
+    let pair = ctx.study.pair(&ctx.supervth[0]);
     let supplies = [250.0, 300.0, 400.0];
     let mut primary_ms = 0.0;
     let mut failures = 0u64;
@@ -235,11 +234,11 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
         ]);
     }
     subvt_engine::trace::add("montecarlo.failures", failures);
-    if backend::circuit_selected() == subvt_circuits::CircuitBackendKind::Spice {
+    if ctx.study.circuit == subvt_circuits::CircuitBackendKind::Spice {
         subvt_engine::trace::gauge("montecarlo.spice_ms", primary_ms);
         // Time the identical workload on the analytic backend so the
         // bench artifact can record the spice-over-analytic cost ratio.
-        let reference = backend::circuit_for(subvt_circuits::CircuitBackendKind::Analytic);
+        let reference = subvt_circuits::CircuitBackendKind::Analytic.instance();
         let t0 = std::time::Instant::now();
         for mv in supplies {
             let v = Volts::from_millivolts(mv);
@@ -285,8 +284,8 @@ pub fn ext_gates(ctx: &StudyContext) -> Table {
         ],
     );
     for d in &ctx.supervth {
-        let pair = backend::pair(d);
-        let inv = crate::figs_circuit::snm_at(d, v) * 1e3;
+        let pair = ctx.study.pair(d);
+        let inv = crate::figs_circuit::snm_at(&ctx.study, d, v) * 1e3;
         let nand = cached_gate_snm(&pair, GateKind::Nand2, v, 121)
             .map(|s| s * 1e3)
             .unwrap_or(f64::NAN);
@@ -328,7 +327,7 @@ pub fn ext_ringosc(ctx: &StudyContext) -> Table {
         ],
     );
     for d in &ctx.supervth {
-        let pair = backend::pair(d);
+        let pair = ctx.study.pair(d);
         let tp_analytic = analytic_fo1_delay(&pair, v).get();
         let (f_khz, stage_ns, ratio) = match cached_ring_oscillation(&pair, v, STAGES, STEPS) {
             Ok(osc) => (
@@ -369,7 +368,8 @@ pub fn ext_temp(ctx: &StudyContext) -> Table {
         ],
     );
     for kelvin in [250.0, 275.0, 300.0, 325.0, 350.0, 375.0, 400.0] {
-        let pair = backend::pair_at(d90, Temperature::from_kelvin(kelvin));
+        let temp = Temperature::from_kelvin(kelvin);
+        let pair = ctx.study.pair(d90).at_temperature(temp);
         let ss = pair.nfet_chars().s_s.get();
         let snm_spice = cached_inverter_vtc(&pair, v, 121)
             .ok()
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn temperature_trends() {
-        let t = ext_temperature();
+        let t = ext_temperature(&Study::default());
         let ss: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         let ioff: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         assert!(
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn oxide_ablation_confirms_papers_root_cause() {
-        let t = ext_oxide_scaling();
+        let t = ext_oxide_scaling(&Study::default());
         // At 32 nm the ideal-oxide flow must show materially better S_S
         // than the paper-rate flow.
         let paper_32: f64 = t.rows[3][3].parse().unwrap();

@@ -7,20 +7,20 @@ use subvt_core::metrics::energy_factor;
 use subvt_core::strategy::NodeDesign;
 use subvt_units::Volts;
 
-use crate::context::{StudyContext, V_SUBVT};
+use crate::context::{Study, StudyContext, V_SUBVT};
 use crate::table::{fmt, Table};
 
 /// VTC sample count for SNM extraction.
 const VTC_POINTS: usize = 161;
 
-/// SNM of a node's inverter at the given supply, via the selected
+/// SNM of a node's inverter at the given supply, via the study's
 /// circuit backend's VTC and the paper's gain = −1 definition. Returns
 /// NaN if the solve fails or the inverter has no restoring region at
 /// that supply.
-pub fn snm_at(design: &NodeDesign, v_dd: Volts) -> f64 {
-    let pair = crate::backend::pair(design);
-    crate::backend::circuit()
-        .vtc(&pair, v_dd, VTC_POINTS)
+pub fn snm_at(study: &Study, design: &NodeDesign, v_dd: Volts) -> f64 {
+    let circuit = study.circuit.instance();
+    circuit
+        .vtc(&study.pair(design), v_dd, VTC_POINTS)
         .ok()
         .and_then(|vtc| noise_margins(&vtc))
         .map(|nm| nm.snm())
@@ -28,11 +28,11 @@ pub fn snm_at(design: &NodeDesign, v_dd: Volts) -> f64 {
 }
 
 /// Measured FO1 delay of a node's inverter at the given supply, through
-/// the selected circuit backend. Returns NaN on measurement failure.
-pub fn delay_at(design: &NodeDesign, v_dd: Volts) -> f64 {
-    let pair = crate::backend::pair(design);
-    crate::backend::circuit()
-        .fo1_delay(&pair, v_dd)
+/// the study's circuit backend. Returns NaN on measurement failure.
+pub fn delay_at(study: &Study, design: &NodeDesign, v_dd: Volts) -> f64 {
+    let circuit = study.circuit.instance();
+    circuit
+        .fo1_delay(&study.pair(design), v_dd)
         .map(|d| d.average().get())
         .unwrap_or(f64::NAN)
 }
@@ -42,9 +42,10 @@ pub fn delay_at(design: &NodeDesign, v_dd: Volts) -> f64 {
 ///
 /// Paper shape: SNM degrades more than 10 % between 90 nm and 32 nm.
 pub fn fig4(ctx: &StudyContext) -> Table {
-    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, |d| {
-        let nominal = snm_at(d, d.nfet.v_dd);
-        let sub = snm_at(d, Volts::new(V_SUBVT));
+    let study = ctx.study;
+    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, move |d| {
+        let nominal = snm_at(&study, d, d.nfet.v_dd);
+        let sub = snm_at(&study, d, Volts::new(V_SUBVT));
         (nominal, sub)
     });
     let base_sub = rows[0].2;
@@ -75,9 +76,10 @@ pub fn fig4(ctx: &StudyContext) -> Table {
 /// 250 mV delay is *non-monotonic* — it increases except at 32 nm —
 /// because V_th wanders under the leakage-constrained flow.
 pub fn fig5(ctx: &StudyContext) -> Table {
-    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, |d| {
-        let nominal = delay_at(d, d.nfet.v_dd);
-        let sub = delay_at(d, Volts::new(V_SUBVT));
+    let study = ctx.study;
+    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, move |d| {
+        let nominal = delay_at(&study, d, d.nfet.v_dd);
+        let sub = delay_at(&study, d, Volts::new(V_SUBVT));
         (nominal, sub)
     });
     let base_nom = rows[0].1;
@@ -112,9 +114,10 @@ pub fn fig5(ctx: &StudyContext) -> Table {
 /// 90 nm to 32 nm; the `C_L·S_S²` factor tracks the measured energy.
 pub fn fig6(ctx: &StudyContext) -> Table {
     let mut rows = Vec::new();
+    let circuit = ctx.study.circuit.instance();
     for d in &ctx.supervth {
-        let chain = InverterChain::paper_chain(crate::backend::pair(d));
-        let mep = crate::backend::circuit()
+        let chain = InverterChain::paper_chain(ctx.study.pair(d));
+        let mep = circuit
             .minimum_energy_point(&chain)
             .expect("chain MEP search failed");
         // The Eq. 8 factor uses width-normalized capacitance; scale by

@@ -21,8 +21,10 @@ pub fn fig10(ctx: &StudyContext) -> Table {
         .copied()
         .zip(ctx.subvth.iter().copied())
         .collect();
+    let study = ctx.study;
     let rows = subvt_engine::global().map(pairs, move |(sup, sub)| {
-        (sup.node.name().to_owned(), snm_at(&sup, v), snm_at(&sub, v))
+        let snm = |d| snm_at(&study, d, v);
+        (sup.node.name().to_owned(), snm(&sup), snm(&sub))
     });
 
     let mut t = Table::new(
@@ -48,12 +50,10 @@ pub fn fig11(ctx: &StudyContext) -> Table {
         .copied()
         .zip(ctx.subvth.iter().copied())
         .collect();
+    let study = ctx.study;
     let rows = subvt_engine::global().map(pairs, move |(sup, sub)| {
-        (
-            sup.node.name().to_owned(),
-            delay_at(&sup, v),
-            delay_at(&sub, v),
-        )
+        let delay = |d| delay_at(&study, d, v);
+        (sup.node.name().to_owned(), delay(&sup), delay(&sub))
     });
 
     let base_sup = rows[0].1;
@@ -88,13 +88,13 @@ pub fn fig11(ctx: &StudyContext) -> Table {
 /// super-V_th scaling.
 pub fn fig12(ctx: &StudyContext) -> Table {
     let mut rows = Vec::new();
-    let circuit = crate::backend::circuit();
+    let circuit = ctx.study.circuit.instance();
     for (sup, sub) in ctx.supervth.iter().zip(&ctx.subvth) {
         let mep_sup = circuit
-            .minimum_energy_point(&InverterChain::paper_chain(crate::backend::pair(sup)))
+            .minimum_energy_point(&InverterChain::paper_chain(ctx.study.pair(sup)))
             .expect("chain MEP search failed");
         let mep_sub = circuit
-            .minimum_energy_point(&InverterChain::paper_chain(crate::backend::pair(sub)))
+            .minimum_energy_point(&InverterChain::paper_chain(ctx.study.pair(sub)))
             .expect("chain MEP search failed");
         rows.push((
             sup.node.name().to_owned(),

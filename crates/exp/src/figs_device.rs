@@ -3,14 +3,14 @@
 //! length) and Fig. 9 (L_poly and S_S under both strategies).
 
 use subvt_core::metrics::{delay_factor_fixed_ioff, energy_factor};
+use subvt_core::strategy::NodeDesign;
 use subvt_core::subvth::SubVthStrategy;
 use subvt_core::TechNode;
 use subvt_physics::device::DeviceKind;
 use subvt_physics::math::linspace;
 use subvt_units::{Nanometers, Volts};
 
-use crate::backend;
-use crate::context::{StudyContext, V_SUBVT};
+use crate::context::{Study, StudyContext, V_SUBVT};
 use crate::table::{fmt, Table};
 
 /// Fig. 2: NFET inverse subthreshold slope and on/off ratio at
@@ -23,13 +23,13 @@ pub fn fig2(ctx: &StudyContext) -> Table {
         "Fig 2: NFET S_S and I_on/I_off at V_dd = 250 mV (super-Vth scaling)",
         &["Node", "S_S (mV/dec)", "I_on/I_off @250mV", "ratio vs 90nm"],
     );
-    let base_ratio = {
-        let d = backend::at_subthreshold(&ctx.supervth[0], Volts::new(V_SUBVT));
-        d.nfet_chars.on_off_ratio()
+    let ratio_at_250mv = |d: &NodeDesign| {
+        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT));
+        sub.nfet_chars.on_off_ratio()
     };
+    let base_ratio = ratio_at_250mv(&ctx.supervth[0]);
     for d in &ctx.supervth {
-        let sub = backend::at_subthreshold(d, Volts::new(V_SUBVT));
-        let ratio = sub.nfet_chars.on_off_ratio();
+        let ratio = ratio_at_250mv(d);
         t.push_row(vec![
             d.node.name().to_owned(),
             fmt(d.nfet_chars.s_s.get(), 1),
@@ -56,19 +56,15 @@ pub fn fig3(ctx: &StudyContext) -> Table {
             "250mV vs 90nm",
         ],
     );
+    let na_at_250mv = |d: &NodeDesign| {
+        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT));
+        sub.nfet_chars.i_on.get() * 1.0e9
+    };
     let base_nom = ctx.supervth[0].nfet_chars.i_on.as_microamps();
-    let base_sub = backend::at_subthreshold(&ctx.supervth[0], Volts::new(V_SUBVT))
-        .nfet_chars
-        .i_on
-        .get()
-        * 1.0e9;
+    let base_sub = na_at_250mv(&ctx.supervth[0]);
     for d in &ctx.supervth {
         let nom = d.nfet_chars.i_on.as_microamps();
-        let sub = backend::at_subthreshold(d, Volts::new(V_SUBVT))
-            .nfet_chars
-            .i_on
-            .get()
-            * 1.0e9;
+        let sub = na_at_250mv(d);
         t.push_row(vec![
             d.node.name().to_owned(),
             fmt(nom, 0),
@@ -86,9 +82,9 @@ pub fn fig3(ctx: &StudyContext) -> Table {
 ///
 /// Paper shape: with fixed doping, lengthening the gate saturates; with
 /// co-optimized doping S_S keeps improving toward the long-channel floor.
-pub fn fig7() -> Table {
+pub fn fig7(study: &Study) -> Table {
     let strategy = SubVthStrategy::default();
-    let model = backend::model();
+    let model = study.model();
     let node = TechNode::N45;
     let lengths = linspace(32.0, 130.0, 11);
 
@@ -128,9 +124,9 @@ pub fn fig7() -> Table {
 /// Paper shape: both factors reach interior minima; the delay minimum is
 /// shallow, so the energy-optimal length (60 nm in the paper) costs
 /// negligible delay.
-pub fn fig8() -> Table {
+pub fn fig8(study: &Study) -> Table {
     let strategy = SubVthStrategy::default();
-    let model = backend::model();
+    let model = study.model();
     let node = TechNode::N45;
     let lengths = linspace(32.0, 130.0, 11);
 
@@ -212,7 +208,7 @@ mod tests {
 
     #[test]
     fn fig7_optimized_never_worse_than_fixed() {
-        let t = fig7();
+        let t = fig7(&Study::default());
         for row in &t.rows {
             let fixed: f64 = row[1].parse().unwrap();
             let opt: f64 = row[2].parse().unwrap();
@@ -222,7 +218,7 @@ mod tests {
 
     #[test]
     fn fig8_energy_minimum_is_interior() {
-        let t = fig8();
+        let t = fig8(&Study::default());
         let e: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         let min_idx = e
             .iter()

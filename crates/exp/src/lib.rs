@@ -32,9 +32,8 @@ pub mod table;
 pub mod tables;
 pub mod tracefmt;
 
+pub use backend::run;
 pub use cachefile::CacheSession;
-pub use context::StudyContext;
-pub use runner::{
-    run, run_all, run_guarded, FigureFailure, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
-};
+pub use context::{Study, StudyContext};
+pub use runner::{FigureFailure, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 pub use table::Table;

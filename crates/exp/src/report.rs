@@ -46,6 +46,7 @@ use subvt_engine::json::{json_f64, json_str};
 use subvt_engine::recovery::RecoveryRecord;
 use subvt_engine::trace::{self, TraceSnapshot};
 
+use crate::context::Study;
 use crate::runner::FigureFailure;
 
 /// Schema version stamped into bench artifacts (`BENCH_serve.json`,
@@ -275,27 +276,35 @@ pub fn render_spice_bench(snap: &TraceSnapshot) -> Result<String, String> {
 }
 
 /// Drains the global tracer (running cache-stats flush hooks) and the
-/// global recovery log, and writes the manifest for the current process:
-/// global cache stats, the configured backend's cache id, the engine
-/// pool width, plus the given figure failures.
+/// global recovery log, and renders the manifest for the current
+/// process: global cache stats, the study's backend cache ids, the
+/// engine pool width, plus the given figure failures.
+fn drain_manifest(study: &Study, failures: &[FigureFailure]) -> String {
+    let snap = trace::global().drain();
+    let stats = subvt_engine::global_cache().stats();
+    let recoveries = subvt_engine::recovery::drain();
+    render_manifest(
+        &snap,
+        &stats,
+        &study.model().cache_id(),
+        &study.circuit.instance().cache_id(),
+        subvt_engine::global().workers(),
+        failures,
+        &recoveries,
+    )
+}
+
+/// Writes the manifest of a run under `study` (see [`render_manifest`]).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_manifest(w: &mut impl Write, failures: &[FigureFailure]) -> io::Result<()> {
-    let snap = trace::global().drain();
-    let stats = subvt_engine::global_cache().stats();
-    let recoveries = subvt_engine::recovery::drain();
-    let manifest = render_manifest(
-        &snap,
-        &stats,
-        &crate::backend::model().cache_id(),
-        &crate::backend::circuit().cache_id(),
-        subvt_engine::global().workers(),
-        failures,
-        &recoveries,
-    );
-    writeln!(w, "{manifest}")
+pub fn write_manifest(
+    w: &mut impl Write,
+    study: &Study,
+    failures: &[FigureFailure],
+) -> io::Result<()> {
+    writeln!(w, "{}", drain_manifest(study, failures))
 }
 
 /// [`write_manifest`] for a fleet parent: the parent's own v2 manifest
@@ -303,46 +312,31 @@ pub fn write_manifest(w: &mut impl Write, failures: &[FigureFailure]) -> io::Res
 /// already-rendered JSON value describing shards/restarts/reclaims)
 /// and a `"workers"` array holding each worker's manifest verbatim —
 /// the merge keeps every per-worker counter and recovery record
-/// inspectable instead of flattening them away.
+/// inspectable instead of flattening them away. `study` is the one the
+/// parent forwarded to its workers.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_fleet_manifest(
     w: &mut impl Write,
+    study: &Study,
     failures: &[FigureFailure],
     fleet_fragment: &str,
     worker_manifests: &[String],
 ) -> io::Result<()> {
-    let snap = trace::global().drain();
-    let stats = subvt_engine::global_cache().stats();
-    let recoveries = subvt_engine::recovery::drain();
-    let manifest = render_manifest(
-        &snap,
-        &stats,
-        &crate::backend::model().cache_id(),
-        &crate::backend::circuit().cache_id(),
-        subvt_engine::global().workers(),
-        failures,
-        &recoveries,
-    );
+    let manifest = drain_manifest(study, failures);
     // render_manifest returns one closed JSON object; splice the fleet
     // blocks in before the final brace.
     let base = manifest
         .strip_suffix('}')
         .expect("render_manifest yields a closed object");
-    let mut out = String::from(base);
-    out.push_str(",\"fleet\":");
-    out.push_str(fleet_fragment);
-    out.push_str(",\"workers\":[");
-    for (i, m) in worker_manifests.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(m.trim());
-    }
-    out.push_str("]}");
-    writeln!(w, "{out}")
+    let workers: Vec<&str> = worker_manifests.iter().map(|m| m.trim()).collect();
+    writeln!(
+        w,
+        "{base},\"fleet\":{fleet_fragment},\"workers\":[{}]}}",
+        workers.join(",")
+    )
 }
 
 #[cfg(test)]

@@ -35,6 +35,17 @@ impl Table {
         self.rows.push(row);
     }
 
+    /// The table exactly as `repro` prints it per experiment: CSV, or
+    /// the aligned text followed by a blank line. Served `experiment`
+    /// payloads and fleet outputs use the same rendering.
+    pub fn render(&self, csv: bool) -> String {
+        if csv {
+            self.to_csv()
+        } else {
+            format!("{}\n", self.to_text())
+        }
+    }
+
     /// Renders the table as aligned monospace text.
     pub fn to_text(&self) -> String {
         let ncol = self.headers.len();

@@ -49,7 +49,7 @@ fn common_input_gates_degenerate_to_the_inverter_at_every_node() {
     let ctx = StudyContext::cached();
     let v = Volts::new(V_DD);
     for design in &ctx.supervth {
-        let pair = subvt_exp::backend::pair(design);
+        let pair = ctx.study.pair(design);
         let inv = cached_inverter_vtc(&pair, v, POINTS).expect("inverter VTC");
         let inv_vm = switching_threshold(&inv);
         let inv_snm = snm_of(&inv);
@@ -102,7 +102,7 @@ fn common_input_gates_degenerate_to_the_inverter_at_every_node() {
 #[test]
 fn ring_period_tracks_twice_stages_times_fo1() {
     let ctx = StudyContext::cached();
-    let pair = subvt_exp::backend::pair(&ctx.supervth[0]);
+    let pair = ctx.study.pair(&ctx.supervth[0]);
     let v = Volts::new(V_DD);
     let stages = 5;
     let osc = cached_ring_oscillation(&pair, v, stages, 1500).expect("ring oscillates");
@@ -125,7 +125,7 @@ fn ring_period_tracks_twice_stages_times_fo1() {
 #[test]
 fn topology_measurements_are_cache_resident_on_rerun() {
     let ctx = StudyContext::cached();
-    let pair = subvt_exp::backend::pair(&ctx.supervth[0]);
+    let pair = ctx.study.pair(&ctx.supervth[0]);
     let v = Volts::new(V_DD);
     // Populate.
     cached_gate_vtc(&pair, GateKind::Nand2, v, OtherInput::Common, POINTS).unwrap();

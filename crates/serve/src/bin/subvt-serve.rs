@@ -6,7 +6,6 @@
 //! subvt-serve --cache serve.jsonl      # persist the response/design cache
 //! subvt-serve --workers 4 --queue 128  # pool and admission sizing
 //! subvt-serve --deadline-ms 10000      # per-request compute deadline
-//! subvt-serve --backend tcad --circuit-backend spice
 //! subvt-serve --slo vtc=p99:50 --access-log access.jsonl
 //! subvt-serve --trace serve-trace.json --trace-format chrome
 //! ```
@@ -22,8 +21,6 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use subvt_circuits::backend::CircuitBackendKind;
-use subvt_model::Backend;
 use subvt_serve::{signal, Config, Server, SloRule};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -113,29 +110,6 @@ fn main() -> ExitCode {
                 };
                 if !subvt_engine::configure_jobs(n) {
                     eprintln!("--jobs must come before any work is scheduled");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--backend" => {
-                let Some(b) = iter.next().and_then(|v| v.parse::<Backend>().ok()) else {
-                    eprintln!("--backend needs one of: analytic, tcad");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_exp::backend::configure(b) {
-                    eprintln!("--backend given twice with conflicting values");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--circuit-backend" => {
-                let Some(k) = iter
-                    .next()
-                    .and_then(|v| v.parse::<CircuitBackendKind>().ok())
-                else {
-                    eprintln!("--circuit-backend needs one of: analytic, spice");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_exp::backend::configure_circuit(k) {
-                    eprintln!("--circuit-backend given twice with conflicting values");
                     return ExitCode::FAILURE;
                 }
             }
@@ -248,8 +222,6 @@ fn print_help() {
     eprintln!("  --max-attempts N     supervisor attempts before quarantine (default 1)");
     eprintln!("  --cache PATH         persist the response/design cache across restarts");
     eprintln!("  --jobs N             engine worker threads (default: cores, or $SUBVT_JOBS)");
-    eprintln!("  --backend B          device backend for `experiment`: analytic | tcad");
-    eprintln!("  --circuit-backend B  circuit backend for `experiment`: analytic | spice");
     eprintln!("  --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)");
     eprintln!("  --access-log PATH    append one JSONL line per request (DESIGN.md section 6)");
     eprintln!("  --window-secs N      rolling latency/SLO window (default 60)");
@@ -257,5 +229,6 @@ fn print_help() {
     eprintln!("  --trace-format F     trace file format: jsonl (default) | chrome");
     eprintln!();
     eprintln!("Protocol: newline-framed JSON over TCP, plus GET /metrics and");
-    eprintln!("GET /healthz over the same port. See DESIGN.md section 8.");
+    eprintln!("GET /healthz over the same port. Each request picks its own");
+    eprintln!("`backend` and `circuit_backend`. See DESIGN.md section 8.");
 }

@@ -13,9 +13,11 @@
 //! ```
 //!
 //! Circuit methods (`vtc`, `snm`, `fo1`, `chain_energy`, `mep`,
-//! `topology`) accept an optional `temp_k` field (kelvin, default 300)
-//! mirroring `repro --temp`; `topology` dispatches on `op` ∈
-//! `gate_snm` | `ring_freq` | `temp_sweep`.
+//! `topology`) accept an optional `temp_k` field (kelvin, default 300):
+//! the pair is sized at room temperature and operated at `temp_k`, which
+//! is not what `repro --temp` does (it re-characterizes the designs
+//! first). `topology` dispatches on `op` ∈ `gate_snm` | `ring_freq` |
+//! `temp_sweep`.
 //!
 //! `result` is always the **last** member of a success line, so the
 //! payload can be recovered byte-identically by slicing between

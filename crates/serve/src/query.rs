@@ -22,8 +22,8 @@ use subvt_core::strategy::NodeDesign;
 use subvt_engine::cache::Blob;
 use subvt_engine::KeyBuilder;
 use subvt_exp::tracefmt::Json;
-use subvt_exp::StudyContext;
-use subvt_model::{Backend, DeviceModel};
+use subvt_exp::Study;
+use subvt_model::Backend;
 use subvt_physics::device::{DeviceCharacteristics, DeviceKind, DeviceParams};
 use subvt_physics::iv::MosModel;
 use subvt_physics::math::linspace;
@@ -256,14 +256,15 @@ pub enum Query {
         temp_k: f64,
     },
     /// A full `repro` experiment rendered exactly as the CLI prints it
-    /// (text or CSV). Runs through the process-global backend seams the
-    /// server was started with, so the payload is byte-identical to
-    /// `repro` stdout under the same flags.
+    /// (text or CSV), byte-identical to `repro` stdout under the same
+    /// `--backend`/`--circuit-backend` flags.
     Experiment {
         /// Experiment id, e.g. `"fig2"`.
         id: String,
         /// CSV rendering instead of the aligned text table.
         csv: bool,
+        /// The request's backends, at room temperature.
+        study: Study,
     },
     /// Diagnostic: hold a worker for `ms` milliseconds. Never cached;
     /// used by tests and the load generator to occupy the pool.
@@ -545,6 +546,11 @@ impl Query {
                     .and_then(Json::as_str)
                     .map(|f| f == "csv")
                     .unwrap_or(false),
+                study: Study {
+                    backend: parse_backend(params)?,
+                    circuit: parse_circuit(params)?,
+                    ..Study::default()
+                },
             }),
             "sleep" => Ok(Query::Sleep {
                 ms: {
@@ -598,8 +604,7 @@ impl Query {
     }
 
     /// Canonical dedup/supervisor key over every semantic field (never
-    /// the request id). For [`Query::Experiment`] the process-global
-    /// backend selections join the key, since they shape the payload.
+    /// the request id).
     pub fn key(&self) -> u64 {
         let kb = KeyBuilder::new("serve.v1").str(self.method());
         match self {
@@ -681,11 +686,11 @@ impl Query {
                 .f64(*v_dd)
                 .f64(*temp_k)
                 .finish(),
-            Query::Experiment { id, csv } => kb
+            Query::Experiment { id, csv, study } => kb
                 .str(id)
                 .bool(*csv)
-                .str(subvt_exp::backend::selected().as_str())
-                .str(subvt_exp::backend::circuit_selected().as_str())
+                .str(study.backend.as_str())
+                .str(study.circuit.as_str())
                 .finish(),
             Query::Sleep { ms, token } => kb.u64(*ms).str(token).finish(),
             Query::Panic { token } => kb.str(token).finish(),
@@ -747,6 +752,15 @@ impl Blob for TextBlob {
     }
 }
 
+/// The room-temperature study a `backend` field selects: device
+/// methods, and the designs behind circuit methods, resolve through it.
+fn room(backend: Backend) -> Study {
+    Study {
+        backend,
+        ..Study::default()
+    }
+}
+
 /// Resolves the NFET under test: its parameter set and its
 /// characterization through `backend`.
 ///
@@ -757,27 +771,30 @@ pub fn device(
     sel: NodeSel,
     backend: Backend,
 ) -> Result<(DeviceParams, DeviceCharacteristics), String> {
-    let model = subvt_exp::backend::model_for(backend);
     match sel {
         NodeSel::Ref90 => {
             let params = DeviceParams::reference_90nm_nfet();
-            let chars = model
+            let chars = room(backend)
+                .model()
                 .characterize(&params)
                 .map_err(|e| format!("characterization failed: {e}"))?;
             Ok((params, chars))
         }
         NodeSel::Designed { .. } => {
-            let d = design(sel, model)?;
+            let d = design(sel, backend)?;
             Ok((d.nfet, d.nfet_chars))
         }
     }
 }
 
-fn design(sel: NodeSel, model: &'static dyn DeviceModel) -> Result<NodeDesign, String> {
+/// The room-temperature design of a node selection.
+fn design(sel: NodeSel, backend: Backend) -> Result<NodeDesign, String> {
     let NodeSel::Designed { node, strategy } = sel else {
         return Err("ref90 has no design-flow entry".to_owned());
     };
-    let ctx = StudyContext::compute_with(model).map_err(|e| format!("design flow failed: {e}"))?;
+    let ctx = room(backend)
+        .context()
+        .map_err(|e| format!("design flow failed: {e}"))?;
     let designs = match strategy {
         Strategy::SubVth => &ctx.subvth,
         Strategy::SuperVth => &ctx.supervth,
@@ -789,36 +806,27 @@ fn design(sel: NodeSel, model: &'static dyn DeviceModel) -> Result<NodeDesign, S
         .ok_or_else(|| format!("design flow produced no {} entry", node.name()))
 }
 
-/// The inverter device pair for a node selection, characterized through
-/// `backend` at room temperature.
-///
-/// # Errors
-///
-/// A human-readable message when the backend or a design flow fails.
-pub fn pair(sel: NodeSel, backend: Backend) -> Result<CmosPair, String> {
-    pair_at(sel, backend, ROOM_K)
-}
-
-/// Like [`pair`] but re-tagged to operate at `temp_k` kelvin. The pair
-/// is designed/balanced at room temperature (matching the design flows)
-/// and then its devices carry the operating temperature, so every
-/// downstream characterization — leakage, swing, VTC — is
-/// temperature-consistent. This mirrors `repro --temp`.
+/// The inverter device pair a circuit request measures: sized from the
+/// node's room-temperature design (or balanced from the reference NFET)
+/// and operated at `temp_k` kelvin, so every downstream characterization
+/// — leakage, swing, VTC — sees that temperature. This is the `ext-temp`
+/// meaning of temperature. `repro --temp` differs: it re-characterizes
+/// the designs at the temperature before sizing the pair, so its PFET
+/// widths differ slightly.
 ///
 /// # Errors
 ///
 /// A human-readable message when the backend or a design flow fails.
 pub fn pair_at(sel: NodeSel, backend: Backend, temp_k: f64) -> Result<CmosPair, String> {
-    let model = subvt_exp::backend::model_for(backend);
-    let mut p = match sel {
-        NodeSel::Ref90 => CmosPair::balanced_with(model, DeviceParams::reference_90nm_nfet())
-            .map_err(|e| format!("characterization failed: {e}"))?,
-        NodeSel::Designed { .. } => design(sel, model)?.cmos_pair_with(model),
+    let room = room(backend);
+    let pair = match sel {
+        NodeSel::Ref90 => {
+            CmosPair::balanced_with(room.model(), DeviceParams::reference_90nm_nfet())
+                .map_err(|e| format!("characterization failed: {e}"))?
+        }
+        NodeSel::Designed { .. } => room.pair(&design(sel, backend)?),
     };
-    let t = Temperature::from_kelvin(temp_k);
-    p.nfet.temperature = t;
-    p.pfet.temperature = t;
-    Ok(p)
+    Ok(pair.at_temperature(Temperature::from_kelvin(temp_k)))
 }
 
 /// Evaluates the drain current at every `v_gs` bias in one pass over
@@ -1059,7 +1067,7 @@ pub fn compute(q: &Query) -> Result<String, String> {
                     (n, p, "ref90")
                 }
                 NodeSel::Designed { node, .. } => {
-                    let d = design(*sel, subvt_exp::backend::model_for(*backend))?;
+                    let d = design(*sel, *backend)?;
                     (d.nfet, d.pfet, node.name())
                 }
             };
@@ -1079,7 +1087,8 @@ pub fn compute(q: &Query) -> Result<String, String> {
             temp_k,
         } => {
             let pair = pair_at(*sel, *backend, *temp_k)?;
-            let vtc = subvt_exp::backend::circuit_for(*circuit)
+            let vtc = circuit
+                .instance()
                 .vtc(&pair, Volts::new(*v_dd), *points)
                 .map_err(|e| format!("vtc failed: {e}"))?;
             Ok(format!(
@@ -1097,7 +1106,8 @@ pub fn compute(q: &Query) -> Result<String, String> {
             temp_k,
         } => {
             let pair = pair_at(*sel, *backend, *temp_k)?;
-            let vtc = subvt_exp::backend::circuit_for(*circuit)
+            let vtc = circuit
+                .instance()
                 .vtc(&pair, Volts::new(*v_dd), 161)
                 .map_err(|e| format!("vtc failed: {e}"))?;
             let nm = noise_margins(&vtc)
@@ -1121,7 +1131,8 @@ pub fn compute(q: &Query) -> Result<String, String> {
             temp_k,
         } => {
             let pair = pair_at(*sel, *backend, *temp_k)?;
-            let d = subvt_exp::backend::circuit_for(*circuit)
+            let d = circuit
+                .instance()
                 .fo1_delay(&pair, Volts::new(*v_dd))
                 .map_err(|e| format!("fo1 failed: {e}"))?;
             Ok(format!(
@@ -1139,7 +1150,8 @@ pub fn compute(q: &Query) -> Result<String, String> {
             temp_k,
         } => {
             let chain = InverterChain::paper_chain(pair_at(*sel, *backend, *temp_k)?);
-            let e = subvt_exp::backend::circuit_for(*circuit)
+            let e = circuit
+                .instance()
                 .chain_energy(&chain, Volts::new(*v_dd))
                 .map_err(|e| format!("chain_energy failed: {e}"))?;
             Ok(energy_payload(&e))
@@ -1151,7 +1163,8 @@ pub fn compute(q: &Query) -> Result<String, String> {
             temp_k,
         } => {
             let chain = InverterChain::paper_chain(pair_at(*sel, *backend, *temp_k)?);
-            let mep = subvt_exp::backend::circuit_for(*circuit)
+            let mep = circuit
+                .instance()
                 .minimum_energy_point(&chain)
                 .map_err(|e| format!("mep failed: {e}"))?;
             Ok(format!(
@@ -1168,16 +1181,11 @@ pub fn compute(q: &Query) -> Result<String, String> {
             v_dd,
             temp_k,
         } => compute_topology(*sel, *backend, *op, *v_dd, *temp_k),
-        Query::Experiment { id, csv } => {
-            let table = subvt_exp::run(id).ok_or_else(|| format!("unknown experiment `{id}`"))?;
-            // Exactly what `repro` writes per experiment: `println!`
-            // for text (trailing newline), `print!` for CSV.
-            let rendered = if *csv {
-                table.to_csv()
-            } else {
-                format!("{}\n", table.to_text())
-            };
-            Ok(json_str(&rendered))
+        Query::Experiment { id, csv, study } => {
+            let table = study
+                .run(id)
+                .ok_or_else(|| format!("unknown experiment `{id}`"))?;
+            Ok(json_str(&table.render(*csv)))
         }
         Query::Sleep { ms, .. } => {
             std::thread::sleep(std::time::Duration::from_millis(*ms));
@@ -1202,6 +1210,23 @@ mod tests {
         let b = q("fo1", r#"{"v_dd":0.3,  "node":"45nm"}"#).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.key(), b.key());
+        let implicit = q("experiment", r#"{"id":"fig6","format":"csv"}"#).unwrap();
+        let explicit = q(
+            "experiment",
+            r#"{"id":"fig6","format":"csv","backend":"analytic","circuit_backend":"analytic"}"#,
+        )
+        .unwrap();
+        assert_eq!(implicit, explicit);
+        assert_eq!(implicit.key(), explicit.key());
+        // The default experiment key is the one persisted caches hold.
+        let persisted = KeyBuilder::new("serve.v1")
+            .str("experiment")
+            .str("fig6")
+            .bool(true)
+            .str("analytic")
+            .str("analytic")
+            .finish();
+        assert_eq!(implicit.key(), persisted);
     }
 
     #[test]
@@ -1211,6 +1236,9 @@ mod tests {
         let c = q("fo1", r#"{"node":"45nm","v_dd":0.25}"#).unwrap();
         assert_ne!(a.key(), b.key());
         assert_ne!(a.key(), c.key());
+        let analytic = q("experiment", r#"{"id":"fig6"}"#).unwrap();
+        let spice = q("experiment", r#"{"id":"fig6","circuit_backend":"spice"}"#).unwrap();
+        assert_ne!(analytic.key(), spice.key());
     }
 
     #[test]
@@ -1351,5 +1379,11 @@ mod tests {
             .unwrap_err()
             .1
             .contains("13nm"));
+        assert_eq!(
+            q("experiment", r#"{"id":"fig6","backend":"nope"}"#)
+                .unwrap_err()
+                .0,
+            ErrorCode::BadRequest
+        );
     }
 }

@@ -4,15 +4,24 @@
 
 use subvt_engine::Blob;
 use subvt_exp::codec::DesignSet;
-use subvt_exp::{run, run_all, StudyContext, ALL_EXPERIMENTS};
+use subvt_exp::{Study, StudyContext, ALL_EXPERIMENTS};
 
 #[test]
 fn parallel_run_all_matches_serial_byte_for_byte() {
     let serial: Vec<String> = ALL_EXPERIMENTS
         .iter()
-        .map(|id| run(id).expect("registered experiment").to_csv())
+        .map(|id| {
+            Study::default()
+                .run(id)
+                .expect("registered experiment")
+                .to_csv()
+        })
         .collect();
-    let parallel: Vec<String> = run_all().iter().map(|t| t.to_csv()).collect();
+    let parallel: Vec<String> = Study::default()
+        .run_all()
+        .iter()
+        .map(|t| t.to_csv())
+        .collect();
     assert_eq!(serial.len(), parallel.len());
     for (id, (s, p)) in ALL_EXPERIMENTS.iter().zip(serial.iter().zip(&parallel)) {
         assert_eq!(
@@ -49,6 +58,7 @@ fn design_cache_round_trips_through_disk_without_recompute() {
         });
         let (sup, sub): (DesignSet, DesignSet) = (sup, sub);
         StudyContext {
+            study: Study::default(),
             supervth: sup.0,
             subvth: sub.0,
         }

@@ -1,13 +1,17 @@
 //! End-to-end checks on the experiment harness: every table and figure
 //! runs, renders, and reproduces the paper's headline shapes.
 
-use subvt_exp::{run, run_all, StudyContext, ALL_EXPERIMENTS};
+use std::process::Command;
+
+use subvt_circuits::CircuitBackendKind;
+use subvt_exp::{Study, StudyContext, ALL_EXPERIMENTS};
+use subvt_units::Temperature;
 
 #[test]
 fn every_registered_experiment_renders() {
     // Warm the shared design cache once, then run everything.
     let _ = StudyContext::cached();
-    let tables = run_all();
+    let tables = Study::default().run_all();
     assert_eq!(tables.len(), ALL_EXPERIMENTS.len());
     for t in &tables {
         assert!(!t.rows.is_empty(), "{} has no rows", t.title);
@@ -25,7 +29,7 @@ fn every_registered_experiment_renders() {
 
 #[test]
 fn table2_reproduces_paper_inputs_exactly() {
-    let t = run("table2").expect("table2");
+    let t = Study::default().run("table2").expect("table2");
     // Roadmap columns are the paper's stated inputs and must match
     // exactly: L_poly 65/46/32/22 nm, T_ox 2.10/1.89/1.70/1.53 nm,
     // V_dd 1.2/1.1/1.0/0.9.
@@ -43,7 +47,7 @@ fn table2_reproduces_paper_inputs_exactly() {
 fn table2_doping_lands_near_paper_values() {
     // Paper Table 2: N_sub 1.52/1.97/2.52/3.31e18. Our derived values
     // should land within ~50 % (independent substrate calibration).
-    let t = run("table2").expect("table2");
+    let t = Study::default().run("table2").expect("table2");
     let want = [1.52e18, 1.97e18, 2.52e18, 3.31e18];
     for (row, want) in t.rows.iter().zip(want) {
         let got: f64 = row[3].parse().unwrap();
@@ -58,7 +62,7 @@ fn table2_doping_lands_near_paper_values() {
 fn table3_gate_lengths_exceed_minimum_and_shrink_slowly() {
     // Paper Table 3: L_poly 95/75/60/45 — longer than the super-Vth
     // 65/46/32/22 and scaling ~20-25 %/generation.
-    let t = run("table3").expect("table3");
+    let t = Study::default().run("table3").expect("table3");
     let l: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
     let min = [65.0, 46.0, 32.0, 22.0];
     for (got, min) in l.iter().zip(min) {
@@ -78,14 +82,14 @@ fn table3_gate_lengths_exceed_minimum_and_shrink_slowly() {
 
 #[test]
 fn fig2_and_fig10_shapes() {
-    let fig2 = run("fig2").expect("fig2");
+    let fig2 = Study::default().run("fig2").expect("fig2");
     let ss: Vec<f64> = fig2.rows.iter().map(|r| r[1].parse().unwrap()).collect();
     assert!(
         ss.windows(2).all(|w| w[1] > w[0]),
         "S_S must degrade: {ss:?}"
     );
 
-    let fig10 = run("fig10").expect("fig10");
+    let fig10 = Study::default().run("fig10").expect("fig10");
     let ratio: f64 = fig10.rows[3][3].parse().unwrap();
     assert!(ratio > 1.05, "fig10 32 nm SNM ratio {ratio}");
 }
@@ -93,7 +97,7 @@ fn fig2_and_fig10_shapes() {
 #[test]
 fn fig12_energy_ratio_close_to_paper() {
     // Paper: 23 % saving at 32 nm. Accept 10–40 %.
-    let t = run("fig12").expect("fig12");
+    let t = Study::default().run("fig12").expect("fig12");
     let ratio: f64 = t.rows[3][5].parse().unwrap();
     assert!(
         (0.60..0.90).contains(&ratio),
@@ -103,6 +107,42 @@ fn fig12_energy_ratio_close_to_paper() {
 
 #[test]
 fn unknown_experiment_is_rejected() {
-    assert!(run("table9").is_none());
-    assert!(run("").is_none());
+    assert!(Study::default().run("table9").is_none());
+    assert!(Study::default().run("").is_none());
+}
+
+/// One process renders fig6 under four studies — 300 K before 350 K —
+/// and each render is byte-identical to a fresh single-configuration
+/// `repro --csv fig6` run.
+#[test]
+fn one_process_renders_fig6_under_four_studies() {
+    let mut renders = Vec::new();
+    for circuit in CircuitBackendKind::ALL {
+        for kelvin in [300.0, 350.0] {
+            let study = Study {
+                circuit,
+                temp: Temperature::from_kelvin(kelvin),
+                ..Study::default()
+            };
+            let csv = study.run("fig6").expect("fig6").to_csv();
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args(["--circuit-backend", circuit.as_str()])
+                .args(["--temp", &kelvin.to_string()])
+                .args(["--csv", "fig6"])
+                .output()
+                .expect("repro runs");
+            assert!(out.status.success(), "repro failed: {out:?}");
+            assert_eq!(
+                csv,
+                String::from_utf8(out.stdout).expect("utf8"),
+                "{circuit} at {kelvin} K differs from a fresh repro run"
+            );
+            renders.push(csv);
+        }
+    }
+    for (i, a) in renders.iter().enumerate() {
+        for b in &renders[i + 1..] {
+            assert_ne!(a, b, "every study must render its own fig6");
+        }
+    }
 }

@@ -229,3 +229,39 @@ fn dead_lock_holder_is_reclaimed_and_the_run_persists() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fleet_manifest_records_the_study_it_forwarded() {
+    let dir = tmpdir("study");
+    let manifest_path = dir.join("fleet.json");
+    let out = run_ok(
+        repro()
+            .arg("fleet")
+            .args(["--workers", "2", "--circuit-backend", "spice", "--manifest"])
+            .arg(&manifest_path)
+            .arg("fig4"),
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&manifest_path).expect("fleet manifest written");
+    let manifest = tracefmt::parse_json(text.trim()).expect("manifest is valid JSON");
+    let circuit = |m: &tracefmt::Json| {
+        m.get("circuit_backend")
+            .and_then(tracefmt::Json::as_str)
+            .map(str::to_owned)
+    };
+    assert_eq!(circuit(&manifest).as_deref(), Some("spice"));
+    let workers = manifest
+        .get("workers")
+        .and_then(tracefmt::Json::as_arr)
+        .expect("worker manifests embedded");
+    assert!(!workers.is_empty());
+    for worker in workers {
+        assert_eq!(circuit(worker), circuit(&manifest));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -159,7 +159,7 @@ fn spice_backend_parity_and_warm_cache_reuse() {
     let spice = subvt_circuits::spice_circuit();
     let ctx = subvt_exp::StudyContext::cached();
     let v = Volts::new(0.25);
-    let pairs: Vec<CmosPair> = ctx.supervth.iter().map(subvt_exp::backend::pair).collect();
+    let pairs: Vec<CmosPair> = ctx.supervth.iter().map(|d| ctx.study.pair(d)).collect();
 
     for (d, p) in ctx.supervth.iter().zip(&pairs) {
         let node = d.node.name();

@@ -8,7 +8,7 @@
 //! assertions are monotone ("at least", "contains") rather than exact.
 
 use subvt_exp::tracefmt::{self, TraceFile};
-use subvt_exp::{report, run};
+use subvt_exp::{report, Study};
 
 fn global_jsonl() -> TraceFile {
     let mut buf = Vec::new();
@@ -20,8 +20,8 @@ fn global_jsonl() -> TraceFile {
 
 #[test]
 fn jsonl_sink_round_trips_with_valid_structure() {
-    run("table1").expect("table1 runs");
-    run("fig7").expect("fig7 runs");
+    Study::default().run("table1").expect("table1 runs");
+    Study::default().run("fig7").expect("fig7 runs");
     let trace = global_jsonl();
     assert_eq!(trace.v, subvt_engine::trace::SCHEMA_VERSION);
     tracefmt::validate(&trace).expect("invariants hold");
@@ -77,7 +77,7 @@ fn cache_stats_flush_into_every_drained_trace() {
 
 #[test]
 fn chrome_sink_round_trips_with_required_fields() {
-    run("fig8").expect("fig8 runs");
+    Study::default().run("fig8").expect("fig8 runs");
     let mut buf = Vec::new();
     subvt_engine::trace::global()
         .write_chrome(&mut buf)
@@ -95,7 +95,7 @@ fn chrome_sink_round_trips_with_required_fields() {
 
 #[test]
 fn trace_report_renders_the_global_trace() {
-    run("table1").expect("table1 runs");
+    Study::default().run("table1").expect("table1 runs");
     let trace = global_jsonl();
     let rendered = tracefmt::render_report(&trace);
     assert!(rendered.contains("experiment.table1"), "{rendered}");
@@ -104,15 +104,15 @@ fn trace_report_renders_the_global_trace() {
 
 #[test]
 fn manifest_describes_the_run() {
-    run("fig7").expect("fig7 runs");
+    Study::default().run("fig7").expect("fig7 runs");
     let mut buf = Vec::new();
-    report::write_manifest(&mut buf, &[]).expect("in-memory write");
+    report::write_manifest(&mut buf, &Study::default(), &[]).expect("in-memory write");
     let manifest = tracefmt::parse_json(std::str::from_utf8(&buf).expect("utf8").trim())
         .expect("manifest is one valid JSON object");
     assert_eq!(manifest.get("v").unwrap().as_u64(), Some(2));
     assert_eq!(
         manifest.get("backend").unwrap().as_str().map(str::to_owned),
-        Some(subvt_exp::backend::model().cache_id())
+        Some(Study::default().model().cache_id())
     );
     assert_eq!(
         manifest.get("jobs").unwrap().as_u64(),
