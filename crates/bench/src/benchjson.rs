@@ -14,7 +14,7 @@
 //! the gate, and a slow path can't hide a real 2× behind "it's only
 //! relative".
 
-use subvt_exp::tracefmt::{parse_json, Json};
+use subvt_engine::json::{parse_json, Json};
 
 // The provenance helpers live in `subvt_exp::report` (so `repro --bench`
 // can stamp `BENCH_spice.json` without a dependency cycle) and are

@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use subvt_engine::json::Json;
 use subvt_engine::trace;
-use subvt_exp::tracefmt::Json;
 use subvt_serve::client::{http_get, Client};
 
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -8,7 +8,6 @@
 /// A generalized-scaling rule set with dimension factor `α` and field
 /// growth factor `ε` per generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeneralizedScaling {
     /// Dimension scaling factor `α > 1` (dimensions shrink by `1/α`).
     pub alpha: f64,
@@ -79,7 +78,6 @@ impl GeneralizedScaling {
 /// One row of the paper's Table 1: a parameter, its symbolic scaling
 /// factor, and the numeric value under the given rule set.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table1Row {
     /// Parameter description.
     pub parameter: &'static str,

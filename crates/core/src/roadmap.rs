@@ -12,7 +12,6 @@ use subvt_units::{AmpsPerMicron, Nanometers, Volts};
 
 /// A technology generation from the paper's study range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TechNode {
     /// 90 nm node (the reference generation).
     N90,

@@ -42,7 +42,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use super::{format_line_f64, line_crc, lock_recover, parse_entry, quarantine_path, Cache};
-use crate::json::json_u64_field;
+use crate::json::{json_str, parse_json, Json};
 use crate::{clock, trace};
 
 /// Grace period before an unreadable/unparseable lease file is treated
@@ -102,7 +102,7 @@ impl LeaseInfo {
         format!(
             "{{\"pid\":{},\"acquired_utc\":{},\"acquired_unix\":{}}}\n",
             self.pid,
-            crate::json::json_str(&clock::iso8601_utc(self.acquired_unix)),
+            json_str(&clock::iso8601_utc(self.acquired_unix)),
             self.acquired_unix
         )
     }
@@ -112,9 +112,10 @@ impl LeaseInfo {
     /// (which must not wrap onto another process). Fields it does not
     /// know, such as an older format's `ttl_secs`, are ignored.
     pub fn parse(text: &str) -> Option<Self> {
+        let lease = parse_json(text).ok()?;
         Some(Self {
-            pid: u32::try_from(json_u64_field(text, "pid")?).ok()?,
-            acquired_unix: json_u64_field(text, "acquired_unix")?,
+            pid: u32::try_from(lease.get("pid").and_then(Json::as_u64)?).ok()?,
+            acquired_unix: lease.get("acquired_unix").and_then(Json::as_u64)?,
         })
     }
 }
@@ -628,6 +629,8 @@ mod tests {
         let text = info.render();
         assert_eq!(LeaseInfo::parse(&text), Some(info));
         assert!(LeaseInfo::parse("{\"pid\":oops}").is_none());
+        // A torn write is unparseable, not a lease acquired at 10000.
+        assert!(LeaseInfo::parse(&text[..text.len() - 3]).is_none());
         // The same content is live while a holder has the file locked,
         // however old it is, and stale once the lock is gone.
         let dir = scratch("rules");

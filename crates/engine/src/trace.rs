@@ -33,7 +33,9 @@
 //! ```
 //!
 //! * [`Tracer::write_chrome`] — Chrome trace-event JSON (open in
-//!   Perfetto / `chrome://tracing`), one lane per executor worker.
+//!   Perfetto / `chrome://tracing`), one lane per executor worker. The
+//!   writer itself is [`TraceSnapshot::write_chrome`], which also
+//!   exports stitched client/server traces.
 //!
 //! Draining either sink first runs registered *flush hooks* (see
 //! [`Tracer::register_flush`]); the engine cache uses one to publish its
@@ -153,6 +155,29 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, AttrValue)>,
 }
 
+impl SpanRecord {
+    /// Looks up an attribute by key.
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// An unsigned-integer attribute.
+    pub fn attr_u64(&self, key: &str) -> Option<u64> {
+        match self.attr(key)? {
+            AttrValue::U64(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// A string attribute.
+    pub fn attr_str(&self, key: &str) -> Option<&str> {
+        match self.attr(key)? {
+            AttrValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
 /// A fixed-bucket histogram: counts per bucket (the last bucket is the
 /// implicit overflow above the final bound) plus exact count/sum/min/max.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,6 +267,87 @@ pub struct TraceSnapshot {
     pub hists: BTreeMap<String, Histogram>,
     /// Microseconds since the tracer was created.
     pub wall_us: u64,
+}
+
+impl TraceSnapshot {
+    /// Writes the snapshot as Chrome trace-event JSON (open in Perfetto
+    /// or `chrome://tracing`): a `process_name` row named `process`,
+    /// one `thread_name` row per lane labelled by `lane_label`, one
+    /// complete (`ph:"X"`) event per span on its worker lane, and one
+    /// final counter (`ph:"C"`) event per counter. Every event carries
+    /// `pid`/`tid`/`ts`/`dur`/`name`, so strict parsers (and the
+    /// `tracefmt` round-trip tests) accept the whole stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `w`.
+    pub fn write_chrome(
+        &self,
+        w: &mut impl Write,
+        process: &str,
+        lane_label: impl Fn(u32) -> String,
+    ) -> std::io::Result<()> {
+        write!(w, "{{\"traceEvents\":[")?;
+        let mut first = true;
+        let sep = |w: &mut dyn Write, first: &mut bool| -> std::io::Result<()> {
+            if *first {
+                *first = false;
+                writeln!(w)
+            } else {
+                writeln!(w, ",")
+            }
+        };
+        sep(w, &mut first)?;
+        write!(
+            w,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":0,\"args\":{{\"name\":{}}}}}",
+            json_str(process)
+        )?;
+        let mut lanes: Vec<u32> = self.spans.iter().map(|s| s.worker).collect();
+        lanes.push(0);
+        lanes.sort_unstable();
+        lanes.dedup();
+        for lane in lanes {
+            sep(w, &mut first)?;
+            write!(
+                w,
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"ts\":0,\"dur\":0,\"args\":{{\"name\":{}}}}}",
+                json_str(&lane_label(lane))
+            )?;
+        }
+        for s in &self.spans {
+            sep(w, &mut first)?;
+            write!(
+                w,
+                "{{\"name\":{},\"cat\":\"subvt\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":{},\"parent\":{}",
+                json_str(&s.name),
+                s.worker,
+                s.start_us,
+                s.dur_us,
+                s.id,
+                match s.parent {
+                    Some(p) => p.to_string(),
+                    None => "null".to_owned(),
+                }
+            )?;
+            for (k, v) in &s.attrs {
+                write!(w, ",{}:{}", json_str(k), v.to_json())?;
+            }
+            write!(w, "}}}}")?;
+        }
+        for (name, value) in &self.counters {
+            sep(w, &mut first)?;
+            write!(
+                w,
+                "{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"dur\":0,\"args\":{{\"value\":{}}}}}",
+                json_str(name),
+                self.wall_us,
+                value
+            )?;
+        }
+        writeln!(w)?;
+        writeln!(w, "],\"displayTimeUnit\":\"ms\"}}")
+    }
 }
 
 #[derive(Default)]
@@ -565,81 +671,18 @@ impl Tracer {
     }
 
     /// Writes the trace as Chrome trace-event JSON (running flush hooks
-    /// first): one complete (`ph:"X"`) event per span on its worker
-    /// lane, `thread_name` metadata rows per lane, and one final
-    /// counter (`ph:"C"`) event per counter. Every event carries
-    /// `pid`/`tid`/`ts`/`dur`/`name`, so strict parsers (and the
-    /// `tracefmt` round-trip tests) accept the whole stream.
+    /// first) through [`TraceSnapshot::write_chrome`], as process
+    /// `subvt-repro` with lanes labelled `main` and `worker-N`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_chrome(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let snap = self.drain();
-        write!(w, "{{\"traceEvents\":[")?;
-        let mut first = true;
-        let sep = |w: &mut dyn Write, first: &mut bool| -> std::io::Result<()> {
-            if *first {
-                *first = false;
-                writeln!(w)
-            } else {
-                writeln!(w, ",")
-            }
-        };
-        sep(w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":0,\"args\":{{\"name\":\"subvt-repro\"}}}}"
-        )?;
-        let mut lanes: Vec<u32> = snap.spans.iter().map(|s| s.worker).collect();
-        lanes.push(0);
-        lanes.sort_unstable();
-        lanes.dedup();
-        for lane in &lanes {
-            let label = if *lane == 0 {
-                "main".to_owned()
-            } else {
-                format!("worker-{}", lane - 1)
-            };
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"ts\":0,\"dur\":0,\"args\":{{\"name\":{}}}}}",
-                json_str(&label)
-            )?;
-        }
-        for s in &snap.spans {
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "{{\"name\":{},\"cat\":\"subvt\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":{},\"parent\":{}",
-                json_str(&s.name),
-                s.worker,
-                s.start_us,
-                s.dur_us,
-                s.id,
-                match s.parent {
-                    Some(p) => p.to_string(),
-                    None => "null".to_owned(),
-                }
-            )?;
-            for (k, v) in &s.attrs {
-                write!(w, ",{}:{}", json_str(k), v.to_json())?;
-            }
-            write!(w, "}}}}")?;
-        }
-        for (name, value) in &snap.counters {
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"dur\":0,\"args\":{{\"value\":{}}}}}",
-                json_str(name),
-                snap.wall_us,
-                value
-            )?;
-        }
-        writeln!(w)?;
-        writeln!(w, "],\"displayTimeUnit\":\"ms\"}}")
+        self.drain()
+            .write_chrome(w, "subvt-repro", |lane| match lane {
+                0 => "main".to_owned(),
+                n => format!("worker-{}", n - 1),
+            })
     }
 }
 

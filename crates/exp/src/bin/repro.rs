@@ -27,7 +27,8 @@
 
 use std::process::ExitCode;
 
-use subvt_engine::json::json_u64_field;
+use subvt_engine::json::{parse_json, Json};
+use subvt_engine::trace::TraceSnapshot;
 use subvt_exp::{tracefmt, FigureFailure, Study, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 use subvt_units::Temperature;
 
@@ -270,7 +271,7 @@ fn trace_report(path: &str) -> ExitCode {
     }
     if text.trim_start().starts_with("{\"v\":") {
         // A run manifest, not a trace.
-        return match tracefmt::parse_json(text.trim()) {
+        return match parse_json(text.trim()) {
             Ok(manifest) => {
                 print!("{}", tracefmt::render_manifest_report(&manifest));
                 ExitCode::SUCCESS
@@ -281,12 +282,7 @@ fn trace_report(path: &str) -> ExitCode {
             }
         };
     }
-    let parsed = if text.trim_start().starts_with("{\"traceEvents\"") {
-        tracefmt::parse_chrome(&text).map(|events| tracefmt::trace_from_chrome(&events))
-    } else {
-        tracefmt::parse_jsonl(&text)
-    };
-    let trace = match parsed {
+    let trace = match parse_trace(&text) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("malformed trace {path}: {e}");
@@ -301,15 +297,19 @@ fn trace_report(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Loads a trace in either sink format (sniffed from the content).
-fn load_trace(path: &str) -> Result<tracefmt::TraceFile, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let parsed = if text.trim_start().starts_with("{\"traceEvents\"") {
-        tracefmt::parse_chrome(&text).map(|events| tracefmt::trace_from_chrome(&events))
+/// Parses a trace in either sink format (sniffed from the content).
+fn parse_trace(text: &str) -> Result<TraceSnapshot, String> {
+    if text.trim_start().starts_with("{\"traceEvents\"") {
+        tracefmt::parse_chrome(text).and_then(|events| tracefmt::trace_from_chrome(&events))
     } else {
-        tracefmt::parse_jsonl(&text)
-    };
-    parsed.map_err(|e| format!("malformed trace {path}: {e}"))
+        tracefmt::parse_jsonl(text)
+    }
+}
+
+/// Loads a trace in either sink format.
+fn load_trace(path: &str) -> Result<TraceSnapshot, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_trace(&text).map_err(|e| format!("malformed trace {path}: {e}"))
 }
 
 /// Stitches a client-side trace onto a server-side trace via the
@@ -357,7 +357,7 @@ fn trace_stitch(args: &[String]) -> ExitCode {
     if let Some(path) = out_path {
         let write = || -> std::io::Result<()> {
             let mut file = std::fs::File::create(path)?;
-            tracefmt::write_chrome_from(&stitched, &mut file)
+            tracefmt::write_stitched_chrome(&stitched, &mut file)
         };
         if let Err(e) = write() {
             eprintln!("cannot write stitched trace {path}: {e}");
@@ -677,7 +677,14 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         let path = outdir.join(format!("seg-{}-manifest.json", shard.index));
         if let Ok(text) = std::fs::read_to_string(&path) {
-            lease_reclaimed += json_u64_field(&text, &reclaim_counter).unwrap_or(0);
+            lease_reclaimed += parse_json(text.trim())
+                .ok()
+                .and_then(|m| {
+                    m.get("counters")?
+                        .get(&reclaim_counter)
+                        .and_then(Json::as_u64)
+                })
+                .unwrap_or(0);
             worker_manifests.push(text.trim().to_owned());
         }
         std::fs::remove_file(&path).ok();

@@ -342,7 +342,7 @@ pub fn write_fleet_manifest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracefmt;
+    use subvt_engine::json::parse_json;
 
     fn sample_snapshot() -> TraceSnapshot {
         let tracer = trace::Tracer::new();
@@ -376,7 +376,7 @@ mod tests {
             &[],
             &[],
         );
-        let v = tracefmt::parse_json(&text).expect("manifest parses");
+        let v = parse_json(&text).expect("manifest parses");
         assert_eq!(v.get("v").unwrap().as_u64(), Some(2));
         assert_eq!(
             v.get("backend").unwrap().as_str(),
@@ -411,7 +411,7 @@ mod tests {
             &[],
             &[],
         );
-        let v = tracefmt::parse_json(&text).unwrap();
+        let v = parse_json(&text).unwrap();
         let exps = v.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(exps.len(), 1);
         assert_eq!(exps[0].get("id").unwrap().as_str(), Some("fig2"));
@@ -429,7 +429,7 @@ mod tests {
             &[],
             &[],
         );
-        let v = tracefmt::parse_json(&text).unwrap();
+        let v = parse_json(&text).unwrap();
         let hists = v.get("histograms").unwrap().as_arr().unwrap();
         let gummel = hists
             .iter()
@@ -456,7 +456,7 @@ mod tests {
         tracer.add("spice.lu.resolve", 93);
         tracer.add("spice.newton.warm_start", 50);
         let text = render_spice_bench(&tracer.snapshot()).unwrap();
-        let v = tracefmt::parse_json(&text).expect("artifact parses");
+        let v = parse_json(&text).expect("artifact parses");
         assert_eq!(v.get("suite").unwrap().as_str(), Some("spice"));
         assert_eq!(v.get("schema").unwrap().as_u64(), Some(BENCH_SCHEMA));
         assert_eq!(v.get("requests").unwrap().as_u64(), Some(5));
@@ -495,7 +495,7 @@ mod tests {
             &failures,
             &recoveries,
         );
-        let v = tracefmt::parse_json(&text).unwrap();
+        let v = parse_json(&text).unwrap();
         let fails = v.get("failures").unwrap().as_arr().unwrap();
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].get("id").unwrap().as_str(), Some("fig4"));

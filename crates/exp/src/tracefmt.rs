@@ -3,331 +3,58 @@
 //!
 //! The engine writes two machine-readable formats (see
 //! `subvt_engine::trace`): JSON-lines (schema `v2`) and Chrome
-//! trace-event JSON. This module re-reads both through a small
-//! recursive-descent JSON parser — deliberately independent of the
-//! writers, so round-trip tests catch malformed output instead of
-//! mirroring its bugs — validates the structural invariants (every line
-//! valid JSON, span tree acyclic, parent ids resolve, histogram bucket
-//! counts sum to the sample count) and renders a self-time-sorted span
-//! tree with counter/histogram tables.
+//! trace-event JSON. This module re-reads both into the engine's own
+//! [`TraceSnapshot`] through the parser in `subvt_engine::json` —
+//! deliberately separate code from the writers, so round-trip tests
+//! catch malformed output instead of mirroring its bugs — validates the
+//! structural invariants (every line valid JSON, span tree acyclic,
+//! parent ids resolve, histogram bucket counts sum to the sample count)
+//! and renders a self-time-sorted span tree with counter/histogram
+//! tables.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
+use subvt_engine::trace::{AttrValue, Histogram, SpanRecord, TraceSnapshot};
 
-impl Json {
-    /// Member lookup on objects (`None` otherwise).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
+/// Public only because the out-of-tree `subvt-benchmark` package
+/// imports the JSON parser from here; make this a private `use` once
+/// the benchmark imports `subvt_engine::json` directly.
+pub use subvt_engine::json::{parse_json, Json};
 
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Non-negative integer value, if this is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one complete JSON value; trailing non-whitespace is an error.
-///
-/// # Errors
-///
-/// Returns a human-readable description with a byte offset.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let token = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8".to_owned())?;
-    token
-        .parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{token}` at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_owned())?;
-                        // Surrogates never occur in our writers; map them
-                        // to the replacement character rather than erroring.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8".to_owned())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+/// Maps a parsed attribute value onto the engine's [`AttrValue`].
+/// Whole numbers that `f64` holds exactly become `U64`/`I64`; other
+/// numbers and `null` become `F64` (the writer renders a NaN `F64` as
+/// `null`), so writing the result again reproduces the input bytes.
+fn attr_value(value: &Json) -> Result<AttrValue, String> {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    Ok(match value {
+        Json::Num(v) => {
+            let whole = v.fract() == 0.0 && v.abs() <= EXACT;
+            if whole && v.is_sign_positive() {
+                AttrValue::U64(*v as u64)
+            } else if whole && *v < 0.0 {
+                AttrValue::I64(*v as i64)
+            } else {
+                // Fractions, integers past 2^53 and -0 keep their
+                // float rendering.
+                AttrValue::F64(*v)
             }
         }
-    }
+        Json::Null => AttrValue::F64(f64::NAN),
+        Json::Str(s) => AttrValue::Str(s.clone()),
+        Json::Bool(b) => AttrValue::Bool(*b),
+        Json::Arr(_) | Json::Obj(_) => return Err("array or object attribute".to_owned()),
+    })
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected , or ] at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected member name at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected : at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        members.push((key, parse_value(bytes, pos)?));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected , or }} at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-/// One span read back from a sink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Span id.
-    pub id: u64,
-    /// Parent span id, `None` for roots.
-    pub parent: Option<u64>,
-    /// Span name.
-    pub name: String,
-    /// Start, µs since trace epoch.
-    pub start_us: u64,
-    /// Duration, µs.
-    pub dur_us: u64,
-    /// Executor lane (`tid` in the Chrome form).
-    pub worker: u32,
-    /// Typed attributes (the JSONL `attrs` object / the Chrome `args`
-    /// members other than `id`/`parent`), in source order.
-    pub attrs: Vec<(String, Json)>,
-}
-
-impl TraceSpan {
-    /// Looks up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&Json> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// An attribute as a non-negative integer.
-    pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        self.attr(key).and_then(Json::as_u64)
-    }
-
-    /// An attribute as a string.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        self.attr(key).and_then(Json::as_str)
-    }
-}
-
-/// One histogram read back from the JSONL sink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceHist {
-    /// Metric name.
-    pub name: String,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Smallest sample (`NaN` when the sink wrote `null`).
-    pub min: f64,
-    /// Largest sample (`NaN` when the sink wrote `null`).
-    pub max: f64,
-    /// Ascending bucket upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts (`bounds.len() + 1` entries incl. overflow).
-    pub counts: Vec<u64>,
-}
-
-/// A fully parsed trace, independent of which sink produced it.
-#[derive(Debug, Clone, Default)]
-pub struct TraceFile {
-    /// Schema version from the meta line (0 when absent — pre-v2).
-    pub v: u64,
-    /// All spans.
-    pub spans: Vec<TraceSpan>,
-    /// Counter name → value.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge name → value.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms by name.
-    pub hists: BTreeMap<String, TraceHist>,
-    /// Wall time from the meta line, µs.
-    pub wall_us: u64,
-}
-
-fn num_or_nan(v: Option<&Json>) -> f64 {
-    match v {
-        Some(Json::Num(x)) => *x,
-        _ => f64::NAN,
-    }
+/// The attributes of one span from its JSON members, skipping `skip`.
+fn attrs_of(members: &[(String, Json)], skip: &[&str]) -> Result<Vec<(String, AttrValue)>, String> {
+    members
+        .iter()
+        .filter(|(k, _)| !skip.contains(&k.as_str()))
+        .map(|(k, v)| Ok((k.clone(), attr_value(v).map_err(|e| format!("`{k}`: {e}"))?)))
+        .collect()
 }
 
 /// Parses a JSON-lines trace (schema v1 or v2 — v1 span lines lack
@@ -336,78 +63,65 @@ fn num_or_nan(v: Option<&Json>) -> f64 {
 /// # Errors
 ///
 /// Returns the first offending line's number and parse error.
-pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
-    let mut out = TraceFile::default();
+pub fn parse_jsonl(text: &str) -> Result<TraceSnapshot, String> {
+    let mut out = TraceSnapshot::default();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let value = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = value
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {}: missing \"type\"", lineno + 1))?;
+        let at = |e: &str| format!("line {}: {e}", lineno + 1);
+        let value = parse_json(line).map_err(|e| at(&e))?;
+        let u64_of = |key: &str| value.get(key).and_then(Json::as_u64);
+        // The writer renders non-finite floats as `null`.
+        let f64_of = |v: Option<&Json>| v.and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let arr = |key: &str| value.get(key).and_then(Json::as_arr).unwrap_or(&[]);
         let name = || {
             value
                 .get("name")
                 .and_then(Json::as_str)
                 .map(str::to_owned)
-                .ok_or(format!("line {}: missing \"name\"", lineno + 1))
+                .ok_or(at("missing \"name\""))
         };
-        match kind {
-            "span" => out.spans.push(TraceSpan {
-                id: value.get("id").and_then(Json::as_u64).unwrap_or(0),
-                parent: value.get("parent").and_then(Json::as_u64),
+        match value
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or(at("missing \"type\""))?
+        {
+            "span" => out.spans.push(SpanRecord {
+                id: u64_of("id").unwrap_or(0),
+                parent: u64_of("parent"),
                 name: name()?,
-                start_us: value.get("start_us").and_then(Json::as_u64).unwrap_or(0),
-                dur_us: value.get("dur_us").and_then(Json::as_u64).unwrap_or(0),
-                worker: value.get("worker").and_then(Json::as_u64).unwrap_or(0) as u32,
+                start_us: u64_of("start_us").unwrap_or(0),
+                dur_us: u64_of("dur_us").unwrap_or(0),
+                worker: u64_of("worker").unwrap_or(0) as u32,
                 attrs: match value.get("attrs") {
-                    Some(Json::Obj(members)) => members.clone(),
+                    Some(Json::Obj(members)) => attrs_of(members, &[]).map_err(|e| at(&e))?,
                     _ => Vec::new(),
                 },
             }),
             "counter" => {
-                let v = value
-                    .get("value")
-                    .and_then(Json::as_u64)
-                    .ok_or(format!("line {}: counter without value", lineno + 1))?;
+                let v = u64_of("value").ok_or(at("counter without value"))?;
                 out.counters.insert(name()?, v);
             }
             "gauge" => {
-                out.gauges.insert(name()?, num_or_nan(value.get("value")));
+                out.gauges.insert(name()?, f64_of(value.get("value")));
             }
             "hist" => {
-                let bounds = value
-                    .get("bounds")
-                    .and_then(Json::as_arr)
-                    .map(|a| a.iter().map(|b| num_or_nan(Some(b))).collect())
-                    .unwrap_or_default();
-                let counts = value
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .map(|a| {
-                        a.iter()
-                            .map(|c| c.as_u64().unwrap_or(0))
-                            .collect::<Vec<u64>>()
-                    })
-                    .unwrap_or_default();
-                let h = TraceHist {
-                    name: name()?,
-                    count: value.get("count").and_then(Json::as_u64).unwrap_or(0),
-                    sum: num_or_nan(value.get("sum")),
-                    min: num_or_nan(value.get("min")),
-                    max: num_or_nan(value.get("max")),
-                    bounds,
-                    counts,
+                let h = Histogram {
+                    bounds: arr("bounds").iter().map(|b| f64_of(Some(b))).collect(),
+                    counts: arr("counts")
+                        .iter()
+                        .map(|c| c.as_u64().unwrap_or(0))
+                        .collect(),
+                    count: u64_of("count").unwrap_or(0),
+                    sum: f64_of(value.get("sum")),
+                    min: f64_of(value.get("min")),
+                    max: f64_of(value.get("max")),
                 };
-                out.hists.insert(h.name.clone(), h);
+                out.hists.insert(name()?, h);
             }
-            "meta" => {
-                out.v = value.get("v").and_then(Json::as_u64).unwrap_or(0);
-                out.wall_us = value.get("wall_us").and_then(Json::as_u64).unwrap_or(0);
-            }
-            other => return Err(format!("line {}: unknown type `{other}`", lineno + 1)),
+            "meta" => out.wall_us = u64_of("wall_us").unwrap_or(0),
+            other => return Err(at(&format!("unknown type `{other}`"))),
         }
     }
     Ok(out)
@@ -452,17 +166,15 @@ pub fn parse_chrome(text: &str) -> Result<Vec<ChromeEvent>, String> {
                 .and_then(Json::as_u64)
                 .ok_or(format!("event {i}: missing or invalid \"{key}\""))
         };
+        let text = |key: &str| {
+            ev.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or(format!("event {i}: missing \"{key}\""))
+        };
         out.push(ChromeEvent {
-            name: ev
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or(format!("event {i}: missing \"name\""))?
-                .to_owned(),
-            ph: ev
-                .get("ph")
-                .and_then(Json::as_str)
-                .ok_or(format!("event {i}: missing \"ph\""))?
-                .to_owned(),
+            name: text("name")?,
+            ph: text("ph")?,
             pid: field("pid")?,
             tid: field("tid")?,
             ts: field("ts")?,
@@ -473,52 +185,40 @@ pub fn parse_chrome(text: &str) -> Result<Vec<ChromeEvent>, String> {
     Ok(out)
 }
 
-/// Lifts Chrome complete/counter events back into a [`TraceFile`]
+/// Lifts Chrome complete/counter events back into a [`TraceSnapshot`]
 /// (metadata rows are dropped), so one validator and one report renderer
 /// serve both formats.
-pub fn trace_from_chrome(events: &[ChromeEvent]) -> TraceFile {
-    let mut out = TraceFile::default();
-    for ev in events {
+///
+/// # Errors
+///
+/// Names the first span event whose `args` hold an array or object.
+pub fn trace_from_chrome(events: &[ChromeEvent]) -> Result<TraceSnapshot, String> {
+    let mut out = TraceSnapshot::default();
+    for (i, ev) in events.iter().enumerate() {
+        let arg = |key: &str| ev.args.as_ref()?.get(key).and_then(Json::as_u64);
         match ev.ph.as_str() {
-            "X" => out.spans.push(TraceSpan {
-                id: ev
-                    .args
-                    .as_ref()
-                    .and_then(|a| a.get("id"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                parent: ev
-                    .args
-                    .as_ref()
-                    .and_then(|a| a.get("parent"))
-                    .and_then(Json::as_u64),
+            "X" => out.spans.push(SpanRecord {
+                id: arg("id").unwrap_or(0),
+                parent: arg("parent"),
                 name: ev.name.clone(),
                 start_us: ev.ts,
                 dur_us: ev.dur,
                 worker: ev.tid as u32,
                 attrs: match &ev.args {
-                    Some(Json::Obj(members)) => members
-                        .iter()
-                        .filter(|(k, _)| k != "id" && k != "parent")
-                        .cloned()
-                        .collect(),
+                    Some(Json::Obj(members)) => attrs_of(members, &["id", "parent"])
+                        .map_err(|e| format!("event {i}: {e}"))?,
                     _ => Vec::new(),
                 },
             }),
             "C" => {
-                let v = ev
-                    .args
-                    .as_ref()
-                    .and_then(|a| a.get("value"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                out.counters.insert(ev.name.clone(), v);
+                out.counters
+                    .insert(ev.name.clone(), arg("value").unwrap_or(0));
                 out.wall_us = out.wall_us.max(ev.ts);
             }
             _ => {}
         }
     }
-    out
+    Ok(out)
 }
 
 /// Checks the structural invariants of a parsed trace: span ids unique,
@@ -528,7 +228,7 @@ pub fn trace_from_chrome(events: &[ChromeEvent]) -> TraceFile {
 /// # Errors
 ///
 /// Describes the first violated invariant.
-pub fn validate(trace: &TraceFile) -> Result<(), String> {
+pub fn validate(trace: &TraceSnapshot) -> Result<(), String> {
     let mut ids = HashSet::with_capacity(trace.spans.len());
     for s in &trace.spans {
         if s.id == 0 {
@@ -560,69 +260,23 @@ pub fn validate(trace: &TraceFile) -> Result<(), String> {
             cursor = parent_of.get(&p).copied().flatten();
         }
     }
-    for h in trace.hists.values() {
+    for (name, h) in &trace.hists {
         let bucket_sum: u64 = h.counts.iter().sum();
         if bucket_sum != h.count {
             return Err(format!(
-                "hist `{}`: bucket counts sum to {bucket_sum}, count is {}",
-                h.name, h.count
+                "hist `{name}`: bucket counts sum to {bucket_sum}, count is {}",
+                h.count
             ));
         }
         if !h.bounds.is_empty() && h.counts.len() != h.bounds.len() + 1 {
             return Err(format!(
-                "hist `{}`: {} bounds but {} buckets",
-                h.name,
+                "hist `{name}`: {} bounds but {} buckets",
                 h.bounds.len(),
                 h.counts.len()
             ));
         }
     }
     Ok(())
-}
-
-/// Serializes a [`Json`] value back to compact JSON text.
-pub fn render_json(value: &Json) -> String {
-    match value {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(v) => {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_owned()
-            }
-        }
-        Json::Str(s) => {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_json).collect();
-            format!("[{}]", inner.join(","))
-        }
-        Json::Obj(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{}:{}", render_json(&Json::Str(k.clone())), render_json(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        }
-    }
 }
 
 /// Worker-lane offset applied to server spans by [`stitch`], so the
@@ -650,7 +304,7 @@ pub const STITCH_SERVER_LANE_BASE: u32 = 100;
 /// When the two traces share span ids (the client must reserve a high
 /// id range via `subvt_engine::trace::raise_id_floor`), or when no
 /// server span references a client span (nothing to stitch).
-pub fn stitch(client: &TraceFile, server: &TraceFile) -> Result<TraceFile, String> {
+pub fn stitch(client: &TraceSnapshot, server: &TraceSnapshot) -> Result<TraceSnapshot, String> {
     let client_ids: HashSet<u64> = client.spans.iter().map(|s| s.id).collect();
     for s in &server.spans {
         if client_ids.contains(&s.id) {
@@ -661,7 +315,7 @@ pub fn stitch(client: &TraceFile, server: &TraceFile) -> Result<TraceFile, Strin
             ));
         }
     }
-    let client_by_id: HashMap<u64, &TraceSpan> = client.spans.iter().map(|s| (s.id, s)).collect();
+    let client_by_id: HashMap<u64, &SpanRecord> = client.spans.iter().map(|s| (s.id, s)).collect();
 
     // Matched pairs: server request roots naming a client span.
     let mut offsets: Vec<i128> = Vec::new();
@@ -692,7 +346,6 @@ pub fn stitch(client: &TraceFile, server: &TraceFile) -> Result<TraceFile, Strin
     let offset = offsets[offsets.len() / 2];
 
     let mut out = client.clone();
-    out.v = client.v.max(server.v);
     for s in &server.spans {
         let mut merged = s.clone();
         merged.start_us = (i128::from(s.start_us) + offset).max(0) as u64;
@@ -719,95 +372,35 @@ pub fn stitch(client: &TraceFile, server: &TraceFile) -> Result<TraceFile, Strin
         } else {
             name.clone()
         };
-        let mut hist = hist.clone();
-        hist.name = key.clone();
-        out.hists.insert(key, hist);
+        out.hists.insert(key, hist.clone());
     }
     Ok(out)
 }
 
-/// Writes a parsed (e.g. stitched) [`TraceFile`] as Chrome trace-event
-/// JSON — the same shape the engine's native sink emits, so Perfetto
-/// and [`parse_chrome`] both accept it. Lanes at or above
-/// [`STITCH_SERVER_LANE_BASE`] are labelled as server lanes.
+/// Lane labels of a stitched trace for [`TraceSnapshot::write_chrome`]:
+/// `client`/`client-worker-N` below [`STITCH_SERVER_LANE_BASE`],
+/// `server`/`server-worker-N` from it on.
+fn stitched_lane_label(lane: u32) -> String {
+    match lane {
+        0 => "client".to_owned(),
+        n if n < STITCH_SERVER_LANE_BASE => format!("client-worker-{}", n - 1),
+        STITCH_SERVER_LANE_BASE => "server".to_owned(),
+        n => format!("server-worker-{}", n - STITCH_SERVER_LANE_BASE - 1),
+    }
+}
+
+/// Writes a stitched trace as one Perfetto-loadable Chrome trace
+/// (process `subvt-stitched`, lanes labelled `client`/`client-worker-N`
+/// and `server`/`server-worker-N`).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_chrome_from(trace: &TraceFile, w: &mut impl std::io::Write) -> std::io::Result<()> {
-    write!(w, "{{\"traceEvents\":[")?;
-    let mut first = true;
-    let sep = |w: &mut dyn std::io::Write, first: &mut bool| -> std::io::Result<()> {
-        if *first {
-            *first = false;
-            writeln!(w)
-        } else {
-            writeln!(w, ",")
-        }
-    };
-    sep(w, &mut first)?;
-    write!(
-        w,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"ts\":0,\"dur\":0,\"args\":{{\"name\":\"subvt-stitched\"}}}}"
-    )?;
-    let mut lanes: Vec<u32> = trace.spans.iter().map(|s| s.worker).collect();
-    lanes.push(0);
-    lanes.sort_unstable();
-    lanes.dedup();
-    for lane in &lanes {
-        let label = if *lane == 0 {
-            "client".to_owned()
-        } else if *lane < STITCH_SERVER_LANE_BASE {
-            format!("client-worker-{}", lane - 1)
-        } else if *lane == STITCH_SERVER_LANE_BASE {
-            "server".to_owned()
-        } else {
-            format!("server-worker-{}", lane - STITCH_SERVER_LANE_BASE - 1)
-        };
-        sep(w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"ts\":0,\"dur\":0,\"args\":{{\"name\":{}}}}}",
-            render_json(&Json::Str(label))
-        )?;
-    }
-    for s in &trace.spans {
-        sep(w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":{},\"cat\":\"subvt\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":{},\"parent\":{}",
-            render_json(&Json::Str(s.name.clone())),
-            s.worker,
-            s.start_us,
-            s.dur_us,
-            s.id,
-            match s.parent {
-                Some(p) => p.to_string(),
-                None => "null".to_owned(),
-            }
-        )?;
-        for (k, v) in &s.attrs {
-            write!(
-                w,
-                ",{}:{}",
-                render_json(&Json::Str(k.clone())),
-                render_json(v)
-            )?;
-        }
-        write!(w, "}}}}")?;
-    }
-    for (name, value) in &trace.counters {
-        sep(w, &mut first)?;
-        write!(
-            w,
-            "{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"dur\":0,\"args\":{{\"value\":{}}}}}",
-            render_json(&Json::Str(name.clone())),
-            trace.wall_us,
-            value
-        )?;
-    }
-    writeln!(w)?;
-    writeln!(w, "],\"displayTimeUnit\":\"ms\"}}")
+pub fn write_stitched_chrome(
+    trace: &TraceSnapshot,
+    w: &mut impl std::io::Write,
+) -> std::io::Result<()> {
+    trace.write_chrome(w, "subvt-stitched", stitched_lane_label)
 }
 
 /// One line of the daemon's structured JSONL access log (`--access-log`;
@@ -847,13 +440,9 @@ pub fn parse_access_log(text: &str) -> Result<Vec<AccessRecord>, String> {
             continue;
         }
         let value = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let str_of = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or(format!("line {}: missing string `{key}`", lineno + 1))
-        };
+        let opt_str = |key: &str| value.get(key).and_then(Json::as_str).map(str::to_owned);
+        let str_of =
+            |key: &str| opt_str(key).ok_or(format!("line {}: missing string `{key}`", lineno + 1));
         let phases = match value.get("phases") {
             Some(Json::Obj(members)) => members
                 .iter()
@@ -864,17 +453,10 @@ pub fn parse_access_log(text: &str) -> Result<Vec<AccessRecord>, String> {
         out.push(AccessRecord {
             ts: str_of("ts")?,
             trace_id: str_of("trace_id")?,
-            id: value
-                .get("id")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned(),
+            id: opt_str("id").unwrap_or_default(),
             method: str_of("method")?,
             outcome: str_of("outcome")?,
-            cached: value
-                .get("cached")
-                .and_then(Json::as_str)
-                .map(str::to_owned),
+            cached: opt_str("cached"),
             span: value.get("span").and_then(Json::as_u64).unwrap_or(0),
             phases,
             total_us: value.get("total_us").and_then(Json::as_u64).unwrap_or(0),
@@ -976,7 +558,7 @@ struct ReportNode {
 
 fn build_nodes(
     span_ids: &[usize],
-    spans: &[TraceSpan],
+    spans: &[SpanRecord],
     children_of: &HashMap<u64, Vec<usize>>,
 ) -> Vec<ReportNode> {
     // Group sibling spans by name, preserving first-seen order.
@@ -1044,29 +626,9 @@ fn format_us(us: u64) -> String {
     }
 }
 
-/// Estimated quantile of a parsed histogram, mirroring the engine's
-/// bucket-walk estimator.
-fn hist_quantile(h: &TraceHist, q: f64) -> f64 {
-    if h.count == 0 {
-        return f64::NAN;
-    }
-    let target = (q.clamp(0.0, 1.0) * h.count as f64).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for (i, &c) in h.counts.iter().enumerate() {
-        cum += c;
-        if cum >= target {
-            return match h.bounds.get(i) {
-                Some(&b) => b.min(h.max),
-                None => h.max,
-            };
-        }
-    }
-    h.max
-}
-
 /// Renders the `repro trace-report` text: a span tree aggregated by name
 /// and sorted by self time, then counter, gauge and histogram tables.
-pub fn render_report(trace: &TraceFile) -> String {
+pub fn render_report(trace: &TraceSnapshot) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1122,17 +684,13 @@ pub fn render_report(trace: &TraceFile) -> String {
             "histogram", "count", "mean", "p50", "p95", "max"
         );
         for (name, h) in &trace.hists {
-            let mean = if h.count > 0 {
-                h.sum / h.count as f64
-            } else {
-                f64::NAN
-            };
             let _ = writeln!(
                 out,
-                "  {name:<44} {:>8} {mean:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+                "  {name:<44} {:>8} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
                 h.count,
-                hist_quantile(h, 0.5),
-                hist_quantile(h, 0.95),
+                h.mean(),
+                h.quantile(0.5),
+                h.quantile(0.95),
                 h.max
             );
         }
@@ -1234,22 +792,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_parser_handles_the_grammar() {
-        let v = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\n\"y","c":null,"d":true,"e":{}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"y"));
-        assert_eq!(v.get("c"), Some(&Json::Null));
-        assert_eq!(v.get("d"), Some(&Json::Bool(true)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("").is_err());
-    }
-
-    #[test]
     fn manifest_report_lists_failures_and_recoveries() {
         let manifest = parse_json(
             r#"{"v":2,"backend":"analytic","circuit_backend":"analytic","jobs":2,
@@ -1281,96 +823,136 @@ mod tests {
         assert!(report.contains("recoveries: none"));
     }
 
-    #[test]
-    fn jsonl_round_trip_from_engine_writer() {
+    /// The spans, counters and histograms of a parsed trace equal the
+    /// drained ones field by field (numeric attributes by value).
+    fn assert_same_trace(parsed: &TraceSnapshot, drained: &TraceSnapshot) {
+        assert_eq!(parsed.spans.len(), drained.spans.len());
+        for (p, d) in parsed.spans.iter().zip(&drained.spans) {
+            assert_eq!(
+                (p.id, p.parent, &p.name, p.start_us, p.dur_us, p.worker),
+                (d.id, d.parent, &d.name, d.start_us, d.dur_us, d.worker)
+            );
+            assert_eq!(p.attrs.len(), d.attrs.len(), "{}", d.name);
+            for ((pk, pv), (dk, dv)) in p.attrs.iter().zip(&d.attrs) {
+                assert_eq!(pk, dk);
+                match (pv, dv) {
+                    (AttrValue::F64(a), AttrValue::F64(b)) => {
+                        assert!(a == b || (a.is_nan() && b.is_nan()), "{pk}: {a} vs {b}");
+                    }
+                    (AttrValue::U64(a), AttrValue::F64(b)) => assert_eq!(*a as f64, *b, "{pk}"),
+                    _ => assert_eq!(pv, dv, "{pk}"),
+                }
+            }
+        }
+        assert_eq!(parsed.counters, drained.counters);
+        assert_eq!(parsed.hists, drained.hists);
+    }
+
+    fn traced_sample() -> subvt_engine::trace::Tracer {
         let tracer = subvt_engine::trace::Tracer::new();
         {
             let _outer = tracer.span("outer");
-            drop(tracer.span("inner").attr("k", 3u64));
+            drop(
+                tracer
+                    .span("inner")
+                    .attr("k", 3u64)
+                    .attr("neg", -2i64)
+                    .attr("x", 0.25)
+                    .attr("whole", 4.0)
+                    .attr("nan", f64::NAN)
+                    .attr("s", "a\"b")
+                    .attr("b", false),
+            );
         }
         tracer.add("c1", 7);
         tracer.observe_with("h1", 3.0, &[1.0, 5.0]);
+        tracer
+    }
+
+    #[test]
+    fn jsonl_round_trip_from_engine_writer() {
+        let tracer = traced_sample();
         let mut buf = Vec::new();
         tracer.write_jsonl(&mut buf).unwrap();
-        let trace = parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(trace.v, subvt_engine::trace::SCHEMA_VERSION);
-        assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.counters["c1"], 7);
-        assert_eq!(trace.hists["h1"].count, 1);
+        let text = std::str::from_utf8(&buf).unwrap();
+        let trace = parse_jsonl(text).unwrap();
+        assert_same_trace(&trace, &tracer.snapshot());
         validate(&trace).unwrap();
+        let meta = parse_json(text.lines().last().unwrap()).unwrap();
+        assert_eq!(
+            meta.get("v").and_then(Json::as_u64),
+            Some(subvt_engine::trace::SCHEMA_VERSION)
+        );
         let inner = trace.spans.iter().find(|s| s.name == "inner").unwrap();
         let outer = trace.spans.iter().find(|s| s.name == "outer").unwrap();
         assert_eq!(inner.parent, Some(outer.id));
+        assert_eq!(inner.attr_u64("k"), Some(3));
+        assert_eq!(inner.attr_str("s"), Some("a\"b"));
     }
 
     #[test]
     fn chrome_round_trip_from_engine_writer() {
-        let tracer = subvt_engine::trace::Tracer::new();
-        {
-            let _outer = tracer.span("outer");
-            drop(tracer.span("inner"));
-        }
-        tracer.add("c1", 2);
+        let tracer = traced_sample();
         let mut buf = Vec::new();
         tracer.write_chrome(&mut buf).unwrap();
         let events = parse_chrome(std::str::from_utf8(&buf).unwrap()).unwrap();
         // process_name + >=1 thread_name + 2 spans + 1 counter.
         assert!(events.len() >= 5, "{events:?}");
         assert!(events.iter().all(|e| e.pid == 1));
-        let trace = trace_from_chrome(&events);
-        assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.counters["c1"], 2);
+        let trace = trace_from_chrome(&events).unwrap();
+        let mut drained = tracer.snapshot();
+        // The Chrome form carries no histograms.
+        drained.hists.clear();
+        assert_same_trace(&trace, &drained);
         validate(&trace).unwrap();
     }
 
     #[test]
-    fn validate_rejects_broken_traces() {
-        let mut t = TraceFile::default();
-        t.spans.push(TraceSpan {
-            id: 1,
-            parent: Some(99),
-            name: "orphan".into(),
+    fn array_or_object_attributes_are_rejected_with_their_line() {
+        let text = concat!(
+            "{\"type\":\"span\",\"id\":1,\"parent\":null,\"name\":\"a\",",
+            "\"start_us\":0,\"dur_us\":1,\"worker\":0,\"attrs\":{}}\n",
+            "{\"type\":\"span\",\"id\":2,\"parent\":null,\"name\":\"b\",",
+            "\"start_us\":0,\"dur_us\":1,\"worker\":0,\"attrs\":{\"k\":[1]}}\n",
+        );
+        let err = parse_jsonl(text).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("`k`"), "{err}");
+        let events = parse_chrome(
+            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\
+             \"ts\":0,\"dur\":1,\"args\":{\"id\":1,\"o\":{}}}]}",
+        )
+        .unwrap();
+        assert!(trace_from_chrome(&events).unwrap_err().contains("event 0"));
+    }
+
+    fn record(id: u64, parent: Option<u64>, name: &str) -> SpanRecord {
+        SpanRecord {
+            id,
+            parent,
+            name: name.into(),
             start_us: 0,
             dur_us: 1,
             worker: 0,
             attrs: Vec::new(),
-        });
+        }
+    }
+
+    #[test]
+    fn validate_rejects_broken_traces() {
+        let mut t = TraceSnapshot::default();
+        t.spans.push(record(1, Some(99), "orphan"));
         assert!(validate(&t).unwrap_err().contains("unresolved"));
 
-        let mut t = TraceFile::default();
-        t.spans.push(TraceSpan {
-            id: 1,
-            parent: Some(2),
-            name: "a".into(),
-            start_us: 0,
-            dur_us: 1,
-            worker: 0,
-            attrs: Vec::new(),
-        });
-        t.spans.push(TraceSpan {
-            id: 2,
-            parent: Some(1),
-            name: "b".into(),
-            start_us: 0,
-            dur_us: 1,
-            worker: 0,
-            attrs: Vec::new(),
-        });
+        let mut t = TraceSnapshot::default();
+        t.spans.push(record(1, Some(2), "a"));
+        t.spans.push(record(2, Some(1), "b"));
         assert!(validate(&t).unwrap_err().contains("cycle"));
 
-        let mut t = TraceFile::default();
-        t.hists.insert(
-            "h".into(),
-            TraceHist {
-                name: "h".into(),
-                count: 3,
-                sum: 1.0,
-                min: 0.0,
-                max: 1.0,
-                bounds: vec![1.0],
-                counts: vec![1, 1],
-            },
-        );
+        let mut t = TraceSnapshot::default();
+        let mut h = Histogram::new(&[1.0]);
+        h.counts = vec![1, 1];
+        h.count = 3;
+        t.hists.insert("h".into(), h);
         assert!(validate(&t).unwrap_err().contains("sum to"));
     }
 
@@ -1397,37 +979,16 @@ mod tests {
         assert!(sub_line.contains(" 2 "), "{sub_line}");
     }
 
-    #[test]
-    fn render_json_round_trips_through_the_parser() {
-        let value = Json::Obj(vec![
-            ("s".into(), Json::Str("a\"b\\c\nd\u{1}".into())),
-            (
-                "a".into(),
-                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Num(-2.5)]),
-            ),
-            ("n".into(), Json::Num(42.0)),
-        ]);
-        let text = render_json(&value);
-        assert_eq!(parse_json(&text).unwrap(), value);
-    }
-
-    fn span(id: u64, parent: Option<u64>, name: &str, start_us: u64, dur_us: u64) -> TraceSpan {
-        TraceSpan {
-            id,
-            parent,
-            name: name.into(),
+    fn span(id: u64, parent: Option<u64>, name: &str, start_us: u64, dur_us: u64) -> SpanRecord {
+        SpanRecord {
             start_us,
             dur_us,
-            worker: 0,
-            attrs: Vec::new(),
+            ..record(id, parent, name)
         }
     }
 
-    fn stitch_fixture() -> (TraceFile, TraceFile) {
-        let mut client = TraceFile {
-            v: 2,
-            ..TraceFile::default()
-        };
+    fn stitch_fixture() -> (TraceSnapshot, TraceSnapshot) {
+        let mut client = TraceSnapshot::default();
         // Client epoch starts at 10_000µs; request span covers the wire
         // round-trip.
         client
@@ -1436,17 +997,13 @@ mod tests {
         client.wall_us = 12_000;
         client.counters.insert("loadgen.sent".into(), 1);
 
-        let mut server = TraceFile {
-            v: 2,
-            ..TraceFile::default()
-        };
+        let mut server = TraceSnapshot::default();
         // Server epoch is unrelated: its 500µs request span sits at
         // 777_000µs of its own trace.
         let mut req = span(7, None, "serve.request", 777_000, 500);
         req.attrs
-            .push(("client_span".into(), Json::Num((1u64 << 32) as f64)));
-        req.attrs
-            .push(("trace_id".into(), Json::Str("lg-1".into())));
+            .push(("client_span".into(), AttrValue::U64(1 << 32)));
+        req.attrs.push(("trace_id".into(), "lg-1".into()));
         server.spans.push(req);
         server.spans.push(span(8, Some(7), "compute", 777_100, 300));
         server.wall_us = 777_500;
@@ -1495,17 +1052,75 @@ mod tests {
     fn stitched_chrome_export_round_trips() {
         let (client, server) = stitch_fixture();
         let stitched = stitch(&client, &server).unwrap();
-        let mut buf = Vec::new();
-        write_chrome_from(&stitched, &mut buf).unwrap();
-        let text = std::str::from_utf8(&buf).unwrap();
-        let events = parse_chrome(text).unwrap();
-        let reparsed = trace_from_chrome(&events);
+        let events = parse_chrome(&stitched_export(&stitched)).unwrap();
+        let reparsed = trace_from_chrome(&events).unwrap();
         validate(&reparsed).unwrap();
         assert_eq!(reparsed.spans.len(), stitched.spans.len());
         let req = reparsed.spans.iter().find(|s| s.id == 7).unwrap();
         assert_eq!(req.parent, Some(1 << 32));
         assert_eq!(req.attr_str("trace_id"), Some("lg-1"));
         assert_eq!(reparsed.counters["serve.accepted"], 1);
+    }
+
+    /// What the stitched export wrote for this trace before it shared
+    /// the engine's Chrome writer.
+    const GOLDEN_STITCHED: &str = r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0,"dur":0,"args":{"name":"subvt-stitched"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0,"dur":0,"args":{"name":"client"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2,"ts":0,"dur":0,"args":{"name":"client-worker-1"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":100,"ts":0,"dur":0,"args":{"name":"server"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":101,"ts":0,"dur":0,"args":{"name":"server-worker-0"}},
+{"name":"client.request","cat":"subvt","ph":"X","pid":1,"tid":0,"ts":10,"dur":500,"args":{"id":4294967296,"parent":null,"u":7,"i":-3,"f":2.5,"s":"a\"b\n","b":true}},
+{"name":"client.encode","cat":"subvt","ph":"X","pid":1,"tid":2,"ts":20,"dur":30,"args":{"id":4294967297,"parent":4294967296}},
+{"name":"serve.request","cat":"subvt","ph":"X","pid":1,"tid":100,"ts":100,"dur":200,"args":{"id":7,"parent":4294967296,"client_span":4294967296,"nan":null}},
+{"name":"compute","cat":"subvt","ph":"X","pid":1,"tid":101,"ts":120,"dur":100,"args":{"id":8,"parent":7}},
+{"name":"loadgen.sent","ph":"C","pid":1,"tid":0,"ts":600,"dur":0,"args":{"value":2}},
+{"name":"serve.accepted","ph":"C","pid":1,"tid":0,"ts":600,"dur":0,"args":{"value":1}}
+],"displayTimeUnit":"ms"}
+"#;
+
+    fn stitched_export(trace: &TraceSnapshot) -> String {
+        let mut buf = Vec::new();
+        write_stitched_chrome(trace, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn stitched_export_matches_the_golden_bytes() {
+        let sp =
+            |id, parent, name, start_us, dur_us, worker, attrs: &[(&str, AttrValue)]| SpanRecord {
+                worker,
+                attrs: attrs
+                    .iter()
+                    .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                    .collect(),
+                ..span(id, parent, name, start_us, dur_us)
+            };
+        let client = 1 << 32;
+        // One attribute of each `AttrValue` kind, plus a NaN float.
+        let kinds = [
+            ("u", 7u64.into()),
+            ("i", (-3i64).into()),
+            ("f", 2.5.into()),
+            ("s", "a\"b\n".into()),
+            ("b", true.into()),
+        ];
+        let served = [("client_span", client.into()), ("nan", f64::NAN.into())];
+        let trace = TraceSnapshot {
+            spans: vec![
+                sp(client, None, "client.request", 10, 500, 0, &kinds),
+                sp(client + 1, Some(client), "client.encode", 20, 30, 2, &[]),
+                sp(7, Some(client), "serve.request", 100, 200, 100, &served),
+                sp(8, Some(7), "compute", 120, 100, 101, &[]),
+            ],
+            counters: [("serve.accepted".into(), 1), ("loadgen.sent".into(), 2)].into(),
+            wall_us: 600,
+            ..TraceSnapshot::default()
+        };
+        assert_eq!(stitched_export(&trace), GOLDEN_STITCHED);
+        // Reading the export back and writing it again is the identity.
+        let reread = trace_from_chrome(&parse_chrome(GOLDEN_STITCHED).unwrap()).unwrap();
+        assert_eq!(stitched_export(&reread), GOLDEN_STITCHED);
     }
 
     #[test]

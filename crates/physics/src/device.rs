@@ -20,7 +20,6 @@ use subvt_units::MilliVoltsPerDecade;
 
 /// Carrier-type polarity of a MOSFET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeviceKind {
     /// n-channel device (electron conduction, p-type body).
     Nfet,
@@ -43,7 +42,6 @@ impl core::fmt::Display for DeviceKind {
 /// the node pitch (sub-V_th rule) is decided by the scaling flows in
 /// `subvt-core`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceGeometry {
     /// Physical (post-etch) gate length — the paper's `L_poly`.
     pub l_poly: Nanometers,
@@ -78,7 +76,6 @@ impl DeviceGeometry {
 /// Complete description of one transistor at one operating point — the
 /// paper's §2.2 model: four scaling parameters plus `V_dd`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceParams {
     /// Polarity.
     pub kind: DeviceKind,
@@ -176,7 +173,6 @@ impl subvt_engine::Keyed for DeviceParams {
 /// characterized device. All currents and capacitances are per micron of
 /// gate width.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceCharacteristics {
     /// Effective channel length.
     pub l_eff: Nanometers,

@@ -19,8 +19,9 @@
 //! logged. Lines are appended and flushed one at a time, so the log
 //! tails cleanly and survives crashes up to the last request.
 //!
-//! The counterpart parser/renderer lives in `subvt_exp::tracefmt`
-//! (`parse_access_log` / `render_access_report`), which `repro
+//! Lines are written with `subvt_engine::json::json_str` and read back
+//! by `subvt_exp::tracefmt` (`parse_access_log`, through the parser in
+//! `subvt_engine::json`, and `render_access_report`), which `repro
 //! trace-report` applies when it sniffs an access-log file.
 
 use std::fs::{File, OpenOptions};

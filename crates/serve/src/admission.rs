@@ -161,7 +161,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subvt_exp::tracefmt::parse_json;
+    use subvt_engine::json::parse_json;
 
     fn job(tag: &str, method: &str, params: &str) -> (Job, mpsc::Receiver<String>) {
         let (tx, rx) = mpsc::channel();

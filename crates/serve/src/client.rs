@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use subvt_exp::tracefmt::{parse_json, Json};
+use subvt_engine::json::{parse_json, Json};
 
 /// One parsed response line.
 #[derive(Debug, Clone)]

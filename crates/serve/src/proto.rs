@@ -24,7 +24,7 @@
 //! `"result":` and the final `}` — no JSON round-trip required (floats
 //! would not survive one). [`crate::Client`] relies on this.
 
-use subvt_exp::tracefmt::{self, Json};
+use subvt_engine::json::{parse_json, Json};
 
 /// Typed reasons a request fails. The wire form is the snake_case
 /// string from [`ErrorCode::as_str`].
@@ -116,7 +116,7 @@ pub struct Request {
 /// envelope members are missing/mistyped; the caller answers with
 /// [`ErrorCode::BadRequest`].
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let json = tracefmt::parse_json(line.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
+    let json = parse_json(line.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
     let id = match json.get("id") {
         Some(Json::Str(s)) => s.clone(),
         Some(Json::Num(n)) => fmt_f64(*n),
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn error_lines_carry_typed_codes() {
         let line = error_line("r2", ErrorCode::Overloaded, "queue full");
-        let json = tracefmt::parse_json(&line).unwrap();
+        let json = parse_json(&line).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
         let err = json.get("error").unwrap();
         assert_eq!(err.get("code").and_then(Json::as_str), Some("overloaded"));

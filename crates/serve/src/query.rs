@@ -20,8 +20,8 @@ use subvt_circuits::topology::{
 use subvt_core::roadmap::TechNode;
 use subvt_core::strategy::NodeDesign;
 use subvt_engine::cache::Blob;
+use subvt_engine::json::Json;
 use subvt_engine::KeyBuilder;
-use subvt_exp::tracefmt::Json;
 use subvt_exp::Study;
 use subvt_model::Backend;
 use subvt_physics::device::{DeviceCharacteristics, DeviceKind, DeviceParams};
@@ -1198,7 +1198,7 @@ pub fn compute(q: &Query) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subvt_exp::tracefmt::parse_json;
+    use subvt_engine::json::parse_json;
 
     fn q(method: &str, params: &str) -> Result<Query, (ErrorCode, String)> {
         Query::from_request(method, &parse_json(params).unwrap())

@@ -4,8 +4,13 @@
 //! Threading model — three kinds of threads, decoupled by the
 //! [`Admission`] queue:
 //!
-//! * The **accept loop** (one thread) hands each TCP connection to a
-//!   detached connection thread and watches the shutdown flag.
+//! * The **accept loop** (one thread) blocks in `accept` and hands
+//!   each TCP connection to a detached connection thread, so a new
+//!   connection is picked up the moment it arrives and an idle daemon
+//!   does no work. Shutdown ([`Server::shutdown`] or the `shutdown`
+//!   method) raises a flag and wakes the loop with one throwaway
+//!   loopback connection; SIGINT/SIGTERM are polled by
+//!   [`Server::join`], off the request path, which then does the same.
 //! * **Connection threads** (one per client) parse request lines,
 //!   answer admin methods inline (`ping`, `metrics`, `healthz`,
 //!   `shutdown`), and submit compute methods to the admission queue —
@@ -24,7 +29,7 @@
 //! restarts answer from disk without recomputing anything.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -53,6 +58,13 @@ const MAX_HTTP_LINE: usize = 8 << 10;
 
 /// Upper bound on the number of HTTP header lines drained.
 const MAX_HTTP_HEADERS: usize = 100;
+
+/// Pause after a failed `accept` (e.g. out of file descriptors), so
+/// the loop backs off instead of spinning.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
+/// How often [`Server::join`] checks for a shutdown signal.
+const SIGNAL_POLL: Duration = Duration::from_millis(20);
 
 /// Server configuration. `Default` is tuned for tests and local use.
 #[derive(Debug, Clone)]
@@ -116,6 +128,9 @@ struct Shared {
     admission: Admission,
     supervisor: Supervisor,
     shutdown: AtomicBool,
+    /// Where a loopback connect reaches the listener, to wake the
+    /// blocking accept loop.
+    wake_addr: SocketAddr,
     inflight: AtomicI64,
     deadline: Duration,
     observatory: Observatory,
@@ -124,6 +139,13 @@ struct Shared {
 }
 
 impl Shared {
+    /// Raises the shutdown flag and wakes the accept loop, which is
+    /// blocked in `accept`, with a throwaway connection.
+    fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
     fn shutting_down(&self, watch_signals: bool) -> bool {
         self.shutdown.load(Ordering::SeqCst) || (watch_signals && signal::shutdown_requested())
     }
@@ -150,6 +172,7 @@ pub struct Server {
     workers: Vec<std::thread::JoinHandle<()>>,
     cache: Mutex<Option<CacheSession>>,
     drain_grace: Duration,
+    watch_signals: bool,
 }
 
 impl Server {
@@ -171,8 +194,14 @@ impl Server {
             None => None,
         };
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let shared = Arc::new(Shared {
             admission: Admission::new(config.queue_capacity),
@@ -181,6 +210,7 @@ impl Server {
                 deadline: Some(config.deadline),
             }),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             inflight: AtomicI64::new(0),
             deadline: config.deadline,
             observatory: Observatory::new(config.window_secs, config.slos.clone()),
@@ -200,10 +230,9 @@ impl Server {
 
         let accept = {
             let shared = Arc::clone(&shared);
-            let watch_signals = config.watch_signals;
             std::thread::Builder::new()
                 .name("serve-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &shared, watch_signals))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn accept loop")
         };
 
@@ -214,6 +243,7 @@ impl Server {
             workers,
             cache: Mutex::new(cache),
             drain_grace: config.drain_grace,
+            watch_signals: config.watch_signals,
         })
     }
 
@@ -226,7 +256,7 @@ impl Server {
     /// new work with `shutting_down`, drain in-flight computes.
     /// Returns immediately; [`Server::join`] completes the drain.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.request_shutdown();
     }
 
     /// Blocks until the server exits (signal, `shutdown` method, or
@@ -240,6 +270,15 @@ impl Server {
     /// I/O errors from the final compaction.
     pub fn join(mut self) -> std::io::Result<()> {
         if let Some(accept) = self.accept.take() {
+            // The accept loop blocks in `accept`; a signal only sets a
+            // flag, so turn it into a wake-up from here. Re-waking
+            // while the loop is still running is harmless.
+            while !accept.is_finished() {
+                if self.shared.shutting_down(self.watch_signals) {
+                    self.shared.request_shutdown();
+                }
+                std::thread::sleep(SIGNAL_POLL);
+            }
             let _ = accept.join();
         }
         // In-flight computes are bounded by the supervisor deadline;
@@ -274,13 +313,13 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, watch_signals: bool) {
-    loop {
-        if shared.shutting_down(watch_signals) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match stream {
+            Ok(stream) => {
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".to_owned())
@@ -288,10 +327,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, watch_signals: bool
                         let _ = handle_conn(&shared, stream);
                     });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Typed rejection for everything admitted but not yet started —
@@ -462,7 +498,7 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
         "healthz" => proto::ok_line(&req.id, None, "{\"status\":\"ok\"}"),
         "metrics" => proto::ok_line(&req.id, None, &metrics_json()),
         "shutdown" => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.request_shutdown();
             signal::request_shutdown();
             proto::ok_line(&req.id, None, "{\"shutting_down\":true}")
         }
@@ -1180,6 +1216,7 @@ mod tests {
                 deadline: None,
             }),
             shutdown: AtomicBool::new(false),
+            wake_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             inflight: AtomicI64::new(0),
             deadline: Duration::from_secs(1),
             observatory: Observatory::new(30, slos),

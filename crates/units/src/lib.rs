@@ -53,7 +53,6 @@ macro_rules! impl_unit {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name(f64);
 
         impl $name {

@@ -19,7 +19,6 @@ use crate::Volts;
 /// assert!((floor - 59.5).abs() < 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Temperature(f64);
 
 impl Temperature {

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use subvt_exp::tracefmt::{self, Json};
+use subvt_engine::json::{parse_json, Json};
 use subvt_exp::ALL_EXPERIMENTS;
 
 fn repro() -> Command {
@@ -31,7 +31,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn read_manifest(path: &PathBuf) -> Json {
     let text = std::fs::read_to_string(path).expect("manifest written");
-    tracefmt::parse_json(text.trim()).expect("manifest is valid JSON")
+    parse_json(text.trim()).expect("manifest is valid JSON")
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use subvt_exp::tracefmt;
+use subvt_engine::json::{parse_json, Json};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -94,7 +94,7 @@ fn fleet_with_injected_sigkill_matches_single_process_byte_for_byte() {
     // (c) The merged manifest carries the crash evidence: a restart,
     // the reclaimed lease, and the quarantined torn tail.
     let manifest_text = std::fs::read_to_string(&manifest_path).unwrap();
-    let manifest = tracefmt::parse_json(manifest_text.trim()).expect("fleet manifest parses");
+    let manifest = parse_json(manifest_text.trim()).expect("fleet manifest parses");
     let fleet = manifest.get("fleet").expect("manifest has a fleet block");
     let num = |name: &str| {
         fleet
@@ -248,16 +248,16 @@ fn fleet_manifest_records_the_study_it_forwarded() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&manifest_path).expect("fleet manifest written");
-    let manifest = tracefmt::parse_json(text.trim()).expect("manifest is valid JSON");
-    let circuit = |m: &tracefmt::Json| {
+    let manifest = parse_json(text.trim()).expect("manifest is valid JSON");
+    let circuit = |m: &Json| {
         m.get("circuit_backend")
-            .and_then(tracefmt::Json::as_str)
+            .and_then(Json::as_str)
             .map(str::to_owned)
     };
     assert_eq!(circuit(&manifest).as_deref(), Some("spice"));
     let workers = manifest
         .get("workers")
-        .and_then(tracefmt::Json::as_arr)
+        .and_then(Json::as_arr)
         .expect("worker manifests embedded");
     assert!(!workers.is_empty());
     for worker in workers {

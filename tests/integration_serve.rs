@@ -209,6 +209,30 @@ fn graceful_shutdown_rejects_new_work_and_persists_the_cache() {
     signal::reset_for_tests();
 }
 
+/// A fresh connection is served as soon as it arrives: the accept loop
+/// blocks in `accept` rather than polling with a sleep, which stalled
+/// each new connection by up to one poll interval (20 sequential
+/// fresh-connection pings took about 386 ms that way).
+#[test]
+fn fresh_connections_are_accepted_without_a_polling_stall() {
+    let _guard = serial();
+    let server = start(Config::default());
+    let addr = server.addr();
+    std::thread::sleep(Duration::from_millis(50)); // let it go idle
+    let started = Instant::now();
+    for _ in 0..20 {
+        let mut client = Client::connect(addr).expect("connect");
+        assert!(client.call("ping", "{}").expect("ping").ok);
+    }
+    let took = started.elapsed();
+    server.shutdown();
+    server.join().expect("join");
+    assert!(
+        took < Duration::from_millis(150),
+        "20 fresh-connection pings took {took:?}"
+    );
+}
+
 #[test]
 fn http_shim_serves_healthz_and_metrics() {
     let _guard = serial();
@@ -274,7 +298,7 @@ fn warm_restart_answers_from_cache_with_zero_new_misses() {
         let counter = |name: &str| -> f64 {
             json.get("counters")
                 .and_then(|c| c.get(name))
-                .and_then(subvt_exp::tracefmt::Json::as_f64)
+                .and_then(subvt_engine::json::Json::as_f64)
                 .unwrap_or(0.0)
         };
         assert_eq!(
@@ -420,7 +444,7 @@ fn wire_trace_context_stitches_into_one_parent_linked_tree() {
     assert_eq!(records.len(), calls.len(), "one line per compute request");
     let server_text = std::fs::read_to_string(&trace_path).expect("server trace");
     let events = tracefmt::parse_chrome(&server_text).expect("server trace parses");
-    let server = tracefmt::trace_from_chrome(&events);
+    let server = tracefmt::trace_from_chrome(&events).expect("server trace lifts");
     for rec in &records {
         let span = server
             .spans
@@ -436,21 +460,20 @@ fn wire_trace_context_stitches_into_one_parent_linked_tree() {
 
     // Build the client-side trace file from this process's tracer,
     // keeping only this test's spans (the suite shares the tracer).
-    let mut client_trace = tracefmt::TraceFile::default();
-    let snap = subvt_engine::trace::global().snapshot();
-    for s in &snap.spans {
-        if client_span_ids.contains(&s.id) {
-            client_trace.spans.push(tracefmt::TraceSpan {
-                id: s.id,
+    let client_trace = subvt_engine::trace::TraceSnapshot {
+        spans: subvt_engine::trace::global()
+            .snapshot()
+            .spans
+            .into_iter()
+            .filter(|s| client_span_ids.contains(&s.id))
+            .map(|s| subvt_engine::trace::SpanRecord {
                 parent: None,
-                name: s.name.clone(),
-                start_us: s.start_us,
-                dur_us: s.dur_us,
-                worker: s.worker,
                 attrs: Vec::new(),
-            });
-        }
-    }
+                ..s
+            })
+            .collect(),
+        ..Default::default()
+    };
     assert_eq!(client_trace.spans.len(), calls.len());
 
     let stitched = tracefmt::stitch(&client_trace, &server).expect("stitch");
@@ -556,7 +579,7 @@ fn wait_for_gauge(addr: std::net::SocketAddr, name: &str, want: f64) {
         let got = json
             .get("gauges")
             .and_then(|g| g.get(name))
-            .and_then(subvt_exp::tracefmt::Json::as_f64)
+            .and_then(subvt_engine::json::Json::as_f64)
             .unwrap_or(0.0);
         (got >= want).then_some(())
     });

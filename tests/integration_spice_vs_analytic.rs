@@ -314,7 +314,7 @@ fn spice_montecarlo_counts_every_dc_solve() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&bench).expect("bench artifact written");
-    let json = subvt_exp::tracefmt::parse_json(text.trim()).expect("valid JSON");
+    let json = subvt_engine::json::parse_json(text.trim()).expect("valid JSON");
     let counter = |name: &str| {
         json.get("counters")
             .and_then(|c| c.get(name))

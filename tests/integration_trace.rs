@@ -7,23 +7,34 @@
 //! These tests share one process-global tracer and may interleave, so
 //! assertions are monotone ("at least", "contains") rather than exact.
 
-use subvt_exp::tracefmt::{self, TraceFile};
+use subvt_engine::json::{parse_json, Json};
+use subvt_engine::trace::TraceSnapshot;
+use subvt_exp::tracefmt;
 use subvt_exp::{report, Study};
 
-fn global_jsonl() -> TraceFile {
+fn global_jsonl_text() -> String {
     let mut buf = Vec::new();
     subvt_engine::trace::global()
         .write_jsonl(&mut buf)
         .expect("in-memory write");
-    tracefmt::parse_jsonl(std::str::from_utf8(&buf).expect("utf8")).expect("jsonl parses")
+    String::from_utf8(buf).expect("utf8")
+}
+
+fn global_jsonl() -> TraceSnapshot {
+    tracefmt::parse_jsonl(&global_jsonl_text()).expect("jsonl parses")
 }
 
 #[test]
 fn jsonl_sink_round_trips_with_valid_structure() {
     Study::default().run("table1").expect("table1 runs");
     Study::default().run("fig7").expect("fig7 runs");
-    let trace = global_jsonl();
-    assert_eq!(trace.v, subvt_engine::trace::SCHEMA_VERSION);
+    let text = global_jsonl_text();
+    let trace = tracefmt::parse_jsonl(&text).expect("jsonl parses");
+    let meta = parse_json(text.lines().last().expect("meta line")).expect("meta parses");
+    assert_eq!(
+        meta.get("v").and_then(Json::as_u64),
+        Some(subvt_engine::trace::SCHEMA_VERSION)
+    );
     tracefmt::validate(&trace).expect("invariants hold");
     assert!(
         trace.spans.iter().any(|s| s.name == "experiment.table1"),
@@ -88,7 +99,7 @@ fn chrome_sink_round_trips_with_required_fields() {
     assert!(events
         .iter()
         .any(|e| e.ph == "M" && e.name == "thread_name"));
-    let trace = tracefmt::trace_from_chrome(&events);
+    let trace = tracefmt::trace_from_chrome(&events).expect("chrome events lift");
     tracefmt::validate(&trace).expect("invariants hold");
     assert!(trace.spans.iter().any(|s| s.name == "experiment.fig8"));
 }
@@ -107,7 +118,7 @@ fn manifest_describes_the_run() {
     Study::default().run("fig7").expect("fig7 runs");
     let mut buf = Vec::new();
     report::write_manifest(&mut buf, &Study::default(), &[]).expect("in-memory write");
-    let manifest = tracefmt::parse_json(std::str::from_utf8(&buf).expect("utf8").trim())
+    let manifest = parse_json(std::str::from_utf8(&buf).expect("utf8").trim())
         .expect("manifest is one valid JSON object");
     assert_eq!(manifest.get("v").unwrap().as_u64(), Some(2));
     assert_eq!(
