@@ -285,13 +285,24 @@ pub fn corrupt_point(line: &mut String) {
     }
 }
 
+/// Serializes the engine's tests that arm the process-global plan or
+/// run supervised jobs (whose `panic_point` reads that plan), so one
+/// test's plan never fires inside another's jobs.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // The harness is process-global state shared with other engine
-    // tests, so every test here restores the disarmed default before it
-    // returns.
+    // tests, so every test here that arms it holds `test_serial` and
+    // restores the disarmed default before it returns.
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
@@ -307,6 +318,7 @@ mod tests {
 
     #[test]
     fn disarmed_harness_never_fires() {
+        let _serial = test_serial();
         configure(None);
         for _ in 0..64 {
             assert!(!should_inject(FaultSite::JobPanic));
@@ -316,6 +328,7 @@ mod tests {
 
     #[test]
     fn armed_schedule_is_deterministic_per_seed() {
+        let _serial = test_serial();
         let plan = FaultPlan {
             p_diverge: 0.5,
             ..FaultPlan::quiet(1234)
@@ -337,6 +350,7 @@ mod tests {
 
     #[test]
     fn sites_draw_independent_streams() {
+        let _serial = test_serial();
         let plan = FaultPlan {
             p_panic: 0.5,
             p_diverge: 0.5,
@@ -356,6 +370,7 @@ mod tests {
 
     #[test]
     fn corrupt_point_truncates_when_certain() {
+        let _serial = test_serial();
         configure(Some(FaultPlan {
             p_corrupt: 1.0,
             ..FaultPlan::quiet(5)

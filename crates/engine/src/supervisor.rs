@@ -237,6 +237,7 @@ mod tests {
 
     #[test]
     fn happy_path_runs_once_without_records() {
+        let _serial = faultinject::test_serial();
         let sup = Supervisor::new(RetryPolicy::default());
         let ex = executor();
         let calls = Arc::new(AtomicU32::new(0));
@@ -252,6 +253,7 @@ mod tests {
 
     #[test]
     fn supervised_jobs_record_an_exec_job_span_under_the_caller() {
+        let _serial = faultinject::test_serial();
         let sup = Supervisor::new(RetryPolicy::default());
         let ex = executor();
         let root_id;
@@ -274,6 +276,7 @@ mod tests {
 
     #[test]
     fn persistent_panic_exhausts_attempts_and_quarantines() {
+        let _serial = faultinject::test_serial();
         crate::recovery::drain();
         let sup = Supervisor::new(RetryPolicy {
             max_attempts: 3,
@@ -315,6 +318,7 @@ mod tests {
 
     #[test]
     fn transient_panic_recovers_on_retry() {
+        let _serial = faultinject::test_serial();
         let sup = Supervisor::new(RetryPolicy {
             max_attempts: 3,
             deadline: None,
@@ -335,6 +339,7 @@ mod tests {
 
     #[test]
     fn deadline_overrun_is_reported_and_retried() {
+        let _serial = faultinject::test_serial();
         let sup = Supervisor::new(RetryPolicy {
             max_attempts: 2,
             deadline: Some(Duration::from_millis(5)),
@@ -353,6 +358,7 @@ mod tests {
 
     #[test]
     fn injected_panics_are_recovered_by_retry() {
+        let _serial = faultinject::test_serial();
         // p=1 for the first call only is not expressible, so use a
         // certain-fire plan and rely on retries: with p=0.45 and three
         // attempts the chance all three fire is ~9%; fix the seed so the

@@ -2,8 +2,8 @@
 //!
 //! Circuit matrices in this workspace are small (tens of unknowns), so a
 //! dense LU with partial pivoting is both the simplest and the fastest
-//! appropriate choice. The sparse machinery for large PDE systems lives in
-//! `subvt-tcad`, not here.
+//! appropriate choice. The PDE systems of `subvt-tcad` use that crate's
+//! banded LU instead.
 //!
 //! The factorization is split out as [`LuFactors`] so Newton iterations
 //! and sweep/sample points can reuse work: factor once, re-solve for any

@@ -1,11 +1,16 @@
-//! Banded LU solver (no pivoting) for the continuity systems.
+//! Banded LU solver (no pivoting): the crate's one linear solver, used
+//! for both halves of the Gummel loop.
 //!
-//! Grid-ordered finite-volume matrices have half-bandwidth `nx`; the
+//! Both systems number their unknowns along the mesh's shorter axis
+//! (see [`crate::mesh::BandOrder`]), so the half-bandwidth is the
+//! depth of the meshed region rather than its lateral node count. The
 //! drift-diffusion continuity matrix is an irreducibly diagonally
-//! dominant M-matrix, so elimination without pivoting is stable. A
+//! dominant M-matrix, and the Poisson Newton Jacobian is the negative of
+//! one (a finite-volume Laplacian whose diagonal the carrier term only
+//! strengthens), so elimination without pivoting is stable for both. A
 //! direct solve also side-steps the enormous dynamic range of carrier
 //! densities (1e2…1e20 cm⁻³) that makes iterative residual tests
-//! unreliable for this system.
+//! unreliable for the continuity system.
 
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the textbook algorithms
 
@@ -120,40 +125,40 @@ impl BandedMatrix {
     /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve_in_place(mut self, b: &mut [f64]) -> Result<Vec<f64>, ZeroPivotError> {
         assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let bw = self.bw;
+        let (n, bw) = (self.n, self.bw);
+        let w = 2 * bw + 1;
+        // Row `r` is the slice `data[r·w..(r+1)·w]` and its slot `s`
+        // holds column `r + s − bw`: the diagonal sits at slot `bw`, and
+        // column `k` of row `k + d` at slot `bw − d`.
         for k in 0..n {
-            let pivot = self.get(k, k);
+            let reach = bw.min(n - 1 - k);
+            let (head, tail) = self.data.split_at_mut((k + 1) * w);
+            let pivot_row = &head[k * w..];
+            let pivot = pivot_row[bw];
             if pivot.abs() < 1e-300 {
                 return Err(ZeroPivotError { row: k });
             }
-            let hi = (k + bw).min(n - 1);
-            for row in (k + 1)..=hi {
-                let factor = self.get(row, k) / pivot;
+            let upper = &pivot_row[bw + 1..=bw + reach];
+            for (d, row) in (1..=reach).zip(tail.chunks_exact_mut(w)) {
+                let factor = row[bw - d] / pivot;
                 if factor == 0.0 {
                     continue;
                 }
-                for col in (k + 1)..=(k + bw).min(n - 1) {
-                    let v = self.get(row, col) - factor * self.get(k, col);
-                    if let Some(s) = self.slot(row, col) {
-                        self.data[s] = v;
-                    }
+                for (a, u) in row[bw + 1 - d..=bw + reach - d].iter_mut().zip(upper) {
+                    *a -= factor * u;
                 }
-                b[row] -= factor * b[k];
-                if let Some(s) = self.slot(row, k) {
-                    self.data[s] = 0.0;
-                }
+                b[k + d] -= factor * b[k];
             }
         }
         // Back substitution.
         let mut x = vec![0.0; n];
-        for k in (0..n).rev() {
+        for (k, row) in self.data.chunks_exact(w).enumerate().rev() {
+            let reach = bw.min(n - 1 - k);
             let mut acc = b[k];
-            let hi = (k + bw).min(n - 1);
-            for col in (k + 1)..=hi {
-                acc -= self.get(k, col) * x[col];
+            for (a, xc) in row[bw + 1..=bw + reach].iter().zip(&x[k + 1..=k + reach]) {
+                acc -= a * xc;
             }
-            x[k] = acc / self.get(k, k);
+            x[k] = acc / row[bw];
         }
         Ok(x)
     }
@@ -162,8 +167,73 @@ impl BandedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
+
+    /// Uniform sample in `[lo, hi)`.
+    fn uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * rng.next_f64()
+    }
+
+    /// A random row-diagonally-dominant banded matrix: every in-band
+    /// off-diagonal uniform in `[-1, 1)`, each diagonal its row's
+    /// off-diagonal magnitude sum plus `[0.5, 1.5)` with a random sign.
+    /// Rows listed in `dirichlet` are identity rows, as contacts are.
+    fn random_dominant(
+        rng: &mut SplitMix64,
+        n: usize,
+        bw: usize,
+        dirichlet: &[usize],
+    ) -> BandedMatrix {
+        let mut m = BandedMatrix::zeros(n, bw);
+        for i in 0..n {
+            if dirichlet.contains(&i) {
+                m.set(i, i, 1.0);
+                continue;
+            }
+            let mut diag = uniform(rng, 0.5, 1.5);
+            for j in i.saturating_sub(bw)..=(i + bw).min(n - 1) {
+                if i != j {
+                    let v = uniform(rng, -1.0, 1.0);
+                    m.set(i, j, v);
+                    diag += v.abs();
+                }
+            }
+            let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
+            m.set(i, i, sign * diag);
+        }
+        m
+    }
+
+    /// Reference solve: dense Gaussian elimination with partial pivoting.
+    fn dense_solve(m: &BandedMatrix, b: &[f64]) -> Vec<f64> {
+        let n = m.len();
+        let mut a: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..n).map(|j| m.get(i, j)).collect())
+            .collect();
+        let mut b = b.to_vec();
+        for k in 0..n {
+            let p = (k..n)
+                .max_by(|&r, &s| a[r][k].abs().total_cmp(&a[s][k].abs()))
+                .unwrap();
+            a.swap(k, p);
+            b.swap(k, p);
+            let (top, below) = a.split_at_mut(k + 1);
+            let pivot = &top[k];
+            for (r, row) in (k + 1..n).zip(below) {
+                let f = row[k] / pivot[k];
+                for (x, p) in row[k..].iter_mut().zip(&pivot[k..]) {
+                    *x -= f * p;
+                }
+                b[r] -= f * b[k];
+            }
+        }
+        let mut x = vec![0.0; n];
+        for k in (0..n).rev() {
+            let tail: f64 = (k + 1..n).map(|c| a[k][c] * x[c]).sum();
+            x[k] = (b[k] - tail) / a[k][k];
+        }
+        x
+    }
 
     #[test]
     fn tridiagonal_poisson() {
@@ -253,36 +323,54 @@ mod tests {
         assert_eq!(m.get(0, 4), 0.0);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn solves_random_dominant_banded(
-            offd in proptest::collection::vec(-1.0f64..1.0, 40),
-            rhs in proptest::collection::vec(-3.0f64..3.0, 10),
-        ) {
-            let n = 10;
-            let bw = 2;
-            let mut m = BandedMatrix::zeros(n, bw);
-            let mut k = 0;
-            for i in 0..n {
-                let mut diag = 1.0;
-                for j in i.saturating_sub(bw)..=(i + bw).min(n - 1) {
-                    if i != j {
-                        let v = offd[k % offd.len()];
-                        k += 1;
-                        m.set(i, j, v);
-                        diag += v.abs();
-                    }
-                }
-                m.set(i, i, diag);
-            }
-            let m_copy = m.clone();
+    #[test]
+    fn solves_random_dominant_banded() {
+        for case in 0..256 {
+            let mut rng = SplitMix64::stream(0xba2d, case);
+            let (n, bw) = (10, 2);
+            let m = random_dominant(&mut rng, n, bw, &[]);
+            let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
             let mut b = rhs.clone();
-            let x = m.solve_in_place(&mut b).unwrap();
+            let x = m.clone().solve_in_place(&mut b).unwrap();
             let mut check = vec![0.0; n];
-            m_copy.mul_vec(&x, &mut check);
+            m.mul_vec(&x, &mut check);
             for (c, w) in check.iter().zip(&rhs) {
-                prop_assert!((c - w).abs() < 1e-8);
+                assert!((c - w).abs() < 1e-8, "case {case}: {c} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_dense_elimination_at_mesh_bandwidths() {
+        // The bandwidths the two Gummel systems use on the coarse and
+        // standard meshes, plus the tridiagonal extreme.
+        for bw in [1, 14, 15, 17, 19] {
+            for case in 0..8 {
+                let mut rng = SplitMix64::stream(bw as u64, case);
+                let n = bw + 1 + (rng.next_u64() % (4 * bw as u64 + 8)) as usize;
+                let dirichlet: Vec<usize> = (0..n).filter(|_| rng.next_f64() < 0.15).collect();
+                let m = random_dominant(&mut rng, n, bw, &dirichlet);
+                let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
+                let want = dense_solve(&m, &rhs);
+                let mut b = rhs.clone();
+                let x = m.clone().solve_in_place(&mut b).unwrap();
+                for (k, (got, w)) in x.iter().zip(&want).enumerate() {
+                    assert!(
+                        (got - w).abs() <= 1e-12 * w.abs().max(1.0),
+                        "bw {bw}, case {case}, row {k}: {got} vs {w}"
+                    );
+                }
+                for &k in &dirichlet {
+                    assert_eq!(x[k], rhs[k], "identity row {k} must pin its value");
+                }
+                let mut check = vec![0.0; n];
+                m.mul_vec(&x, &mut check);
+                for (k, (c, r)) in check.iter().zip(&rhs).enumerate() {
+                    assert!(
+                        (c - r).abs() <= 1e-12 * r.abs().max(1.0),
+                        "bw {bw}, case {case}, row {k}: A·x = {c} vs b = {r}"
+                    );
+                }
             }
         }
     }

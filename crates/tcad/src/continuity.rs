@@ -12,7 +12,8 @@ use subvt_units::consts::Q;
 
 use crate::banded::BandedMatrix;
 use crate::device::Mosfet2d;
-use crate::mesh::{Boundary, Mesh};
+use crate::gummel::TcadError;
+use crate::mesh::{BandOrder, Boundary, Mesh};
 use crate::poisson::{thermals, Bias};
 
 /// Bernoulli function `B(x) = x/(e^x − 1)`, series-expanded near zero.
@@ -57,35 +58,30 @@ pub fn equilibrium_electrons(n_net: f64, ni: f64) -> f64 {
     }
 }
 
-/// Maps a global mesh index to the electron-system (silicon-only) local
-/// index. Silicon occupies rows `j ≥ j_si0`, so locals stay grid-ordered
-/// with bandwidth `nx`.
-#[inline]
-fn local(device: &Mosfet2d, idx: usize) -> usize {
-    idx - device.j_si0 * device.mesh.nx()
-}
-
 /// Solves the electron continuity equation for the density field `n`
-/// (cm⁻³, silicon nodes; oxide entries left at zero).
+/// (cm⁻³, silicon nodes; oxide entries left at zero). The silicon nodes
+/// are numbered along the mesh's shorter axis ([`BandOrder`]), so the
+/// banded LU's half-bandwidth is the silicon depth.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the banded factorization hits a zero pivot (cannot happen
-/// for a connected silicon region with at least one contact).
-pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> {
+/// Returns [`TcadError::ContinuityZeroPivot`] if the banded LU meets a
+/// zero pivot (not expected for a connected silicon region with at
+/// least one contact).
+pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Result<Vec<f64>, TcadError> {
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
     let nx = mesh.nx();
     let ny = mesh.ny();
-    let n_si = (ny - device.j_si0) * nx;
+    let order = BandOrder::new(mesh, device.j_si0);
 
-    let mut mat = BandedMatrix::zeros(n_si, nx);
-    let mut rhs = vec![0.0; n_si];
+    let mut mat = BandedMatrix::zeros(order.unknowns(), order.bandwidth());
+    let mut rhs = vec![0.0; order.unknowns()];
 
     for j in device.j_si0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
-            let row = local(device, idx);
+            let row = order.local(i, j);
             match mesh.boundary[idx] {
                 Boundary::Source | Boundary::Drain | Boundary::Substrate => {
                     mat.set(row, row, 1.0);
@@ -99,7 +95,7 @@ pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> 
 
             let face = |nb: (usize, usize), d: f64, a: f64, mat: &mut BandedMatrix| {
                 let nb_idx = mesh.idx(nb.0, nb.1);
-                let col = local(device, nb_idx);
+                let col = order.local(nb.0, nb.1);
                 let mu = 0.5 * (device.mobility[idx] + device.mobility[nb_idx]);
                 let c = Q * mu * vt * a / d;
                 let du = (psi[nb_idx] - psi[idx]) / vt;
@@ -122,21 +118,22 @@ pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Vec<f64> 
         }
     }
 
-    let _ = bias; // bias enters through psi and the contact densities
     let n_local = mat
         .solve_in_place(&mut rhs)
-        .expect("continuity system is an M-matrix with Dirichlet contacts");
+        .map_err(|e| TcadError::ContinuityZeroPivot {
+            bias: *bias,
+            row: e.row,
+        })?;
 
     let mut n = vec![0.0; mesh.len()];
     for j in device.j_si0..ny {
         for i in 0..nx {
-            let idx = mesh.idx(i, j);
             // Direct elimination can leave tiny negative values in
             // near-depleted cells; floor them at a physical minimum.
-            n[idx] = n_local[local(device, idx)].max(1.0e-12 * ni);
+            n[mesh.idx(i, j)] = n_local[order.local(i, j)].max(1.0e-12 * ni);
         }
     }
-    n
+    Ok(n)
 }
 
 /// Terminal electron current at the drain contact, amps per micron of
@@ -190,8 +187,7 @@ mod tests {
     use super::*;
     use crate::device::{MeshDensity, Mosfet2d};
     use crate::poisson::{initial_guess, solve};
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
     use subvt_physics::device::DeviceParams;
 
     #[test]
@@ -227,7 +223,7 @@ mod tests {
         let mut psi = initial_guess(&dev, &bias);
         let phi = vec![0.0; dev.len()];
         assert!(solve(&dev, &mut psi, &phi, &phi, &bias).converged);
-        let n = solve_electrons(&dev, &psi, &bias);
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
         let id = drain_current(&dev, &psi, &n);
         assert!(id < 1.0e-15, "equilibrium leakage {id} A/µm");
     }
@@ -239,7 +235,7 @@ mod tests {
         let mut psi = initial_guess(&dev, &bias);
         let phi = vec![0.0; dev.len()];
         assert!(solve(&dev, &mut psi, &phi, &phi, &bias).converged);
-        let n = solve_electrons(&dev, &psi, &bias);
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
         let (vt, ni) = thermals(&dev);
         // Sample a handful of interior silicon nodes: n ≈ n_i·e^{ψ/v_T}.
         let mesh = &dev.mesh;
@@ -258,12 +254,43 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn bernoulli_positive_and_decreasing(x in -100.0f64..100.0, dx in 0.01f64..5.0) {
-            prop_assert!(bernoulli(x) >= 0.0);
-            prop_assert!(bernoulli(x + dx) <= bernoulli(x));
+    #[test]
+    fn bernoulli_positive_and_decreasing() {
+        let mut rng = SplitMix64::new(0xb3e0);
+        for _ in 0..1024 {
+            let x = -100.0 + 200.0 * rng.next_f64();
+            let dx = 0.01 + 4.99 * rng.next_f64();
+            assert!(bernoulli(x) >= 0.0, "B({x}) < 0");
+            assert!(
+                bernoulli(x + dx) <= bernoulli(x),
+                "B rises from {x} to {}",
+                x + dx
+            );
         }
+    }
+
+    #[test]
+    fn zero_pivot_is_a_typed_error() {
+        // With zero mobility no face conducts: every non-contact row of
+        // the continuity matrix is empty and elimination meets an exact
+        // zero pivot at the first of them.
+        let mut dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        dev.mobility.fill(0.0);
+        let bias = Bias {
+            v_gate: 0.3,
+            v_drain: 0.6,
+            ..Bias::default()
+        };
+        let psi = vec![0.0; dev.len()];
+        let err = solve_electrons(&dev, &psi, &bias).unwrap_err();
+        let TcadError::ContinuityZeroPivot { bias: at, row } = err else {
+            panic!("expected a continuity zero pivot, got {err:?}");
+        };
+        assert_eq!(at, bias);
+        assert!(row < BandOrder::new(&dev.mesh, dev.j_si0).unknowns());
+        assert_eq!(
+            err.to_string(),
+            format!("continuity solve hit a zero pivot at row {row} (Vg=0.3, Vd=0.6)")
+        );
     }
 }

@@ -178,9 +178,10 @@ impl subvt_engine::Blob for Extraction {
 /// [`subvt_engine::Keyed`] stream shared with the analytic backend's
 /// cache keys), the mesh density and the sweep spec. The schema tag is
 /// versioned — bump it whenever the solver or the extraction recipe
-/// changes results.
+/// changes results, together with the `tcad.model` tags and the
+/// revision in [`crate::TcadModel`]'s `cache_id`.
 pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) -> u64 {
-    subvt_engine::KeyBuilder::new("tcad.extract.v1")
+    subvt_engine::KeyBuilder::new("tcad.extract.v2")
         .keyed(params)
         .str(density.as_str())
         .f64(step)

@@ -30,6 +30,13 @@ pub enum TcadError {
         /// Bias point at which the failure occurred.
         bias: Bias,
     },
+    /// The electron continuity solve met a zero pivot.
+    ContinuityZeroPivot {
+        /// Bias point at which the failure occurred.
+        bias: Bias,
+        /// Row of the continuity system at which elimination failed.
+        row: usize,
+    },
     /// The outer Gummel loop stalled.
     GummelStalled {
         /// Bias point at which the failure occurred.
@@ -57,6 +64,11 @@ impl core::fmt::Display for TcadError {
                     bias.v_gate, bias.v_drain
                 )
             }
+            TcadError::ContinuityZeroPivot { bias, row } => write!(
+                f,
+                "continuity solve hit a zero pivot at row {row} (Vg={}, Vd={})",
+                bias.v_gate, bias.v_drain
+            ),
             TcadError::GummelStalled { bias, residual } => write!(
                 f,
                 "gummel stalled at Vg={}, Vd={} (residual {residual:e} V)",
@@ -97,7 +109,7 @@ impl DeviceSimulator {
         if !out.converged {
             return Err(TcadError::PoissonDiverged { bias });
         }
-        let n = solve_electrons(&device, &psi, &bias);
+        let n = solve_electrons(&device, &psi, &bias)?;
         let phi_n = zeros;
         Ok(Self {
             device,
@@ -275,7 +287,13 @@ impl DeviceSimulator {
                     *p = pb + relax * (*p - pb);
                 }
             }
-            self.n = solve_electrons(&self.device, &self.psi, &bias);
+            self.n = match solve_electrons(&self.device, &self.psi, &bias) {
+                Ok(n) => n,
+                Err(e) => {
+                    record(iteration, last_residual);
+                    return Err(e);
+                }
+            };
             // Update the electron quasi-Fermi potential for the next
             // Poisson linearization.
             for idx in 0..self.device.len() {
@@ -325,6 +343,16 @@ mod tests {
     use crate::device::{MeshDensity, Mosfet2d};
     use subvt_physics::device::DeviceParams;
 
+    /// The fault plan is process-global: tests that arm it, or that
+    /// need the first solve attempt to be a real one, take turns.
+    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn faults() -> std::sync::MutexGuard<'static, ()> {
+        FAULTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn simulator() -> DeviceSimulator {
         let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
         DeviceSimulator::new(dev).expect("equilibrium")
@@ -370,6 +398,7 @@ mod tests {
 
     #[test]
     fn injected_divergence_recovers_bit_identically() {
+        let _faults = faults();
         let mut clean = simulator();
         clean.set_bias(0.3, 0.6).unwrap();
         let i_clean = clean.drain_current();
@@ -394,6 +423,36 @@ mod tests {
             .filter(|r| r.site == "tcad.gummel" && r.recovered)
             .count();
         assert!(recovered > 0, "retry rung never recorded");
+    }
+
+    #[test]
+    fn continuity_zero_pivot_climbs_the_recovery_ladder() {
+        let _faults = faults();
+        let mut sim = simulator();
+        // With zero mobility no face conducts, so every rung meets the
+        // same zero pivot and the ladder surfaces it as a typed error.
+        sim.device.mobility.fill(0.0);
+        let err = sim.set_bias(0.07, 0.03).unwrap_err();
+        assert!(
+            matches!(err, TcadError::ContinuityZeroPivot { bias, .. }
+                if bias.v_gate == 0.07 && bias.v_drain == 0.03),
+            "{err:?}"
+        );
+        let rungs: Vec<(RecoveryStep, bool)> = recovery::snapshot()
+            .into_iter()
+            .filter(|r| r.site == "tcad.gummel" && r.detail.starts_with("Vg=0.07, Vd=0.03:"))
+            .map(|r| (r.step, r.recovered))
+            .collect();
+        assert_eq!(
+            rungs,
+            [
+                (RecoveryStep::Retry, false),
+                (RecoveryStep::DampingIncrease, false),
+                (RecoveryStep::BiasSubstep, false),
+            ]
+        );
+        // The failed step leaves the last converged state in place.
+        assert_eq!(sim.bias(), Bias::default());
     }
 
     #[test]

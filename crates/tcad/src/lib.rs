@@ -9,12 +9,16 @@
 //!    uses — uniform substrate, Gaussian-tail source/drain, 2-D Gaussian
 //!    halo pockets (the paper's Fig. 1a/1b).
 //! 2. [`poisson`] solves the nonlinear Poisson equation (finite volume,
-//!    Boltzmann carriers, damped Newton, ILU(0)+BiCGSTAB).
+//!    Boltzmann carriers, damped Newton, banded LU).
 //! 3. [`continuity`] solves the linear Scharfetter–Gummel electron
 //!    system (banded LU).
 //! 4. [`gummel`] couples them with bias ramping.
 //! 5. [`extract`] sweeps I_d–V_g and extracts S_S, V_th, I_off, I_on and
 //!    DIBL.
+//!
+//! [`banded`] is the one linear solver: both systems number their nodes
+//! along the mesh's shorter axis ([`mesh::BandOrder`]), so the banded
+//! LU's half-bandwidth is the mesh depth.
 //!
 //! Scope: DC, unipolar (electron) transport, Boltzmann statistics, no
 //! quantum or strain corrections — sufficient for the subthreshold
@@ -49,7 +53,6 @@ pub mod mesh;
 pub mod model;
 pub mod poisson;
 pub mod report;
-pub mod sparse;
 
 pub use device::{MeshDensity, Mosfet2d};
 pub use extract::{sweep_and_extract, Extraction};

@@ -90,6 +90,51 @@ impl Mesh {
     }
 }
 
+/// Numbering of the mesh nodes in rows `j0..ny` (every column) as the
+/// unknowns of a banded system. The numbering runs along the shorter
+/// axis of that block, so the half-bandwidth is its shorter side. On
+/// both device meshes that is the depth: the whole mesh is 17–19 rows
+/// deep and the silicon 14–15, against 38–59 columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BandOrder {
+    nx: usize,
+    j0: usize,
+    rows: usize,
+}
+
+impl BandOrder {
+    /// The numbering of rows `j0..mesh.ny()`.
+    pub fn new(mesh: &Mesh, j0: usize) -> Self {
+        Self {
+            nx: mesh.nx(),
+            j0,
+            rows: mesh.ny() - j0,
+        }
+    }
+
+    /// Number of unknowns.
+    pub fn unknowns(&self) -> usize {
+        self.nx * self.rows
+    }
+
+    /// Half-bandwidth of a five-point stencil in this numbering.
+    pub fn bandwidth(&self) -> usize {
+        self.nx.min(self.rows)
+    }
+
+    /// Unknown index of node `(i, j)`.
+    #[inline]
+    pub fn local(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i < self.nx && j >= self.j0 && j < self.j0 + self.rows);
+        let jj = j - self.j0;
+        if self.rows <= self.nx {
+            i * self.rows + jj
+        } else {
+            jj * self.nx + i
+        }
+    }
+}
+
 /// Builds a 1-D axis that is uniformly fine inside `[fine_lo, fine_hi]`
 /// (spacing `h_fine`) and geometrically coarsened toward `lo`/`hi`
 /// outside it. Returns ascending, de-duplicated coordinates.
@@ -139,8 +184,7 @@ pub fn graded_axis(lo: f64, hi: f64, fine_lo: f64, fine_hi: f64, h_fine: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn graded_axis_covers_interval() {
@@ -186,19 +230,59 @@ mod tests {
         assert_eq!(mesh.coords(1, 1), (1.0, 1.0));
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn graded_axis_always_sorted(
-            span in 1.0f64..100.0,
-            frac_lo in 0.1f64..0.4,
-            frac_hi in 0.5f64..0.9,
-        ) {
-            let fine_lo = span * frac_lo;
-            let fine_hi = span * frac_hi;
+    #[test]
+    fn graded_axis_always_sorted() {
+        let mut rng = SplitMix64::new(0x9ad3);
+        for _ in 0..256 {
+            let span = 1.0 + 99.0 * rng.next_f64();
+            let fine_lo = span * (0.1 + 0.3 * rng.next_f64());
+            let fine_hi = span * (0.5 + 0.4 * rng.next_f64());
             let axis = graded_axis(0.0, span, fine_lo, fine_hi, span / 100.0);
-            prop_assert!(axis.windows(2).all(|w| w[1] > w[0]));
-            prop_assert!(axis.len() >= 3);
+            assert!(
+                axis.windows(2).all(|w| w[1] > w[0]),
+                "unsorted axis for span {span}, fine [{fine_lo}, {fine_hi}]"
+            );
+            assert!(axis.len() >= 3);
+        }
+    }
+
+    #[test]
+    fn band_order_numbers_along_the_short_axis() {
+        let mesh = |nx: usize, ny: usize| Mesh {
+            xs: (0..nx).map(|k| k as f64).collect(),
+            ys: (0..ny).map(|k| k as f64).collect(),
+            material: vec![Material::Silicon; nx * ny],
+            boundary: vec![Boundary::Interior; nx * ny],
+        };
+        // (nx, ny, j0, expected half-bandwidth): the two device meshes'
+        // Poisson and silicon blocks, a wide-and-shallow and a
+        // tall-and-narrow block, and a square one.
+        for (nx, ny, j0, bw) in [
+            (38, 17, 0, 17),
+            (38, 17, 3, 14),
+            (59, 19, 4, 15),
+            (3, 9, 0, 3),
+            (4, 4, 0, 4),
+        ] {
+            let m = mesh(nx, ny);
+            let order = BandOrder::new(&m, j0);
+            assert_eq!(order.bandwidth(), bw);
+            assert_eq!(order.unknowns(), nx * (ny - j0));
+            let mut seen = vec![false; order.unknowns()];
+            for j in j0..ny {
+                for i in 0..nx {
+                    let k = order.local(i, j);
+                    assert!(!seen[k], "({i},{j}) reuses unknown {k}");
+                    seen[k] = true;
+                    // Every five-point neighbour stays inside the band.
+                    if i + 1 < nx {
+                        assert!(order.local(i + 1, j).abs_diff(k) <= bw);
+                    }
+                    if j + 1 < ny {
+                        assert!(order.local(i, j + 1).abs_diff(k) <= bw);
+                    }
+                }
+            }
         }
     }
 }

@@ -223,10 +223,7 @@ impl TcadModel {
             .get_or_init(|| {
                 let anchor = DeviceParams::reference_90nm_nfet();
                 let density = self.density;
-                let key = KeyBuilder::new("tcad.model.cal.v1")
-                    .keyed(&anchor)
-                    .str(density.as_str())
-                    .finish();
+                let key = model_key(CAL_TAG, &anchor, density);
                 subvt_engine::global_cache().try_get_or_compute("tcad.model", key, move || {
                     let _span = subvt_engine::trace::span("tcad.model.calibrate");
                     let ext = sweep_and_extract(&anchor, density).map_err(tcad_err)?;
@@ -271,10 +268,7 @@ impl TcadModel {
             ..*params
         };
         let density = self.density;
-        let key = KeyBuilder::new("tcad.model.direct.v1")
-            .keyed(&mirror)
-            .str(density.as_str())
-            .finish();
+        let key = model_key(DIRECT_TAG, &mirror, density);
         subvt_engine::global_cache().try_get_or_compute("tcad.model", key, move || {
             let ext = sweep_and_extract(&mirror, density).map_err(tcad_err)?;
             let mbase = mirror.characterize();
@@ -297,13 +291,34 @@ impl TcadModel {
     }
 }
 
+/// Tags of the `tcad.model` keys: the anchor calibration and the
+/// per-device corrections. Like [`crate::extract::extraction_key`]'s
+/// tag, they carry the solver revision.
+const CAL_TAG: &str = "tcad.model.cal.v2";
+const DIRECT_TAG: &str = "tcad.model.direct.v2";
+
+/// Cache key of a `tcad.model` entry.
+fn model_key(tag: &str, params: &DeviceParams, density: MeshDensity) -> u64 {
+    KeyBuilder::new(tag)
+        .keyed(params)
+        .str(density.as_str())
+        .finish()
+}
+
 impl DeviceModel for TcadModel {
     fn name(&self) -> &'static str {
         "tcad"
     }
 
+    /// `tcad.{density}.{fidelity}.v2`. The design, topology and circuit
+    /// caches key on this id, so its solver revision keeps their entries
+    /// in step with the `tcad.extract` and `tcad.model` tags.
     fn cache_id(&self) -> String {
-        format!("tcad.{}.{}", self.density.as_str(), self.fidelity.as_str())
+        format!(
+            "tcad.{}.{}.v2",
+            self.density.as_str(),
+            self.fidelity.as_str()
+        )
     }
 
     fn characterize(&self, params: &DeviceParams) -> Result<DeviceCharacteristics, ModelError> {
@@ -344,6 +359,43 @@ mod tests {
             }
         }
         assert_eq!(TCAD_COARSE.name(), "tcad");
+    }
+
+    #[test]
+    fn cache_keys_carry_the_solver_revision() {
+        // Pinned: a change here must be a deliberate revision bump.
+        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v2");
+        assert_eq!(TCAD_STANDARD_DIRECT.cache_id(), "tcad.standard.direct.v2");
+        let p = DeviceParams::reference_90nm_nfet();
+        let d = MeshDensity::Coarse;
+        let keys = [
+            crate::extract::extraction_key(&p, d, 0.05),
+            model_key(CAL_TAG, &p, d),
+            model_key(DIRECT_TAG, &p, d),
+        ];
+        assert_eq!(
+            keys,
+            [
+                0x8223_6110_9b85_94fc,
+                0x6d43_9a55_585e_8145,
+                0xc39b_d49e_66c3_d921
+            ],
+            "{keys:#x?}"
+        );
+        // Caches written by the previous solver revision never match.
+        let previous = [
+            KeyBuilder::new("tcad.extract.v1")
+                .keyed(&p)
+                .str(d.as_str())
+                .f64(0.05)
+                .finish(),
+            model_key("tcad.model.cal.v1", &p, d),
+            model_key("tcad.model.direct.v1", &p, d),
+        ];
+        for (new, old) in keys.iter().zip(&previous) {
+            assert_ne!(new, old);
+        }
+        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored");
     }
 
     #[test]

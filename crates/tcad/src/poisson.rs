@@ -6,14 +6,16 @@
 //! `ρ = q·(p − n + N_net)` with `n = n_i·e^{(ψ−φ_n)/v_T}`,
 //! `p = n_i·e^{(φ_p−ψ)/v_T}`; oxide nodes are charge-free. Contacts are
 //! Dirichlet; every other boundary is a natural Neumann (reflecting)
-//! boundary of the finite-volume scheme.
+//! boundary of the finite-volume scheme. Each Newton step solves its
+//! Jacobian directly with the banded LU, nodes numbered along the
+//! mesh's shorter axis.
 
 use subvt_engine::trace;
 use subvt_units::consts::{EPS_OX, EPS_SI, Q};
 
+use crate::banded::BandedMatrix;
 use crate::device::{Mosfet2d, N_POLY};
-use crate::mesh::{Boundary, Material, Mesh};
-use crate::sparse::{bicgstab, TripletBuilder};
+use crate::mesh::{BandOrder, Boundary, Material, Mesh};
 
 /// Applied contact voltages.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -150,22 +152,24 @@ fn solve_inner(
 ) -> PoissonSolve {
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
-    let n_nodes = mesh.len();
     let nx = mesh.nx();
     let ny = mesh.ny();
+    // Every node is an unknown, numbered along the shorter (depth) axis.
+    let order = BandOrder::new(mesh, 0);
 
     let mut last_update = f64::INFINITY;
     for iter in 1..=MAX_NEWTON {
-        let mut jac = TripletBuilder::new(n_nodes);
-        let mut rhs = vec![0.0; n_nodes];
+        let mut jac = BandedMatrix::zeros(order.unknowns(), order.bandwidth());
+        let mut rhs = vec![0.0; order.unknowns()];
 
         for j in 0..ny {
             for i in 0..nx {
                 let idx = mesh.idx(i, j);
+                let row = order.local(i, j);
                 if let Some(bc) = contact_potential(device, idx, bias) {
                     // Dirichlet row: δψ = bc − ψ.
-                    jac.add(idx, idx, 1.0);
-                    rhs[idx] = bc - psi[idx];
+                    jac.set(row, row, 1.0);
+                    rhs[row] = bc - psi[idx];
                     continue;
                 }
                 let wx = Mesh::dual_width(&mesh.xs, i);
@@ -173,43 +177,24 @@ fn solve_inner(
                 let mut f = 0.0;
                 let mut diag = 0.0;
 
-                let mut face = |nb_idx: usize, d: f64, a: f64, jac: &mut TripletBuilder| {
+                let mut face = |nb: (usize, usize), d: f64, a: f64, jac: &mut BandedMatrix| {
+                    let nb_idx = mesh.idx(nb.0, nb.1);
                     let c = coupling(&mesh.material, idx, nb_idx, d, a);
                     f += c * (psi[nb_idx] - psi[idx]);
                     diag -= c;
-                    jac.add(idx, nb_idx, c);
+                    jac.set(row, order.local(nb.0, nb.1), c);
                 };
                 if i > 0 {
-                    face(
-                        mesh.idx(i - 1, j),
-                        mesh.xs[i] - mesh.xs[i - 1],
-                        wy,
-                        &mut jac,
-                    );
+                    face((i - 1, j), mesh.xs[i] - mesh.xs[i - 1], wy, &mut jac);
                 }
                 if i + 1 < nx {
-                    face(
-                        mesh.idx(i + 1, j),
-                        mesh.xs[i + 1] - mesh.xs[i],
-                        wy,
-                        &mut jac,
-                    );
+                    face((i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy, &mut jac);
                 }
                 if j > 0 {
-                    face(
-                        mesh.idx(i, j - 1),
-                        mesh.ys[j] - mesh.ys[j - 1],
-                        wx,
-                        &mut jac,
-                    );
+                    face((i, j - 1), mesh.ys[j] - mesh.ys[j - 1], wx, &mut jac);
                 }
                 if j + 1 < ny {
-                    face(
-                        mesh.idx(i, j + 1),
-                        mesh.ys[j + 1] - mesh.ys[j],
-                        wx,
-                        &mut jac,
-                    );
+                    face((i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx, &mut jac);
                 }
 
                 if mesh.material[idx] == Material::Silicon {
@@ -220,34 +205,28 @@ fn solve_inner(
                     diag -= Q * vol * (n + p) / vt;
                 }
 
-                jac.add(idx, idx, diag);
-                rhs[idx] = -f;
+                jac.set(row, row, diag);
+                rhs[row] = -f;
             }
         }
 
-        let a = jac.build();
-        let Some(ilu) = a.ilu0() else {
+        // A zero pivot ends the solve unconverged, as a stalled Newton
+        // iteration does.
+        let Ok(delta) = jac.solve_in_place(&mut rhs) else {
             return PoissonSolve {
                 iterations: iter,
                 max_update: last_update,
                 converged: false,
             };
         };
-        let mut delta = vec![0.0; n_nodes];
-        let lin = bicgstab(&a, &rhs, &mut delta, &ilu, 1e-10, 2000);
-        if !lin.converged {
-            return PoissonSolve {
-                iterations: iter,
-                max_update: last_update,
-                converged: false,
-            };
-        }
 
         let mut max_update = 0.0f64;
-        for (p, d) in psi.iter_mut().zip(&delta) {
-            let step = d.clamp(-MAX_DPSI, MAX_DPSI);
-            *p += step;
-            max_update = max_update.max(step.abs());
+        for j in 0..ny {
+            for i in 0..nx {
+                let step = delta[order.local(i, j)].clamp(-MAX_DPSI, MAX_DPSI);
+                psi[mesh.idx(i, j)] += step;
+                max_update = max_update.max(step.abs());
+            }
         }
         last_update = max_update;
         if max_update < PSI_TOL {
