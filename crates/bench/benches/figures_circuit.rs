@@ -4,12 +4,12 @@
 use subvt_bench::Harness;
 use subvt_circuits::chain::InverterChain;
 use subvt_exp::figs_circuit::{delay_at, snm_at};
-use subvt_exp::StudyContext;
+use subvt_exp::Study;
 use subvt_units::Volts;
 
 fn main() {
     let mut h = Harness::new("figures_circuit").max_samples(20);
-    let ctx = StudyContext::cached();
+    let ctx = &Study::default().context().expect("default study designs");
     h.bench("fig4_snm_90nm_at_250mV", || {
         snm_at(&ctx.study, &ctx.supervth[0], Volts::new(0.25))
     });

@@ -6,12 +6,12 @@ use subvt_bench::Harness;
 use subvt_circuits::chain::InverterChain;
 use subvt_circuits::delay::analytic_fo1_delay;
 use subvt_exp::figs_circuit::snm_at;
-use subvt_exp::StudyContext;
+use subvt_exp::Study;
 use subvt_units::Volts;
 
 fn main() {
     let mut h = Harness::new("figures_compare").max_samples(20);
-    let ctx = StudyContext::cached();
+    let ctx = &Study::default().context().expect("default study designs");
     h.bench("fig10_snm_both_strategies_32nm", || {
         let a = snm_at(&ctx.study, &ctx.supervth[3], Volts::new(0.25));
         let b = snm_at(&ctx.study, &ctx.subvth[3], Volts::new(0.25));

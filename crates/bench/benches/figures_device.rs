@@ -5,13 +5,13 @@
 use subvt_bench::Harness;
 use subvt_core::metrics::energy_factor;
 use subvt_core::{SubVthStrategy, TechNode};
-use subvt_exp::{figs_device, StudyContext};
+use subvt_exp::{figs_device, Study};
 use subvt_physics::device::DeviceKind;
 use subvt_units::Nanometers;
 
 fn main() {
     let mut h = Harness::new("figures_device").max_samples(20);
-    let ctx = StudyContext::cached();
+    let ctx = &Study::default().context().expect("default study designs");
     h.bench("fig2_ss_ionioff", || figs_device::fig2(ctx));
     h.bench("fig3_ion", || figs_device::fig3(ctx));
 

@@ -4,7 +4,7 @@
 use subvt_bench::Harness;
 use subvt_core::strategy::ScalingStrategy;
 use subvt_core::{SubVthStrategy, SuperVthStrategy, TechNode};
-use subvt_exp::StudyContext;
+use subvt_exp::Study;
 
 fn main() {
     let mut h = Harness::new("tables").max_samples(20);
@@ -15,7 +15,7 @@ fn main() {
             .design_node(TechNode::N90)
             .unwrap()
     });
-    let ctx = StudyContext::cached();
+    let ctx = &Study::default().context().expect("default study designs");
     h.bench("table2_render_full_table", || {
         subvt_exp::tables::table2(ctx)
     });

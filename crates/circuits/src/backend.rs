@@ -7,36 +7,40 @@
 //! can swap the compact fast path for full `subvt-spice` netlist
 //! simulation without touching experiment code.
 //!
-//! * [`analytic_circuit`] — the compact fast path the figures have always
+//! * [`AnalyticCircuit`] — the compact fast path the figures have always
 //!   used: an MNA DC sweep for the VTC, a lumped three-stage transient
 //!   for FO1 delay, and the closed-form Eq. 7 chain-energy model.
-//!   Uncached and untraced, so routing through it is byte-identical to
-//!   calling the underlying functions directly.
-//! * [`spice_circuit`] — every metric measured off a netlist: the VTC
+//!   Uncached, counted by the solver, so routing through it is
+//!   byte-identical to calling the underlying functions directly.
+//! * [`SpiceCircuit`] — every metric measured off a netlist: the VTC
 //!   from the same deck at DC, delay from a finer transient, and chain
 //!   energy from *measured* per-stage switching energy (supply-current
-//!   integration) plus *measured* DC leakage. Results are memoized in
-//!   the engine cache under the `spice.vtc` / `spice.tran` namespaces
-//!   (keys cover the device backend's `cache_id` and a full netlist
-//!   content hash) and instrumented with trace spans plus Newton- and
-//!   transient-step histograms, like the TCAD device path.
+//!   integration) plus *measured* DC leakage. Results are memoized
+//!   through [`crate::topology::CompiledBench::recall`] in the
+//!   `spice.vtc` / `spice.tran` namespaces (keys cover the device
+//!   backend's `cache_id` and a full netlist content hash) and wrapped
+//!   in trace spans; the solver counts its own Newton and transient
+//!   work, like the TCAD device path.
+//!
+//! [`CircuitBackendKind::instance`] selects one of the two.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::fmt;
 use std::str::FromStr;
 
-use subvt_engine::{global_cache, trace};
-use subvt_physics::math::{golden_section, linspace};
+use subvt_engine::trace;
+use subvt_physics::math::golden_section;
 use subvt_spice::measure::supply_energy;
-use subvt_spice::mna::{dc_sweep, SpiceError};
+use subvt_spice::mna::SpiceError;
 use subvt_units::{Joules, Seconds, Volts};
 
 use crate::chain::{EnergyPoint, InverterChain, MinimumEnergyPoint};
 use crate::delay::{fo1_bench, spice_fo1_delay, Fo1Delay};
-use crate::gates::OtherInput;
 use crate::inverter::{CmosPair, Inverter, Vtc};
 use crate::montecarlo::{self, DelayStatistics, SnmStatistics};
-use crate::topology::{CellSpec, InputVector, Load, MeasurePlan, Stimulus, Testbench};
+use crate::topology::{
+    cached_inverter_vtc, Cell, CellSpec, InputVector, Load, MeasurePlan, Stimulus, Testbench,
+};
 
 /// Transient resolution of the analytic backend's FO1 measurement — the
 /// step count `figs_circuit` has always used, kept here so routing the
@@ -50,12 +54,6 @@ const SPICE_FO1_STEPS: usize = 1200;
 /// Transient resolution of the spice backend's switching-energy
 /// integration.
 const SPICE_ENERGY_STEPS: usize = 800;
-
-/// Cache namespace for spice-backend VTC curves.
-const SPICE_VTC_NS: &str = "spice.vtc";
-
-/// Cache namespace for spice-backend transient-derived records.
-const SPICE_TRAN_NS: &str = "spice.tran";
 
 /// Error type of circuit-backend evaluations.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,11 +104,11 @@ impl CircuitBackendKind {
         }
     }
 
-    /// The backend instance this kind selects.
+    /// The process-wide backend instance this kind selects.
     pub fn instance(self) -> &'static dyn CircuitBackend {
         match self {
-            CircuitBackendKind::Analytic => analytic_circuit(),
-            CircuitBackendKind::Spice => spice_circuit(),
+            CircuitBackendKind::Analytic => &AnalyticCircuit,
+            CircuitBackendKind::Spice => &SpiceCircuit,
         }
     }
 }
@@ -224,19 +222,6 @@ pub struct AnalyticCircuit;
 #[derive(Debug)]
 pub struct SpiceCircuit;
 
-static ANALYTIC: AnalyticCircuit = AnalyticCircuit;
-static SPICE: SpiceCircuit = SpiceCircuit;
-
-/// The process-wide analytic circuit backend.
-pub fn analytic_circuit() -> &'static dyn CircuitBackend {
-    &ANALYTIC
-}
-
-/// The process-wide spice circuit backend.
-pub fn spice_circuit() -> &'static dyn CircuitBackend {
-    &SPICE
-}
-
 impl CircuitBackend for AnalyticCircuit {
     fn name(&self) -> &'static str {
         "analytic"
@@ -299,7 +284,7 @@ impl SpiceCircuit {
     /// FO1-terminated inverter. Cached under `spice.tran`.
     fn stage_metrics(&self, pair: &CmosPair, v_dd: Volts) -> Result<[f64; 2], CircuitError> {
         let spec = CellSpec {
-            cell: crate::topology::Cell::Inverter,
+            cell: Cell::Inverter,
             pair: *pair,
             load: Load::Fanout(1.0),
         };
@@ -321,45 +306,27 @@ impl SpiceCircuit {
         else {
             unreachable!("energy benches carry a supply-energy plan");
         };
-        let key = bench.key("stage", &pair.model().cache_id());
-        let rec = global_cache().try_get_or_compute::<Vec<f64>, CircuitError>(
-            SPICE_TRAN_NS,
-            key,
-            || {
-                // DC leakage: mean supply draw over the two input states.
-                let mut i_leak = 0.0;
-                for high in [false, true] {
-                    let dc_bench = spec
-                        .compile(&Testbench::Leakage {
-                            v_dd,
-                            inputs: InputVector::One(high),
-                        })
-                        .expect("inverters always compile a leakage bench");
-                    let sol = dc_bench.run_operating_point()?;
-                    trace::observe("spice.newton.iterations", sol.iterations as f64);
-                    // Branch 0 is VDD; delivered current is −i_branch.
-                    i_leak += 0.5 * -sol.branch_currents[0];
-                }
+        let rec = bench.recall("stage", &pair.model().cache_id(), || {
+            // DC leakage: mean supply draw over the two input states.
+            let mut i_leak = 0.0;
+            for high in [false, true] {
+                let dc_bench = spec
+                    .compile(&Testbench::Leakage {
+                        v_dd,
+                        inputs: InputVector::One(high),
+                    })
+                    .expect("inverters always compile a leakage bench");
+                i_leak += 0.5 * dc_bench.run_static_current()?;
+            }
 
-                let res = bench.run_transient()?;
-                trace::add("spice.tran.runs", 1);
-                trace::observe("spice.tran.steps", res.newton_iterations.len() as f64);
-                for &iters in &res.newton_iterations {
-                    trace::observe("spice.newton.iterations", iters as f64);
-                }
-                // Switching energy: total delivered energy minus the
-                // leakage floor over the integration window.
-                let e_total = supply_energy(&res, 0, vdd_node);
-                let e_sw = (e_total - i_leak * vdd * t_stop).max(0.0);
-                Ok(vec![e_sw, i_leak])
-            },
-        )?;
-        match rec.as_slice() {
-            [e_sw, i_leak] => Ok([*e_sw, *i_leak]),
-            _ => Err(CircuitError::Measurement(
-                "malformed spice.tran stage record".to_owned(),
-            )),
-        }
+            let res = bench.run_transient()?;
+            // Switching energy: total delivered energy minus the
+            // leakage floor over the integration window.
+            let e_total = supply_energy(&res, 0, vdd_node);
+            let e_sw = (e_total - i_leak * vdd * t_stop).max(0.0);
+            Ok::<_, CircuitError>(vec![e_sw, i_leak])
+        })?;
+        Ok([rec[0], rec[1]])
     }
 }
 
@@ -373,65 +340,24 @@ impl CircuitBackend for SpiceCircuit {
         let _span = trace::span("spice.backend.vtc")
             .attr("points", points)
             .attr("v_dd", v_dd.as_volts());
-        let bench = CellSpec::inverter(*pair)
-            .compile(&Testbench::Vtc {
-                v_dd,
-                points,
-                other: OtherInput::Low,
-            })
-            .expect("inverters always compile a VTC bench");
-        let MeasurePlan::DcTransfer { source, output, .. } = bench.plan else {
-            unreachable!("VTC benches carry a transfer plan");
-        };
-        let sweep = linspace(0.0, v_dd.as_volts(), points);
-        let key = bench.key("vtc", &pair.model().cache_id());
-        let v_out = global_cache().try_get_or_compute::<Vec<f64>, CircuitError>(
-            SPICE_VTC_NS,
-            key,
-            || {
-                let sols = dc_sweep(&bench.net, source, &sweep)?;
-                for s in &sols {
-                    trace::observe("spice.newton.iterations", s.iterations as f64);
-                }
-                Ok(sols.iter().map(|s| s.node_voltages[output]).collect())
-            },
-        )?;
-        Ok(Vtc {
-            v_in: sweep,
-            v_out,
-            v_dd: v_dd.as_volts(),
-        })
+        Ok(cached_inverter_vtc(pair, v_dd, points)?)
     }
 
     fn fo1_delay(&self, pair: &CmosPair, v_dd: Volts) -> Result<Fo1Delay, CircuitError> {
         let _span = trace::span("spice.backend.fo1").attr("v_dd", v_dd.as_volts());
         let bench = fo1_bench(pair, v_dd, SPICE_FO1_STEPS);
-        let key = bench.key("fo1", &pair.model().cache_id());
-        let rec = global_cache().try_get_or_compute::<Vec<f64>, CircuitError>(
-            SPICE_TRAN_NS,
-            key,
-            || {
-                let res = bench.run_transient()?;
-                trace::add("spice.tran.runs", 1);
-                trace::observe("spice.tran.steps", res.newton_iterations.len() as f64);
-                for &iters in &res.newton_iterations {
-                    trace::observe("spice.newton.iterations", iters as f64);
-                }
-                let d = bench.measure_edges(&res).ok_or_else(|| {
+        let rec = bench.recall("fo1", &pair.model().cache_id(), || {
+            let d = bench
+                .measure_edges(&bench.run_transient()?)
+                .ok_or_else(|| {
                     CircuitError::Measurement("FO1 half-swing crossings not found".to_owned())
                 })?;
-                Ok(vec![d.tp_hl.get(), d.tp_lh.get()])
-            },
-        )?;
-        match rec.as_slice() {
-            [tp_hl, tp_lh] => Ok(Fo1Delay {
-                tp_hl: Seconds::new(*tp_hl),
-                tp_lh: Seconds::new(*tp_lh),
-            }),
-            _ => Err(CircuitError::Measurement(
-                "malformed spice.tran fo1 record".to_owned(),
-            )),
-        }
+            Ok::<_, CircuitError>(vec![d.tp_hl.get(), d.tp_lh.get()])
+        })?;
+        Ok(Fo1Delay {
+            tp_hl: Seconds::new(rec[0]),
+            tp_lh: Seconds::new(rec[1]),
+        })
     }
 
     fn chain_energy(
@@ -544,8 +470,8 @@ mod tests {
         // tightly; only GMIN-scale leakage separates the populations.
         let p = pair();
         let v = Volts::new(0.25);
-        let (a, a_wall) = analytic_circuit().delay_variability(&p, v, 40, 5).unwrap();
-        let (s, s_wall) = spice_circuit().delay_variability(&p, v, 40, 5).unwrap();
+        let (a, a_wall) = AnalyticCircuit.delay_variability(&p, v, 40, 5).unwrap();
+        let (s, s_wall) = SpiceCircuit.delay_variability(&p, v, 40, 5).unwrap();
         assert!(a_wall.is_empty(), "analytic backend does not time samples");
         assert_eq!(s_wall.len(), 40);
         let rel = (a.sigma_over_mu - s.sigma_over_mu).abs() / a.sigma_over_mu;
@@ -582,40 +508,45 @@ mod tests {
         // make.
         let p = pair();
         let v = Volts::new(0.25);
-        let via_trait = analytic_circuit().vtc(&p, v, 41).unwrap();
+        let via_trait = AnalyticCircuit.vtc(&p, v, 41).unwrap();
         let direct = Inverter::new(p).vtc(v, 41).unwrap();
         assert_eq!(via_trait, direct);
 
-        let via_trait = analytic_circuit().fo1_delay(&p, v).unwrap();
+        let via_trait = AnalyticCircuit.fo1_delay(&p, v).unwrap();
         let direct = spice_fo1_delay(&p, v, FO1_TRANSIENT_STEPS).unwrap();
         assert_eq!(via_trait, direct);
 
         let chain = InverterChain::paper_chain(p);
         assert_eq!(
-            analytic_circuit().chain_energy(&chain, v).unwrap(),
+            AnalyticCircuit.chain_energy(&chain, v).unwrap(),
             chain.energy_at(v)
         );
         assert_eq!(
-            analytic_circuit().minimum_energy_point(&chain).unwrap(),
+            AnalyticCircuit.minimum_energy_point(&chain).unwrap(),
             chain.minimum_energy_point()
         );
     }
 
     #[test]
     fn netlist_key_tracks_content() {
+        use crate::gates::OtherInput;
         use subvt_engine::KeyBuilder;
-        use subvt_spice::netlist::Netlist;
         let p = pair();
-        let (net_a, _) = Inverter::new(p).vtc_netlist(Volts::new(0.25));
-        let (net_b, _) = Inverter::new(p).vtc_netlist(Volts::new(0.25));
-        let key = |net: &Netlist| KeyBuilder::new("t").keyed(net).finish();
-        assert_eq!(key(&net_a), key(&net_b), "same deck, same key");
-        let (net_c, _) = Inverter::new(p).vtc_netlist(Volts::new(0.30));
-        assert_ne!(key(&net_a), key(&net_c), "different supply, new key");
+        let key = |pair: CmosPair, v: f64| {
+            let bench = CellSpec::inverter(pair)
+                .compile(&Testbench::Vtc {
+                    v_dd: Volts::new(v),
+                    points: 2,
+                    other: OtherInput::Low,
+                })
+                .unwrap();
+            KeyBuilder::new("t").keyed(&bench.net).finish()
+        };
+        assert_eq!(key(p, 0.25), key(p, 0.25), "same deck, same key");
+        assert_ne!(key(p, 0.25), key(p, 0.30), "different supply, new key");
         let mut wide = p;
         wide.wp_um *= 1.5;
-        let (net_d, _) = Inverter::new(wide).vtc_netlist(Volts::new(0.25));
-        assert_ne!(key(&net_a), key(&net_d), "different device, new key");
+        assert_ne!(key(p, 0.25), key(wide, 0.25), "different device, new key");
     }
 
     #[test]
@@ -624,8 +555,8 @@ mod tests {
         // tolerance; and a second request is served from the cache.
         let p = pair();
         let v = Volts::new(0.25);
-        let a = analytic_circuit().vtc(&p, v, 31).unwrap();
-        let s = spice_circuit().vtc(&p, v, 31).unwrap();
+        let a = AnalyticCircuit.vtc(&p, v, 31).unwrap();
+        let s = SpiceCircuit.vtc(&p, v, 31).unwrap();
         for i in 0..a.v_in.len() {
             assert!(
                 (a.v_out[i] - s.v_out[i]).abs() < 1e-9,
@@ -635,7 +566,7 @@ mod tests {
                 s.v_out[i]
             );
         }
-        let again = spice_circuit().vtc(&p, v, 31).unwrap();
+        let again = SpiceCircuit.vtc(&p, v, 31).unwrap();
         assert_eq!(s, again);
     }
 
@@ -645,12 +576,8 @@ mod tests {
         // (shorter cycles), matching the Eq. 7 structure the analytic
         // model encodes.
         let chain = InverterChain::paper_chain(pair());
-        let lo = spice_circuit()
-            .chain_energy(&chain, Volts::new(0.20))
-            .unwrap();
-        let hi = spice_circuit()
-            .chain_energy(&chain, Volts::new(0.35))
-            .unwrap();
+        let lo = SpiceCircuit.chain_energy(&chain, Volts::new(0.20)).unwrap();
+        let hi = SpiceCircuit.chain_energy(&chain, Volts::new(0.35)).unwrap();
         assert!(hi.dynamic.get() > lo.dynamic.get());
         assert!(hi.t_cycle.get() < lo.t_cycle.get());
         assert!(lo.leakage.get() > 0.0 && lo.dynamic.get() > 0.0);

@@ -4,8 +4,9 @@
 //! roughly a factor `e^{ΔV/v_T}` of drive because the intermediate node
 //! lifts the bottom device's source, so gate sizing and worst-case input
 //! vectors behave differently than above threshold. This module wires
-//! the gates from the same [`CmosPair`] devices and measures worst-case
-//! transfer curves and delay.
+//! the gates from the same [`CmosPair`] devices and traces their
+//! transfer curves; the cached worst-case margin and leakage live in
+//! [`crate::topology`].
 
 use subvt_spice::mna::SpiceError;
 use subvt_spice::netlist::{Netlist, NodeId};
@@ -146,37 +147,6 @@ impl Gate2 {
             .expect("gate cells always compile a VTC bench")
             .run_transfer()
     }
-
-    /// Worst-case static noise margin over the standard input vectors
-    /// (each single input switching with the other at its non-controlling
-    /// value, plus both switching together).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SpiceError`] from the sweeps.
-    pub fn worst_case_snm(&self, v_dd: Volts, points: usize) -> Result<f64, SpiceError> {
-        let others = match self.kind {
-            // NAND: non-controlling value is high.
-            GateKind::Nand2 => [OtherInput::High, OtherInput::Common],
-            // NOR: non-controlling value is low.
-            GateKind::Nor2 => [OtherInput::Low, OtherInput::Common],
-        };
-        let mut worst = f64::INFINITY;
-        for other in others {
-            let vtc = self.vtc(v_dd, other, points)?;
-            if let Some(nm) = crate::snm::noise_margins(&vtc) {
-                worst = worst.min(nm.snm());
-            }
-        }
-        if worst.is_finite() {
-            Ok(worst)
-        } else {
-            Err(SpiceError::NoConvergence {
-                iterations: 0,
-                residual: f64::NAN,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,6 +154,7 @@ mod tests {
     use super::*;
     use crate::inverter::Inverter;
     use crate::snm::noise_margins;
+    use crate::topology::cached_gate_snm;
     use subvt_physics::device::DeviceParams;
 
     fn pair() -> CmosPair {
@@ -225,8 +196,8 @@ mod tests {
         let inv = noise_margins(&Inverter::new(p).vtc(vdd, 121).unwrap())
             .unwrap()
             .snm();
-        let nand = Gate2::nand2(p).worst_case_snm(vdd, 121).unwrap();
-        let nor = Gate2::nor2(p).worst_case_snm(vdd, 121).unwrap();
+        let nand = cached_gate_snm(&p, GateKind::Nand2, vdd, 121).unwrap();
+        let nor = cached_gate_snm(&p, GateKind::Nor2, vdd, 121).unwrap();
         assert!(nand < inv * 1.02, "NAND {nand} vs inverter {inv}");
         assert!(nor < inv * 1.02, "NOR {nor} vs inverter {inv}");
         assert!(nand > 0.0 && nor > 0.0);

@@ -9,7 +9,7 @@
 //!   currents (valid for sub-V_th supplies), used to cross-check the
 //!   simulator.
 
-use crate::topology::{CellSpec, MeasurePlan, Testbench};
+use crate::topology::{CellSpec, Testbench};
 use subvt_engine::trace;
 use subvt_model::{DeviceModel, ModelError};
 use subvt_physics::device::{DeviceCharacteristics, DeviceKind, DeviceParams};
@@ -360,26 +360,6 @@ impl Inverter {
             Netlist::GROUND,
             self.pair.output_capacitance(),
         );
-    }
-
-    /// Builds the VTC test-bench netlist at supply `v_dd`: a `VDD` rail
-    /// source, a sweepable `VIN` source and the inverter wired between
-    /// them. Returns the netlist and the output node to sample — shared
-    /// by [`Inverter::vtc`] and the circuit backends, so the deck a DC
-    /// sweep solves is identical however the curve is requested.
-    pub fn vtc_netlist(&self, v_dd: Volts) -> (Netlist, NodeId) {
-        let bench = CellSpec::inverter(self.pair)
-            .compile(&Testbench::Vtc {
-                v_dd,
-                // Points only parameterize the sweep plan, not the deck.
-                points: 2,
-                other: crate::gates::OtherInput::Low,
-            })
-            .expect("inverters always compile a VTC bench");
-        let MeasurePlan::DcTransfer { output, .. } = bench.plan else {
-            unreachable!("VTC benches carry a transfer plan");
-        };
-        (bench.net, output)
     }
 
     /// Traces the VTC by a SPICE DC sweep with `points` samples at supply

@@ -5,9 +5,11 @@
 //! inverter voltage-transfer curves ([`inverter`]), gain = −1 and
 //! butterfly static noise margins ([`snm`]), FO1 propagation delay
 //! ([`delay`]), inverter-chain energy and the minimum-energy point
-//! ([`chain`]) — plus extensions: ring oscillators ([`ring`]), 6T SRAM
+//! ([`chain`]) — plus extensions: NAND2/NOR2 gates ([`gates`]), 6T SRAM
 //! read/hold margins ([`sram`]) and Monte-Carlo V_th variability
-//! ([`montecarlo`]).
+//! ([`montecarlo`]). [`topology`] compiles every cell deck and holds the
+//! one memoized measurement path; [`backend`] selects analytic or
+//! netlist-measured circuit metrics.
 //!
 //! # Example: SNM of the reference inverter at 250 mV
 //!
@@ -33,15 +35,11 @@ pub mod delay;
 pub mod gates;
 pub mod inverter;
 pub mod montecarlo;
-pub mod ring;
-pub mod rng;
 pub mod snm;
 pub mod sram;
 pub mod topology;
 
-pub use backend::{
-    analytic_circuit, spice_circuit, CircuitBackend, CircuitBackendKind, CircuitError,
-};
+pub use backend::{CircuitBackend, CircuitBackendKind, CircuitError};
 pub use chain::{InverterChain, MinimumEnergyPoint};
 pub use inverter::{CmosPair, Inverter, Vtc};
 pub use snm::{butterfly_snm, noise_margins, snm_sample, NoiseMargins};

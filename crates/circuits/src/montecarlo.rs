@@ -11,6 +11,7 @@
 //! pure function of `(seed, sample index)` — identical no matter how
 //! many workers execute the sweep.
 
+use subvt_engine::rng::SplitMix64;
 use subvt_engine::trace;
 use subvt_physics::device::DeviceKind;
 use subvt_spice::mna::SpiceError;
@@ -19,7 +20,6 @@ use subvt_spice::netlist::Netlist;
 use subvt_units::{Seconds, Volts};
 
 use crate::inverter::CmosPair;
-use crate::rng::SplitMix64;
 
 /// Pelgrom mismatch coefficient, volts·µm (≈3.5 mV·µm for 90 nm-class
 /// oxides; scales roughly with `T_ox`).

@@ -10,15 +10,7 @@ use subvt_units::Volts;
 
 use crate::inverter::{CmosPair, Inverter, Vtc};
 use crate::snm::butterfly_snm;
-use crate::topology::{Cell, CellSpec, Load, Testbench};
-
-/// How a butterfly curve that cannot be inverted (NaN samples or
-/// non-monotone noise) surfaces through the `SpiceError`-typed SNM API —
-/// the same shape `spice_fo1_delay` uses for a failed measurement.
-const DEGENERATE_VTC: SpiceError = SpiceError::NoConvergence {
-    iterations: 0,
-    residual: f64::NAN,
-};
+use crate::topology::{Cell, CellSpec, Load, Testbench, MEASUREMENT_FAILED};
 
 /// A 6T SRAM cell: cross-coupled inverters plus NFET access transistors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +42,7 @@ impl SramCell {
     /// (degenerate) butterfly curve reports as a non-convergence.
     pub fn hold_snm(&self, v_dd: Volts, points: usize) -> Result<f64, SpiceError> {
         let vtc = Inverter::new(self.pair).vtc(v_dd, points)?;
-        butterfly_snm(&vtc, &vtc).ok_or(DEGENERATE_VTC)
+        butterfly_snm(&vtc, &vtc).ok_or(MEASUREMENT_FAILED)
     }
 
     /// Read-mode static noise margin: the internal "0" node is disturbed
@@ -63,7 +55,7 @@ impl SramCell {
     /// (degenerate) butterfly curve reports as a non-convergence.
     pub fn read_snm(&self, v_dd: Volts, points: usize) -> Result<f64, SpiceError> {
         let vtc = self.read_vtc(v_dd, points)?;
-        butterfly_snm(&vtc, &vtc).ok_or(DEGENERATE_VTC)
+        butterfly_snm(&vtc, &vtc).ok_or(MEASUREMENT_FAILED)
     }
 
     /// Maximum bits per bit-line at the given supply — the paper's

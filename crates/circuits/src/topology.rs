@@ -1,7 +1,10 @@
 //! Declarative topology layer: typed cells and testbenches compiled to
 //! netlists plus measurement plans.
 //!
-//! Every netlist this crate simulates is produced here. A [`CellSpec`]
+//! Every cell netlist this crate simulates is produced here. (The one
+//! other deck, the single-transistor bias deck of
+//! `delay::drive_current_deck`, is not a cell: the spice Monte-Carlo
+//! sweep builds it once and re-thresholds it per sample.) A [`CellSpec`]
 //! names *what* is wired (the cell topology, the device pair that
 //! populates it and the output load); a [`Testbench`] names *how* it is
 //! excited and observed (a DC transfer sweep, a delay or energy
@@ -15,10 +18,11 @@
 //! always solve the same deck — and [`CompiledBench::key`] derives the
 //! one canonical cache key (device-model id + the [`Netlist`]'s
 //! [`subvt_engine::Keyed`] content stream + the plan's solve
-//! parameters) that the memoizing circuit backend and the cached
-//! gate/ring/temperature evaluators below all share.
+//! parameters). [`CompiledBench::recall`] is the crate's one memoized
+//! measurement path: the spice circuit backend and the cached
+//! gate/ring/temperature evaluators below all go through it.
 
-use subvt_engine::{global_cache, trace, KeyBuilder, Keyed};
+use subvt_engine::{global_cache, KeyBuilder, Keyed};
 use subvt_spice::measure::{crossing_time, Edge};
 use subvt_spice::mna::{dc_operating_point, dc_sweep, DcSolution, SpiceError};
 use subvt_spice::netlist::{Element, Netlist, NodeId, Waveform};
@@ -32,15 +36,6 @@ use subvt_physics::math::linspace;
 use crate::delay::analytic_fo1_delay;
 use crate::gates::{Gate2, GateKind, OtherInput};
 use crate::inverter::{CmosPair, Inverter, Vtc};
-use crate::ring::RingOscillation;
-
-/// Cache namespace for DC-derived records (transfer curves, leakage
-/// vectors) produced through the topology layer — shared with the spice
-/// circuit backend so one warm cache covers both.
-const TOPO_VTC_NS: &str = "spice.vtc";
-
-/// Cache namespace for transient-derived records (ring periods).
-const TOPO_TRAN_NS: &str = "spice.tran";
 
 /// A cell topology. The device sizing comes from the [`CellSpec`]'s
 /// [`CmosPair`]; the cell only names the wiring pattern.
@@ -318,6 +313,23 @@ impl Keyed for MeasurePlan {
                 .f64s(x0)
                 .f64(*v_dd)
                 .u64(*stages as u64),
+        }
+    }
+}
+
+impl MeasurePlan {
+    /// The engine-cache namespace and length of the record a
+    /// measurement of this plan stores: DC plans in `spice.vtc` (the
+    /// transfer curve's output samples, or the one static current),
+    /// transient plans in `spice.tran` (two scalars: `(t_pHL, t_pLH)`,
+    /// `(switching energy, static leakage)` or `(period, stage delay)`).
+    fn record_shape(&self) -> (&'static str, usize) {
+        match self {
+            MeasurePlan::DcTransfer { points, .. } => ("spice.vtc", *points),
+            MeasurePlan::StaticCurrent { .. } => ("spice.vtc", 1),
+            MeasurePlan::Edges { .. }
+            | MeasurePlan::SupplyEnergy { .. }
+            | MeasurePlan::LimitCycle { .. } => ("spice.tran", 2),
         }
     }
 }
@@ -704,9 +716,35 @@ impl CompiledBench {
             .finish()
     }
 
+    /// The crate's one memoized measurement path: recalls this bench's
+    /// record from the engine cache, or runs `measure` on a miss and
+    /// stores what it returns. The namespace follows the plan (DC plans
+    /// in `spice.vtc`, transient plans in `spice.tran`) and the key is
+    /// [`CompiledBench::key`]`(tag, model_id)`. The solver counts its own
+    /// work, so a hit adds no `spice.*` solver counts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `measure`'s error. A record of the wrong length for the
+    /// plan (a foreign or corrupt cache entry) reports as a zero-iteration
+    /// [`SpiceError::NoConvergence`], like every failed measurement.
+    pub fn recall<E: From<SpiceError>>(
+        &self,
+        tag: &str,
+        model_id: &str,
+        measure: impl FnOnce() -> Result<Vec<f64>, E>,
+    ) -> Result<Vec<f64>, E> {
+        let (ns, len) = self.plan.record_shape();
+        let rec = global_cache().try_get_or_compute(ns, self.key(tag, model_id), measure)?;
+        if rec.len() == len {
+            Ok(rec)
+        } else {
+            Err(MEASUREMENT_FAILED.into())
+        }
+    }
+
     /// Runs a [`MeasurePlan::DcTransfer`] plan and assembles the
-    /// transfer curve. Uncached and untraced — the raw engine legacy
-    /// entry points call.
+    /// transfer curve. Uncached, counted by the solver.
     ///
     /// # Errors
     ///
@@ -734,15 +772,39 @@ impl CompiledBench {
         })
     }
 
+    /// The transfer curve of a [`MeasurePlan::DcTransfer`] bench through
+    /// [`CompiledBench::recall`] under `tag`.
+    fn recall_transfer(&self, tag: &str, pair: &CmosPair) -> Result<Vtc, SpiceError> {
+        let v_out = self.recall(tag, &pair.model().cache_id(), || {
+            Ok(self.run_transfer()?.v_out)
+        })?;
+        let MeasurePlan::DcTransfer { v_stop, points, .. } = self.plan else {
+            unreachable!("recall_transfer on a non-transfer plan");
+        };
+        Ok(Vtc {
+            v_in: linspace(0.0, v_stop, points),
+            v_out,
+            v_dd: v_stop,
+        })
+    }
+
     /// Solves the DC operating point of a [`MeasurePlan::StaticCurrent`]
-    /// bench; the caller reads the branch current via the plan's branch
-    /// index (so it can also observe iteration counts for tracing).
+    /// bench and returns the static current the supply delivers, amps.
     ///
     /// # Errors
     ///
     /// Propagates [`SpiceError`] from the solver.
-    pub fn run_operating_point(&self) -> Result<DcSolution, SpiceError> {
-        dc_operating_point(&self.net)
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is not a static-current plan.
+    pub fn run_static_current(&self) -> Result<f64, SpiceError> {
+        let MeasurePlan::StaticCurrent { branch } = self.plan else {
+            panic!("run_static_current on a non-static plan");
+        };
+        let sol = dc_operating_point(&self.net)?;
+        // Delivered current is −i_branch on the supply source.
+        Ok(-sol.branch_currents[branch])
     }
 
     /// Runs the transient of an [`MeasurePlan::Edges`],
@@ -844,9 +906,19 @@ impl CompiledBench {
     }
 }
 
+/// Measured ring-oscillator behaviour (an independent delay cross-check:
+/// `f_osc = 1/(2·N·t_p)`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RingOscillation {
+    /// Oscillation period.
+    pub period: Seconds,
+    /// Implied per-stage delay `T/(2·N)`.
+    pub stage_delay: Seconds,
+}
+
 /// Degenerate measurement surfaced through the solver's error type (no
-/// crossings, un-invertible curve) — the shape every legacy entry point
-/// has always reported.
+/// crossings, an un-invertible or non-restoring curve, a malformed cache
+/// record) — the crate's one fake non-convergence.
 pub(crate) const MEASUREMENT_FAILED: SpiceError = SpiceError::NoConvergence {
     iterations: 0,
     residual: f64::NAN,
@@ -854,9 +926,8 @@ pub(crate) const MEASUREMENT_FAILED: SpiceError = SpiceError::NoConvergence {
 
 // ---------------------------------------------------------------------------
 // Cached evaluators: the gate-library / ring / temperature workloads the
-// extension experiments and the serve daemon share. Each compiles a bench,
-// memoizes the solve in the engine cache under the canonical key, and
-// traces solver effort like the spice circuit backend.
+// extension experiments and the serve daemon share. Each compiles a bench
+// and memoizes its measurement through `CompiledBench::recall`.
 // ---------------------------------------------------------------------------
 
 /// A gate transfer curve through the engine cache (`spice.vtc`
@@ -872,29 +943,19 @@ pub fn cached_gate_vtc(
     other: OtherInput,
     points: usize,
 ) -> Result<Vtc, SpiceError> {
-    let spec = CellSpec::gate(kind, *pair);
-    let bench = spec
+    CellSpec::gate(kind, *pair)
         .compile(&Testbench::Vtc {
             v_dd,
             points,
             other,
         })
-        .expect("gate cells always compile a VTC bench");
-    let key = bench.key("topo.vtc", &pair.model().cache_id());
-    let v_out =
-        global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
-            let vtc = bench.run_transfer()?;
-            Ok(vtc.v_out)
-        })?;
-    Ok(Vtc {
-        v_in: linspace(0.0, v_dd.as_volts(), points.max(2)),
-        v_out,
-        v_dd: v_dd.as_volts(),
-    })
+        .expect("gate cells always compile a VTC bench")
+        .recall_transfer("topo.vtc", pair)
 }
 
-/// Worst-case gate static noise margin over the standard input vectors,
-/// via cached transfer curves.
+/// Worst-case gate static noise margin over the standard input vectors
+/// (each single input switching with the other at its non-controlling
+/// value, plus both switching together), via cached transfer curves.
 ///
 /// # Errors
 ///
@@ -907,7 +968,9 @@ pub fn cached_gate_snm(
     points: usize,
 ) -> Result<f64, SpiceError> {
     let others = match kind {
+        // NAND: non-controlling value is high.
         GateKind::Nand2 => [OtherInput::High, OtherInput::Common],
+        // NOR: non-controlling value is low.
         GateKind::Nor2 => [OtherInput::Low, OtherInput::Common],
     };
     let mut worst = f64::INFINITY;
@@ -937,29 +1000,21 @@ pub fn cached_gate_leakage(
     v_dd: Volts,
     inputs: (bool, bool),
 ) -> Result<f64, SpiceError> {
-    let spec = CellSpec::gate(kind, *pair);
-    let bench = spec
+    let bench = CellSpec::gate(kind, *pair)
         .compile(&Testbench::Leakage {
             v_dd,
             inputs: InputVector::Two(inputs.0, inputs.1),
         })
         .expect("gate cells always compile a leakage bench");
-    let key = bench.key("topo.leak", &pair.model().cache_id());
-    let rec =
-        global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
-            let sol = bench.run_operating_point()?;
-            trace::observe("spice.newton.iterations", sol.iterations as f64);
-            let MeasurePlan::StaticCurrent { branch } = bench.plan else {
-                unreachable!("leakage benches carry a static-current plan");
-            };
-            // Delivered current is −i_branch on the supply source.
-            Ok(vec![-sol.branch_currents[branch]])
-        })?;
-    rec.first().copied().ok_or(MEASUREMENT_FAILED)
+    let rec = bench.recall("topo.leak", &pair.model().cache_id(), || {
+        Ok(vec![bench.run_static_current()?])
+    })?;
+    Ok(rec[0])
 }
 
 /// Ring-oscillator period and per-stage delay through the engine cache
-/// (`spice.tran` namespace).
+/// (`spice.tran` namespace). The ring carries 0.1 fF of wiring
+/// capacitance per stage and starts from alternating rails.
 ///
 /// # Errors
 ///
@@ -968,8 +1023,7 @@ pub fn cached_gate_leakage(
 ///
 /// # Panics
 ///
-/// Panics if `stages` is even or less than 3 (the legacy
-/// [`crate::ring::ring_oscillator`] contract).
+/// Panics if `stages` is even or less than 3.
 pub fn cached_ring_oscillation(
     pair: &CmosPair,
     v_dd: Volts,
@@ -988,52 +1042,35 @@ pub fn cached_ring_oscillation(
     let bench = spec
         .compile(&Testbench::Oscillation { v_dd, steps })
         .expect("odd rings always compile an oscillation bench");
-    let key = bench.key("topo.ring", &pair.model().cache_id());
-    let rec =
-        global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_TRAN_NS, key, || {
-            let res = bench.run_transient()?;
-            trace::add("spice.tran.runs", 1);
-            trace::observe("spice.tran.steps", res.newton_iterations.len() as f64);
-            let osc = bench.measure_oscillation(&res).ok_or(MEASUREMENT_FAILED)?;
-            Ok(vec![osc.period.get(), osc.stage_delay.get()])
-        })?;
-    match rec.as_slice() {
-        [period, stage_delay] => Ok(RingOscillation {
-            period: Seconds::new(*period),
-            stage_delay: Seconds::new(*stage_delay),
-        }),
-        _ => Err(MEASUREMENT_FAILED),
-    }
+    let rec = bench.recall("topo.ring", &pair.model().cache_id(), || {
+        let osc = bench
+            .measure_oscillation(&bench.run_transient()?)
+            .ok_or(MEASUREMENT_FAILED)?;
+        Ok(vec![osc.period.get(), osc.stage_delay.get()])
+    })?;
+    Ok(RingOscillation {
+        period: Seconds::new(rec[0]),
+        stage_delay: Seconds::new(rec[1]),
+    })
 }
 
-/// Inverter transfer curve through the engine cache — the temperature
-/// workload's VTC path (`spice.vtc` namespace). Identical deck to the
-/// spice circuit backend's VTC, but keyed through the canonical
-/// topology key (the pair's temperature enters via the device models).
+/// Inverter transfer curve through the engine cache (`spice.vtc`
+/// namespace) — the one record of the inverter VTC deck, shared by the
+/// spice circuit backend and the temperature workload (the pair's
+/// temperature enters the key via the device models).
 ///
 /// # Errors
 ///
 /// Propagates [`SpiceError`] from the solver.
 pub fn cached_inverter_vtc(pair: &CmosPair, v_dd: Volts, points: usize) -> Result<Vtc, SpiceError> {
-    let spec = CellSpec::inverter(*pair);
-    let bench = spec
+    CellSpec::inverter(*pair)
         .compile(&Testbench::Vtc {
             v_dd,
             points,
             other: OtherInput::Low,
         })
-        .expect("inverters always compile a VTC bench");
-    let key = bench.key("topo.vtc", &pair.model().cache_id());
-    let v_out =
-        global_cache().try_get_or_compute::<Vec<f64>, SpiceError>(TOPO_VTC_NS, key, || {
-            let vtc = bench.run_transfer()?;
-            Ok(vtc.v_out)
-        })?;
-    Ok(Vtc {
-        v_in: linspace(0.0, v_dd.as_volts(), points.max(2)),
-        v_out,
-        v_dd: v_dd.as_volts(),
-    })
+        .expect("inverters always compile a VTC bench")
+        .recall_transfer("topo.vtc", pair)
 }
 
 #[cfg(test)]
@@ -1047,9 +1084,17 @@ mod tests {
 
     #[test]
     fn inverter_vtc_bench_matches_legacy_deck() {
+        // The compiled bench is the hand-wired deck: a VDD rail, a
+        // sweepable VIN and one inverter between them.
         let p = pair();
         let v = Volts::new(0.25);
-        let (net, vout) = Inverter::new(p).vtc_netlist(v);
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        let vin = net.node("in");
+        let vout = net.node("out");
+        net.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(0.25));
+        net.vsource("VIN", vin, Netlist::GROUND, Waveform::Dc(0.0));
+        Inverter::new(p.at_supply(v)).wire(&mut net, "X1", vin, vout, vdd);
         let bench = CellSpec::inverter(p)
             .compile(&Testbench::Vtc {
                 v_dd: v,
@@ -1139,9 +1184,33 @@ mod tests {
         let p = pair();
         let v = Volts::new(0.25);
         let cached = cached_gate_snm(&p, GateKind::Nor2, v, 61).unwrap();
-        let direct = Gate2::nor2(p).worst_case_snm(v, 61).unwrap();
+        let direct = [OtherInput::Low, OtherInput::Common]
+            .into_iter()
+            .map(|other| {
+                let vtc = Gate2::nor2(p).vtc(v, other, 61).unwrap();
+                crate::snm::noise_margins(&vtc).unwrap().snm()
+            })
+            .fold(f64::INFINITY, f64::min);
         assert_eq!(cached, direct, "cached and direct SNM must agree exactly");
         let again = cached_gate_snm(&p, GateKind::Nor2, v, 61).unwrap();
         assert_eq!(cached, again);
+    }
+
+    #[test]
+    fn ring_oscillates_in_subthreshold() {
+        let p = pair();
+        let osc = cached_ring_oscillation(&p, Volts::new(0.25), 5, 1500).unwrap();
+        assert!(osc.period.get() > 0.0);
+        // Stage delay within ~4x of the analytic FO1 delay (the ring
+        // stage is lighter loaded than true FO1 plus wiring cap).
+        let tp = analytic_fo1_delay(&p, Volts::new(0.25)).get();
+        let ratio = osc.stage_delay.get() / tp;
+        assert!((0.2..4.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    #[should_panic(expected = "odd stage count")]
+    fn rejects_even_rings() {
+        let _ = cached_ring_oscillation(&pair(), Volts::new(0.25), 4, 100);
     }
 }

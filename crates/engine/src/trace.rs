@@ -502,7 +502,14 @@ impl Tracer {
             return;
         }
         let mut state = self.state.lock().expect("tracer lock");
-        *state.counters.entry(name.to_owned()).or_insert(0) += delta;
+        // Hot solver loops count per iteration: allocate the key only on
+        // first sight.
+        match state.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                state.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Sets a counter to an absolute value (used by flush hooks that
@@ -537,11 +544,14 @@ impl Tracer {
             return;
         }
         let mut state = self.state.lock().expect("tracer lock");
-        state
-            .hists
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .record(value);
+        match state.hists.get_mut(name) {
+            Some(hist) => hist.record(value),
+            None => {
+                let mut hist = Histogram::new(bounds);
+                hist.record(value);
+                state.hists.insert(name.to_owned(), hist);
+            }
+        }
     }
 
     /// Reads one counter (0 when never incremented).

@@ -9,8 +9,6 @@
 //! `--cache <path>` — is served from the cache, which the trace counters
 //! (`cache.design.hit` / `cache.design.miss`) make visible.
 
-use std::sync::OnceLock;
-
 use subvt_circuits::backend::CircuitBackendKind;
 use subvt_circuits::inverter::CmosPair;
 use subvt_core::strategy::{DesignError, NodeDesign, ScalingStrategy};
@@ -194,8 +192,9 @@ pub(crate) fn design_context(
     })
 }
 
+#[cfg(test)]
 impl StudyContext {
-    /// The default [`Study`]'s context, computed once per process
+    /// The default [`Study`]'s context, computed once per test process
     /// (design flows are deterministic).
     ///
     /// # Panics
@@ -203,7 +202,7 @@ impl StudyContext {
     /// Panics if the design flows fail — the roadmap inputs are fixed, so
     /// a failure is a programming error, not an input error.
     pub fn cached() -> &'static StudyContext {
-        static CTX: OnceLock<StudyContext> = OnceLock::new();
+        static CTX: std::sync::OnceLock<StudyContext> = std::sync::OnceLock::new();
         CTX.get_or_init(|| {
             Study::default()
                 .context()

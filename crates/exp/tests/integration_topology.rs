@@ -17,7 +17,7 @@ use subvt_circuits::gates::{GateKind, OtherInput};
 use subvt_circuits::inverter::{analytic_vtc, Vtc};
 use subvt_circuits::snm::noise_margins;
 use subvt_circuits::topology::{cached_gate_vtc, cached_inverter_vtc, cached_ring_oscillation};
-use subvt_exp::StudyContext;
+use subvt_exp::Study;
 use subvt_units::Volts;
 
 /// The paper's sub-V_th evaluation supply.
@@ -46,7 +46,7 @@ fn snm_of(vtc: &Vtc) -> f64 {
 
 #[test]
 fn common_input_gates_degenerate_to_the_inverter_at_every_node() {
-    let ctx = StudyContext::cached();
+    let ctx = Study::default().context().expect("default study designs");
     let v = Volts::new(V_DD);
     for design in &ctx.supervth {
         let pair = ctx.study.pair(design);
@@ -101,7 +101,7 @@ fn common_input_gates_degenerate_to_the_inverter_at_every_node() {
 
 #[test]
 fn ring_period_tracks_twice_stages_times_fo1() {
-    let ctx = StudyContext::cached();
+    let ctx = Study::default().context().expect("default study designs");
     let pair = ctx.study.pair(&ctx.supervth[0]);
     let v = Volts::new(V_DD);
     let stages = 5;
@@ -124,7 +124,7 @@ fn ring_period_tracks_twice_stages_times_fo1() {
 
 #[test]
 fn topology_measurements_are_cache_resident_on_rerun() {
-    let ctx = StudyContext::cached();
+    let ctx = Study::default().context().expect("default study designs");
     let pair = ctx.study.pair(&ctx.supervth[0]);
     let v = Volts::new(V_DD);
     // Populate.

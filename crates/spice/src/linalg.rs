@@ -328,8 +328,7 @@ pub fn solve_in_place(a: &DenseMatrix, b: &mut [f64]) -> Result<Vec<f64>, Singul
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     fn from_rows(rows: &[&[f64]]) -> DenseMatrix {
         let n = rows.len();
@@ -343,30 +342,20 @@ mod tests {
         m
     }
 
-    /// SplitMix64 step — a tiny deterministic generator so the
-    /// property-style sweeps below need no external crate.
-    fn next_u64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
     /// Uniform in [-1, 1).
-    fn next_f64(state: &mut u64) -> f64 {
-        (next_u64(state) >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
+    fn signed(rng: &mut SplitMix64) -> f64 {
+        rng.next_f64() * 2.0 - 1.0
     }
 
     /// A random diagonally-dominant matrix with an MNA-like shape: a
     /// strongly dominant "conductance" block plus off-diagonal coupling.
-    fn mna_shaped(n: usize, state: &mut u64) -> DenseMatrix {
+    fn mna_shaped(n: usize, rng: &mut SplitMix64) -> DenseMatrix {
         let mut a = DenseMatrix::zeros(n);
         for i in 0..n {
             let mut dominance = 1.0;
             for j in 0..n {
                 if i != j {
-                    let v = next_f64(state);
+                    let v = signed(rng);
                     a.set(i, j, v);
                     dominance += v.abs();
                 }
@@ -376,8 +365,8 @@ mod tests {
         a
     }
 
-    fn rand_rhs(n: usize, state: &mut u64) -> Vec<f64> {
-        (0..n).map(|_| next_f64(state) * 10.0).collect()
+    fn rand_rhs(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
+        (0..n).map(|_| signed(rng) * 10.0).collect()
     }
 
     #[test]
@@ -445,22 +434,22 @@ mod tests {
         // split factor/solve path must reproduce the fused solve exactly
         // (same arithmetic in the same order → identical bits, which is
         // stronger than the 1e-12 the spec asks for).
-        let mut state = 0x5eed_cafe_f00du64;
+        let mut rng = SplitMix64::new(0x5eed_cafe_f00d);
         for trial in 0..40 {
             let n = 1 + (trial % 9);
             let a = if trial % 2 == 0 {
-                mna_shaped(n, &mut state)
+                mna_shaped(n, &mut rng)
             } else {
                 // General (possibly pivot-requiring) random matrix.
                 let mut m = DenseMatrix::zeros(n);
                 for i in 0..n {
                     for j in 0..n {
-                        m.set(i, j, next_f64(&mut state) * 3.0);
+                        m.set(i, j, signed(&mut rng) * 3.0);
                     }
                 }
                 m
             };
-            let rhs = rand_rhs(n, &mut state);
+            let rhs = rand_rhs(n, &mut rng);
 
             let mut b_fused = rhs.clone();
             let fused = match solve_in_place(&a, &mut b_fused) {
@@ -481,13 +470,13 @@ mod tests {
 
     #[test]
     fn factor_once_resolves_many_rhs() {
-        let mut state = 0xabcd_1234u64;
+        let mut rng = SplitMix64::new(0xabcd_1234);
         let n = 7;
-        let a = mna_shaped(n, &mut state);
+        let a = mna_shaped(n, &mut rng);
         let mut lu = LuFactors::new();
         lu.factor(&a).unwrap();
         for _ in 0..10 {
-            let rhs = rand_rhs(n, &mut state);
+            let rhs = rand_rhs(n, &mut rng);
             let mut b = rhs.clone();
             let x = lu.solve(&mut b);
             let mut b_ref = rhs.clone();
@@ -503,10 +492,10 @@ mod tests {
         // Diagonally-dominant MNA-shaped matrices keep their pivot order
         // under value drift, so the cached-pivot refactorization must
         // agree with a fresh full-pivoting factorization to 1e-12.
-        let mut state = 0x00c0_ffeeu64;
+        let mut rng = SplitMix64::new(0x00c0_ffee);
         for trial in 0..25 {
             let n = 2 + (trial % 7);
-            let a0 = mna_shaped(n, &mut state);
+            let a0 = mna_shaped(n, &mut rng);
             let mut lu = LuFactors::new();
             lu.factor(&a0).unwrap();
 
@@ -514,14 +503,14 @@ mod tests {
             let mut a1 = a0.clone();
             for i in 0..n {
                 for j in 0..n {
-                    let scale = 1.0 + 0.05 * next_f64(&mut state);
+                    let scale = 1.0 + 0.05 * signed(&mut rng);
                     a1.set(i, j, a0.get(i, j) * scale);
                 }
             }
             lu.refactor_cached(&a1)
                 .expect("dominant pivots must be reusable");
 
-            let rhs = rand_rhs(n, &mut state);
+            let rhs = rand_rhs(n, &mut rng);
             let mut b = rhs.clone();
             let x_cached = lu.solve(&mut b);
             let mut b_ref = rhs.clone();
@@ -568,34 +557,21 @@ mod tests {
         assert_eq!(lu.solve(&mut b), vec![5.0, 6.0]);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn residual_small_for_diagonally_dominant(
-            seed in proptest::collection::vec(-1.0f64..1.0, 25),
-            rhs in proptest::collection::vec(-10.0f64..10.0, 5),
-        ) {
-            let n = 5;
-            let mut a = DenseMatrix::zeros(n);
-            for i in 0..n {
-                let mut diag = 1.0;
-                for j in 0..n {
-                    if i != j {
-                        let v = seed[i * n + j];
-                        a.set(i, j, v);
-                        diag += v.abs();
-                    }
-                }
-                a.set(i, i, diag);
-            }
+    #[test]
+    fn residual_small_for_diagonally_dominant() {
+        // Property: a diagonally dominant 5×5 system solves to a residual
+        // below 1e-8 for any off-diagonal entries in [-1, 1) and any
+        // right-hand side in [-10, 10).
+        let n = 5;
+        for case in 0..256 {
+            let mut rng = SplitMix64::stream(0xd0_1a97, case);
+            let a = mna_shaped(n, &mut rng);
+            let rhs = rand_rhs(n, &mut rng);
             let mut b = rhs.clone();
             let x = solve_in_place(&a, &mut b).unwrap();
             for i in 0..n {
-                let mut ax = 0.0;
-                for j in 0..n {
-                    ax += a.get(i, j) * x[j];
-                }
-                prop_assert!((ax - rhs[i]).abs() < 1e-8);
+                let ax: f64 = (0..n).map(|j| a.get(i, j) * x[j]).sum();
+                assert!((ax - rhs[i]).abs() < 1e-8, "case {case}, row {i}");
             }
         }
     }

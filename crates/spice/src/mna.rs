@@ -528,13 +528,24 @@ const GMIN_LADDER: [f64; 5] = [1.0e-3, 1.0e-5, 1.0e-7, 1.0e-9, GMIN];
 /// stepping (minimum conductance relaxed and walked back down to
 /// [`GMIN`] with continuation). Each rung is recorded via
 /// [`subvt_engine::recovery`] under the `spice.dc` site. Each call
-/// counts one `spice.dc.solves`, whichever rungs it climbs.
+/// counts one `spice.dc.solves`, whichever rungs it climbs, and a
+/// returned solution observes its `spice.newton.iterations`.
 ///
 /// # Errors
 ///
 /// Returns [`SpiceError::InvalidNetlist`] for non-physical element
 /// values, or the first solver error if every recovery rung fails.
 pub fn dc_operating_point(net: &Netlist) -> Result<DcSolution, SpiceError> {
+    operating_point_with_recovery(net).inspect(observe_newton)
+}
+
+/// Records the Newton effort behind one returned DC solution.
+fn observe_newton(sol: &DcSolution) {
+    trace::observe("spice.newton.iterations", sol.iterations as f64);
+}
+
+/// The cold solve plus recovery ladder behind [`dc_operating_point`].
+fn operating_point_with_recovery(net: &Netlist) -> Result<DcSolution, SpiceError> {
     use subvt_engine::{faultinject, recovery, recovery::RecoveryStep};
 
     net.validate()?;
@@ -659,7 +670,8 @@ pub fn cold_start_forced() -> bool {
 /// transient initial condition.
 ///
 /// Counts as one DC solve (`spice.dc.solves`) and one warm start
-/// (`spice.newton.warm_start`); when
+/// (`spice.newton.warm_start`), and a returned solution observes its
+/// `spice.newton.iterations`; when
 /// [`cold_start_forced`] is set the initial guess is ignored and the
 /// solve routes through the cold [`dc_operating_point`] path instead.
 pub fn dc_operating_point_from(
@@ -697,7 +709,9 @@ pub(crate) fn dc_operating_point_from_with(
     let result = solver.newton(x0, CapMode::Open);
     *lu = core::mem::take(&mut solver.lu);
     let (x, iters) = result?;
-    Ok(solver.to_solution(&x, iters))
+    let sol = solver.to_solution(&x, iters);
+    observe_newton(&sol);
+    Ok(sol)
 }
 
 /// Sweeps the DC value of the named voltage source over `values`,

@@ -2,6 +2,8 @@
 //! integration with capacitor companion models and a Newton solve per
 //! time point.
 
+use subvt_engine::trace;
+
 use crate::mna::{CapMode, DcSolution, Solver, SpiceError};
 use crate::netlist::{Element, Netlist};
 
@@ -98,6 +100,10 @@ pub fn transient(net: &Netlist, spec: TransientSpec) -> Result<TransientResult, 
 /// Runs a transient analysis from a caller-provided initial operating
 /// point (useful for warm-started parameter sweeps).
 ///
+/// A completed run counts one `spice.tran.runs`, observes its step count
+/// in `spice.tran.steps` and each step's Newton iterations in
+/// `spice.newton.iterations`.
+///
 /// # Errors
 ///
 /// Propagates [`SpiceError`] from any time step.
@@ -176,6 +182,11 @@ pub fn transient_from(
         push(t, &x, &mut time, &mut voltages, &mut branches);
     }
 
+    trace::add("spice.tran.runs", 1);
+    trace::observe("spice.tran.steps", newton_iterations.len() as f64);
+    for &iters in &newton_iterations {
+        trace::observe("spice.newton.iterations", iters as f64);
+    }
     Ok(TransientResult {
         time,
         voltages,

@@ -33,7 +33,7 @@ fn parallel_run_all_matches_serial_byte_for_byte() {
 
 #[test]
 fn design_cache_round_trips_through_disk_without_recompute() {
-    let ctx = StudyContext::cached().clone();
+    let ctx = Study::default().context().expect("default study designs");
     let cache = subvt_engine::global_cache();
 
     let dir = std::env::temp_dir().join(format!("subvt-engine-it-{}", std::process::id()));
@@ -98,10 +98,10 @@ fn design_key(flow: &str) -> u64 {
 fn design_set_blob_matches_cache_record() {
     // The cached record must decode with the public codec — guards
     // against silent layout drift between codec and cache.
-    let ctx = StudyContext::cached();
+    let ctx = Study::default().context().expect("default study designs");
     let record = subvt_engine::global_cache()
         .peek("design", design_key("subvth"))
-        .expect("subvth flow cached after StudyContext::cached()");
+        .expect("subvth flow cached after Study::context()");
     let decoded = DesignSet::decode(&record).expect("record must decode");
     assert_eq!(decoded.0, ctx.subvth);
 }

@@ -4,13 +4,13 @@
 use std::process::Command;
 
 use subvt_circuits::CircuitBackendKind;
-use subvt_exp::{Study, StudyContext, ALL_EXPERIMENTS};
+use subvt_exp::{Study, ALL_EXPERIMENTS};
 use subvt_units::Temperature;
 
 #[test]
 fn every_registered_experiment_renders() {
     // Warm the shared design cache once, then run everything.
-    let _ = StudyContext::cached();
+    let _ = Study::default().context().expect("default study designs");
     let tables = Study::default().run_all();
     assert_eq!(tables.len(), ALL_EXPERIMENTS.len());
     for t in &tables {

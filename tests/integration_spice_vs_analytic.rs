@@ -5,6 +5,7 @@ use subvt_circuits::chain::InverterChain;
 use subvt_circuits::delay::{analytic_fo1_delay, spice_fo1_delay};
 use subvt_circuits::inverter::{analytic_vtc, CmosPair, Inverter};
 use subvt_circuits::snm::noise_margins;
+use subvt_circuits::CircuitBackendKind;
 use subvt_physics::device::DeviceParams;
 use subvt_spice::measure::supply_energy;
 use subvt_spice::netlist::{Netlist, Waveform};
@@ -155,9 +156,11 @@ fn spice_cache_totals() -> (u64, u64) {
 /// global cache stats across parallel test threads.
 #[test]
 fn spice_backend_parity_and_warm_cache_reuse() {
-    let analytic = subvt_circuits::analytic_circuit();
-    let spice = subvt_circuits::spice_circuit();
-    let ctx = subvt_exp::StudyContext::cached();
+    let analytic = CircuitBackendKind::Analytic.instance();
+    let spice = CircuitBackendKind::Spice.instance();
+    let ctx = subvt_exp::Study::default()
+        .context()
+        .expect("default study designs");
     let v = Volts::new(0.25);
     let pairs: Vec<CmosPair> = ctx.supervth.iter().map(|d| ctx.study.pair(d)).collect();
 
