@@ -1,7 +1,8 @@
 //! Circuit-level figures on the super-V_th devices: Fig. 4 (inverter
 //! SNM), Fig. 5 (FO1 delay) and Fig. 6 (chain energy and V_min).
 
-use subvt_circuits::chain::InverterChain;
+use subvt_circuits::backend::CircuitError;
+use subvt_circuits::chain::{InverterChain, MinimumEnergyPoint};
 use subvt_circuits::snm::noise_margins;
 use subvt_core::metrics::energy_factor;
 use subvt_core::strategy::NodeDesign;
@@ -37,16 +38,46 @@ pub fn delay_at(study: &Study, design: &NodeDesign, v_dd: Volts) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+/// Minimum-energy point of the paper's 30-inverter chain built from a
+/// node's devices, through the study's circuit backend. The search's
+/// probes run one after another: their sequence fixes `V_min`.
+///
+/// # Errors
+///
+/// Returns the backend's [`CircuitError`] when a probe fails.
+pub(crate) fn chain_mep(
+    study: &Study,
+    design: &NodeDesign,
+) -> Result<MinimumEnergyPoint, CircuitError> {
+    let chain = InverterChain::paper_chain(study.pair(design));
+    study.circuit.instance().minimum_energy_point(&chain)
+}
+
+/// Runs `f` once per design on the engine pool, one job per design, and
+/// returns the results in input order. A design is whatever one job
+/// evaluates: a node, or a super-/sub-V_th pair of nodes. The jobs are
+/// independent, so the output does not depend on the pool size; two
+/// jobs that need one SPICE record share it through the cache's single
+/// flight. A job that can fail returns its `Result` for the caller to
+/// unwrap: the pool re-raises a panic inside a job as `job panicked: …`.
+pub(crate) fn per_design<D, R, F>(study: Study, designs: Vec<D>, f: F) -> Vec<R>
+where
+    D: Send + 'static,
+    R: Send + 'static,
+    F: Fn(&Study, &D) -> R + Send + Sync + 'static,
+{
+    subvt_engine::global().map(designs, move |d| f(&study, &d))
+}
+
 /// Fig. 4: simulated inverter SNM at nominal `V_dd` and at 250 mV across
 /// nodes (super-V_th strategy).
 ///
 /// Paper shape: SNM degrades more than 10 % between 90 nm and 32 nm.
 pub fn fig4(ctx: &StudyContext) -> Table {
-    let study = ctx.study;
-    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, move |d| {
-        let nominal = snm_at(&study, d, d.nfet.v_dd);
-        let sub = snm_at(&study, d, Volts::new(V_SUBVT));
-        (nominal, sub)
+    let rows = per_design(ctx.study, ctx.supervth.clone(), |study, d| {
+        let nominal = snm_at(study, d, d.nfet.v_dd);
+        let sub = snm_at(study, d, Volts::new(V_SUBVT));
+        (d.node.name().to_owned(), nominal, sub)
     });
     let base_sub = rows[0].2;
     let mut t = Table::new(
@@ -76,11 +107,10 @@ pub fn fig4(ctx: &StudyContext) -> Table {
 /// 250 mV delay is *non-monotonic* — it increases except at 32 nm —
 /// because V_th wanders under the leakage-constrained flow.
 pub fn fig5(ctx: &StudyContext) -> Table {
-    let study = ctx.study;
-    let rows: Vec<(String, f64, f64)> = run_per_node(&ctx.supervth, move |d| {
-        let nominal = delay_at(&study, d, d.nfet.v_dd);
-        let sub = delay_at(&study, d, Volts::new(V_SUBVT));
-        (nominal, sub)
+    let rows = per_design(ctx.study, ctx.supervth.clone(), |study, d| {
+        let nominal = delay_at(study, d, d.nfet.v_dd);
+        let sub = delay_at(study, d, Volts::new(V_SUBVT));
+        (d.node.name().to_owned(), nominal, sub)
     });
     let base_nom = rows[0].1;
     let base_sub = rows[0].2;
@@ -113,24 +143,25 @@ pub fn fig5(ctx: &StudyContext) -> Table {
 /// Paper shape: energy falls with scaling but `V_min` *rises* ~40 mV from
 /// 90 nm to 32 nm; the `C_L·S_S²` factor tracks the measured energy.
 pub fn fig6(ctx: &StudyContext) -> Table {
-    let mut rows = Vec::new();
-    let circuit = ctx.study.circuit.instance();
-    for d in &ctx.supervth {
-        let chain = InverterChain::paper_chain(ctx.study.pair(d));
-        let mep = circuit
-            .minimum_energy_point(&chain)
-            .expect("chain MEP search failed");
-        // The Eq. 8 factor uses width-normalized capacitance; scale by
-        // the node's device width so it overlays the absolute energy of
-        // the width-scaled chain.
-        let factor = energy_factor(&d.nfet_chars) * d.node.dimension_scale();
-        rows.push((
-            d.node.name().to_owned(),
-            mep.energy.as_femtojoules(),
-            mep.v_min.as_millivolts(),
-            factor,
-        ));
-    }
+    let meps = per_design(ctx.study, ctx.supervth.clone(), chain_mep);
+    let rows: Vec<_> = ctx
+        .supervth
+        .iter()
+        .zip(meps)
+        .map(|(d, mep)| {
+            let mep = mep.expect("chain MEP search failed");
+            // The Eq. 8 factor uses width-normalized capacitance; scale
+            // by the node's device width so it overlays the absolute
+            // energy of the width-scaled chain.
+            let factor = energy_factor(&d.nfet_chars) * d.node.dimension_scale();
+            (
+                d.node.name().to_owned(),
+                mep.energy.as_femtojoules(),
+                mep.v_min.as_millivolts(),
+                factor,
+            )
+        })
+        .collect();
     let e0 = rows[0].1;
     let f0 = rows[0].3;
     let mut t = Table::new(
@@ -153,18 +184,6 @@ pub fn fig6(ctx: &StudyContext) -> Table {
         ]);
     }
     t
-}
-
-/// Runs a per-node closure in parallel across the four nodes (each SPICE
-/// measurement is independent). Results keep the input node order.
-fn run_per_node<F>(designs: &[NodeDesign], f: F) -> Vec<(String, f64, f64)>
-where
-    F: Fn(&NodeDesign) -> (f64, f64) + Send + Sync + 'static,
-{
-    subvt_engine::global().map(designs.to_vec(), move |d| {
-        let (a, b) = f(&d);
-        (d.node.name().to_owned(), a, b)
-    })
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //! and Fig. 12 (chain energy and V_min) — super-V_th versus the proposed
 //! sub-V_th scaling.
 
-use subvt_circuits::chain::InverterChain;
 use subvt_units::Volts;
 
 use crate::context::{StudyContext, V_SUBVT};
-use crate::figs_circuit::{delay_at, snm_at};
+use crate::figs_circuit::{chain_mep, delay_at, per_design, snm_at};
 use crate::table::{fmt, Table};
 
 /// Fig. 10: simulated inverter SNM at 250 mV under both strategies.
@@ -21,10 +20,9 @@ pub fn fig10(ctx: &StudyContext) -> Table {
         .copied()
         .zip(ctx.subvth.iter().copied())
         .collect();
-    let study = ctx.study;
-    let rows = subvt_engine::global().map(pairs, move |(sup, sub)| {
-        let snm = |d| snm_at(&study, d, v);
-        (sup.node.name().to_owned(), snm(&sup), snm(&sub))
+    let rows = per_design(ctx.study, pairs, move |study, (sup, sub)| {
+        let snm = |d| snm_at(study, d, v);
+        (sup.node.name().to_owned(), snm(sup), snm(sub))
     });
 
     let mut t = Table::new(
@@ -50,10 +48,9 @@ pub fn fig11(ctx: &StudyContext) -> Table {
         .copied()
         .zip(ctx.subvth.iter().copied())
         .collect();
-    let study = ctx.study;
-    let rows = subvt_engine::global().map(pairs, move |(sup, sub)| {
-        let delay = |d| delay_at(&study, d, v);
-        (sup.node.name().to_owned(), delay(&sup), delay(&sub))
+    let rows = per_design(ctx.study, pairs, move |study, (sup, sub)| {
+        let delay = |d| delay_at(study, d, v);
+        (sup.node.name().to_owned(), delay(sup), delay(sub))
     });
 
     let base_sup = rows[0].1;
@@ -87,23 +84,28 @@ pub fn fig11(ctx: &StudyContext) -> Table {
 /// 32 nm node with `V_min` nearly flat, versus the rising `V_min` of
 /// super-V_th scaling.
 pub fn fig12(ctx: &StudyContext) -> Table {
-    let mut rows = Vec::new();
-    let circuit = ctx.study.circuit.instance();
-    for (sup, sub) in ctx.supervth.iter().zip(&ctx.subvth) {
-        let mep_sup = circuit
-            .minimum_energy_point(&InverterChain::paper_chain(ctx.study.pair(sup)))
-            .expect("chain MEP search failed");
-        let mep_sub = circuit
-            .minimum_energy_point(&InverterChain::paper_chain(ctx.study.pair(sub)))
-            .expect("chain MEP search failed");
-        rows.push((
-            sup.node.name().to_owned(),
-            mep_sup.energy.as_femtojoules(),
-            mep_sub.energy.as_femtojoules(),
-            mep_sup.v_min.as_millivolts(),
-            mep_sub.v_min.as_millivolts(),
-        ));
-    }
+    // One job per chain: the four super-V_th chains, then the four
+    // sub-V_th ones.
+    let n = ctx.supervth.len();
+    let designs = [ctx.supervth.as_slice(), ctx.subvth.as_slice()].concat();
+    let mut meps = per_design(ctx.study, designs, chain_mep);
+    let meps_sub = meps.split_off(n);
+    let rows: Vec<_> = ctx
+        .supervth
+        .iter()
+        .zip(meps.into_iter().zip(meps_sub))
+        .map(|(sup, (mep_sup, mep_sub))| {
+            let mep_sup = mep_sup.expect("chain MEP search failed");
+            let mep_sub = mep_sub.expect("chain MEP search failed");
+            (
+                sup.node.name().to_owned(),
+                mep_sup.energy.as_femtojoules(),
+                mep_sub.energy.as_femtojoules(),
+                mep_sup.v_min.as_millivolts(),
+                mep_sub.v_min.as_millivolts(),
+            )
+        })
+        .collect();
     let mut t = Table::new(
         "Fig 12: chain energy and V_min, super-Vth vs sub-Vth scaling",
         &[

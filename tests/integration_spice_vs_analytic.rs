@@ -335,3 +335,99 @@ fn spice_montecarlo_counts_every_dc_solve() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `repro --circuit-backend spice --csv fig12 fig6` cold at `jobs`
+/// with a manifest; returns stdout and the parsed manifest.
+fn spice_mep_run(dir: &std::path::Path, jobs: &str) -> (Vec<u8>, subvt_engine::json::Json) {
+    let manifest = dir.join(format!("manifest-j{jobs}.json"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--circuit-backend", "spice", "--csv", "--jobs", jobs])
+        .arg("--cache")
+        .arg(dir.join(format!("cache-j{jobs}.jsonl")))
+        .arg("--manifest")
+        .arg(&manifest)
+        .args(["fig12", "fig6"])
+        .output()
+        .expect("repro spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    let json = subvt_engine::json::parse_json(text.trim()).expect("valid JSON");
+    (out.stdout, json)
+}
+
+/// The minimum-energy-point searches fan out one chain per job; that
+/// must add no work. Serial and parallel runs print the same figures
+/// from the same solver counts, every transient is one cache miss (so
+/// Fig. 6 is served entirely from Fig. 12's super-V_th records, single
+/// flight or not), and per cache namespace every lookup is counted
+/// once, as a hit or a miss (a coalesced wait counts as a hit).
+#[test]
+fn fanned_out_mep_searches_do_the_serial_work() {
+    let dir = std::env::temp_dir().join(format!("subvt-mep-fanout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (serial_out, serial) = spice_mep_run(&dir, "1");
+    let (parallel_out, parallel) = spice_mep_run(&dir, "2");
+    assert!(serial_out == parallel_out, "--jobs 2 output differs");
+
+    let counter = |m: &subvt_engine::json::Json, name: &str| {
+        m.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+    };
+    for name in [
+        "spice.tran.runs",
+        "spice.dc.solves",
+        "circuits.chain.energy_points",
+        "cache.spice.tran.miss",
+    ] {
+        assert_eq!(
+            counter(&serial, name),
+            counter(&parallel, name),
+            "{name} differs between --jobs 1 and --jobs 2"
+        );
+    }
+    for m in [&serial, &parallel] {
+        assert_eq!(
+            counter(m, "cache.spice.tran.miss"),
+            counter(m, "spice.tran.runs"),
+            "every transient is one spice.tran miss"
+        );
+        let namespaces = m
+            .get("cache")
+            .and_then(|c| c.get("namespaces"))
+            .and_then(|n| n.as_arr())
+            .expect("cache namespaces");
+        let histograms = m
+            .get("histograms")
+            .and_then(|h| h.as_arr())
+            .expect("histograms");
+        let lookups = |ns: &str| {
+            let name = format!("cache.{ns}.lookup_us");
+            histograms
+                .iter()
+                .find(|h| h.get("name").and_then(|n| n.as_str()) == Some(name.as_str()))
+                .and_then(|h| h.get("count"))
+                .and_then(|c| c.as_u64())
+                .unwrap_or_else(|| panic!("histogram {name} missing"))
+        };
+        assert!(!namespaces.is_empty());
+        for entry in namespaces {
+            let ns = entry.get("ns").and_then(|n| n.as_str()).expect("ns");
+            let (hits, misses) = (
+                counter(m, &format!("cache.{ns}.hit")),
+                counter(m, &format!("cache.{ns}.miss")),
+            );
+            assert_eq!(
+                hits + misses,
+                lookups(ns),
+                "cache.{ns}: hit + miss != lookups"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
