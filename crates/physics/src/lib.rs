@@ -44,4 +44,4 @@ pub mod subthreshold;
 pub mod swing;
 
 pub use device::{DeviceCharacteristics, DeviceGeometry, DeviceKind, DeviceParams};
-pub use iv::MosModel;
+pub use iv::{MosModel, PreparedMos};

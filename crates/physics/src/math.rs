@@ -62,11 +62,29 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Derivative `F'(v)` of [`ekv_f`]: since `F(v) = s(v/2)²` with `s` the
-/// softplus and `s'(x) = σ(x)`, `F'(v) = s(v/2)·σ(v/2)`. Tends to `e^v`
-/// in weak inversion and `v/2` in strong inversion.
-pub fn ekv_f_prime(v: f64) -> f64 {
-    softplus(v / 2.0) * sigmoid(v / 2.0)
+/// `(softplus(x), σ(x))` bit for bit as [`softplus`] and [`sigmoid`]
+/// compute them, sharing their `e^x` for `x < 0`. Only on `[0, 35]`,
+/// where the softplus needs `e^x` and the sigmoid's non-overflowing
+/// branch needs `e^{−x}`, does it take two exponentials.
+pub fn softplus_sigmoid(x: f64) -> (f64, f64) {
+    if x > 35.0 {
+        (x, 1.0 / (1.0 + (-x).exp()))
+    } else if x >= 0.0 {
+        (x.exp().ln_1p(), 1.0 / (1.0 + (-x).exp()))
+    } else {
+        let e = x.exp();
+        let s = if x < -35.0 { e } else { e.ln_1p() };
+        (s, e / (1.0 + e))
+    }
+}
+
+/// `(F(v), F'(v))` for the EKV function [`ekv_f`], the value bit for bit
+/// as `ekv_f` computes it. Since `F(v) = s(v/2)²` with `s` the softplus
+/// and `s'(x) = σ(x)`, `F'(v) = s(v/2)·σ(v/2)`, which tends to `e^v` in
+/// weak inversion and `v/2` in strong inversion.
+pub fn ekv_f_with_prime(v: f64) -> (f64, f64) {
+    let (s, sigma) = softplus_sigmoid(v / 2.0);
+    (s * s, s * sigma)
 }
 
 /// Result of a bracketing root search.
@@ -365,8 +383,7 @@ pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn erf_reference_values() {
@@ -416,7 +433,8 @@ mod tests {
         let h = 1e-6;
         for v in [-30.0, -8.0, -1.0, 0.0, 0.5, 2.0, 10.0, 60.0] {
             let num = (ekv_f(v + h) - ekv_f(v - h)) / (2.0 * h);
-            let ana = ekv_f_prime(v);
+            let (value, ana) = ekv_f_with_prime(v);
+            assert_eq!(value.to_bits(), ekv_f(v).to_bits(), "F({v})");
             let scale = num.abs().max(1e-12);
             assert!(
                 ((ana - num) / scale).abs() < 1e-6,
@@ -481,39 +499,79 @@ mod tests {
         assert!((interp1(&xs, &ys, 1.5) - 25.0).abs() < 1e-12);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn erf_is_odd_and_bounded(x in -6.0f64..6.0) {
-            prop_assert!((erf(x) + erf(-x)).abs() < 1e-12);
-            prop_assert!(erf(x).abs() <= 1.0 + 1e-12);
+    #[test]
+    fn softplus_sigmoid_matches_both_functions_bit_for_bit() {
+        let mut rng = SplitMix64::new(0x5f5e);
+        let edges = [
+            -35.0,
+            35.0,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        let nudged = edges
+            .iter()
+            .flat_map(|&e: &f64| [e, e.next_up(), e.next_down()]);
+        let random = (0..4096).map(|_| -80.0 + 160.0 * rng.next_f64());
+        for x in nudged.chain(random) {
+            let (s, g) = softplus_sigmoid(x);
+            assert_eq!(s.to_bits(), softplus(x).to_bits(), "softplus({x:e})");
+            assert_eq!(g.to_bits(), sigmoid(x).to_bits(), "sigmoid({x:e})");
         }
+    }
 
-        #[test]
-        fn erf_is_monotone(a in -4.0f64..4.0, d in 1e-3f64..1.0) {
-            prop_assert!(erf(a + d) >= erf(a));
+    #[test]
+    fn erf_is_odd_and_bounded() {
+        let mut rng = SplitMix64::new(0xe2f0);
+        for _ in 0..1024 {
+            let x = -6.0 + 12.0 * rng.next_f64();
+            assert!((erf(x) + erf(-x)).abs() < 1e-12, "erf({x}) not odd");
+            assert!(erf(x).abs() <= 1.0 + 1e-12, "|erf({x})| > 1");
         }
+    }
 
-        #[test]
-        fn brent_matches_bisect(c in -0.9f64..0.9) {
+    #[test]
+    fn erf_is_monotone() {
+        let mut rng = SplitMix64::new(0xe2f1);
+        for _ in 0..1024 {
+            let a = -4.0 + 8.0 * rng.next_f64();
+            let d = 1e-3 + (1.0 - 1e-3) * rng.next_f64();
+            assert!(erf(a + d) >= erf(a), "erf falls from {a} to {}", a + d);
+        }
+    }
+
+    #[test]
+    fn brent_matches_bisect() {
+        let mut rng = SplitMix64::new(0xb7e4);
+        for _ in 0..256 {
+            let c = -0.9 + 1.8 * rng.next_f64();
             let f = |x: f64| x * x * x - c;
             let rb = brent(f, -2.0, 2.0, 1e-13, 200).unwrap();
             let ri = bisect(f, -2.0, 2.0, 1e-13, 200).unwrap();
-            prop_assert!((rb.x - ri.x).abs() < 1e-9);
+            assert!((rb.x - ri.x).abs() < 1e-9, "c = {c}: {} vs {}", rb.x, ri.x);
         }
+    }
 
-        #[test]
-        fn golden_section_brackets_parabola(center in -5.0f64..5.0) {
+    #[test]
+    fn golden_section_brackets_parabola() {
+        let mut rng = SplitMix64::new(0x601d);
+        for _ in 0..256 {
+            let center = -5.0 + 10.0 * rng.next_f64();
             let min = golden_section(|x| (x - center).powi(2), -10.0, 10.0, 1e-9, 400);
-            prop_assert!((min.x - center).abs() < 1e-6);
+            assert!((min.x - center).abs() < 1e-6, "center {center}: {}", min.x);
         }
+    }
 
-        #[test]
-        fn interp1_within_hull(x in 0.0f64..2.0) {
-            let xs = [0.0, 1.0, 2.0];
-            let ys = [1.0, -1.0, 5.0];
+    #[test]
+    fn interp1_within_hull() {
+        let mut rng = SplitMix64::new(0x1e71);
+        let xs = [0.0, 1.0, 2.0];
+        let ys = [1.0, -1.0, 5.0];
+        for _ in 0..1024 {
+            let x = 2.0 * rng.next_f64();
             let v = interp1(&xs, &ys, x);
-            prop_assert!((-1.0..=5.0).contains(&v));
+            assert!((-1.0..=5.0).contains(&v), "interp1({x}) = {v}");
         }
     }
 }

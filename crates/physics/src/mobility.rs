@@ -65,7 +65,12 @@ pub fn low_field_mobility_at(
 /// 1.5–2.5 nm oxides. Irrelevant in subthreshold (overdrive ≤ 0) where it
 /// returns `μ₀` unchanged.
 pub fn effective_mobility(mu0: f64, overdrive: Volts, t_ox: Nanometers) -> f64 {
-    let theta = mobility_theta(t_ox);
+    degraded_mobility(mu0, mobility_theta(t_ox), overdrive)
+}
+
+/// [`effective_mobility`] for an already evaluated coefficient
+/// `θ = mobility_theta(t_ox)`, so per-bias callers skip its division.
+pub fn degraded_mobility(mu0: f64, theta: f64, overdrive: Volts) -> f64 {
     mu0 / (1.0 + theta * overdrive.as_volts().max(0.0))
 }
 

@@ -8,7 +8,7 @@
 //! supply delivering power has a negative branch current.
 
 use subvt_engine::trace;
-use subvt_physics::MosModel;
+use subvt_physics::{DeviceKind, PreparedMos};
 use subvt_units::Volts;
 
 use crate::linalg::{DenseMatrix, LuFactors};
@@ -151,13 +151,15 @@ pub(crate) struct Solver<'a> {
     /// Minimum conductance to ground on every node. Defaults to [`GMIN`];
     /// raised temporarily during gmin stepping.
     pub(crate) gmin: f64,
+    /// One prepared evaluator per MOSFET, in netlist order.
+    mos: Vec<PreparedMos>,
     jac: DenseMatrix,
     /// Persistent LU workspace: factors are reused across Newton
     /// iterations (and, when threaded in from a sweep, across bias
     /// points) via cached-pivot refactorization.
     pub(crate) lu: LuFactors,
     /// Largest |current| stamped into any KCL row during the last
-    /// [`Solver::assemble`] — the unit-correct scale for the relative
+    /// [`Solver::assemble`] or [`Solver::residual`] — the unit-correct scale for the relative
     /// residual floor (branch rows are volt-valued and must not leak in).
     kcl_scale: f64,
 }
@@ -174,6 +176,14 @@ impl<'a> Solver<'a> {
             source_scale: 1.0,
             time: 0.0,
             gmin: GMIN,
+            mos: net
+                .elements()
+                .iter()
+                .filter_map(|e| match &e.element {
+                    Element::Mosfet(inst) => Some(PreparedMos::new(&inst.model)),
+                    _ => None,
+                })
+                .collect(),
             jac: DenseMatrix::zeros(dim),
             lu: LuFactors::new(),
             kcl_scale: 0.0,
@@ -208,36 +218,73 @@ impl<'a> Solver<'a> {
         }
     }
 
+    /// Maps node voltages into a MOSFET's magnitude frame:
+    /// `(v_gs, v_ds, sign)`, where `sign` turns the model's current back
+    /// into the current into the drain terminal.
+    #[inline]
+    fn mos_frame(kind: DeviceKind, vd: f64, vg: f64, vs: f64) -> (Volts, Volts, f64) {
+        let (vgs, vds, sign) = match kind {
+            DeviceKind::Nfet => (vg - vs, vd - vs, 1.0),
+            DeviceKind::Pfet => (vs - vg, vs - vd, -1.0),
+        };
+        (Volts::new(vgs), Volts::new(vds), sign)
+    }
+
     /// MOSFET drain current (into the drain terminal) and its partial
     /// derivatives `(i_d, ∂i_d/∂v_d, ∂i_d/∂v_g)` in the node frame, amps
     /// and siemens. `∂i_d/∂v_s = −(∂i_d/∂v_d + ∂i_d/∂v_g)` by charge
     /// conservation, so it is not returned separately.
     ///
     /// The current value goes through
-    /// [`MosModel::drain_current_and_derivs`], whose value path is
-    /// bit-identical to [`MosModel::drain_current`]. For both polarities
-    /// the node-frame chain rule collapses to the same mapping:
+    /// [`PreparedMos::drain_current_and_derivs`], whose value path is
+    /// bit-identical to [`PreparedMos::drain_current`] (what
+    /// [`Solver::mos_current`] uses). For both polarities the node-frame
+    /// chain rule collapses to the same mapping:
     /// `∂i_d/∂v_d = W·∂I/∂v_ds` and `∂i_d/∂v_g = W·∂I/∂v_gs` (the PFET's
     /// leading `−1` cancels against its reversed magnitude frame).
-    fn mos_current_and_derivs(inst: &MosInstance, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64) {
-        let model: &MosModel = &inst.model;
-        let (vgs, vds, sign) = match model.kind {
-            subvt_physics::DeviceKind::Nfet => (vg - vs, vd - vs, 1.0),
-            subvt_physics::DeviceKind::Pfet => (vs - vg, vs - vd, -1.0),
-        };
-        let (i, di_dvgs, di_dvds) =
-            model.drain_current_and_derivs(Volts::new(vgs), Volts::new(vds));
+    fn mos_current_and_derivs(
+        inst: &MosInstance,
+        prepared: &PreparedMos,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+    ) -> (f64, f64, f64) {
+        let (vgs, vds, sign) = Self::mos_frame(inst.model.kind, vd, vg, vs);
+        let (i, di_dvgs, di_dvds) = prepared.drain_current_and_derivs(vgs, vds);
         let w = inst.width_um;
         (sign * w * i.get(), w * di_dvds, w * di_dvgs)
+    }
+
+    /// MOSFET drain current (into the drain terminal) alone, amps — the
+    /// value [`Solver::mos_current_and_derivs`] returns, bit for bit.
+    fn mos_current(inst: &MosInstance, prepared: &PreparedMos, vd: f64, vg: f64, vs: f64) -> f64 {
+        let (vgs, vds, sign) = Self::mos_frame(inst.model.kind, vd, vg, vs);
+        sign * inst.width_um * prepared.drain_current(vgs, vds).get()
     }
 
     /// Assembles the Newton residual `f` and Jacobian at state `x`.
     /// Returns the residual; the Jacobian is left in `self.jac` and the
     /// largest KCL current contribution in `self.kcl_scale`.
     pub(crate) fn assemble(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
+        self.stamp::<true>(x, caps)
+    }
+
+    /// The residual [`Solver::assemble`] returns and the same
+    /// `self.kcl_scale`, without the Jacobian: MOSFETs are evaluated
+    /// value-only and `self.jac` is left untouched. Used where Newton only
+    /// needs the residual norm.
+    pub(crate) fn residual(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
+        self.stamp::<false>(x, caps)
+    }
+
+    /// Stamps every element's residual, and with `JACOBIAN` its
+    /// conductances into `self.jac`.
+    fn stamp<const JACOBIAN: bool>(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
         let dim = self.dim();
         let mut f = vec![0.0; dim];
-        self.jac.clear();
+        if JACOBIAN {
+            self.jac.clear();
+        }
         let jac = &mut self.jac;
         // Unit-correct scale for the relative residual floor: the largest
         // |current| any element pushes into a KCL row. Branch (KVL) rows
@@ -249,12 +296,15 @@ impl<'a> Solver<'a> {
         for n in 1..self.n_nodes {
             let i = n - 1;
             f[i] += gmin * x[i];
-            jac.add(i, i, gmin);
+            if JACOBIAN {
+                jac.add(i, i, gmin);
+            }
             scale = scale.max((gmin * x[i]).abs());
         }
 
         let mut branch = 0usize;
         let mut cap_idx = 0usize;
+        let mut mos = self.mos.iter();
         for named in self.net.elements() {
             match &named.element {
                 Element::Resistor { a, b, ohms } => {
@@ -263,17 +313,12 @@ impl<'a> Solver<'a> {
                     scale = scale.max(i.abs());
                     if let Some(ia) = Self::vix(*a) {
                         f[ia] += i;
-                        jac.add(ia, ia, g);
-                        if let Some(ib) = Self::vix(*b) {
-                            jac.add(ia, ib, -g);
-                        }
                     }
                     if let Some(ib) = Self::vix(*b) {
                         f[ib] -= i;
-                        jac.add(ib, ib, g);
-                        if let Some(ia) = Self::vix(*a) {
-                            jac.add(ib, ia, -g);
-                        }
+                    }
+                    if JACOBIAN {
+                        Self::stamp_conductance(jac, *a, *b, g);
                     }
                 }
                 Element::Capacitor { a, b, farads } => {
@@ -296,17 +341,12 @@ impl<'a> Solver<'a> {
                         scale = scale.max(i.abs());
                         if let Some(ia) = Self::vix(*a) {
                             f[ia] += i;
-                            jac.add(ia, ia, g);
-                            if let Some(ib) = Self::vix(*b) {
-                                jac.add(ia, ib, -g);
-                            }
                         }
                         if let Some(ib) = Self::vix(*b) {
                             f[ib] -= i;
-                            jac.add(ib, ib, g);
-                            if let Some(ia) = Self::vix(*a) {
-                                jac.add(ib, ia, -g);
-                            }
+                        }
+                        if JACOBIAN {
+                            Self::stamp_conductance(jac, *a, *b, g);
                         }
                     }
                     cap_idx += 1;
@@ -318,19 +358,19 @@ impl<'a> Solver<'a> {
                     scale = scale.max(i_br.abs());
                     if let Some(ip) = Self::vix(*pos) {
                         f[ip] += i_br;
-                        jac.add(ip, row, 1.0);
+                        if JACOBIAN {
+                            jac.add(ip, row, 1.0);
+                            jac.add(row, ip, 1.0);
+                        }
                     }
                     if let Some(in_) = Self::vix(*neg) {
                         f[in_] -= i_br;
-                        jac.add(in_, row, -1.0);
+                        if JACOBIAN {
+                            jac.add(in_, row, -1.0);
+                            jac.add(row, in_, -1.0);
+                        }
                     }
                     f[row] = Self::v(x, *pos) - Self::v(x, *neg) - value;
-                    if let Some(ip) = Self::vix(*pos) {
-                        jac.add(row, ip, 1.0);
-                    }
-                    if let Some(in_) = Self::vix(*neg) {
-                        jac.add(row, in_, -1.0);
-                    }
                     branch += 1;
                 }
                 Element::ISource { pos, neg, waveform } => {
@@ -345,6 +385,7 @@ impl<'a> Solver<'a> {
                     }
                 }
                 Element::Mosfet(inst) => {
+                    let prepared = mos.next().expect("one prepared model per MOSFET");
                     let (vd, vg, vs) = (
                         Self::v(x, inst.drain),
                         Self::v(x, inst.gate),
@@ -353,40 +394,59 @@ impl<'a> Solver<'a> {
                     // Analytic derivatives: one model evaluation per
                     // device instead of the four a forward difference
                     // needed, and exact conductances for Newton.
-                    let (id, g_d, g_g) = Self::mos_current_and_derivs(inst, vd, vg, vs);
-                    let g_s = -(g_d + g_g);
+                    let (id, g_d, g_g) = if JACOBIAN {
+                        Self::mos_current_and_derivs(inst, prepared, vd, vg, vs)
+                    } else {
+                        (Self::mos_current(inst, prepared, vd, vg, vs), 0.0, 0.0)
+                    };
                     scale = scale.max(id.abs());
                     // Current into drain leaves the drain node; the same
                     // current enters the source node.
                     if let Some(idr) = Self::vix(inst.drain) {
                         f[idr] += id;
-                        if let Some(j) = Self::vix(inst.drain) {
-                            jac.add(idr, j, g_d);
-                        }
-                        if let Some(j) = Self::vix(inst.gate) {
-                            jac.add(idr, j, g_g);
-                        }
-                        if let Some(j) = Self::vix(inst.source) {
-                            jac.add(idr, j, g_s);
-                        }
                     }
                     if let Some(isr) = Self::vix(inst.source) {
                         f[isr] -= id;
-                        if let Some(j) = Self::vix(inst.drain) {
-                            jac.add(isr, j, -g_d);
-                        }
-                        if let Some(j) = Self::vix(inst.gate) {
-                            jac.add(isr, j, -g_g);
-                        }
-                        if let Some(j) = Self::vix(inst.source) {
-                            jac.add(isr, j, -g_s);
-                        }
+                    }
+                    if JACOBIAN {
+                        Self::stamp_mosfet(jac, inst, g_d, g_g);
                     }
                 }
             }
         }
         self.kcl_scale = scale;
         f
+    }
+
+    /// Stamps a MOSFET's node-frame conductances `g_d = ∂i_d/∂v_d` and
+    /// `g_g = ∂i_d/∂v_g` (with `g_s = −(g_d + g_g)`) into the drain row
+    /// and, negated, the source row.
+    fn stamp_mosfet(jac: &mut DenseMatrix, inst: &MosInstance, g_d: f64, g_g: f64) {
+        let g_s = -(g_d + g_g);
+        for (row, sign) in [(inst.drain, 1.0), (inst.source, -1.0)] {
+            let Some(r) = Self::vix(row) else { continue };
+            for (col, g) in [(inst.drain, g_d), (inst.gate, g_g), (inst.source, g_s)] {
+                if let Some(c) = Self::vix(col) {
+                    jac.add(r, c, sign * g);
+                }
+            }
+        }
+    }
+
+    /// Stamps a two-terminal conductance `g` between nodes `a` and `b`.
+    fn stamp_conductance(jac: &mut DenseMatrix, a: usize, b: usize, g: f64) {
+        if let Some(ia) = Self::vix(a) {
+            jac.add(ia, ia, g);
+            if let Some(ib) = Self::vix(b) {
+                jac.add(ia, ib, -g);
+            }
+        }
+        if let Some(ib) = Self::vix(b) {
+            jac.add(ib, ib, g);
+            if let Some(ia) = Self::vix(a) {
+                jac.add(ib, ia, -g);
+            }
+        }
     }
 
     /// The KCL residual acceptance floor: [`ITOL`] or a 1 ppb fraction of
@@ -425,23 +485,39 @@ impl<'a> Solver<'a> {
     /// (no per-iteration clone), and the LU factors are reused through
     /// cached-pivot refactorization whenever the pivot order stays
     /// stable — only the first iteration (or a pivot-order change) pays
-    /// for a full pivot search.
+    /// for a full pivot search. The call adds its successful
+    /// factorizations to `spice.lu.factor` / `spice.lu.resolve` once, on
+    /// every exit path.
     pub(crate) fn newton(
+        &mut self,
+        x: Vec<f64>,
+        caps: CapMode<'_>,
+    ) -> Result<(Vec<f64>, usize), SpiceError> {
+        let mut lu = LuCounts::default();
+        let result = self.newton_counted(x, caps, &mut lu);
+        lu.emit();
+        result
+    }
+
+    /// [`Solver::newton`], tallying factorizations into `lu`.
+    fn newton_counted(
         &mut self,
         mut x: Vec<f64>,
         caps: CapMode<'_>,
+        lu: &mut LuCounts,
     ) -> Result<(Vec<f64>, usize), SpiceError> {
         let n_v = self.n_nodes - 1;
         for iter in 1..=MAX_NEWTON {
-            let f = self.assemble(&x, caps);
-            let mut rhs: Vec<f64> = f.iter().map(|v| -v).collect();
+            let mut rhs = self.assemble(&x, caps);
+            let f_norm = max_abs(&rhs);
+            rhs.iter_mut().for_each(|v| *v = -*v);
             if self.lu.refactor_cached(&self.jac).is_ok() {
-                trace::add("spice.lu.resolve", 1);
+                lu.resolve += 1;
             } else {
                 self.lu
                     .factor(&self.jac)
                     .map_err(|e| self.singular_error(e.column))?;
-                trace::add("spice.lu.factor", 1);
+                lu.factor += 1;
             }
             let dx = self.lu.solve(&mut rhs);
 
@@ -473,7 +549,7 @@ impl<'a> Solver<'a> {
             {
                 return Err(SpiceError::NoConvergence {
                     iterations: iter,
-                    residual: max_abs(&f),
+                    residual: f_norm,
                 });
             }
 
@@ -482,15 +558,16 @@ impl<'a> Solver<'a> {
             // construction as the KCL residual check).
             let branch_scale = x[n_v..].iter().fold(0.0f64, |acc, b| acc.max(b.abs()));
             if max_dv_raw < VTOL && max_di <= ITOL.max(1e-9 * branch_scale) {
-                // Verify the KCL residual at the accepted point.
-                let f = self.assemble(&x, caps);
+                // Verify the KCL residual at the accepted point; the
+                // Jacobian there would go unused.
+                let f = self.residual(&x, caps);
                 let res = f.iter().take(n_v).fold(0.0f64, |acc, v| acc.max(v.abs()));
                 if res < self.residual_floor() {
                     return Ok((x, iter));
                 }
             }
         }
-        let f = self.assemble(&x, caps);
+        let f = self.residual(&x, caps);
         Err(SpiceError::NoConvergence {
             iterations: MAX_NEWTON,
             residual: max_abs(&f),
@@ -507,6 +584,29 @@ impl<'a> Solver<'a> {
             node_voltages,
             branch_currents: x[n_v..].to_vec(),
             iterations,
+        }
+    }
+}
+
+/// LU factorizations of one [`Solver::newton`] call: full pivot searches
+/// and cached-pivot refactorizations that succeeded.
+#[derive(Debug, Default)]
+struct LuCounts {
+    factor: u64,
+    resolve: u64,
+}
+
+impl LuCounts {
+    /// Adds the tallies to the `spice.lu.*` counters (a zero tally adds
+    /// nothing, so a counter appears only once something was counted).
+    fn emit(&self) {
+        for (name, n) in [
+            ("spice.lu.factor", self.factor),
+            ("spice.lu.resolve", self.resolve),
+        ] {
+            if n > 0 {
+                trace::add(name, n);
+            }
         }
     }
 }
@@ -964,6 +1064,116 @@ mod tests {
                 assert_eq!(iterations, 1);
             }
             other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    /// An NFET whose gate is walked toward `v_gate` by the 0.3 V Newton
+    /// step clamp, with its drain held only by the device (and g_min).
+    fn gate_walk(v_gate: f64) -> Netlist {
+        let mut net = Netlist::new();
+        let d = net.node("d");
+        let g = net.node("g");
+        net.vsource("VG", g, Netlist::GROUND, Waveform::Dc(v_gate));
+        let nfet = subvt_physics::DeviceParams::reference_90nm_nfet();
+        net.mosfet("MN", nfet.mos_model(), 1.0, d, g, Netlist::GROUND);
+        net
+    }
+
+    #[test]
+    fn newton_tallies_each_factorization_on_every_exit() {
+        let counted = |solver: &mut Solver<'_>| {
+            let mut lu = LuCounts::default();
+            let x0 = vec![0.0; solver.dim()];
+            let result = solver.newton_counted(x0, CapMode::Open, &mut lu);
+            (result, lu.factor + lu.resolve)
+        };
+
+        // Converged: one factorization per iteration.
+        let mut net = gate_walk(0.2);
+        let mut solver = Solver::new(&net);
+        let (result, n) = counted(&mut solver);
+        let (_, iterations) = result.expect("converges");
+        assert_eq!(n, iterations as u64);
+
+        // Out of iterations: the gate is still 940 V short after 200
+        // clamped steps.
+        net = gate_walk(-1000.0);
+        let mut solver = Solver::new(&net);
+        match counted(&mut solver) {
+            (Err(SpiceError::NoConvergence { iterations, .. }), n) => {
+                assert_eq!(iterations, MAX_NEWTON);
+                assert_eq!(n, MAX_NEWTON as u64);
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+
+        // Singular part-way: without g_min the drain row holds only the
+        // device's g_d, which the falling gate pinches below the pivot
+        // floor. Every iteration before that one factors; the failed
+        // attempt is not counted.
+        net = gate_walk(-30.0);
+        let mut solver = Solver::new(&net);
+        solver.gmin = 0.0;
+        let Element::Mosfet(inst) = &net.elements()[1].element else {
+            unreachable!()
+        };
+        let mut factorable = 0u64;
+        let mut v_gate: f64 = 0.0;
+        loop {
+            let (_, g_d, _) =
+                Solver::mos_current_and_derivs(inst, &solver.mos[0], 0.0, v_gate, 0.0);
+            if g_d.abs() < 1e-300 {
+                break;
+            }
+            factorable += 1;
+            v_gate += (-30.0 - v_gate).clamp(-MAX_DV, MAX_DV);
+        }
+        assert!(factorable > 1 && factorable < MAX_NEWTON as u64);
+        match counted(&mut solver) {
+            (Err(SpiceError::SingularMatrix { unknown, .. }), n) => {
+                assert_eq!(unknown, "d");
+                assert_eq!(n, factorable);
+            }
+            other => panic!("expected SingularMatrix, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn residual_matches_the_assembled_residual_bit_for_bit() {
+        use subvt_physics::{DeviceKind, DeviceParams};
+        let nfet = DeviceParams::reference_90nm_nfet();
+        let pfet = DeviceParams {
+            kind: DeviceKind::Pfet,
+            ..nfet
+        };
+        let mut net = Netlist::new();
+        let vdd = net.node("vdd");
+        let vin = net.node("in");
+        let vout = net.node("out");
+        net.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(0.3));
+        net.vsource("VIN", vin, Netlist::GROUND, Waveform::Dc(0.1));
+        net.mosfet("MP", pfet.mos_model(), 2.0, vout, vin, vdd);
+        net.mosfet("MN", nfet.mos_model(), 1.0, vout, vin, Netlist::GROUND);
+        net.capacitor("CL", vout, Netlist::GROUND, 1.0e-15);
+        let mut solver = Solver::new(&net);
+        let mut rng = subvt_engine::rng::SplitMix64::new(0x7e5d);
+        let v_prev = [0.3, 0.1, 0.2];
+        let i_prev = [1.0e-9];
+        for _ in 0..256 {
+            let x: Vec<f64> = (0..solver.dim())
+                .map(|_| -0.5 + 1.5 * rng.next_f64())
+                .collect();
+            let caps = CapMode::Companion {
+                factor: 2.0e12,
+                v_prev: &v_prev,
+                i_prev: &i_prev,
+            };
+            let full = solver.assemble(&x, caps);
+            let full_scale = solver.kcl_scale;
+            let only = solver.residual(&x, caps);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&only), bits(&full), "x = {x:?}");
+            assert_eq!(solver.kcl_scale.to_bits(), full_scale.to_bits());
         }
     }
 

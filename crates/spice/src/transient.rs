@@ -159,7 +159,7 @@ pub fn transient_from(
             v_prev: &v_prev,
             i_prev: &cap_i_prev,
         };
-        let (x_new, iters) = solver.newton(x.clone(), caps)?;
+        let (x_new, iters) = solver.newton(x, caps)?;
         x = x_new;
         newton_iterations.push(iters);
 
