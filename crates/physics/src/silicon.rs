@@ -62,8 +62,7 @@ pub fn built_in_potential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn fermi_potential_of_heavy_p_doping() {
@@ -90,32 +89,35 @@ mod tests {
         assert!(hi.get() > 1e3 * lo.get());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn fermi_potential_monotone_in_doping(
-            a in 1.0e15f64..1.0e19,
-            factor in 1.1f64..100.0,
-        ) {
-            let t = Temperature::room();
+    /// Log-uniform doping over `lo..hi`, cm⁻³.
+    fn doping(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
+        lo * (hi / lo).powf(rng.next_f64())
+    }
+
+    #[test]
+    fn fermi_potential_monotone_in_doping() {
+        let mut rng = SplitMix64::new(0x5f10);
+        let t = Temperature::room();
+        for _ in 0..1024 {
+            let a = doping(&mut rng, 1.0e15, 1.0e19);
+            let factor = 1.1 + 98.9 * rng.next_f64();
             let lo = fermi_potential(PerCubicCentimeter::new(a), t);
             let hi = fermi_potential(PerCubicCentimeter::new(a * factor), t);
-            prop_assert!(hi > lo);
+            assert!(hi > lo, "N_a = {a:e} cm^-3, factor {factor}");
         }
+    }
 
-        #[test]
-        fn built_in_exceeds_each_fermi_potential(
-            nd in 1.0e19f64..1.0e20,
-            na in 1.0e16f64..1.0e19,
-        ) {
-            let t = Temperature::room();
-            let vbi = built_in_potential(
-                PerCubicCentimeter::new(nd),
-                PerCubicCentimeter::new(na),
-                t,
-            );
+    #[test]
+    fn built_in_exceeds_each_fermi_potential() {
+        let mut rng = SplitMix64::new(0x5f11);
+        let t = Temperature::room();
+        for _ in 0..1024 {
+            let nd = doping(&mut rng, 1.0e19, 1.0e20);
+            let na = doping(&mut rng, 1.0e16, 1.0e19);
+            let vbi =
+                built_in_potential(PerCubicCentimeter::new(nd), PerCubicCentimeter::new(na), t);
             let phi = fermi_potential(PerCubicCentimeter::new(na), t);
-            prop_assert!(vbi > phi);
+            assert!(vbi > phi, "N_d = {nd:e}, N_a = {na:e} cm^-3");
         }
     }
 }

@@ -181,7 +181,7 @@ impl subvt_engine::Blob for Extraction {
 /// changes results, together with the `tcad.model` tags and the
 /// revision in [`crate::TcadModel`]'s `cache_id`.
 pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) -> u64 {
-    subvt_engine::KeyBuilder::new("tcad.extract.v2")
+    subvt_engine::KeyBuilder::new("tcad.extract.v3")
         .keyed(params)
         .str(density.as_str())
         .f64(step)
@@ -193,8 +193,12 @@ pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) ->
 /// swing, threshold, off-current, on-current and DIBL.
 ///
 /// The two sweeps are independent (each runs its own simulator and
-/// walks its own Gummel continuation) and execute in parallel on the
-/// engine pool. The finished extraction is stored in the process-wide
+/// walks its own Gummel continuation) and are submitted as two jobs on
+/// the engine pool, so they overlap only when another worker is free.
+/// Under `repro --backend tcad` none is: the anchor calibration runs
+/// inside one flow's job while the other workers wait on the same
+/// calibration, and that worker runs both sweeps one after the other.
+/// The finished extraction is stored in the process-wide
 /// content-addressed cache, so repeated characterizations of one
 /// device — e.g. across experiments — solve the 2-D device exactly
 /// once.

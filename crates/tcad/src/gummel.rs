@@ -4,13 +4,18 @@
 
 use crate::continuity::{drain_current, solve_electrons};
 use crate::device::Mosfet2d;
-use crate::poisson::{initial_guess, solve, thermals, Bias};
+use crate::poisson::{initial_guess, solve, solve_to, thermals, Bias};
 use subvt_engine::faultinject::{self, FaultSite};
 use subvt_engine::recovery::{self, RecoveryStep};
 use subvt_engine::trace;
 
 /// Outer-loop convergence tolerance on the potential update, volts.
 const GUMMEL_TOL: f64 = 1.0e-6;
+/// Stopping tolerance of the Poisson Newton inside each Gummel
+/// iteration, volts: the first update below it ends the inner solve.
+/// The outer loop still converges to [`GUMMEL_TOL`], so the inner solve
+/// need not be exact.
+const GUMMEL_POISSON_TOL: f64 = 1.0e-2;
 /// Maximum Gummel iterations per bias point.
 const MAX_GUMMEL: usize = 80;
 /// Maximum bias step when ramping, volts.
@@ -273,7 +278,14 @@ impl DeviceSimulator {
         };
         for iteration in 1..=MAX_GUMMEL {
             let psi_before = self.psi.clone();
-            let out = solve(&self.device, &mut self.psi, &self.phi_n, &zeros, &bias);
+            let out = solve_to(
+                &self.device,
+                &mut self.psi,
+                &self.phi_n,
+                &zeros,
+                &bias,
+                GUMMEL_POISSON_TOL,
+            );
             if !out.converged {
                 trace::add("tcad.gummel.poisson_failures", 1);
                 record(iteration, last_residual);

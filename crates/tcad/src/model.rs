@@ -294,8 +294,8 @@ impl TcadModel {
 /// Tags of the `tcad.model` keys: the anchor calibration and the
 /// per-device corrections. Like [`crate::extract::extraction_key`]'s
 /// tag, they carry the solver revision.
-const CAL_TAG: &str = "tcad.model.cal.v2";
-const DIRECT_TAG: &str = "tcad.model.direct.v2";
+const CAL_TAG: &str = "tcad.model.cal.v3";
+const DIRECT_TAG: &str = "tcad.model.direct.v3";
 
 /// Cache key of a `tcad.model` entry.
 fn model_key(tag: &str, params: &DeviceParams, density: MeshDensity) -> u64 {
@@ -310,12 +310,12 @@ impl DeviceModel for TcadModel {
         "tcad"
     }
 
-    /// `tcad.{density}.{fidelity}.v2`. The design, topology and circuit
+    /// `tcad.{density}.{fidelity}.v3`. The design, topology and circuit
     /// caches key on this id, so its solver revision keeps their entries
     /// in step with the `tcad.extract` and `tcad.model` tags.
     fn cache_id(&self) -> String {
         format!(
-            "tcad.{}.{}.v2",
+            "tcad.{}.{}.v3",
             self.density.as_str(),
             self.fidelity.as_str()
         )
@@ -364,8 +364,8 @@ mod tests {
     #[test]
     fn cache_keys_carry_the_solver_revision() {
         // Pinned: a change here must be a deliberate revision bump.
-        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v2");
-        assert_eq!(TCAD_STANDARD_DIRECT.cache_id(), "tcad.standard.direct.v2");
+        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v3");
+        assert_eq!(TCAD_STANDARD_DIRECT.cache_id(), "tcad.standard.direct.v3");
         let p = DeviceParams::reference_90nm_nfet();
         let d = MeshDensity::Coarse;
         let keys = [
@@ -376,26 +376,28 @@ mod tests {
         assert_eq!(
             keys,
             [
-                0x8223_6110_9b85_94fc,
-                0x6d43_9a55_585e_8145,
-                0xc39b_d49e_66c3_d921
+                0xfb61_4329_cc9c_2211,
+                0xb4c1_69e5_4032_beae,
+                0x3603_14bb_2e85_43ea
             ],
             "{keys:#x?}"
         );
-        // Caches written by the previous solver revision never match.
-        let previous = [
-            KeyBuilder::new("tcad.extract.v1")
-                .keyed(&p)
-                .str(d.as_str())
-                .f64(0.05)
-                .finish(),
-            model_key("tcad.model.cal.v1", &p, d),
-            model_key("tcad.model.direct.v1", &p, d),
-        ];
-        for (new, old) in keys.iter().zip(&previous) {
-            assert_ne!(new, old);
+        // Caches written by earlier solver revisions never match.
+        for rev in ["v1", "v2"] {
+            let previous = [
+                KeyBuilder::new(&format!("tcad.extract.{rev}"))
+                    .keyed(&p)
+                    .str(d.as_str())
+                    .f64(0.05)
+                    .finish(),
+                model_key(&format!("tcad.model.cal.{rev}"), &p, d),
+                model_key(&format!("tcad.model.direct.{rev}"), &p, d),
+            ];
+            for (new, old) in keys.iter().zip(&previous) {
+                assert_ne!(new, old, "{rev}");
+            }
         }
-        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored");
+        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v2");
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! boundary of the finite-volume scheme. Each Newton step solves its
 //! Jacobian directly with the banded LU, nodes numbered along the
 //! mesh's shorter axis.
+//!
+//! [`solve`] iterates to an update below 1 nV. The Gummel loop stops
+//! each of its Poisson solves at a loose tolerance instead (an inexact
+//! inner solve): it relinearizes after every continuity solve, and its
+//! own 1 µV test on the potential change decides convergence, so
+//! resolving each linearization to 1 nV only repeats banded LU solves.
 
 use subvt_engine::trace;
 use subvt_units::consts::{EPS_OX, EPS_SI, Q};
@@ -37,13 +43,13 @@ pub struct PoissonSolve {
     pub iterations: usize,
     /// Final update infinity-norm, volts.
     pub max_update: f64,
-    /// Whether the tolerance was met.
+    /// Whether the solve's stopping tolerance was met.
     pub converged: bool,
 }
 
 /// Newton update clamp, volts.
 const MAX_DPSI: f64 = 0.25;
-/// Convergence tolerance on the update infinity-norm, volts.
+/// Convergence tolerance of [`solve`] on the update infinity-norm, volts.
 const PSI_TOL: f64 = 1.0e-9;
 /// Maximum Newton iterations.
 const MAX_NEWTON: usize = 120;
@@ -113,8 +119,9 @@ fn coupling(mat: &[Material], ia: usize, ib: usize, d: f64, a: f64) -> f64 {
     eps * a / d
 }
 
-/// Solves the nonlinear Poisson equation in place. `phi_n`/`phi_p` are
-/// per-node quasi-Fermi potentials (ignored in the oxide).
+/// Solves the nonlinear Poisson equation in place to an update below
+/// 1 nV. `phi_n`/`phi_p` are per-node quasi-Fermi potentials (ignored in
+/// the oxide).
 ///
 /// Returns the solve telemetry; `psi` holds the solution. Every solve
 /// feeds the metrics registry: `tcad.poisson.solves`/`.diverged`
@@ -127,7 +134,21 @@ pub fn solve(
     phi_p: &[f64],
     bias: &Bias,
 ) -> PoissonSolve {
-    let out = solve_inner(device, psi, phi_n, phi_p, bias);
+    solve_to(device, psi, phi_n, phi_p, bias, PSI_TOL)
+}
+
+/// [`solve`] with the stopping tolerance `tol` on the update
+/// infinity-norm, volts; `converged` reports whether `tol` was met. It
+/// feeds the same metrics.
+pub(crate) fn solve_to(
+    device: &Mosfet2d,
+    psi: &mut [f64],
+    phi_n: &[f64],
+    phi_p: &[f64],
+    bias: &Bias,
+    tol: f64,
+) -> PoissonSolve {
+    let out = solve_inner(device, psi, phi_n, phi_p, bias, tol);
     trace::add("tcad.poisson.solves", 1);
     if !out.converged {
         trace::add("tcad.poisson.diverged", 1);
@@ -149,6 +170,7 @@ fn solve_inner(
     phi_n: &[f64],
     phi_p: &[f64],
     bias: &Bias,
+    tol: f64,
 ) -> PoissonSolve {
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
@@ -229,7 +251,7 @@ fn solve_inner(
             }
         }
         last_update = max_update;
-        if max_update < PSI_TOL {
+        if max_update < tol {
             return PoissonSolve {
                 iterations: iter,
                 max_update,

@@ -48,8 +48,7 @@ impl AmpsPerMicron {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn pico_and_micro_conversions() {
@@ -58,12 +57,14 @@ mod tests {
         assert_eq!(i.as_picoamps(), 1.0e6);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn pa_round_trip(pa in 1e-3f64..1e9) {
+    #[test]
+    fn pa_round_trip() {
+        let mut rng = SplitMix64::new(0xc0a1);
+        for _ in 0..1024 {
+            // Log-uniform over 1e-3..1e9 pA.
+            let pa = 10f64.powf(-3.0 + 12.0 * rng.next_f64());
             let i = AmpsPerMicron::from_picoamps(pa);
-            prop_assert!((i.as_picoamps() - pa).abs() <= pa * 1e-12);
+            assert!((i.as_picoamps() - pa).abs() <= pa * 1e-12, "{pa:e} pA");
         }
     }
 }

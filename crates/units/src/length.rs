@@ -65,8 +65,7 @@ impl From<Centimeters> for Nanometers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn nm_cm_round_trip_exact_cases() {
@@ -74,19 +73,32 @@ mod tests {
         assert!((Centimeters::new(1.0e-7).as_nm() - 1.0).abs() < 1e-12);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn nm_cm_round_trip(value in 0.01f64..1.0e6) {
-            let nm = Nanometers::new(value);
-            let back = nm.to_centimeters().to_nanometers();
-            prop_assert!((back.get() - value).abs() <= value * 1e-12);
-        }
+    /// Log-uniform length over 0.01..1e6 nm.
+    fn length_nm(rng: &mut SplitMix64) -> f64 {
+        10f64.powf(-2.0 + 8.0 * rng.next_f64())
+    }
 
-        #[test]
-        fn conversion_preserves_order(a in 0.01f64..1.0e6, b in 0.01f64..1.0e6) {
+    #[test]
+    fn nm_cm_round_trip() {
+        let mut rng = SplitMix64::new(0x1e40);
+        for _ in 0..1024 {
+            let value = length_nm(&mut rng);
+            let back = Nanometers::new(value).to_centimeters().to_nanometers();
+            assert!((back.get() - value).abs() <= value * 1e-12, "{value:e} nm");
+        }
+    }
+
+    #[test]
+    fn conversion_preserves_order() {
+        let mut rng = SplitMix64::new(0x1e41);
+        for _ in 0..1024 {
+            let (a, b) = (length_nm(&mut rng), length_nm(&mut rng));
             let (na, nb) = (Nanometers::new(a), Nanometers::new(b));
-            prop_assert_eq!(na < nb, na.to_centimeters() < nb.to_centimeters());
+            assert_eq!(
+                na < nb,
+                na.to_centimeters() < nb.to_centimeters(),
+                "{a:e} vs {b:e} nm"
+            );
         }
     }
 }

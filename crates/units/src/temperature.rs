@@ -80,8 +80,7 @@ impl core::fmt::Display for Temperature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn room_temperature_thermal_voltage() {
@@ -101,13 +100,16 @@ mod tests {
         let _ = Temperature::from_kelvin(0.0);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn thermal_voltage_scales_linearly(t in 100.0f64..500.0) {
+    #[test]
+    fn thermal_voltage_scales_linearly() {
+        let mut rng = SplitMix64::new(0x7e3f);
+        for _ in 0..1024 {
+            let t = 100.0 + 400.0 * rng.next_f64();
             let v1 = Temperature::from_kelvin(t).thermal_voltage().as_volts();
-            let v2 = Temperature::from_kelvin(2.0 * t).thermal_voltage().as_volts();
-            prop_assert!((v2 - 2.0 * v1).abs() < 1e-12);
+            let v2 = Temperature::from_kelvin(2.0 * t)
+                .thermal_voltage()
+                .as_volts();
+            assert!((v2 - 2.0 * v1).abs() < 1e-12, "T = {t} K");
         }
     }
 }

@@ -61,8 +61,7 @@ impl MilliVoltsPerDecade {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn millivolt_conversions() {
@@ -71,13 +70,13 @@ mod tests {
         assert_eq!(MilliVoltsPerDecade::from_volts_per_decade(0.08).get(), 80.0);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn mv_round_trip(v in -10.0f64..10.0) {
-            let volts = Volts::new(v);
-            let back = Volts::from_millivolts(volts.as_millivolts());
-            prop_assert!((back.get() - v).abs() <= v.abs() * 1e-12 + 1e-15);
+    #[test]
+    fn mv_round_trip() {
+        let mut rng = SplitMix64::new(0x3a17);
+        for _ in 0..1024 {
+            let v = -10.0 + 20.0 * rng.next_f64();
+            let back = Volts::from_millivolts(Volts::new(v).as_millivolts());
+            assert!((back.get() - v).abs() <= v.abs() * 1e-12 + 1e-15, "{v} V");
         }
     }
 }

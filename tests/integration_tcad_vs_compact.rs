@@ -28,6 +28,31 @@ fn swing_agrees_with_compact_model() {
 }
 
 #[test]
+fn coarse_extraction_stays_within_1e_5_of_solver_revision_v2() {
+    // The coarse reference NFET as solver revision v2 extracted it,
+    // when every Gummel iteration ran its Poisson Newton to 1 nV, each
+    // written with the fewest digits that round-trip to its bits. The
+    // inexact inner solve of revision v3 moves these by under 1e-6.
+    let v2 = [
+        ("s_s", 83.46805595026352),
+        ("v_th_sat", 0.19384827058026022),
+        ("i_off", 7.708612171521492e-9),
+        ("i_on", 0.0025293291680379515),
+        ("dibl", 0.06615381729703126),
+    ];
+    let params = DeviceParams::reference_90nm_nfet();
+    let ext = sweep_and_extract(&params, MeshDensity::Coarse).expect("2-D sweep");
+    let now = [ext.s_s, ext.v_th_sat, ext.i_off, ext.i_on, ext.dibl];
+    for ((field, pinned), value) in v2.iter().zip(now) {
+        let drift = (value / pinned - 1.0).abs();
+        assert!(
+            drift < 1.0e-5,
+            "{field}: {value:e} vs v2 {pinned:e} (relative drift {drift:e})"
+        );
+    }
+}
+
+#[test]
 fn dibl_agrees_within_factor_two() {
     let params = DeviceParams::reference_90nm_nfet();
     let compact = params.characterize();
