@@ -1,167 +1,24 @@
-//! A tiny std-only wall-clock benchmark harness (the workspace builds
-//! with no registry access, so `criterion` is out of reach).
+//! Bench-artifact tooling: the [`benchjson`] schema behind the
+//! `subvt-bench-diff` trajectory gate, plus `subvt-loadgen`, the
+//! daemon's load generator.
 //!
-//! Each `benches/*.rs` file is a `harness = false` binary:
+//! Per-layer timings of the workspace come from the standalone
+//! `subvt-benchmark` package; this crate only reads, stamps and compares
+//! the `BENCH_*.json` artifacts that `repro --bench` and `subvt-loadgen`
+//! write:
 //!
 //! ```no_run
-//! let mut h = subvt_bench::Harness::new("tables");
-//! h.bench("table1_generalized_scaling", subvt_exp::tables::table1);
-//! h.finish();
-//! ```
+//! use subvt_bench::benchjson::{diff, parse_bench, DiffConfig};
 //!
-//! Every benchmark is warmed up once, then timed over single-iteration
-//! samples until a fixed wall-clock budget or sample cap is hit. The
-//! report prints min / median / mean per iteration — min is the headline
-//! number (least scheduler noise); the median/mean spread flags jitter.
-//! Run with `cargo bench`.
+//! let read = |path| parse_bench(&std::fs::read_to_string(path).unwrap()).unwrap();
+//! let baseline = read("benches/baselines/2026-08-08-spice.json");
+//! let current = read("BENCH_spice.json");
+//! for regression in diff(&baseline, &current, DiffConfig::default()) {
+//!     println!("{regression:?}");
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod benchjson;
-
-use std::time::{Duration, Instant};
-
-pub use std::hint::black_box;
-
-/// One benchmark's aggregated timings.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Number of timed iterations.
-    pub iters: usize,
-    /// Fastest single iteration.
-    pub min: Duration,
-    /// Median iteration.
-    pub median: Duration,
-    /// Mean iteration.
-    pub mean: Duration,
-}
-
-/// Collects and reports a suite of wall-clock benchmarks.
-pub struct Harness {
-    suite: String,
-    budget: Duration,
-    max_samples: usize,
-    results: Vec<BenchResult>,
-}
-
-impl Harness {
-    /// Creates a suite with the default per-benchmark budget (300 ms of
-    /// timed samples, at most 200 of them).
-    pub fn new(suite: impl Into<String>) -> Self {
-        Self {
-            suite: suite.into(),
-            budget: Duration::from_millis(300),
-            max_samples: 200,
-            results: Vec::new(),
-        }
-    }
-
-    /// Caps the number of timed samples (for expensive benchmarks).
-    #[must_use]
-    pub fn max_samples(mut self, n: usize) -> Self {
-        self.max_samples = n.max(1);
-        self
-    }
-
-    /// Sets the per-benchmark wall-clock budget.
-    #[must_use]
-    pub fn budget(mut self, budget: Duration) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Times `f`, printing one report line immediately. The return value
-    /// is passed through [`black_box`] so the work cannot be optimized
-    /// away.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        black_box(f()); // warm-up: page in code, fill caches
-        let mut samples = Vec::new();
-        let started = Instant::now();
-        while samples.len() < self.max_samples
-            && (samples.is_empty() || started.elapsed() < self.budget)
-        {
-            let t = Instant::now();
-            black_box(f());
-            samples.push(t.elapsed());
-        }
-        samples.sort_unstable();
-        let iters = samples.len();
-        let total: Duration = samples.iter().sum();
-        let result = BenchResult {
-            name: name.to_owned(),
-            iters,
-            min: samples[0],
-            median: samples[iters / 2],
-            mean: total / iters as u32,
-        };
-        println!(
-            "{:<44} {:>12} {:>12} {:>12}   ({} iters)",
-            format!("{}/{}", self.suite, result.name),
-            fmt_duration(result.min),
-            fmt_duration(result.median),
-            fmt_duration(result.mean),
-            result.iters
-        );
-        self.results.push(result);
-    }
-
-    /// Results recorded so far, in run order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Prints the suite footer. Call last in `main`.
-    pub fn finish(self) {
-        println!(
-            "{}: {} benchmarks (columns: min / median / mean per iteration)",
-            self.suite,
-            self.results.len()
-        );
-    }
-}
-
-/// Renders a duration with engineering-style units.
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.3} s", ns as f64 / 1e9)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_records_positive_timings() {
-        let mut h = Harness::new("test").max_samples(5);
-        h.bench("spin", || {
-            let mut acc = 0u64;
-            for i in 0..1000 {
-                acc = acc.wrapping_add(black_box(i));
-            }
-            acc
-        });
-        let r = &h.results()[0];
-        assert!(r.iters >= 1 && r.iters <= 5);
-        assert!(r.min <= r.median);
-        assert!(r.min > Duration::ZERO);
-    }
-
-    #[test]
-    fn duration_formatting_covers_ranges() {
-        assert_eq!(fmt_duration(Duration::from_nanos(5)), "5 ns");
-        assert_eq!(fmt_duration(Duration::from_micros(2)), "2.00 us");
-        assert_eq!(fmt_duration(Duration::from_millis(3)), "3.00 ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.000 s");
-    }
-}

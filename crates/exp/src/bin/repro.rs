@@ -156,32 +156,26 @@ fn main() -> ExitCode {
         }
     }
 
+    // Plain mode runs the ids before the first unknown one and then
+    // stops; `--keep-going` reports the unknown ids with the failures.
+    let run = match ids.iter().position(|id| !subvt_exp::is_experiment(id)) {
+        Some(at) if !keep_going => &ids[..at],
+        _ => &ids[..],
+    };
     let mut failures: Vec<FigureFailure> = Vec::new();
-    for id in &ids {
-        if keep_going {
-            match study.run_guarded(id) {
-                Some(Ok(table)) => print!("{}", table.render(csv)),
-                Some(Err(failure)) => {
-                    eprintln!("FAILED {}: {}", failure.id, failure.message);
-                    failures.push(failure);
-                }
-                None => {
-                    eprintln!("unknown experiment `{id}` (try --list)");
-                    failures.push(FigureFailure {
-                        id: id.clone(),
-                        message: "unknown experiment id".to_owned(),
-                    });
-                }
+    for outcome in study.run_ids(run) {
+        match outcome {
+            Ok(table) => print!("{}", table.render(csv)),
+            Err(failure) if keep_going => {
+                eprintln!("FAILED {}: {}", failure.id, failure.message);
+                failures.push(failure);
             }
-        } else {
-            match study.run(id) {
-                Some(table) => print!("{}", table.render(csv)),
-                None => {
-                    eprintln!("unknown experiment `{id}` (try --list)");
-                    return ExitCode::FAILURE;
-                }
-            }
+            Err(failure) => panic!("{failure}"),
         }
+    }
+    if let Some(id) = ids.get(run.len()) {
+        eprintln!("unknown experiment `{id}` (try --list)");
+        return ExitCode::FAILURE;
     }
 
     if let Some(session) = cache_session.take() {

@@ -1,6 +1,6 @@
 //! Experiment registry and dispatch for the `repro` binary.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use subvt_engine::faultinject::{should_inject, FaultSite};
 
 use crate::context::Study;
 use crate::table::Table;
@@ -42,6 +42,11 @@ pub const EXTENSION_EXPERIMENTS: [&str; 9] = [
     "ext-temp",
     "montecarlo",
 ];
+
+/// Whether `id` names a registered experiment (paper or extension).
+pub fn is_experiment(id: &str) -> bool {
+    ALL_EXPERIMENTS.contains(&id) || EXTENSION_EXPERIMENTS.contains(&id)
+}
 
 impl Study {
     /// Runs one experiment by id under this study. Returns `None` for an
@@ -88,51 +93,50 @@ impl Study {
         })
     }
 
-    /// Runs one experiment with panic isolation: a panicking experiment
-    /// (diverged solver, poisoned expectation, injected fault) becomes a
-    /// [`FigureFailure`] instead of tearing down the whole sweep. Returns
-    /// `None` for an unknown id, like [`Study::run`].
+    /// Runs `ids`, one engine-pool job each, and returns their outcomes
+    /// in input order. An unknown id fails without running; a panicking
+    /// experiment (diverged solver, poisoned expectation, injected fault)
+    /// fails through its job's [`JobPanic`](subvt_engine::JobPanic) and
+    /// bumps `repro.figure_failures` instead of tearing down the sweep.
     ///
-    /// The experiment body runs under `catch_unwind`; the registry
-    /// closure holds no shared mutable state beyond the engine's own
-    /// panic-safe caches, so unwinding cannot leave it inconsistent.
-    pub fn run_guarded(&self, id: &str) -> Option<Result<Table, FigureFailure>> {
-        if !ALL_EXPERIMENTS.contains(&id) && !EXTENSION_EXPERIMENTS.contains(&id) {
-            return None;
-        }
-        // The fault-injection job-panic site lives here: each guarded
-        // experiment is one "job", so `SUBVT_FAULTS=...,p_panic=...`
-        // chaos runs exercise exactly this isolation boundary. Unarmed
-        // (the default), `panic_point` is a no-op.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            subvt_engine::faultinject::panic_point();
-            self.run(id).expect("registered experiment dispatches")
-        }));
-        Some(outcome.map_err(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            subvt_engine::trace::global().add("repro.figure_failures", 1);
-            FigureFailure {
-                id: id.to_owned(),
-                message,
-            }
-        }))
-    }
-
-    /// Runs every experiment in paper order, concurrently on the engine
-    /// pool. Results are returned in registry order and are identical to
-    /// a serial `ALL_EXPERIMENTS.iter().map(|id| study.run(id))` loop:
-    /// every experiment is a deterministic pure function of the study
-    /// and its (cached) context.
-    pub fn run_all(&self) -> Vec<Table> {
-        let _span = subvt_engine::trace::span("runner.run_all");
+    /// Every experiment is a deterministic function of the study and its
+    /// (cached) context, so the tables equal a serial [`Study::run`]
+    /// loop's. The fault-injection job-panic decision is drawn here, on
+    /// the calling thread in input order, so a seeded `SUBVT_FAULTS` plan
+    /// fails the same ids whatever the pool's scheduling.
+    pub fn run_ids<S: AsRef<str>>(&self, ids: &[S]) -> Vec<Result<Table, FigureFailure>> {
         let study = *self;
-        subvt_engine::global().map(ALL_EXPERIMENTS.to_vec(), move |id| {
-            study.run(id).expect("registered experiment")
-        })
+        let jobs: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                let id = id.as_ref().to_owned();
+                let known = is_experiment(&id);
+                let inject = known && should_inject(FaultSite::JobPanic);
+                let run = id.clone();
+                let job = known.then(|| {
+                    subvt_engine::global().spawn(move || {
+                        if inject {
+                            panic!("fault-injected job panic");
+                        }
+                        study.run(&run).expect("registered experiment dispatches")
+                    })
+                });
+                (id, job)
+            })
+            .collect();
+        jobs.into_iter()
+            .map(|(id, job)| {
+                let Some(job) = job else {
+                    let message = "unknown experiment id".to_owned();
+                    return Err(FigureFailure { id, message });
+                };
+                job.join().map_err(|panic| {
+                    subvt_engine::trace::global().add("repro.figure_failures", 1);
+                    let message = panic.message;
+                    FigureFailure { id, message }
+                })
+            })
+            .collect()
     }
 }
 
@@ -164,12 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn run_guarded_reports_unknown_and_catches_panics() {
-        let study = Study::default();
-        assert!(study.run_guarded("fig99").is_none());
-        // table1 is cheap and infallible.
-        let ok = study.run_guarded("table1").unwrap();
-        assert!(ok.is_ok());
+    fn run_ids_reports_unknown_ids_in_input_order() {
+        // table1 is cheap and infallible; the unknown id never runs.
+        let outcomes = Study::default().run_ids(&["fig99", "table1"]);
+        let failure = FigureFailure {
+            id: "fig99".to_owned(),
+            message: "unknown experiment id".to_owned(),
+        };
+        assert_eq!(outcomes[0], Err(failure));
+        assert_eq!(outcomes[1], Ok(Study::default().run("table1").unwrap()));
+        assert_eq!(outcomes.len(), 2);
     }
 
     #[test]

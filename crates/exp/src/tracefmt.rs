@@ -17,9 +17,7 @@ use std::fmt::Write as _;
 
 use subvt_engine::trace::{AttrValue, Histogram, SpanRecord, TraceSnapshot};
 
-/// Public only because the out-of-tree `subvt-benchmark` package
-/// imports the JSON parser from here; make this a private `use` once
-/// the benchmark imports `subvt_engine::json` directly.
+/// Public only for the standalone `subvt-benchmark` package, its one user.
 pub use subvt_engine::json::{parse_json, Json};
 
 /// Maps a parsed attribute value onto the engine's [`AttrValue`].

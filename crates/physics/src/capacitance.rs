@@ -77,8 +77,8 @@ pub fn fo1_load(c_gate_load: FaradsPerMicron, c_drain_driver: FaradsPerMicron) -
 mod tests {
     use super::*;
     use crate::electrostatics::oxide_capacitance;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn fringe_is_tens_of_attofarads() {
@@ -117,34 +117,36 @@ mod tests {
         assert!(cd.get() < cg.get());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn gate_cap_monotone_in_length(
-            l in 15.0f64..150.0,
-            dl in 1.0f64..50.0,
-        ) {
-            let t_ox = Nanometers::new(2.0);
-            let c_ox = oxide_capacitance(t_ox);
-            let lov = Nanometers::new(8.0);
+    #[test]
+    fn gate_cap_monotone_in_length() {
+        let mut rng = SplitMix64::new(0xca90);
+        let t_ox = Nanometers::new(2.0);
+        let c_ox = oxide_capacitance(t_ox);
+        let lov = Nanometers::new(8.0);
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 15.0..150.0);
+            let dl = uniform(&mut rng, 1.0..50.0);
             let a = gate_capacitance(c_ox, Nanometers::new(l), lov, t_ox);
             let b = gate_capacitance(c_ox, Nanometers::new(l + dl), lov, t_ox);
-            prop_assert!(b.get() > a.get());
+            assert!(b.get() > a.get(), "L = {l} nm, dL = {dl} nm");
         }
+    }
 
-        #[test]
-        fn thinner_oxide_raises_area_cap(
-            l in 15.0f64..150.0,
-            tox in 1.2f64..3.0,
-        ) {
-            let lov = Nanometers::new(5.0);
-            let a = gate_capacitance(
-                oxide_capacitance(Nanometers::new(tox)), Nanometers::new(l), lov,
-                Nanometers::new(tox));
-            let b = gate_capacitance(
-                oxide_capacitance(Nanometers::new(0.8 * tox)), Nanometers::new(l), lov,
-                Nanometers::new(0.8 * tox));
-            prop_assert!(b.get() > a.get());
+    #[test]
+    fn thinner_oxide_raises_area_cap() {
+        let mut rng = SplitMix64::new(0xca91);
+        let lov = Nanometers::new(5.0);
+        let cap = |l: f64, tox: f64| {
+            let t_ox = Nanometers::new(tox);
+            gate_capacitance(oxide_capacitance(t_ox), Nanometers::new(l), lov, t_ox)
+        };
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 15.0..150.0);
+            let tox = uniform(&mut rng, 1.2..3.0);
+            assert!(
+                cap(l, 0.8 * tox).get() > cap(l, tox).get(),
+                "L = {l}, T_ox = {tox}"
+            );
         }
     }
 }

@@ -275,8 +275,8 @@ pub fn characterize(params: &DeviceParams) -> DeviceCharacteristics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn reference_90nm_matches_paper_scale() {
@@ -364,47 +364,53 @@ mod tests {
         assert!(result.is_err());
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn shorter_channel_degrades_swing(
-            l_poly in 30.0f64..120.0,
-        ) {
+    #[test]
+    fn shorter_channel_degrades_swing() {
+        let mut rng = SplitMix64::new(0xde10);
+        for _ in 0..256 {
+            let l_poly = uniform(&mut rng, 30.0..120.0);
             let mut a = DeviceParams::reference_90nm_nfet();
             a.geometry.l_poly = Nanometers::new(l_poly);
             let mut b = a;
             b.geometry.l_poly = Nanometers::new(l_poly * 1.3);
-            prop_assert!(a.characterize().s_s.get() >= b.characterize().s_s.get() - 1e-9);
+            assert!(
+                a.characterize().s_s.get() >= b.characterize().s_s.get() - 1e-9,
+                "L_poly = {l_poly}"
+            );
         }
+    }
 
-        #[test]
-        fn leakage_falls_with_substrate_doping(
-            n_sub in 1.0e18f64..3.0e18,
-        ) {
+    #[test]
+    fn leakage_falls_with_substrate_doping() {
+        let mut rng = SplitMix64::new(0xde11);
+        for _ in 0..256 {
+            let n_sub = uniform(&mut rng, 1.0e18..3.0e18);
             let mut a = DeviceParams::reference_90nm_nfet();
             a.n_sub = PerCubicCentimeter::new(n_sub);
             let mut b = a;
             b.n_sub = PerCubicCentimeter::new(n_sub * 1.5);
-            prop_assert!(b.characterize().i_off.get() < a.characterize().i_off.get());
+            assert!(
+                b.characterize().i_off.get() < a.characterize().i_off.get(),
+                "N_sub = {n_sub:e}"
+            );
         }
+    }
 
-        #[test]
-        fn characterization_is_finite(
-            l_poly in 30.0f64..150.0,
-            t_ox in 1.2f64..3.0,
-            n_sub in 5.0e17f64..5.0e18,
-            vdd in 0.15f64..1.3,
-        ) {
+    #[test]
+    fn characterization_is_finite() {
+        let mut rng = SplitMix64::new(0xde12);
+        for _ in 0..256 {
             let mut p = DeviceParams::reference_90nm_nfet();
-            p.geometry.l_poly = Nanometers::new(l_poly);
-            p.geometry.t_ox = Nanometers::new(t_ox);
-            p.n_sub = PerCubicCentimeter::new(n_sub);
-            p.v_dd = Volts::new(vdd);
+            p.geometry.l_poly = Nanometers::new(uniform(&mut rng, 30.0..150.0));
+            p.geometry.t_ox = Nanometers::new(uniform(&mut rng, 1.2..3.0));
+            p.n_sub = PerCubicCentimeter::new(uniform(&mut rng, 5.0e17..5.0e18));
+            p.v_dd = Volts::new(uniform(&mut rng, 0.15..1.3));
             let ch = p.characterize();
-            prop_assert!(ch.i_off.get().is_finite() && ch.i_off.get() > 0.0);
-            prop_assert!(ch.i_on.get().is_finite() && ch.i_on.get() > 0.0);
-            prop_assert!(ch.tau.get().is_finite() && ch.tau.get() > 0.0);
-            prop_assert!(ch.i_on.get() > ch.i_off.get());
+            let positive = |x: f64| x.is_finite() && x > 0.0;
+            assert!(positive(ch.i_off.get()), "{p:?}");
+            assert!(positive(ch.i_on.get()), "{p:?}");
+            assert!(positive(ch.tau.get()), "{p:?}");
+            assert!(ch.i_on.get() > ch.i_off.get(), "{p:?}");
         }
     }
 }

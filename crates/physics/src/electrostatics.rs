@@ -103,8 +103,8 @@ pub fn long_channel_vth(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     const ROOM: Temperature = Temperature::room();
 
@@ -145,36 +145,47 @@ mod tests {
         assert!(hi > lo);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn depletion_width_monotone(
-            n in 1.0e16f64..1.0e19,
-            factor in 1.1f64..50.0,
-        ) {
-            let psi = Volts::new(1.0);
+    #[test]
+    fn depletion_width_monotone() {
+        let mut rng = SplitMix64::new(0xe1e0);
+        let psi = Volts::new(1.0);
+        for _ in 0..256 {
+            let n = uniform(&mut rng, 1.0e16..1.0e19);
+            let factor = uniform(&mut rng, 1.1..50.0);
             let wide = depletion_width(PerCubicCentimeter::new(n), psi);
             let narrow = depletion_width(PerCubicCentimeter::new(n * factor), psi);
-            prop_assert!(narrow < wide);
+            assert!(narrow < wide, "N = {n:e}, factor {factor}");
         }
+    }
 
-        #[test]
-        fn charge_balance_identity(n in 1.0e16f64..1.0e19, psi in 0.1f64..1.5) {
+    #[test]
+    fn charge_balance_identity() {
+        let mut rng = SplitMix64::new(0xe1e1);
+        for _ in 0..256 {
+            let n = uniform(&mut rng, 1.0e16..1.0e19);
+            let psi = uniform(&mut rng, 0.1..1.5);
             // Q_dep == q·N·W_dep must hold by construction.
             let nd = PerCubicCentimeter::new(n);
-            let psi = Volts::new(psi);
-            let q_dep = depletion_charge(nd, psi);
-            let w = depletion_width(nd, psi).as_cm();
-            prop_assert!((q_dep - Q * n * w).abs() <= q_dep * 1e-10);
+            let q_dep = depletion_charge(nd, Volts::new(psi));
+            let w = depletion_width(nd, Volts::new(psi)).as_cm();
+            assert!(
+                (q_dep - Q * n * w).abs() <= q_dep * 1e-10,
+                "N = {n:e}, psi = {psi}"
+            );
         }
+    }
 
-        #[test]
-        fn vth0_is_physical(n in 5.0e17f64..8.0e18, tox in 1.0f64..3.0) {
+    #[test]
+    fn vth0_is_physical() {
+        let mut rng = SplitMix64::new(0xe1e2);
+        for _ in 0..256 {
+            let n = uniform(&mut rng, 5.0e17..8.0e18);
+            let tox = uniform(&mut rng, 1.0..3.0);
             let cox = oxide_capacitance(Nanometers::new(tox));
-            let vth = long_channel_vth(PerCubicCentimeter::new(n), cox, ROOM);
+            let vth = long_channel_vth(PerCubicCentimeter::new(n), cox, ROOM).as_volts();
             // Threshold of a poly-gate bulk NFET stays in a sane window
             // (light doping with a thin oxide can approach zero).
-            prop_assert!(vth.as_volts() > -0.05 && vth.as_volts() < 1.5);
+            assert!(vth > -0.05 && vth < 1.5, "N = {n:e}, T_ox = {tox}: {vth}");
         }
     }
 }

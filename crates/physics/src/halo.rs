@@ -92,8 +92,8 @@ pub fn effective_channel_doping(
 mod tests {
     use super::*;
     use crate::math::trapz;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     fn halo() -> HaloProfile {
         HaloProfile::new(PerCubicCentimeter::new(2.11e18), Nanometers::new(7.5))
@@ -148,43 +148,50 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn average_monotone_decreasing_in_length(
-            l in 5.0f64..500.0,
-            factor in 1.05f64..10.0,
-        ) {
-            let h = halo();
+    #[test]
+    fn average_monotone_decreasing_in_length() {
+        let mut rng = SplitMix64::new(0x4a10);
+        let h = halo();
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 5.0..500.0);
+            let factor = uniform(&mut rng, 1.05..10.0);
             let short = h.channel_average(Nanometers::new(l));
             let long = h.channel_average(Nanometers::new(l * factor));
-            prop_assert!(long.get() <= short.get() * (1.0 + 1e-12));
+            assert!(
+                long.get() <= short.get() * (1.0 + 1e-12),
+                "L = {l}, factor {factor}"
+            );
         }
+    }
 
-        #[test]
-        fn average_scales_linearly_with_peak(
-            l in 10.0f64..300.0,
-            peak in 1.0e17f64..1.0e19,
-        ) {
-            let sigma = Nanometers::new(6.0);
+    #[test]
+    fn average_scales_linearly_with_peak() {
+        let mut rng = SplitMix64::new(0x4a11);
+        let sigma = Nanometers::new(6.0);
+        for _ in 0..256 {
+            let l = Nanometers::new(uniform(&mut rng, 10.0..300.0));
+            let peak = uniform(&mut rng, 1.0e17..1.0e19);
             let h1 = HaloProfile::new(PerCubicCentimeter::new(peak), sigma);
             let h2 = HaloProfile::new(PerCubicCentimeter::new(2.0 * peak), sigma);
-            let l = Nanometers::new(l);
             let a1 = h1.channel_average(l).get();
             let a2 = h2.channel_average(l).get();
-            prop_assert!((a2 / a1 - 2.0).abs() < 1e-9);
+            assert!((a2 / a1 - 2.0).abs() < 1e-9, "L = {l}, peak {peak:e}");
         }
+    }
 
-        #[test]
-        fn effective_doping_bounded(
-            l in 5.0f64..1000.0,
-            n_sub in 5.0e17f64..5.0e18,
-        ) {
-            let h = halo();
-            let n_sub = PerCubicCentimeter::new(n_sub);
+    #[test]
+    fn effective_doping_bounded() {
+        let mut rng = SplitMix64::new(0x4a12);
+        let h = halo();
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 5.0..1000.0);
+            let n_sub = PerCubicCentimeter::new(uniform(&mut rng, 5.0e17..5.0e18));
             let n_eff = effective_channel_doping(n_sub, &h, Nanometers::new(l));
-            prop_assert!(n_eff.get() >= n_sub.get());
-            prop_assert!(n_eff.get() <= n_sub.get() + 2.0 * h.peak.get() * (1.0 + 1e-9));
+            assert!(n_eff.get() >= n_sub.get(), "L = {l}, {n_sub:e}");
+            assert!(
+                n_eff.get() <= n_sub.get() + 2.0 * h.peak.get() * (1.0 + 1e-9),
+                "L = {l}, {n_sub:e}"
+            );
         }
     }
 }

@@ -45,3 +45,16 @@ pub mod swing;
 
 pub use device::{DeviceCharacteristics, DeviceGeometry, DeviceKind, DeviceParams};
 pub use iv::{MosModel, PreparedMos};
+
+/// Inputs of the fixed-seed property tests.
+#[cfg(test)]
+mod prop {
+    use std::ops::Range;
+
+    use subvt_engine::rng::SplitMix64;
+
+    /// A uniform draw from `range`.
+    pub fn uniform(rng: &mut SplitMix64, range: Range<f64>) -> f64 {
+        range.start + (range.end - range.start) * rng.next_f64()
+    }
+}

@@ -92,8 +92,8 @@ pub fn saturation_velocity(kind: DeviceKind) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     #[test]
     fn electron_mobility_reference_points() {
@@ -139,22 +139,25 @@ mod tests {
         assert!((at_300 - base).abs() < 1e-9);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn mobility_monotone_decreasing_in_doping(
-            n in 1.0e14f64..1.0e20,
-            factor in 1.01f64..100.0,
-        ) {
+    #[test]
+    fn mobility_monotone_decreasing_in_doping() {
+        let mut rng = SplitMix64::new(0x3b10);
+        for _ in 0..256 {
+            let n = uniform(&mut rng, 1.0e14..1.0e20);
+            let factor = uniform(&mut rng, 1.01..100.0);
             let lo = low_field_mobility(DeviceKind::Nfet, PerCubicCentimeter::new(n));
             let hi = low_field_mobility(DeviceKind::Nfet, PerCubicCentimeter::new(n * factor));
-            prop_assert!(hi <= lo);
+            assert!(hi <= lo, "N = {n:e}, factor {factor}");
         }
+    }
 
-        #[test]
-        fn mobility_bounded(n in 1.0e13f64..1.0e21) {
+    #[test]
+    fn mobility_bounded() {
+        let mut rng = SplitMix64::new(0x3b11);
+        for _ in 0..256 {
+            let n = uniform(&mut rng, 1.0e13..1.0e21);
             let mu = low_field_mobility(DeviceKind::Nfet, PerCubicCentimeter::new(n));
-            prop_assert!(mu > 80.0 && mu < 1400.0);
+            assert!(mu > 80.0 && mu < 1400.0, "N = {n:e}: {mu}");
         }
     }
 }

@@ -95,8 +95,8 @@ pub fn short_channel_vth(
 mod tests {
     use super::*;
     use crate::electrostatics::oxide_capacitance;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     const ROOM: Temperature = Temperature::room();
     const N_SD: PerCubicCentimeter = PerCubicCentimeter::new(1.0e20);
@@ -158,14 +158,13 @@ mod tests {
         assert!(vth_short < vth_long);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn roll_off_nonnegative_and_bounded(
-            l in 10.0f64..300.0,
-            n in 5.0e17f64..8.0e18,
-            vds in 0.0f64..1.5,
-        ) {
+    #[test]
+    fn roll_off_nonnegative_and_bounded() {
+        let mut rng = SplitMix64::new(0x5ce0);
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 10.0..300.0);
+            let n = uniform(&mut rng, 5.0e17..8.0e18);
+            let vds = uniform(&mut rng, 0.0..1.5);
             let roll = sce_roll_off(
                 Nanometers::new(l),
                 Nanometers::new(2.0),
@@ -173,21 +172,26 @@ mod tests {
                 N_SD,
                 Volts::new(vds),
                 ROOM,
+            )
+            .as_volts();
+            // Non-negative, and cannot exceed the full barrier prefactor.
+            assert!(
+                (0.0..4.0).contains(&roll),
+                "L = {l}, N = {n:e}, V_ds = {vds}: {roll}"
             );
-            prop_assert!(roll.as_volts() >= 0.0);
-            // Cannot exceed the full barrier prefactor.
-            prop_assert!(roll.as_volts() < 4.0);
         }
+    }
 
-        #[test]
-        fn higher_doping_suppresses_dibl(
-            l in 15.0f64..100.0,
-            n in 5.0e17f64..3.0e18,
-        ) {
-            let t_ox = Nanometers::new(2.0);
-            let d_lo = dibl(Nanometers::new(l), t_ox, PerCubicCentimeter::new(n), ROOM);
-            let d_hi = dibl(Nanometers::new(l), t_ox, PerCubicCentimeter::new(4.0 * n), ROOM);
-            prop_assert!(d_hi < d_lo);
+    #[test]
+    fn higher_doping_suppresses_dibl() {
+        let mut rng = SplitMix64::new(0x5ce1);
+        let t_ox = Nanometers::new(2.0);
+        for _ in 0..256 {
+            let l = Nanometers::new(uniform(&mut rng, 15.0..100.0));
+            let n = uniform(&mut rng, 5.0e17..3.0e18);
+            let d_lo = dibl(l, t_ox, PerCubicCentimeter::new(n), ROOM);
+            let d_hi = dibl(l, t_ox, PerCubicCentimeter::new(4.0 * n), ROOM);
+            assert!(d_hi < d_lo, "L = {l}, N = {n:e}");
         }
     }
 }

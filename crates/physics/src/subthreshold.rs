@@ -80,8 +80,8 @@ pub fn on_current_subvt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     const ROOM: Temperature = Temperature::room();
 
@@ -179,39 +179,54 @@ mod tests {
         assert!((on.get() / off.get() / want - 1.0).abs() < 1e-9);
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn current_monotone_in_vgs(
-            vgs in 0.0f64..0.4,
-            dv in 0.001f64..0.1,
-        ) {
-            let i0 = i0_90nm();
-            let f = |v: f64| subthreshold_current(
-                i0, Volts::new(v), Volts::new(0.25), Volts::new(0.4), 1.5, ROOM);
-            prop_assert!(f(vgs + dv).get() > f(vgs).get());
+    #[test]
+    fn current_monotone_in_vgs() {
+        let mut rng = SplitMix64::new(0x5b10);
+        let f = |v: f64| {
+            subthreshold_current(
+                i0_90nm(),
+                Volts::new(v),
+                Volts::new(0.25),
+                Volts::new(0.4),
+                1.5,
+                ROOM,
+            )
+        };
+        for _ in 0..256 {
+            let vgs = uniform(&mut rng, 0.0..0.4);
+            let dv = uniform(&mut rng, 0.001..0.1);
+            assert!(f(vgs + dv).get() > f(vgs).get(), "V_gs = {vgs}, dV = {dv}");
         }
+    }
 
-        #[test]
-        fn current_monotone_in_vds(
-            vds in 0.0f64..0.5,
-            dv in 0.001f64..0.1,
-        ) {
-            let i0 = i0_90nm();
-            let f = |v: f64| subthreshold_current(
-                i0, Volts::new(0.2), Volts::new(v), Volts::new(0.4), 1.5, ROOM);
-            prop_assert!(f(vds + dv).get() >= f(vds).get());
+    #[test]
+    fn current_monotone_in_vds() {
+        let mut rng = SplitMix64::new(0x5b11);
+        let f = |v: f64| {
+            subthreshold_current(
+                i0_90nm(),
+                Volts::new(0.2),
+                Volts::new(v),
+                Volts::new(0.4),
+                1.5,
+                ROOM,
+            )
+        };
+        for _ in 0..256 {
+            let vds = uniform(&mut rng, 0.0..0.5);
+            let dv = uniform(&mut rng, 0.001..0.1);
+            assert!(f(vds + dv).get() >= f(vds).get(), "V_ds = {vds}, dV = {dv}");
         }
+    }
 
-        #[test]
-        fn off_current_monotone_decreasing_in_vth(
-            vth in 0.2f64..0.6,
-            dv in 0.01f64..0.2,
-        ) {
-            let i0 = i0_90nm();
-            let hi = off_current(i0, Volts::new(vth), Volts::new(1.0), 1.5, ROOM);
-            let lo = off_current(i0, Volts::new(vth + dv), Volts::new(1.0), 1.5, ROOM);
-            prop_assert!(lo.get() < hi.get());
+    #[test]
+    fn off_current_monotone_decreasing_in_vth() {
+        let mut rng = SplitMix64::new(0x5b12);
+        let f = |vth: f64| off_current(i0_90nm(), Volts::new(vth), Volts::new(1.0), 1.5, ROOM);
+        for _ in 0..256 {
+            let vth = uniform(&mut rng, 0.2..0.6);
+            let dv = uniform(&mut rng, 0.01..0.2);
+            assert!(f(vth + dv).get() < f(vth).get(), "V_th = {vth}, dV = {dv}");
         }
     }
 }

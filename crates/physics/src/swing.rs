@@ -98,8 +98,8 @@ pub fn on_off_ratio_from_slope(s_s: MilliVoltsPerDecade, v_dd: Volts) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::prop::uniform;
+    use subvt_engine::rng::SplitMix64;
 
     const ROOM: Temperature = Temperature::room();
 
@@ -155,45 +155,52 @@ mod tests {
         assert!((ratio - 427.0).abs() < 5.0, "got {ratio}");
     }
 
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn slope_above_thermal_floor(
-            l in 5.0f64..1000.0,
-            tox in 1.0f64..3.5,
-            wdep in 8.0f64..60.0,
-        ) {
+    #[test]
+    fn slope_above_thermal_floor() {
+        let mut rng = SplitMix64::new(0x5e10);
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 5.0..1000.0);
+            let tox = uniform(&mut rng, 1.0..3.5);
+            let wdep = uniform(&mut rng, 8.0..60.0);
             let ss = inverse_subthreshold_slope(
                 Nanometers::new(l),
                 Nanometers::new(tox),
                 Nanometers::new(wdep),
                 ROOM,
             );
-            prop_assert!(ss.get() >= thermal_floor(ROOM).get());
+            assert!(
+                ss.get() >= thermal_floor(ROOM).get(),
+                "L = {l}, T_ox = {tox}, W_dep = {wdep}: {ss}"
+            );
         }
+    }
 
-        #[test]
-        fn slope_monotone_decreasing_in_length(
-            l in 5.0f64..500.0,
-            factor in 1.05f64..10.0,
-        ) {
-            let t_ox = Nanometers::new(2.0);
-            let w_dep = Nanometers::new(20.0);
+    #[test]
+    fn slope_monotone_decreasing_in_length() {
+        let mut rng = SplitMix64::new(0x5e11);
+        let t_ox = Nanometers::new(2.0);
+        let w_dep = Nanometers::new(20.0);
+        for _ in 0..256 {
+            let l = uniform(&mut rng, 5.0..500.0);
+            let factor = uniform(&mut rng, 1.05..10.0);
             let short = inverse_subthreshold_slope(Nanometers::new(l), t_ox, w_dep, ROOM);
-            let long = inverse_subthreshold_slope(
-                Nanometers::new(l * factor), t_ox, w_dep, ROOM);
-            prop_assert!(long.get() <= short.get() + 1e-12);
+            let long = inverse_subthreshold_slope(Nanometers::new(l * factor), t_ox, w_dep, ROOM);
+            assert!(
+                long.get() <= short.get() + 1e-12,
+                "L = {l}, factor {factor}"
+            );
         }
+    }
 
-        #[test]
-        fn thinner_oxide_improves_long_channel_slope(
-            tox in 1.0f64..3.0,
-            wdep in 10.0f64..50.0,
-        ) {
-            let a = long_channel_slope(Nanometers::new(tox), Nanometers::new(wdep), ROOM);
-            let b = long_channel_slope(
-                Nanometers::new(0.8 * tox), Nanometers::new(wdep), ROOM);
-            prop_assert!(b.get() < a.get());
+    #[test]
+    fn thinner_oxide_improves_long_channel_slope() {
+        let mut rng = SplitMix64::new(0x5e12);
+        for _ in 0..256 {
+            let tox = uniform(&mut rng, 1.0..3.0);
+            let wdep = Nanometers::new(uniform(&mut rng, 10.0..50.0));
+            let a = long_channel_slope(Nanometers::new(tox), wdep, ROOM);
+            let b = long_channel_slope(Nanometers::new(0.8 * tox), wdep, ROOM);
+            assert!(b.get() < a.get(), "T_ox = {tox}, W_dep = {wdep}");
         }
     }
 }

@@ -18,9 +18,9 @@ fn parallel_run_all_matches_serial_byte_for_byte() {
         })
         .collect();
     let parallel: Vec<String> = Study::default()
-        .run_all()
-        .iter()
-        .map(|t| t.to_csv())
+        .run_ids(&ALL_EXPERIMENTS)
+        .into_iter()
+        .map(|t| t.expect("registered experiment").to_csv())
         .collect();
     assert_eq!(serial.len(), parallel.len());
     for (id, (s, p)) in ALL_EXPERIMENTS.iter().zip(serial.iter().zip(&parallel)) {

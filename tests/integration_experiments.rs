@@ -11,9 +11,12 @@ use subvt_units::Temperature;
 fn every_registered_experiment_renders() {
     // Warm the shared design cache once, then run everything.
     let _ = Study::default().context().expect("default study designs");
-    let tables = Study::default().run_all();
+    let tables = Study::default().run_ids(&ALL_EXPERIMENTS);
     assert_eq!(tables.len(), ALL_EXPERIMENTS.len());
-    for t in &tables {
+    for t in tables
+        .iter()
+        .map(|t| t.as_ref().expect("registered experiment"))
+    {
         assert!(!t.rows.is_empty(), "{} has no rows", t.title);
         let text = t.to_text();
         assert!(text.starts_with("## "), "{} text render", t.title);
@@ -109,6 +112,40 @@ fn fig12_energy_ratio_close_to_paper() {
 fn unknown_experiment_is_rejected() {
     assert!(Study::default().run("table9").is_none());
     assert!(Study::default().run("").is_none());
+}
+
+/// Plain `repro` prints the tables before the first unknown id and
+/// fails; `--keep-going` also runs the ids after it and reports the
+/// unknown one as a failure.
+#[test]
+fn repro_stops_at_an_unknown_id_unless_keep_going() {
+    let repro = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs")
+    };
+    let csv = |id| Study::default().run(id).expect(id).to_csv();
+
+    let plain = repro(&["--csv", "table1", "nope", "fig7"]);
+    assert!(!plain.status.success());
+    assert_eq!(String::from_utf8(plain.stdout).unwrap(), csv("table1"));
+    let stderr = String::from_utf8(plain.stderr).unwrap();
+    assert!(
+        stderr.contains("unknown experiment `nope` (try --list)"),
+        "{stderr}"
+    );
+
+    let kept = repro(&["--keep-going", "--csv", "table1", "nope", "fig7"]);
+    assert!(!kept.status.success());
+    let stdout = String::from_utf8(kept.stdout).unwrap();
+    assert_eq!(stdout, csv("table1") + &csv("fig7"));
+    let stderr = String::from_utf8(kept.stderr).unwrap();
+    assert!(
+        stderr.contains("FAILED nope: unknown experiment id"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("1 of 3 experiments failed"), "{stderr}");
 }
 
 /// One process renders fig6 under four studies — 300 K before 350 K —
