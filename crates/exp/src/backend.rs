@@ -47,9 +47,9 @@ pub fn model() -> &'static dyn DeviceModel {
 }
 
 /// Runs one experiment under the process-default study; `None` for an
-/// unknown id.
+/// unknown id or a failed design flow.
 pub fn run(id: &str) -> Option<Table> {
-    process_default().run(id)
+    process_default().run(id).ok()
 }
 
 impl StudyContext {

@@ -835,9 +835,12 @@ fn fleet_worker_main(args: &[String]) -> ExitCode {
     let crash_marker = std::env::var_os("SUBVT_FLEET_CRASH_ONCE");
 
     for (i, id) in ids.iter().enumerate() {
-        let Some(table) = study.run(id) else {
-            eprintln!("fleet worker {idx}: unknown experiment `{id}`");
-            return ExitCode::FAILURE;
+        let table = match study.run(id) {
+            Ok(table) => table,
+            Err(e) => {
+                eprintln!("fleet worker {idx}: experiment `{id}`: {e}");
+                return ExitCode::FAILURE;
+            }
         };
         let rendered = table.render(csv);
         let staged = outdir.join(format!("out-{id}.{ext}"));

@@ -72,14 +72,15 @@ impl Study {
     /// Re-characterizes a design at a subthreshold supply through
     /// [`Study::model`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the backend fails on the already-designed device —
-    /// designs come out of the same backend, so a failure here is a
-    /// backend bug, not an input error.
-    pub fn at_subthreshold(&self, design: &NodeDesign, v_dd: Volts) -> NodeDesign {
+    /// [`DesignError::Model`] when the backend fails on the device.
+    pub fn at_subthreshold(
+        &self,
+        design: &NodeDesign,
+        v_dd: Volts,
+    ) -> Result<NodeDesign, DesignError> {
         at_subthreshold_supply_with(design, v_dd, self.model())
-            .expect("backend failed on a design it produced")
     }
 }
 

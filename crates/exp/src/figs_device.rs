@@ -3,7 +3,7 @@
 //! length) and Fig. 9 (L_poly and S_S under both strategies).
 
 use subvt_core::metrics::{delay_factor_fixed_ioff, energy_factor};
-use subvt_core::strategy::NodeDesign;
+use subvt_core::strategy::{DesignError, NodeDesign};
 use subvt_core::subvth::SubVthStrategy;
 use subvt_core::TechNode;
 use subvt_physics::device::DeviceKind;
@@ -18,18 +18,22 @@ use crate::table::{fmt, Table};
 ///
 /// Paper shape: S_S degrades ≈11 % (95 → 106 mV/dec) and I_on/I_off drops
 /// ≈60 % between 90 nm and 32 nm.
-pub fn fig2(ctx: &StudyContext) -> Table {
+///
+/// # Errors
+///
+/// [`DesignError`] when the backend fails to re-characterize a design.
+pub fn fig2(ctx: &StudyContext) -> Result<Table, DesignError> {
     let mut t = Table::new(
         "Fig 2: NFET S_S and I_on/I_off at V_dd = 250 mV (super-Vth scaling)",
         &["Node", "S_S (mV/dec)", "I_on/I_off @250mV", "ratio vs 90nm"],
     );
     let ratio_at_250mv = |d: &NodeDesign| {
-        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT));
-        sub.nfet_chars.on_off_ratio()
+        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT))?;
+        Ok::<_, DesignError>(sub.nfet_chars.on_off_ratio())
     };
-    let base_ratio = ratio_at_250mv(&ctx.supervth[0]);
+    let base_ratio = ratio_at_250mv(&ctx.supervth[0])?;
     for d in &ctx.supervth {
-        let ratio = ratio_at_250mv(d);
+        let ratio = ratio_at_250mv(d)?;
         t.push_row(vec![
             d.node.name().to_owned(),
             fmt(d.nfet_chars.s_s.get(), 1),
@@ -37,7 +41,7 @@ pub fn fig2(ctx: &StudyContext) -> Table {
             fmt(ratio / base_ratio, 2),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Fig. 3: NFET on-current at nominal `V_dd` and at 250 mV across nodes
@@ -45,7 +49,11 @@ pub fn fig2(ctx: &StudyContext) -> Table {
 ///
 /// Paper shape: I_on falls with scaling under the leakage-constrained
 /// flow, and falls faster in the sub-V_th regime.
-pub fn fig3(ctx: &StudyContext) -> Table {
+///
+/// # Errors
+///
+/// [`DesignError`] when the backend fails to re-characterize a design.
+pub fn fig3(ctx: &StudyContext) -> Result<Table, DesignError> {
     let mut t = Table::new(
         "Fig 3: NFET I_on at nominal V_dd and at 250 mV (super-Vth scaling)",
         &[
@@ -57,14 +65,14 @@ pub fn fig3(ctx: &StudyContext) -> Table {
         ],
     );
     let na_at_250mv = |d: &NodeDesign| {
-        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT));
-        sub.nfet_chars.i_on.get() * 1.0e9
+        let sub = ctx.study.at_subthreshold(d, Volts::new(V_SUBVT))?;
+        Ok::<_, DesignError>(sub.nfet_chars.i_on.get() * 1.0e9)
     };
     let base_nom = ctx.supervth[0].nfet_chars.i_on.as_microamps();
-    let base_sub = na_at_250mv(&ctx.supervth[0]);
+    let base_sub = na_at_250mv(&ctx.supervth[0])?;
     for d in &ctx.supervth {
         let nom = d.nfet_chars.i_on.as_microamps();
-        let sub = na_at_250mv(d);
+        let sub = na_at_250mv(d)?;
         t.push_row(vec![
             d.node.name().to_owned(),
             fmt(nom, 0),
@@ -73,7 +81,7 @@ pub fn fig3(ctx: &StudyContext) -> Table {
             fmt(sub / base_sub, 2),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Fig. 7: S_S as a function of gate length for the 45 nm node — doping
@@ -186,7 +194,7 @@ mod tests {
 
     #[test]
     fn fig2_ratio_degrades_substantially() {
-        let t = fig2(StudyContext::cached());
+        let t = fig2(StudyContext::cached()).unwrap();
         let last_ratio: f64 = t.rows[3][3].parse().unwrap();
         // Paper: −60 %. Accept any substantial degradation (> 35 %).
         assert!(
@@ -197,7 +205,7 @@ mod tests {
 
     #[test]
     fn fig3_subthreshold_current_falls_faster() {
-        let t = fig3(StudyContext::cached());
+        let t = fig3(StudyContext::cached()).unwrap();
         let nom_32: f64 = t.rows[3][3].parse().unwrap();
         let sub_32: f64 = t.rows[3][4].parse().unwrap();
         assert!(

@@ -35,5 +35,5 @@ pub mod tracefmt;
 pub use backend::run;
 pub use cachefile::CacheSession;
 pub use context::{Study, StudyContext};
-pub use runner::{is_experiment, FigureFailure, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
+pub use runner::{is_experiment, FigureFailure, RunError, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 pub use table::Table;

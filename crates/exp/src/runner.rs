@@ -1,5 +1,6 @@
 //! Experiment registry and dispatch for the `repro` binary.
 
+use subvt_core::strategy::DesignError;
 use subvt_engine::faultinject::{should_inject, FaultSite};
 
 use crate::context::Study;
@@ -20,6 +21,32 @@ pub struct FigureFailure {
 impl core::fmt::Display for FigureFailure {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "experiment `{}` failed: {}", self.id, self.message)
+    }
+}
+
+/// Why [`Study::run`] produced no table.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The id names no registered experiment.
+    UnknownId,
+    /// A design flow, or the backend re-characterizing a design, failed.
+    Design(DesignError),
+}
+
+impl core::fmt::Display for RunError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            RunError::UnknownId => f.write_str("unknown experiment id"),
+            RunError::Design(e) => write!(f, "design flow failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<DesignError> for RunError {
+    fn from(e: DesignError) -> Self {
+        RunError::Design(e)
     }
 }
 
@@ -49,55 +76,57 @@ pub fn is_experiment(id: &str) -> bool {
 }
 
 impl Study {
-    /// Runs one experiment by id under this study. Returns `None` for an
-    /// unknown id.
+    /// Runs one experiment by id under this study.
     ///
     /// Experiments that need device designs recall them through the
     /// engine's `design` cache (see [`Study::context`]) — the first
     /// consumer pays for the flows, every later one is a recorded cache
     /// hit. Each registered experiment records an `experiment.<id>`
     /// trace span.
-    pub fn run(&self, id: &str) -> Option<Table> {
-        let ctx = || {
-            self.context()
-                .expect("design flows failed on roadmap inputs")
-        };
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::UnknownId`] for an unregistered id, and
+    /// [`RunError::Design`] when a design flow or the backend fails.
+    pub fn run(&self, id: &str) -> Result<Table, RunError> {
+        let ctx = || self.context();
         let _span = subvt_engine::trace::span(format!("experiment.{id}"))
             .attr("backend", self.model().cache_id())
             .attr("circuit_backend", self.circuit.instance().cache_id());
-        Some(match id {
+        Ok(match id {
             "table1" => tables::table1(),
-            "table2" => tables::table2(&ctx()),
-            "table3" => tables::table3(&ctx()),
-            "fig2" => figs_device::fig2(&ctx()),
-            "fig3" => figs_device::fig3(&ctx()),
-            "fig4" => figs_circuit::fig4(&ctx()),
-            "fig5" => figs_circuit::fig5(&ctx()),
-            "fig6" => figs_circuit::fig6(&ctx()),
+            "table2" => tables::table2(&ctx()?),
+            "table3" => tables::table3(&ctx()?),
+            "fig2" => figs_device::fig2(&ctx()?)?,
+            "fig3" => figs_device::fig3(&ctx()?)?,
+            "fig4" => figs_circuit::fig4(&ctx()?),
+            "fig5" => figs_circuit::fig5(&ctx()?),
+            "fig6" => figs_circuit::fig6(&ctx()?),
             "fig7" => figs_device::fig7(self),
             "fig8" => figs_device::fig8(self),
-            "fig9" => figs_device::fig9(&ctx()),
-            "fig10" => figs_compare::fig10(&ctx()),
-            "fig11" => figs_compare::fig11(&ctx()),
-            "fig12" => figs_compare::fig12(&ctx()),
+            "fig9" => figs_device::fig9(&ctx()?),
+            "fig10" => figs_compare::fig10(&ctx()?),
+            "fig11" => figs_compare::fig11(&ctx()?),
+            "fig12" => figs_compare::fig12(&ctx()?),
             "ext-temperature" => extensions::ext_temperature(self),
             "ext-oxide" => extensions::ext_oxide_scaling(self),
-            "ext-sram" => extensions::ext_sram(&ctx()),
-            "ext-variability" => extensions::ext_variability(&ctx()),
-            "ext-gates" => extensions::ext_gates(&ctx()),
+            "ext-sram" => extensions::ext_sram(&ctx()?),
+            "ext-variability" => extensions::ext_variability(&ctx()?),
+            "ext-gates" => extensions::ext_gates(&ctx()?),
             "ext-backends" => extensions::ext_backends(),
-            "ext-ringosc" => extensions::ext_ringosc(&ctx()),
-            "ext-temp" => extensions::ext_temp(&ctx()),
-            "montecarlo" => extensions::montecarlo(&ctx()),
-            _ => return None,
+            "ext-ringosc" => extensions::ext_ringosc(&ctx()?),
+            "ext-temp" => extensions::ext_temp(&ctx()?),
+            "montecarlo" => extensions::montecarlo(&ctx()?),
+            _ => return Err(RunError::UnknownId),
         })
     }
 
     /// Runs `ids`, one engine-pool job each, and returns their outcomes
-    /// in input order. An unknown id fails without running; a panicking
-    /// experiment (diverged solver, poisoned expectation, injected fault)
-    /// fails through its job's [`JobPanic`](subvt_engine::JobPanic) and
-    /// bumps `repro.figure_failures` instead of tearing down the sweep.
+    /// in input order. An unknown id fails without running. An
+    /// experiment whose run fails ([`RunError`]) or panics (diverged
+    /// solver, poisoned expectation, injected fault) fails with a
+    /// [`FigureFailure`] and bumps `repro.figure_failures` instead of
+    /// tearing down the sweep.
     ///
     /// Every experiment is a deterministic function of the study and its
     /// (cached) context, so the tables equal a serial [`Study::run`]
@@ -118,7 +147,7 @@ impl Study {
                         if inject {
                             panic!("fault-injected job panic");
                         }
-                        study.run(&run).expect("registered experiment dispatches")
+                        study.run(&run).map_err(|e| e.to_string())
                     })
                 });
                 (id, job)
@@ -130,11 +159,13 @@ impl Study {
                     let message = "unknown experiment id".to_owned();
                     return Err(FigureFailure { id, message });
                 };
-                job.join().map_err(|panic| {
-                    subvt_engine::trace::global().add("repro.figure_failures", 1);
-                    let message = panic.message;
-                    FigureFailure { id, message }
-                })
+                job.join()
+                    .map_err(|panic| panic.message)
+                    .and_then(|run| run)
+                    .map_err(|message| {
+                        subvt_engine::trace::global().add("repro.figure_failures", 1);
+                        FigureFailure { id, message }
+                    })
             })
             .collect()
     }
@@ -146,7 +177,7 @@ mod tests {
 
     #[test]
     fn registry_rejects_unknown() {
-        assert!(Study::default().run("fig99").is_none());
+        assert_eq!(Study::default().run("fig99"), Err(RunError::UnknownId));
     }
 
     #[test]
@@ -162,7 +193,7 @@ mod tests {
             // Only check the cheap ones here (context-heavy extensions are
             // exercised by the extensions module's own tests).
             if id == "ext-temperature" {
-                assert!(Study::default().run(id).is_some());
+                assert!(Study::default().run(id).is_ok());
             }
         }
     }

@@ -19,6 +19,18 @@
 //! first). `topology` dispatches on `op` ∈ `gate_snm` | `ring_freq` |
 //! `temp_sweep`.
 //!
+//! `params` fields are typed (see [`crate::query`]): voltages and
+//! temperatures are JSON numbers, counts are non-negative JSON
+//! integers, and names (`node`, `backend`, `format`, experiment `id`,
+//! ...) are strings from a fixed set. A present field of the wrong type
+//! or an unknown name is `bad_request` naming the field; only an absent
+//! field takes its default.
+//!
+//! ```text
+//! → {"id":"r4","method":"idvg","params":{"node":"ref90","v_ds":"1.2"}}
+//! ← {"id":"r4","ok":false,"error":{"code":"bad_request","message":"`v_ds` must be a number"}}
+//! ```
+//!
 //! `result` is always the **last** member of a success line, so the
 //! payload can be recovered byte-identically by slicing between
 //! `"result":` and the final `}` — no JSON round-trip required (floats
@@ -45,8 +57,8 @@ pub enum ErrorCode {
     /// The request key was quarantined by an earlier exhaustion; the
     /// body was refused without running.
     Quarantined,
-    /// The compute ran and returned a domain error (solver failure,
-    /// unknown experiment id, ...).
+    /// The compute ran and returned a domain error (solver, backend or
+    /// design-flow failure, ...).
     ComputeFailed,
 }
 

@@ -4,7 +4,7 @@
 use std::process::Command;
 
 use subvt_circuits::CircuitBackendKind;
-use subvt_exp::{Study, ALL_EXPERIMENTS};
+use subvt_exp::{RunError, Study, ALL_EXPERIMENTS};
 use subvt_units::Temperature;
 
 #[test]
@@ -110,8 +110,11 @@ fn fig12_energy_ratio_close_to_paper() {
 
 #[test]
 fn unknown_experiment_is_rejected() {
-    assert!(Study::default().run("table9").is_none());
-    assert!(Study::default().run("").is_none());
+    assert_eq!(
+        Study::default().run("table9").err(),
+        Some(RunError::UnknownId)
+    );
+    assert_eq!(Study::default().run("").err(), Some(RunError::UnknownId));
 }
 
 /// Plain `repro` prints the tables before the first unknown id and
