@@ -20,6 +20,7 @@ use subvt_physics::device::{DeviceKind, DeviceParams};
 use subvt_units::{Temperature, Volts};
 
 use crate::context::{Study, StudyContext, V_SUBVT};
+use crate::report;
 use crate::table::{fmt, Table};
 
 /// Extension A — temperature: subthreshold swing, leakage and the
@@ -174,8 +175,9 @@ pub fn ext_variability(ctx: &StudyContext) -> Table {
 ///
 /// Wall-clock is a side channel only: total per-backend runtimes land in
 /// the `montecarlo.spice_ms` / `montecarlo.analytic_ms` gauges and the
-/// spice path's per-sample solve latencies in the
-/// `montecarlo.sample_ms` histogram (the source of `BENCH_spice.json`)
+/// per-sample solve latencies in the `montecarlo.sample_ms` histogram
+/// and quantile gauges ([`report::record_sample_ms`], the source of
+/// `BENCH_spice.json`)
 /// — the table itself is a deterministic function of `(backend, seed)`,
 /// so warm- and cold-started runs stay byte-identical.
 pub fn montecarlo(ctx: &StudyContext) -> Table {
@@ -202,6 +204,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
     let supplies = [250.0, 300.0, 400.0];
     let mut primary_ms = 0.0;
     let mut failures = 0u64;
+    let mut sample_ms = Vec::new();
     for mv in supplies {
         let v = Volts::from_millivolts(mv);
         let t0 = std::time::Instant::now();
@@ -212,16 +215,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
             .snm_variability(&pair, v, SNM_SAMPLES, SEED)
             .expect("Monte-Carlo SNM sweep");
         primary_ms += t0.elapsed().as_secs_f64() * 1e3;
-        // Millisecond-scale bucket ladder: the default trace buckets
-        // start at 1.0 and would flatten the sub-millisecond solve
-        // latencies into one bucket.
-        const SAMPLE_MS_BUCKETS: [f64; 16] = [
-            0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
-            100.0,
-        ];
-        for ms in d_wall.iter().chain(&s_wall) {
-            subvt_engine::trace::observe_with("montecarlo.sample_ms", *ms, &SAMPLE_MS_BUCKETS);
-        }
+        sample_ms.extend(d_wall.iter().chain(&s_wall));
         failures += (DELAY_SAMPLES - d.samples.len()) as u64;
         failures += (SNM_SAMPLES - s.samples.len()) as u64;
         t.push_row(vec![
@@ -233,6 +227,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
             fmt(s.failure_fraction * 100.0, 1),
         ]);
     }
+    report::record_sample_ms(subvt_engine::trace::global(), &sample_ms);
     subvt_engine::trace::add("montecarlo.failures", failures);
     if ctx.study.circuit == subvt_circuits::CircuitBackendKind::Spice {
         subvt_engine::trace::gauge("montecarlo.spice_ms", primary_ms);

@@ -221,12 +221,45 @@ pub fn render_manifest(
     out
 }
 
+/// Millisecond-scale bucket ladder of `montecarlo.sample_ms`: the
+/// default trace buckets start at 1.0 and would flatten the
+/// sub-millisecond solve latencies into one bucket.
+const SAMPLE_MS_BUCKETS: [f64; 16] = [
+    0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
+];
+
+/// The quantiles of `BENCH_spice.json`'s `latency_ms` block, each
+/// published as the gauge `montecarlo.sample_ms.<label>`.
+const SAMPLE_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)];
+
+/// Records one Monte-Carlo run's per-sample solve times, in ms: the
+/// `montecarlo.sample_ms` histogram (count, min, max, mean) and the
+/// exact nearest-rank p50/p90/p99 of the samples as
+/// `montecarlo.sample_ms.{p50,p90,p99}` gauges, which
+/// [`render_spice_bench`] reads. The histogram's own quantiles are
+/// bucket bounds, a factor of 2–2.5 apart.
+pub fn record_sample_ms(tracer: &trace::Tracer, samples_ms: &[f64]) {
+    for &ms in samples_ms {
+        tracer.observe_with("montecarlo.sample_ms", ms, &SAMPLE_MS_BUCKETS);
+    }
+    let mut sorted = samples_ms.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    if sorted.is_empty() {
+        return;
+    }
+    for (label, q) in SAMPLE_QUANTILES {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        tracer.gauge(&format!("montecarlo.sample_ms.{label}"), sorted[rank - 1]);
+    }
+}
+
 /// Renders the `BENCH_spice.json` artifact from a trace snapshot of a
 /// spice-backed `montecarlo` run: per-sample solve latencies (the
-/// `montecarlo.sample_ms` histogram), the spice-over-analytic wall
-/// ratio, failed samples, and the factor-reuse Newton counters. The
-/// shape mirrors `BENCH_serve.json` (same provenance header and
-/// `latency_ms` block) so `subvt-bench-diff` gates both trajectories.
+/// `montecarlo.sample_ms` histogram and the exact quantile gauges of
+/// [`record_sample_ms`]), the spice-over-analytic wall ratio, failed
+/// samples, and the factor-reuse Newton counters. The shape mirrors
+/// `BENCH_serve.json` (same provenance header and `latency_ms` block)
+/// so `subvt-bench-diff` gates both trajectories.
 ///
 /// # Errors
 ///
@@ -260,9 +293,9 @@ pub fn render_spice_bench(snap: &TraceSnapshot) -> Result<String, String> {
         json_f64(elapsed_s),
         json_f64(throughput),
         json_f64(hist.min),
-        json_f64(hist.quantile(0.5)),
-        json_f64(hist.quantile(0.9)),
-        json_f64(hist.quantile(0.99)),
+        json_f64(gauge("montecarlo.sample_ms.p50")),
+        json_f64(gauge("montecarlo.sample_ms.p90")),
+        json_f64(gauge("montecarlo.sample_ms.p99")),
         json_f64(hist.max),
         json_f64(hist.mean()),
         json_f64(gauge("montecarlo.analytic_ms")),
@@ -445,9 +478,7 @@ mod tests {
         assert!(render_spice_bench(&tracer.snapshot())
             .unwrap_err()
             .contains("no spice Monte-Carlo samples"));
-        for ms in [0.004, 0.008, 0.015, 0.04, 0.4] {
-            tracer.observe_with("montecarlo.sample_ms", ms, &[0.005, 0.01, 0.05, 0.1, 1.0]);
-        }
+        record_sample_ms(&tracer, &[0.004, 0.008, 0.015, 0.04, 0.4]);
         tracer.gauge("montecarlo.spice_ms", 500.0);
         tracer.gauge("montecarlo.analytic_ms", 100.0);
         tracer.gauge("montecarlo.spice_over_analytic", 5.0);
@@ -471,6 +502,37 @@ mod tests {
         assert_eq!(v.get("spice_over_analytic").unwrap().as_f64(), Some(5.0));
         let counters = v.get("counters").unwrap();
         assert_eq!(counters.get("spice.lu.resolve").unwrap().as_u64(), Some(93));
+    }
+
+    #[test]
+    fn spice_bench_quantiles_are_exact_nearest_rank_samples() {
+        let tracer = trace::Tracer::new();
+        // 200 samples 0.01, 0.02, …, 2.00 ms, recorded out of order: the
+        // nearest-rank p50, p90 and p99 are the 100th, 180th and 198th
+        // smallest. Bucket bounds would read 1, 2 and 2 ms.
+        let mut samples: Vec<f64> = (1..=200).map(|k| k as f64 / 100.0).collect();
+        samples.reverse();
+        samples.swap(3, 150);
+        record_sample_ms(&tracer, &samples);
+        let text = render_spice_bench(&tracer.snapshot()).unwrap();
+        let v = parse_json(&text).expect("artifact parses");
+        let lat = v.get("latency_ms").unwrap();
+        let ms = |key: &str| lat.get(key).unwrap().as_f64().unwrap();
+        assert_eq!(ms("min"), 0.01);
+        assert_eq!(ms("p50"), 1.0);
+        assert_eq!(ms("p90"), 1.8);
+        assert_eq!(ms("p99"), 1.98);
+        assert_eq!(ms("max"), 2.0);
+        assert_eq!(v.get("requests").unwrap().as_u64(), Some(200));
+
+        // One sample is every quantile.
+        let one = trace::Tracer::new();
+        record_sample_ms(&one, &[0.37]);
+        let v = parse_json(&render_spice_bench(&one.snapshot()).unwrap()).unwrap();
+        let lat = v.get("latency_ms").unwrap();
+        for key in ["p50", "p90", "p99"] {
+            assert_eq!(lat.get(key).unwrap().as_f64(), Some(0.37), "{key}");
+        }
     }
 
     #[test]

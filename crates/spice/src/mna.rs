@@ -139,6 +139,137 @@ impl DcSolution {
     }
 }
 
+/// What one solve hands to the next over the same circuit shape (sweep
+/// points, Monte-Carlo samples): the LU pivot order, each MOSFET's last
+/// evaluation, and the work counted so far.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// LU factors reused via cached-pivot refactorization.
+    pub(crate) lu: LuFactors,
+    /// One slot per MOSFET, in netlist order.
+    mos: Vec<MosSlot>,
+    /// The work done through this workspace, not yet reported.
+    pub(crate) tally: Tally,
+}
+
+impl Workspace {
+    /// Prepares one slot per MOSFET of `net`. A slot keeps its last
+    /// evaluation only while the device's [`PreparedMos`] is equal to the
+    /// one that produced it, so a netlist with other devices (another
+    /// Monte-Carlo sample) never sees this one's evaluations.
+    fn bind(&mut self, net: &Netlist) {
+        let devices = net.elements().iter().filter_map(|e| match &e.element {
+            Element::Mosfet(inst) => Some(PreparedMos::new(&inst.model)),
+            _ => None,
+        });
+        let mut slots = Vec::with_capacity(self.mos.len());
+        for (i, prepared) in devices.enumerate() {
+            let last = self
+                .mos
+                .get(i)
+                .filter(|slot| slot.prepared == prepared)
+                .and_then(|slot| slot.last);
+            slots.push(MosSlot { prepared, last });
+        }
+        self.mos = slots;
+    }
+}
+
+/// One MOSFET's prepared evaluator and its last evaluation. The device's
+/// current and derivatives are a pure function of its [`PreparedMos`] and
+/// its bias `(v_gs, v_ds)`, so a stamp at the same bias bits reuses the
+/// evaluation bit for bit instead of recomputing it.
+#[derive(Debug, Clone)]
+struct MosSlot {
+    prepared: PreparedMos,
+    /// The bits of the last `(v_gs, v_ds)` and the `(I, ∂I/∂v_gs,
+    /// ∂I/∂v_ds)` per micron, in the magnitude frame, evaluated there.
+    last: Option<([u64; 2], (f64, f64, f64))>,
+}
+
+impl MosSlot {
+    /// [`PreparedMos::drain_current_and_derivs`] at `(v_gs, v_ds)`,
+    /// computed only when the bias differs from the last one.
+    fn eval(&mut self, v_gs: f64, v_ds: f64, tally: &mut Tally) -> (f64, f64, f64) {
+        let bias = [v_gs.to_bits(), v_ds.to_bits()];
+        if let Some((seen, iv)) = self.last {
+            if seen == bias {
+                tally.mos_reused += 1;
+                return iv;
+            }
+        }
+        let (i, di_dvgs, di_dvds) = self
+            .prepared
+            .drain_current_and_derivs(Volts::new(v_gs), Volts::new(v_ds));
+        let iv = (i.get(), di_dvgs, di_dvds);
+        self.last = Some((bias, iv));
+        tally.mos_evals += 1;
+        iv
+    }
+}
+
+/// The work of one analysis, counted locally and reported to the tracer
+/// once, when the analysis ends ([`Tally::emit`]), so a transient takes
+/// the tracer lock a fixed number of times however many steps it runs.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// `spice.dc.solves`: DC operating-point solves.
+    pub(crate) dc_solves: u64,
+    /// `spice.newton.warm_start`: DC solves started from a previous one.
+    pub(crate) warm_starts: u64,
+    /// `spice.tran.runs`: completed transients.
+    pub(crate) tran_runs: u64,
+    /// `spice.lu.factor`: full pivot searches that succeeded.
+    lu_factor: u64,
+    /// `spice.lu.resolve`: cached-pivot refactorizations that succeeded.
+    lu_resolve: u64,
+    /// `spice.mos.evals`: MOSFET evaluations computed.
+    mos_evals: u64,
+    /// `spice.mos.reused`: MOSFET stamps served from the device's last
+    /// evaluation.
+    mos_reused: u64,
+    /// `spice.newton.iterations` samples: one per returned DC solution
+    /// and per transient step.
+    pub(crate) newton_iterations: Vec<f64>,
+    /// `spice.tran.steps` samples: one per completed transient.
+    pub(crate) tran_steps: Vec<f64>,
+}
+
+impl Tally {
+    /// Adds `other`'s counts and samples to this tally.
+    fn absorb(&mut self, other: Tally) {
+        self.dc_solves += other.dc_solves;
+        self.warm_starts += other.warm_starts;
+        self.tran_runs += other.tran_runs;
+        self.lu_factor += other.lu_factor;
+        self.lu_resolve += other.lu_resolve;
+        self.mos_evals += other.mos_evals;
+        self.mos_reused += other.mos_reused;
+        self.newton_iterations.extend(other.newton_iterations);
+        self.tran_steps.extend(other.tran_steps);
+    }
+
+    /// Reports the tally under one tracer lock. A zero count adds
+    /// nothing, so a counter appears only once something was counted.
+    pub(crate) fn emit(&self) {
+        trace::record_all(
+            &[
+                ("spice.dc.solves", self.dc_solves),
+                ("spice.newton.warm_start", self.warm_starts),
+                ("spice.tran.runs", self.tran_runs),
+                ("spice.lu.factor", self.lu_factor),
+                ("spice.lu.resolve", self.lu_resolve),
+                ("spice.mos.evals", self.mos_evals),
+                ("spice.mos.reused", self.mos_reused),
+            ],
+            &[
+                ("spice.newton.iterations", &self.newton_iterations),
+                ("spice.tran.steps", &self.tran_steps),
+            ],
+        );
+    }
+}
+
 /// Internal solver state shared by DC and transient analyses.
 pub(crate) struct Solver<'a> {
     net: &'a Netlist,
@@ -151,24 +282,29 @@ pub(crate) struct Solver<'a> {
     /// Minimum conductance to ground on every node. Defaults to [`GMIN`];
     /// raised temporarily during gmin stepping.
     pub(crate) gmin: f64,
-    /// One prepared evaluator per MOSFET, in netlist order.
-    mos: Vec<PreparedMos>,
     jac: DenseMatrix,
-    /// Persistent LU workspace: factors are reused across Newton
-    /// iterations (and, when threaded in from a sweep, across bias
-    /// points) via cached-pivot refactorization.
-    pub(crate) lu: LuFactors,
+    /// Persistent LU factors, device memo and tally: factors are reused
+    /// across Newton iterations (and, when threaded in from a sweep,
+    /// across bias points) via cached-pivot refactorization.
+    pub(crate) work: Workspace,
     /// Largest |current| stamped into any KCL row during the last
-    /// [`Solver::assemble`] or [`Solver::residual`] — the unit-correct scale for the relative
+    /// [`Solver::assemble`] — the unit-correct scale for the relative
     /// residual floor (branch rows are volt-valued and must not leak in).
     kcl_scale: f64,
 }
 
 impl<'a> Solver<'a> {
     pub(crate) fn new(net: &'a Netlist) -> Self {
+        Self::with_work(net, Workspace::default())
+    }
+
+    /// A solver over `net` that continues from `work` (see
+    /// [`Workspace::bind`]); its `work` field hands the workspace back.
+    pub(crate) fn with_work(net: &'a Netlist, mut work: Workspace) -> Self {
         let n_nodes = net.node_count();
         let vsrc_rows = net.vsource_indices();
         let dim = n_nodes - 1 + vsrc_rows.len();
+        work.bind(net);
         Self {
             net,
             n_nodes,
@@ -176,16 +312,8 @@ impl<'a> Solver<'a> {
             source_scale: 1.0,
             time: 0.0,
             gmin: GMIN,
-            mos: net
-                .elements()
-                .iter()
-                .filter_map(|e| match &e.element {
-                    Element::Mosfet(inst) => Some(PreparedMos::new(&inst.model)),
-                    _ => None,
-                })
-                .collect(),
             jac: DenseMatrix::zeros(dim),
-            lu: LuFactors::new(),
+            work,
             kcl_scale: 0.0,
         }
     }
@@ -222,70 +350,24 @@ impl<'a> Solver<'a> {
     /// `(v_gs, v_ds, sign)`, where `sign` turns the model's current back
     /// into the current into the drain terminal.
     #[inline]
-    fn mos_frame(kind: DeviceKind, vd: f64, vg: f64, vs: f64) -> (Volts, Volts, f64) {
-        let (vgs, vds, sign) = match kind {
+    fn mos_frame(kind: DeviceKind, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64) {
+        match kind {
             DeviceKind::Nfet => (vg - vs, vd - vs, 1.0),
             DeviceKind::Pfet => (vs - vg, vs - vd, -1.0),
-        };
-        (Volts::new(vgs), Volts::new(vds), sign)
-    }
-
-    /// MOSFET drain current (into the drain terminal) and its partial
-    /// derivatives `(i_d, ∂i_d/∂v_d, ∂i_d/∂v_g)` in the node frame, amps
-    /// and siemens. `∂i_d/∂v_s = −(∂i_d/∂v_d + ∂i_d/∂v_g)` by charge
-    /// conservation, so it is not returned separately.
-    ///
-    /// The current value goes through
-    /// [`PreparedMos::drain_current_and_derivs`], whose value path is
-    /// bit-identical to [`PreparedMos::drain_current`] (what
-    /// [`Solver::mos_current`] uses). For both polarities the node-frame
-    /// chain rule collapses to the same mapping:
-    /// `∂i_d/∂v_d = W·∂I/∂v_ds` and `∂i_d/∂v_g = W·∂I/∂v_gs` (the PFET's
-    /// leading `−1` cancels against its reversed magnitude frame).
-    fn mos_current_and_derivs(
-        inst: &MosInstance,
-        prepared: &PreparedMos,
-        vd: f64,
-        vg: f64,
-        vs: f64,
-    ) -> (f64, f64, f64) {
-        let (vgs, vds, sign) = Self::mos_frame(inst.model.kind, vd, vg, vs);
-        let (i, di_dvgs, di_dvds) = prepared.drain_current_and_derivs(vgs, vds);
-        let w = inst.width_um;
-        (sign * w * i.get(), w * di_dvds, w * di_dvgs)
-    }
-
-    /// MOSFET drain current (into the drain terminal) alone, amps — the
-    /// value [`Solver::mos_current_and_derivs`] returns, bit for bit.
-    fn mos_current(inst: &MosInstance, prepared: &PreparedMos, vd: f64, vg: f64, vs: f64) -> f64 {
-        let (vgs, vds, sign) = Self::mos_frame(inst.model.kind, vd, vg, vs);
-        sign * inst.width_um * prepared.drain_current(vgs, vds).get()
+        }
     }
 
     /// Assembles the Newton residual `f` and Jacobian at state `x`.
     /// Returns the residual; the Jacobian is left in `self.jac` and the
-    /// largest KCL current contribution in `self.kcl_scale`.
+    /// largest KCL current contribution in `self.kcl_scale`. Each MOSFET
+    /// is evaluated only if its bias differs from its last evaluation
+    /// ([`MosSlot::eval`]).
     pub(crate) fn assemble(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
-        self.stamp::<true>(x, caps)
-    }
-
-    /// The residual [`Solver::assemble`] returns and the same
-    /// `self.kcl_scale`, without the Jacobian: MOSFETs are evaluated
-    /// value-only and `self.jac` is left untouched. Used where Newton only
-    /// needs the residual norm.
-    pub(crate) fn residual(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
-        self.stamp::<false>(x, caps)
-    }
-
-    /// Stamps every element's residual, and with `JACOBIAN` its
-    /// conductances into `self.jac`.
-    fn stamp<const JACOBIAN: bool>(&mut self, x: &[f64], caps: CapMode<'_>) -> Vec<f64> {
         let dim = self.dim();
         let mut f = vec![0.0; dim];
-        if JACOBIAN {
-            self.jac.clear();
-        }
+        self.jac.clear();
         let jac = &mut self.jac;
+        let tally = &mut self.work.tally;
         // Unit-correct scale for the relative residual floor: the largest
         // |current| any element pushes into a KCL row. Branch (KVL) rows
         // are volt-valued and deliberately excluded.
@@ -296,15 +378,13 @@ impl<'a> Solver<'a> {
         for n in 1..self.n_nodes {
             let i = n - 1;
             f[i] += gmin * x[i];
-            if JACOBIAN {
-                jac.add(i, i, gmin);
-            }
+            jac.add(i, i, gmin);
             scale = scale.max((gmin * x[i]).abs());
         }
 
         let mut branch = 0usize;
         let mut cap_idx = 0usize;
-        let mut mos = self.mos.iter();
+        let mut mos = self.work.mos.iter_mut();
         for named in self.net.elements() {
             match &named.element {
                 Element::Resistor { a, b, ohms } => {
@@ -317,9 +397,7 @@ impl<'a> Solver<'a> {
                     if let Some(ib) = Self::vix(*b) {
                         f[ib] -= i;
                     }
-                    if JACOBIAN {
-                        Self::stamp_conductance(jac, *a, *b, g);
-                    }
+                    Self::stamp_conductance(jac, *a, *b, g);
                 }
                 Element::Capacitor { a, b, farads } => {
                     if let CapMode::Companion {
@@ -345,9 +423,7 @@ impl<'a> Solver<'a> {
                         if let Some(ib) = Self::vix(*b) {
                             f[ib] -= i;
                         }
-                        if JACOBIAN {
-                            Self::stamp_conductance(jac, *a, *b, g);
-                        }
+                        Self::stamp_conductance(jac, *a, *b, g);
                     }
                     cap_idx += 1;
                 }
@@ -358,17 +434,13 @@ impl<'a> Solver<'a> {
                     scale = scale.max(i_br.abs());
                     if let Some(ip) = Self::vix(*pos) {
                         f[ip] += i_br;
-                        if JACOBIAN {
-                            jac.add(ip, row, 1.0);
-                            jac.add(row, ip, 1.0);
-                        }
+                        jac.add(ip, row, 1.0);
+                        jac.add(row, ip, 1.0);
                     }
                     if let Some(in_) = Self::vix(*neg) {
                         f[in_] -= i_br;
-                        if JACOBIAN {
-                            jac.add(in_, row, -1.0);
-                            jac.add(row, in_, -1.0);
-                        }
+                        jac.add(in_, row, -1.0);
+                        jac.add(row, in_, -1.0);
                     }
                     f[row] = Self::v(x, *pos) - Self::v(x, *neg) - value;
                     branch += 1;
@@ -385,20 +457,24 @@ impl<'a> Solver<'a> {
                     }
                 }
                 Element::Mosfet(inst) => {
-                    let prepared = mos.next().expect("one prepared model per MOSFET");
-                    let (vd, vg, vs) = (
+                    let slot = mos.next().expect("one slot per MOSFET");
+                    let (vgs, vds, sign) = Self::mos_frame(
+                        inst.model.kind,
                         Self::v(x, inst.drain),
                         Self::v(x, inst.gate),
                         Self::v(x, inst.source),
                     );
                     // Analytic derivatives: one model evaluation per
                     // device instead of the four a forward difference
-                    // needed, and exact conductances for Newton.
-                    let (id, g_d, g_g) = if JACOBIAN {
-                        Self::mos_current_and_derivs(inst, prepared, vd, vg, vs)
-                    } else {
-                        (Self::mos_current(inst, prepared, vd, vg, vs), 0.0, 0.0)
-                    };
+                    // needed, and exact conductances for Newton. For
+                    // both polarities the node-frame chain rule collapses
+                    // to `∂i_d/∂v_d = W·∂I/∂v_ds` and `∂i_d/∂v_g =
+                    // W·∂I/∂v_gs` (the PFET's leading `−1` cancels against
+                    // its reversed magnitude frame); `∂i_d/∂v_s` follows
+                    // from charge conservation in `stamp_mosfet`.
+                    let (i, di_dvgs, di_dvds) = slot.eval(vgs, vds, tally);
+                    let w = inst.width_um;
+                    let (id, g_d, g_g) = (sign * w * i, w * di_dvds, w * di_dvgs);
                     scale = scale.max(id.abs());
                     // Current into drain leaves the drain node; the same
                     // current enters the source node.
@@ -408,9 +484,7 @@ impl<'a> Solver<'a> {
                     if let Some(isr) = Self::vix(inst.source) {
                         f[isr] -= id;
                     }
-                    if JACOBIAN {
-                        Self::stamp_mosfet(jac, inst, g_d, g_g);
-                    }
+                    Self::stamp_mosfet(jac, inst, g_d, g_g);
                 }
             }
         }
@@ -485,41 +559,31 @@ impl<'a> Solver<'a> {
     /// (no per-iteration clone), and the LU factors are reused through
     /// cached-pivot refactorization whenever the pivot order stays
     /// stable — only the first iteration (or a pivot-order change) pays
-    /// for a full pivot search. The call adds its successful
-    /// factorizations to `spice.lu.factor` / `spice.lu.resolve` once, on
-    /// every exit path.
+    /// for a full pivot search. Each successful factorization is tallied
+    /// in `self.work.tally`, on every exit path.
+    ///
+    /// The acceptance check assembles at the accepted point, so the next
+    /// solve from it (the next time step, the next sweep point) finds
+    /// every MOSFET already evaluated there.
     pub(crate) fn newton(
-        &mut self,
-        x: Vec<f64>,
-        caps: CapMode<'_>,
-    ) -> Result<(Vec<f64>, usize), SpiceError> {
-        let mut lu = LuCounts::default();
-        let result = self.newton_counted(x, caps, &mut lu);
-        lu.emit();
-        result
-    }
-
-    /// [`Solver::newton`], tallying factorizations into `lu`.
-    fn newton_counted(
         &mut self,
         mut x: Vec<f64>,
         caps: CapMode<'_>,
-        lu: &mut LuCounts,
     ) -> Result<(Vec<f64>, usize), SpiceError> {
         let n_v = self.n_nodes - 1;
         for iter in 1..=MAX_NEWTON {
             let mut rhs = self.assemble(&x, caps);
             let f_norm = max_abs(&rhs);
             rhs.iter_mut().for_each(|v| *v = -*v);
-            if self.lu.refactor_cached(&self.jac).is_ok() {
-                lu.resolve += 1;
+            let lu = &mut self.work.lu;
+            if lu.refactor_cached(&self.jac).is_ok() {
+                self.work.tally.lu_resolve += 1;
             } else {
-                self.lu
-                    .factor(&self.jac)
+                lu.factor(&self.jac)
                     .map_err(|e| self.singular_error(e.column))?;
-                lu.factor += 1;
+                self.work.tally.lu_factor += 1;
             }
-            let dx = self.lu.solve(&mut rhs);
+            let dx = self.work.lu.solve(&mut rhs);
 
             // Damped update: clamp voltage steps, tracking the *pre-clamp*
             // norms — a step pinned at the clamp used to masquerade as
@@ -558,16 +622,17 @@ impl<'a> Solver<'a> {
             // construction as the KCL residual check).
             let branch_scale = x[n_v..].iter().fold(0.0f64, |acc, b| acc.max(b.abs()));
             if max_dv_raw < VTOL && max_di <= ITOL.max(1e-9 * branch_scale) {
-                // Verify the KCL residual at the accepted point; the
-                // Jacobian there would go unused.
-                let f = self.residual(&x, caps);
+                // Verify the KCL residual at the accepted point. Its
+                // Jacobian goes unused, but the device evaluations behind
+                // it are where the next solve starts.
+                let f = self.assemble(&x, caps);
                 let res = f.iter().take(n_v).fold(0.0f64, |acc, v| acc.max(v.abs()));
                 if res < self.residual_floor() {
                     return Ok((x, iter));
                 }
             }
         }
-        let f = self.residual(&x, caps);
+        let f = self.assemble(&x, caps);
         Err(SpiceError::NoConvergence {
             iterations: MAX_NEWTON,
             residual: max_abs(&f),
@@ -584,29 +649,6 @@ impl<'a> Solver<'a> {
             node_voltages,
             branch_currents: x[n_v..].to_vec(),
             iterations,
-        }
-    }
-}
-
-/// LU factorizations of one [`Solver::newton`] call: full pivot searches
-/// and cached-pivot refactorizations that succeeded.
-#[derive(Debug, Default)]
-struct LuCounts {
-    factor: u64,
-    resolve: u64,
-}
-
-impl LuCounts {
-    /// Adds the tallies to the `spice.lu.*` counters (a zero tally adds
-    /// nothing, so a counter appears only once something was counted).
-    fn emit(&self) {
-        for (name, n) in [
-            ("spice.lu.factor", self.factor),
-            ("spice.lu.resolve", self.resolve),
-        ] {
-            if n > 0 {
-                trace::add(name, n);
-            }
         }
     }
 }
@@ -636,21 +678,29 @@ const GMIN_LADDER: [f64; 5] = [1.0e-3, 1.0e-5, 1.0e-7, 1.0e-9, GMIN];
 /// Returns [`SpiceError::InvalidNetlist`] for non-physical element
 /// values, or the first solver error if every recovery rung fails.
 pub fn dc_operating_point(net: &Netlist) -> Result<DcSolution, SpiceError> {
-    operating_point_with_recovery(net).inspect(observe_newton)
+    let mut tally = Tally::default();
+    let result = cold_operating_point(net, &mut tally);
+    tally.emit();
+    result
 }
 
-/// Records the Newton effort behind one returned DC solution.
-fn observe_newton(sol: &DcSolution) {
-    trace::observe("spice.newton.iterations", sol.iterations as f64);
+/// [`dc_operating_point`], tallying its work into `tally`.
+fn cold_operating_point(net: &Netlist, tally: &mut Tally) -> Result<DcSolution, SpiceError> {
+    net.validate()?;
+    tally.dc_solves += 1;
+    let mut solver = Solver::new(net);
+    let result = operating_point_with_recovery(&mut solver);
+    tally.absorb(solver.work.tally);
+    if let Ok(sol) = &result {
+        tally.newton_iterations.push(sol.iterations as f64);
+    }
+    result
 }
 
 /// The cold solve plus recovery ladder behind [`dc_operating_point`].
-fn operating_point_with_recovery(net: &Netlist) -> Result<DcSolution, SpiceError> {
+fn operating_point_with_recovery(solver: &mut Solver<'_>) -> Result<DcSolution, SpiceError> {
     use subvt_engine::{faultinject, recovery, recovery::RecoveryStep};
 
-    net.validate()?;
-    trace::add("spice.dc.solves", 1);
-    let mut solver = Solver::new(net);
     let x0 = vec![0.0; solver.dim()];
 
     // Fault injection fires before any solver state exists, so the plain
@@ -682,7 +732,7 @@ fn operating_point_with_recovery(net: &Netlist) -> Result<DcSolution, SpiceError
     }
 
     // Rung 2: source stepping — ramp all sources from 10 % to 100 %.
-    match source_stepping(&mut solver, &x0) {
+    match source_stepping(solver, &x0) {
         Ok(sol) => {
             recovery::record(
                 DC_SITE,
@@ -699,7 +749,7 @@ fn operating_point_with_recovery(net: &Netlist) -> Result<DcSolution, SpiceError
 
     // Rung 3: gmin stepping — relax the minimum conductance and walk it
     // back down to nominal with continuation.
-    match gmin_stepping(&mut solver, &x0) {
+    match gmin_stepping(solver, &x0) {
         Ok(sol) => {
             recovery::record(
                 DC_SITE,
@@ -781,21 +831,24 @@ pub fn dc_operating_point_from(
     if cold_start_forced() {
         return dc_operating_point(net);
     }
-    let mut lu = LuFactors::new();
-    dc_operating_point_from_with(net, initial, &mut lu)
+    let mut work = Workspace::default();
+    let result = dc_operating_point_from_with(net, initial, &mut work);
+    work.tally.emit();
+    result
 }
 
-/// [`dc_operating_point_from`] with a caller-owned LU workspace, so
+/// [`dc_operating_point_from`] through a caller-owned [`Workspace`], so
 /// consecutive solves over structurally identical matrices (sweep points,
-/// Monte-Carlo samples) can reuse the cached pivot order across calls.
-/// The workspace is returned to the caller even when the solve fails.
+/// Monte-Carlo samples) reuse the cached pivot order, and each device's
+/// last evaluation while the device is unchanged. The work is tallied in
+/// `work.tally` for the caller to emit; the workspace is returned to the
+/// caller even when the solve fails.
 pub(crate) fn dc_operating_point_from_with(
     net: &Netlist,
     initial: &DcSolution,
-    lu: &mut LuFactors,
+    work: &mut Workspace,
 ) -> Result<DcSolution, SpiceError> {
-    let mut solver = Solver::new(net);
-    solver.lu = core::mem::take(lu);
+    let mut solver = Solver::with_work(net, core::mem::take(work));
     let n_v = net.node_count() - 1;
     let mut x0 = vec![0.0; solver.dim()];
     x0[..n_v].copy_from_slice(&initial.node_voltages[1..]);
@@ -804,19 +857,23 @@ pub(crate) fn dc_operating_point_from_with(
             x0[n_v + i] = b;
         }
     }
-    trace::add("spice.dc.solves", 1);
-    trace::add("spice.newton.warm_start", 1);
-    let result = solver.newton(x0, CapMode::Open);
-    *lu = core::mem::take(&mut solver.lu);
-    let (x, iters) = result?;
-    let sol = solver.to_solution(&x, iters);
-    observe_newton(&sol);
-    Ok(sol)
+    solver.work.tally.dc_solves += 1;
+    solver.work.tally.warm_starts += 1;
+    let result = solver
+        .newton(x0, CapMode::Open)
+        .map(|(x, iters)| solver.to_solution(&x, iters));
+    *work = solver.work;
+    if let Ok(sol) = &result {
+        work.tally.newton_iterations.push(sol.iterations as f64);
+    }
+    result
 }
 
 /// Sweeps the DC value of the named voltage source over `values`,
-/// re-solving with continuation from the previous point (and reusing the
-/// LU pivot order across points — the matrices share structure).
+/// re-solving with continuation from the previous point. The points share
+/// one [`Workspace`]: the LU pivot order (the matrices share structure),
+/// and each device's evaluation at the previous point, where the next
+/// solve starts. The sweep's work is reported once, at its end.
 ///
 /// # Errors
 ///
@@ -834,20 +891,22 @@ pub fn dc_sweep(
         .position(|e| e.name == source_name && matches!(e.element, Element::VSource { .. }))
         .ok_or_else(|| SpiceError::UnknownSource(source_name.to_owned()))?;
 
-    let mut results = Vec::with_capacity(values.len());
-    let mut prev: Option<DcSolution> = None;
-    let mut lu = LuFactors::new();
-    for &value in values {
-        set_vsource_dc(&mut work, idx, value);
-        let sol = match &prev {
-            Some(p) if !cold_start_forced() => dc_operating_point_from_with(&work, p, &mut lu)
-                .or_else(|_| dc_operating_point(&work))?,
-            _ => dc_operating_point(&work)?,
-        };
-        prev = Some(sol.clone());
-        results.push(sol);
-    }
-    Ok(results)
+    let mut ws = Workspace::default();
+    let result = (|| {
+        let mut results: Vec<DcSolution> = Vec::with_capacity(values.len());
+        for &value in values {
+            set_vsource_dc(&mut work, idx, value);
+            let sol = match results.last() {
+                Some(p) if !cold_start_forced() => dc_operating_point_from_with(&work, p, &mut ws)
+                    .or_else(|_| cold_operating_point(&work, &mut ws.tally))?,
+                _ => cold_operating_point(&work, &mut ws.tally)?,
+            };
+            results.push(sol);
+        }
+        Ok(results)
+    })();
+    ws.tally.emit();
+    result
 }
 
 pub(crate) fn set_vsource_dc(net: &mut Netlist, element_index: usize, value: f64) {
@@ -1082,10 +1141,10 @@ mod tests {
     #[test]
     fn newton_tallies_each_factorization_on_every_exit() {
         let counted = |solver: &mut Solver<'_>| {
-            let mut lu = LuCounts::default();
             let x0 = vec![0.0; solver.dim()];
-            let result = solver.newton_counted(x0, CapMode::Open, &mut lu);
-            (result, lu.factor + lu.resolve)
+            let result = solver.newton(x0, CapMode::Open);
+            let tally = &solver.work.tally;
+            (result, tally.lu_factor + tally.lu_resolve)
         };
 
         // Converged: one factorization per iteration.
@@ -1114,14 +1173,13 @@ mod tests {
         net = gate_walk(-30.0);
         let mut solver = Solver::new(&net);
         solver.gmin = 0.0;
-        let Element::Mosfet(inst) = &net.elements()[1].element else {
-            unreachable!()
-        };
         let mut factorable = 0u64;
         let mut v_gate: f64 = 0.0;
         loop {
-            let (_, g_d, _) =
-                Solver::mos_current_and_derivs(inst, &solver.mos[0], 0.0, v_gate, 0.0);
+            // Unit width: the drain row's g_d is ∂I/∂v_ds itself.
+            let prepared = &solver.work.mos[0].prepared;
+            let (_, _, g_d) =
+                prepared.drain_current_and_derivs(Volts::new(v_gate), Volts::new(0.0));
             if g_d.abs() < 1e-300 {
                 break;
             }
@@ -1138,43 +1196,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn residual_matches_the_assembled_residual_bit_for_bit() {
+    /// A CMOS inverter at `v_dd`/`v_in` whose NFET threshold is moved by
+    /// `d_vth` (a Monte-Carlo sample's perturbation), loaded by `c_load`.
+    fn inverter(v_dd: f64, v_in: f64, d_vth: f64, c_load: f64) -> Netlist {
         use subvt_physics::{DeviceKind, DeviceParams};
         let nfet = DeviceParams::reference_90nm_nfet();
         let pfet = DeviceParams {
             kind: DeviceKind::Pfet,
             ..nfet
         };
+        let mut nmod = nfet.mos_model();
+        nmod.v_th_lin = Volts::new(nmod.v_th_lin.as_volts() + d_vth);
         let mut net = Netlist::new();
         let vdd = net.node("vdd");
         let vin = net.node("in");
         let vout = net.node("out");
-        net.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(0.3));
-        net.vsource("VIN", vin, Netlist::GROUND, Waveform::Dc(0.1));
+        net.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(v_dd));
+        net.vsource("VIN", vin, Netlist::GROUND, Waveform::Dc(v_in));
         net.mosfet("MP", pfet.mos_model(), 2.0, vout, vin, vdd);
-        net.mosfet("MN", nfet.mos_model(), 1.0, vout, vin, Netlist::GROUND);
-        net.capacitor("CL", vout, Netlist::GROUND, 1.0e-15);
+        net.mosfet("MN", nmod, 1.0, vout, vin, Netlist::GROUND);
+        net.capacitor("CL", vout, Netlist::GROUND, c_load);
+        net
+    }
+
+    #[test]
+    fn a_memo_hit_stamps_the_bits_a_fresh_solver_stamps() {
+        let net = inverter(0.3, 0.1, 0.0, 1.0e-15);
         let mut solver = Solver::new(&net);
         let mut rng = subvt_engine::rng::SplitMix64::new(0x7e5d);
         let v_prev = [0.3, 0.1, 0.2];
         let i_prev = [1.0e-9];
+        let caps = CapMode::Companion {
+            factor: 2.0e12,
+            v_prev: &v_prev,
+            i_prev: &i_prev,
+        };
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let jac_bits = |s: &Solver<'_>| {
+            let n = s.dim();
+            (0..n * n)
+                .map(|k| s.jac.get(k / n, k % n).to_bits())
+                .collect::<Vec<_>>()
+        };
         for _ in 0..256 {
             let x: Vec<f64> = (0..solver.dim())
                 .map(|_| -0.5 + 1.5 * rng.next_f64())
                 .collect();
-            let caps = CapMode::Companion {
-                factor: 2.0e12,
-                v_prev: &v_prev,
-                i_prev: &i_prev,
-            };
-            let full = solver.assemble(&x, caps);
-            let full_scale = solver.kcl_scale;
-            let only = solver.residual(&x, caps);
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&only), bits(&full), "x = {x:?}");
-            assert_eq!(solver.kcl_scale.to_bits(), full_scale.to_bits());
+            // The first stamp at `x` evaluates both devices; the second
+            // reuses both evaluations.
+            solver.assemble(&x, caps);
+            let reused = solver.work.tally.mos_reused;
+            let hit = solver.assemble(&x, caps);
+            assert_eq!(solver.work.tally.mos_reused, reused + 2);
+
+            let mut fresh = Solver::new(&net);
+            let want = fresh.assemble(&x, caps);
+            assert_eq!(fresh.work.tally.mos_reused, 0);
+            assert_eq!(bits(&hit), bits(&want), "x = {x:?}");
+            assert_eq!(solver.kcl_scale.to_bits(), fresh.kcl_scale.to_bits());
+            assert_eq!(jac_bits(&solver), jac_bits(&fresh), "x = {x:?}");
         }
+    }
+
+    #[test]
+    fn samples_sharing_a_workspace_solve_as_fresh_samples_do() {
+        // Two Monte-Carlo samples of one inverter. The second starts from
+        // the first one's solution, exactly where the shared workspace
+        // holds the first sample's device evaluations; with another NFET
+        // it must not reuse that device's evaluation. The reference
+        // carries the same LU pivot order (a cached pivot order is not
+        // bit-identical to a fresh pivot search) and no evaluations.
+        let a = inverter(0.25, 0.12, 0.0, 1.0e-15);
+        let b = inverter(0.25, 0.12, 0.031, 1.0e-15);
+        let start = dc_operating_point(&a).expect("nominal solves");
+        let solve = |net: &Netlist, from: &DcSolution, ws: &mut Workspace| {
+            dc_operating_point_from_with(net, from, ws).expect("sample solves")
+        };
+        let bits = |s: &DcSolution| {
+            s.node_voltages
+                .iter()
+                .chain(&s.branch_currents)
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+
+        let mut shared = Workspace::default();
+        let first = solve(&a, &start, &mut shared);
+        assert_eq!(
+            bits(&first),
+            bits(&solve(&a, &start, &mut Workspace::default()))
+        );
+        let mut lu_only = Workspace {
+            lu: shared.lu.clone(),
+            ..Workspace::default()
+        };
+        let reused = shared.tally.mos_reused;
+        let second = solve(&b, &first, &mut shared);
+        let want = solve(&b, &first, &mut lu_only);
+        assert_eq!(bits(&second), bits(&want));
+        assert_eq!(second.iterations, want.iterations);
+        assert!(first.node_voltages[3] != second.node_voltages[3]);
+        // Only the unchanged PFET's evaluation carried over.
+        assert_eq!(
+            shared.tally.mos_reused,
+            reused + 1 + lu_only.tally.mos_reused
+        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! integration with capacitor companion models and a Newton solve per
 //! time point.
 
-use subvt_engine::trace;
-
 use crate::mna::{CapMode, DcSolution, Solver, SpiceError};
 use crate::netlist::{Element, Netlist};
 
@@ -102,7 +100,10 @@ pub fn transient(net: &Netlist, spec: TransientSpec) -> Result<TransientResult, 
 ///
 /// A completed run counts one `spice.tran.runs`, observes its step count
 /// in `spice.tran.steps` and each step's Newton iterations in
-/// `spice.newton.iterations`.
+/// `spice.newton.iterations`. Every run, completed or not, adds its LU
+/// factorizations and MOSFET evaluations to `spice.lu.*` and
+/// `spice.mos.*`. All of it is reported under one tracer lock when the
+/// run ends, however many steps it took.
 ///
 /// # Errors
 ///
@@ -113,6 +114,26 @@ pub fn transient_from(
     initial: &DcSolution,
 ) -> Result<TransientResult, SpiceError> {
     let mut solver = Solver::new(net);
+    let result = integrate(&mut solver, net, spec, initial);
+    let tally = &mut solver.work.tally;
+    if let Ok(res) = &result {
+        tally.tran_runs += 1;
+        tally.tran_steps.push(res.newton_iterations.len() as f64);
+        tally
+            .newton_iterations
+            .extend(res.newton_iterations.iter().map(|&n| n as f64));
+    }
+    tally.emit();
+    result
+}
+
+/// The time-stepping loop behind [`transient_from`].
+fn integrate(
+    solver: &mut Solver<'_>,
+    net: &Netlist,
+    spec: TransientSpec,
+    initial: &DcSolution,
+) -> Result<TransientResult, SpiceError> {
     let n_v = net.node_count() - 1;
     let dim = solver.dim();
 
@@ -182,11 +203,6 @@ pub fn transient_from(
         push(t, &x, &mut time, &mut voltages, &mut branches);
     }
 
-    trace::add("spice.tran.runs", 1);
-    trace::observe("spice.tran.steps", newton_iterations.len() as f64);
-    for &iters in &newton_iterations {
-        trace::observe("spice.newton.iterations", iters as f64);
-    }
     Ok(TransientResult {
         time,
         voltages,

@@ -105,6 +105,29 @@ impl Blob for Calibration {
     }
 }
 
+impl Calibration {
+    /// The calibration, or a typed error when a ratio is non-finite or
+    /// non-positive, or the threshold shift is non-finite.
+    fn checked(self) -> Result<Self, ModelError> {
+        let ok = self.ss_ratio.is_finite()
+            && self.ss_ratio > 0.0
+            && self.dibl_ratio.is_finite()
+            && self.vth_shift.is_finite()
+            && self.ioff_scale.is_finite()
+            && self.ioff_scale > 0.0
+            && self.ion_scale.is_finite()
+            && self.ion_scale > 0.0;
+        if ok {
+            Ok(self)
+        } else {
+            Err(ModelError::Backend {
+                backend: "tcad",
+                message: format!("degenerate anchor calibration: {self:?}"),
+            })
+        }
+    }
+}
+
 /// Per-device correction, already in the compact frame: ratios/deltas
 /// applied to the device's analytic characterization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,40 +241,35 @@ impl TcadModel {
         self.fidelity
     }
 
+    /// The anchor calibration, computed once per process or recalled
+    /// from the cache. A recalled value passes the same check as a
+    /// computed one: a persisted `--cache` may hold one this build would
+    /// reject.
     fn calibration(&self) -> Result<Calibration, ModelError> {
         self.calibration
             .get_or_init(|| {
                 let anchor = DeviceParams::reference_90nm_nfet();
                 let density = self.density;
                 let key = model_key(CAL_TAG, &anchor, density);
-                subvt_engine::global_cache().try_get_or_compute("tcad.model", key, move || {
-                    let _span = subvt_engine::trace::span("tcad.model.calibrate");
-                    let ext = sweep_and_extract(&anchor, density).map_err(tcad_err)?;
-                    let base = anchor.characterize();
-                    let cal = Calibration {
-                        ss_ratio: ext.s_s / base.s_s.get(),
-                        dibl_ratio: ext.dibl / base.dibl,
-                        vth_shift: base.v_th_sat.as_volts() - ext.v_th_sat,
-                        ioff_scale: base.i_off.get() / ext.i_off,
-                        ion_scale: base.i_on.get() / ext.i_on,
-                    };
-                    let ok = cal.ss_ratio.is_finite()
-                        && cal.ss_ratio > 0.0
-                        && cal.dibl_ratio.is_finite()
-                        && cal.vth_shift.is_finite()
-                        && cal.ioff_scale.is_finite()
-                        && cal.ioff_scale > 0.0
-                        && cal.ion_scale.is_finite()
-                        && cal.ion_scale > 0.0;
-                    if ok {
-                        Ok(cal)
-                    } else {
-                        Err(ModelError::Backend {
+                subvt_engine::global_cache()
+                    .try_get_or_compute("tcad.model", key, move || {
+                        let _span = subvt_engine::trace::span("tcad.model.calibrate");
+                        let ext = sweep_and_extract(&anchor, density).map_err(tcad_err)?;
+                        let base = anchor.characterize();
+                        Calibration {
+                            ss_ratio: ext.s_s / base.s_s.get(),
+                            dibl_ratio: ext.dibl / base.dibl,
+                            vth_shift: base.v_th_sat.as_volts() - ext.v_th_sat,
+                            ioff_scale: base.i_off.get() / ext.i_off,
+                            ion_scale: base.i_on.get() / ext.i_on,
+                        }
+                        .checked()
+                        .map_err(|_| ModelError::Backend {
                             backend: "tcad",
                             message: format!("degenerate anchor extraction: {ext:?}"),
                         })
-                    }
-                })
+                    })
+                    .and_then(Calibration::checked)
             })
             .clone()
     }

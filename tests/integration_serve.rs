@@ -506,24 +506,13 @@ fn wire_trace_context_stitches_into_one_parent_linked_tree() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Spawned-binary test: a served `experiment` whose backend fails
-/// answers `compute_failed` every time, a typed error rather than a
-/// panic followed by a quarantine. The daemon loads a persisted TCAD
-/// anchor calibration whose ratios are NaN, so every design flow through
-/// the TCAD backend fails to bracket its doping search. It runs in its
-/// own process because the calibration is memoized once per process.
-///
-/// The failure relies on `TcadModel::calibration` using a calibration
-/// recalled from the cache without its finiteness check. A change that
-/// re-checks or recomputes a recalled calibration must give this test
-/// another way to make the backend fail.
-#[test]
-fn a_failing_backend_answers_compute_failed_not_a_panic() {
-    let _guard = serial();
+/// A persisted cache file holding a TCAD anchor calibration whose ratios
+/// are NaN, at the `tcad.model` calibration key of the coarse reference
+/// anchor (as pinned by subvt-tcad's
+/// `cache_keys_carry_the_solver_revision`).
+fn nan_calibration_cache(name: &str) -> std::path::PathBuf {
     let cache_path =
-        std::env::temp_dir().join(format!("subvt-serve-badcal-{}.jsonl", std::process::id()));
-    // The `tcad.model` calibration key of the coarse reference anchor,
-    // as pinned by subvt-tcad's `cache_keys_carry_the_solver_revision`.
+        std::env::temp_dir().join(format!("subvt-serve-{name}-{}.jsonl", std::process::id()));
     let nan = f64::NAN.to_bits();
     std::fs::write(
         &cache_path,
@@ -533,6 +522,19 @@ fn a_failing_backend_answers_compute_failed_not_a_panic() {
         ),
     )
     .expect("write cache");
+    cache_path
+}
+
+/// Spawned-binary test: a served `experiment` whose backend fails
+/// answers `compute_failed` every time, a typed error rather than a
+/// panic followed by a quarantine. The daemon loads a persisted TCAD
+/// anchor calibration whose ratios are NaN; the backend rejects it, so
+/// every design flow through the TCAD backend fails. It runs in its own
+/// process because the calibration is memoized once per process.
+#[test]
+fn a_failing_backend_answers_compute_failed_not_a_panic() {
+    let _guard = serial();
+    let cache_path = nan_calibration_cache("badcal");
 
     let mut child = spawn_daemon(&cache_path);
     let mut client =
@@ -555,6 +557,32 @@ fn a_failing_backend_answers_compute_failed_not_a_panic() {
         .call("params", r#"{"node":"ref90"}"#)
         .expect("analytic call");
     assert!(alive.ok, "the daemon keeps serving: {}", alive.raw);
+    client.call("shutdown", "{}").expect("shutdown");
+    child.wait_success();
+    std::fs::remove_file(&cache_path).ok();
+}
+
+/// Spawned-binary test: a NaN anchor calibration recalled from a
+/// persisted cache is rejected as a computed one would be. `params` on
+/// the TCAD backend answers `compute_failed` naming the degenerate
+/// calibration, not `ok` with `null` fields, and no payload is cached
+/// for it: the second call fails the same way.
+#[test]
+fn a_recalled_nan_calibration_is_an_error_not_a_payload() {
+    let _guard = serial();
+    let cache_path = nan_calibration_cache("nancal");
+    let mut child = spawn_daemon(&cache_path);
+    let mut client =
+        Client::connect_ready(child.addr.as_str(), Duration::from_secs(10)).expect("ready");
+    for _ in 0..2 {
+        let r = client
+            .call("params", r#"{"node":"ref90","backend":"tcad"}"#)
+            .expect("params call");
+        assert!(!r.ok, "a NaN calibration must not be served: {}", r.raw);
+        assert_eq!(r.error_code.as_deref(), Some("compute_failed"), "{}", r.raw);
+        let msg = r.error_message.unwrap_or_default();
+        assert!(msg.contains("degenerate anchor calibration"), "{msg}");
+    }
     client.call("shutdown", "{}").expect("shutdown");
     child.wait_success();
     std::fs::remove_file(&cache_path).ok();
