@@ -3,7 +3,7 @@
 use subvt_core::strategy::DesignError;
 use subvt_engine::faultinject::{should_inject, FaultSite};
 
-use crate::context::Study;
+use crate::context::{Study, StudyContext};
 use crate::table::Table;
 use crate::{extensions, figs_circuit, figs_compare, figs_device, tables};
 
@@ -70,9 +70,55 @@ pub const EXTENSION_EXPERIMENTS: [&str; 9] = [
     "montecarlo",
 ];
 
+/// How one registered experiment runs: on the study alone, or on its
+/// designed [`StudyContext`].
+enum Experiment {
+    /// Reads only the run configuration (no design flows).
+    Plain(fn(&Study) -> Result<Table, RunError>),
+    /// Reads both design flows through [`Study::context`].
+    Designs(fn(&StudyContext) -> Result<Table, RunError>),
+}
+
+/// The experiment registry [`Study::run`] dispatches from, and the one
+/// place that states which experiments need the design flows.
+fn registry(id: &str) -> Option<Experiment> {
+    use Experiment::{Designs, Plain};
+    Some(match id {
+        "table1" => Plain(|_| Ok(tables::table1())),
+        "table2" => Designs(|c| Ok(tables::table2(c))),
+        "table3" => Designs(|c| Ok(tables::table3(c))),
+        "fig2" => Designs(|c| Ok(figs_device::fig2(c)?)),
+        "fig3" => Designs(|c| Ok(figs_device::fig3(c)?)),
+        "fig4" => Designs(|c| Ok(figs_circuit::fig4(c))),
+        "fig5" => Designs(|c| Ok(figs_circuit::fig5(c))),
+        "fig6" => Designs(|c| Ok(figs_circuit::fig6(c))),
+        "fig7" => Plain(|s| Ok(figs_device::fig7(s))),
+        "fig8" => Plain(|s| Ok(figs_device::fig8(s))),
+        "fig9" => Designs(|c| Ok(figs_device::fig9(c))),
+        "fig10" => Designs(|c| Ok(figs_compare::fig10(c))),
+        "fig11" => Designs(|c| Ok(figs_compare::fig11(c))),
+        "fig12" => Designs(|c| Ok(figs_compare::fig12(c))),
+        "ext-temperature" => Plain(|s| Ok(extensions::ext_temperature(s))),
+        "ext-oxide" => Plain(|s| Ok(extensions::ext_oxide_scaling(s))),
+        "ext-sram" => Designs(|c| Ok(extensions::ext_sram(c))),
+        "ext-variability" => Designs(|c| Ok(extensions::ext_variability(c))),
+        "ext-gates" => Designs(|c| Ok(extensions::ext_gates(c))),
+        "ext-backends" => Plain(|_| Ok(extensions::ext_backends())),
+        "ext-ringosc" => Designs(|c| Ok(extensions::ext_ringosc(c))),
+        "ext-temp" => Designs(|c| Ok(extensions::ext_temp(c))),
+        "montecarlo" => Designs(|c| Ok(extensions::montecarlo(c))),
+        _ => return None,
+    })
+}
+
 /// Whether `id` names a registered experiment (paper or extension).
 pub fn is_experiment(id: &str) -> bool {
-    ALL_EXPERIMENTS.contains(&id) || EXTENSION_EXPERIMENTS.contains(&id)
+    registry(id).is_some()
+}
+
+/// Whether `id` names an experiment that reads the design flows.
+fn needs_designs(id: &str) -> bool {
+    matches!(registry(id), Some(Experiment::Designs(_)))
 }
 
 impl Study {
@@ -89,36 +135,13 @@ impl Study {
     /// [`RunError::UnknownId`] for an unregistered id, and
     /// [`RunError::Design`] when a design flow or the backend fails.
     pub fn run(&self, id: &str) -> Result<Table, RunError> {
-        let ctx = || self.context();
         let _span = subvt_engine::trace::span(format!("experiment.{id}"))
             .attr("backend", self.model().cache_id())
             .attr("circuit_backend", self.circuit.instance().cache_id());
-        Ok(match id {
-            "table1" => tables::table1(),
-            "table2" => tables::table2(&ctx()?),
-            "table3" => tables::table3(&ctx()?),
-            "fig2" => figs_device::fig2(&ctx()?)?,
-            "fig3" => figs_device::fig3(&ctx()?)?,
-            "fig4" => figs_circuit::fig4(&ctx()?),
-            "fig5" => figs_circuit::fig5(&ctx()?),
-            "fig6" => figs_circuit::fig6(&ctx()?),
-            "fig7" => figs_device::fig7(self),
-            "fig8" => figs_device::fig8(self),
-            "fig9" => figs_device::fig9(&ctx()?),
-            "fig10" => figs_compare::fig10(&ctx()?),
-            "fig11" => figs_compare::fig11(&ctx()?),
-            "fig12" => figs_compare::fig12(&ctx()?),
-            "ext-temperature" => extensions::ext_temperature(self),
-            "ext-oxide" => extensions::ext_oxide_scaling(self),
-            "ext-sram" => extensions::ext_sram(&ctx()?),
-            "ext-variability" => extensions::ext_variability(&ctx()?),
-            "ext-gates" => extensions::ext_gates(&ctx()?),
-            "ext-backends" => extensions::ext_backends(),
-            "ext-ringosc" => extensions::ext_ringosc(&ctx()?),
-            "ext-temp" => extensions::ext_temp(&ctx()?),
-            "montecarlo" => extensions::montecarlo(&ctx()?),
-            _ => return Err(RunError::UnknownId),
-        })
+        match registry(id).ok_or(RunError::UnknownId)? {
+            Experiment::Plain(run) => run(self),
+            Experiment::Designs(run) => run(&self.context()?),
+        }
     }
 
     /// Runs `ids`, one engine-pool job each, and returns their outcomes
@@ -133,7 +156,17 @@ impl Study {
     /// loop's. The fault-injection job-panic decision is drawn here, on
     /// the calling thread in input order, so a seeded `SUBVT_FAULTS` plan
     /// fails the same ids whatever the pool's scheduling.
+    ///
+    /// When any id needs the design flows, they are designed here, on the
+    /// calling thread, before the fan-out: the two flows then run as two
+    /// pool jobs side by side instead of behind whichever experiment asks
+    /// first, and every experiment recalls them from the cache. A failed
+    /// flow is not cached, so each dependent id still fails with its own
+    /// [`FigureFailure`].
     pub fn run_ids<S: AsRef<str>>(&self, ids: &[S]) -> Vec<Result<Table, FigureFailure>> {
+        if ids.iter().any(|id| needs_designs(id.as_ref())) {
+            let _ = self.context();
+        }
         let study = *self;
         let jobs: Vec<_> = ids
             .iter()
@@ -213,6 +246,12 @@ mod tests {
 
     #[test]
     fn registry_is_complete() {
+        for id in ALL_EXPERIMENTS.iter().chain(&EXTENSION_EXPERIMENTS) {
+            assert!(is_experiment(id), "{id} is listed but not registered");
+        }
+        assert!(needs_designs("table2") && needs_designs("montecarlo"));
+        assert!(!needs_designs("table1") && !needs_designs("fig7"));
+        assert!(!needs_designs("fig99"));
         assert_eq!(ALL_EXPERIMENTS.len(), 14);
         // Extensions: Ext A-H plus the backend-routed Monte Carlo.
         assert_eq!(EXTENSION_EXPERIMENTS.len(), 9);

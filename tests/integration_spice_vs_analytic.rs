@@ -431,3 +431,47 @@ fn fanned_out_mep_searches_do_the_serial_work() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// On the analytic circuit backend every FO1 transient and every VTC
+/// sweep of `repro --csv all` is one cached deck. Fig. 11 reads Fig. 5's
+/// super-V_th FO1 delays at 250 mV and Fig. 10 reads Fig. 4's
+/// super-V_th VTCs at 250 mV, so of the 16 decks of each kind the figures
+/// ask for, 12 are distinct: the 4 super-V_th nodes at their nominal
+/// supply and at 250 mV, and the 4 sub-V_th nodes at 250 mV.
+#[test]
+fn analytic_reproduction_measures_each_deck_once() {
+    let dir = std::env::temp_dir().join(format!("subvt-analytic-decks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("manifest.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--csv")
+        .arg("--manifest")
+        .arg(&manifest)
+        .arg("all")
+        .output()
+        .expect("repro spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    let m = subvt_engine::json::parse_json(text.trim()).expect("valid JSON");
+    let counter = |name: &str| {
+        m.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("counter {name} missing"))
+    };
+    let distinct_decks = 3 * 4;
+    assert_eq!(
+        counter("cache.spice.tran.miss"),
+        counter("spice.tran.runs"),
+        "every transient is one spice.tran miss"
+    );
+    assert_eq!(counter("spice.tran.runs"), distinct_decks);
+    assert_eq!(counter("cache.spice.tran.hit"), 16 - distinct_decks);
+    assert_eq!(counter("cache.spice.vtc.miss"), distinct_decks);
+    assert_eq!(counter("cache.spice.vtc.hit"), 16 - distinct_decks);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -136,3 +136,55 @@ fn manifest_describes_the_run() {
     assert!(manifest.get("cache").unwrap().get("hits").is_some());
     assert!(manifest.get("solvers").unwrap().get("gummel").is_some());
 }
+
+/// `Study::run_ids` designs both flows before it fans the experiments
+/// out: on a two-worker `repro --csv all` the flows overlap, one per
+/// worker, outside every `experiment.*` span, and each is computed once.
+#[test]
+fn design_flows_overlap_before_the_experiments_fan_out() {
+    let path =
+        std::env::temp_dir().join(format!("subvt-design-overlap-{}.jsonl", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--csv", "--jobs", "2", "--trace"])
+        .arg(&path)
+        .arg("all")
+        .output()
+        .expect("repro spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    std::fs::remove_file(&path).ok();
+    let trace = tracefmt::parse_jsonl(&text).expect("jsonl parses");
+    let span = |name: &str| {
+        let mut found = trace.spans.iter().filter(|s| s.name == name);
+        let span = found.next().unwrap_or_else(|| panic!("{name} missing"));
+        assert!(found.next().is_none(), "{name} recorded twice");
+        span
+    };
+    let (sup, sub) = (span("design.supervth"), span("design.subvth"));
+    assert!(
+        sup.start_us < sub.start_us + sub.dur_us && sub.start_us < sup.start_us + sup.dur_us,
+        "the flows ran one after the other: {sup:?} {sub:?}"
+    );
+    for flow in [sup, sub] {
+        let mut parent = flow.parent;
+        while let Some(id) = parent {
+            let p = trace
+                .spans
+                .iter()
+                .find(|s| s.id == id)
+                .expect("parent resolves");
+            assert!(
+                !p.name.starts_with("experiment."),
+                "{} ran inside {}",
+                flow.name,
+                p.name
+            );
+            parent = p.parent;
+        }
+    }
+    assert_eq!(trace.counters.get("cache.design.miss"), Some(&2));
+}
