@@ -21,13 +21,13 @@
 //!
 //! `bits` are the IEEE-754 bit patterns of the encoded `f64`s, so a
 //! round trip through disk is bit-exact. `crc` is an FNV-1a digest of
-//! the entry's content: on load, lines whose digest does not match —
-//! torn writes, flipped bits, truncations — are **quarantined** to a
-//! `<path>.quarantine` sidecar and skipped, never fatal and never
-//! silently wrong. Lines without a `crc` field (written by older
-//! builds) are accepted when structurally intact. Saving rewrites the
-//! whole file through a sibling temp file plus atomic rename, which
-//! also compacts away superseded duplicate entries.
+//! the entry's content: lines whose digest does not match — torn
+//! writes, flipped bits, truncations — are skipped, never fatal and
+//! never silently wrong, and the compaction merge **quarantines** them
+//! to a `<path>.quarantine` sidecar. Lines without a `crc` field
+//! (written by older builds) are accepted when structurally intact.
+//! Saving rewrites the whole file through a sibling temp file plus
+//! atomic rename, which also compacts away superseded duplicate entries.
 //!
 //! Processes that share one cache file never save it directly: each
 //! appends to its own leased segment, and only [`seg::compact`] — run
@@ -360,113 +360,76 @@ impl Cache {
         }
     }
 
-    /// Loads JSON-lines entries from `path` (missing file = empty).
-    /// Returns how many entries were loaded; damaged lines are
-    /// quarantined, never fatal — a corrupt cache degrades to
-    /// recompute. See [`Cache::load_jsonl_report`] for the full
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "file not found".
-    pub fn load_jsonl(&self, path: &Path) -> std::io::Result<usize> {
-        self.load_jsonl_report(path).map(|r| r.loaded)
-    }
-
-    /// Loads JSON-lines entries from `path` (missing file = empty),
-    /// reporting what happened to every line:
-    ///
-    /// * structurally valid lines with a matching (or absent, for
-    ///   legacy files) checksum are loaded; when the same `(ns, key)`
-    ///   appears more than once, later lines win and earlier ones count
-    ///   as `superseded` (the next [`Cache::save_jsonl`] compacts them
-    ///   away);
-    /// * torn, truncated or checksum-mismatched lines are appended
-    ///   verbatim to the `<path>.quarantine` sidecar, counted as
-    ///   `quarantined`, and traced as `cache.quarantined_lines` —
-    ///   loading continues.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "file not found" (including
-    /// failure to write the quarantine sidecar).
-    pub fn load_jsonl_report(&self, path: &Path) -> std::io::Result<LoadReport> {
-        self.load_jsonl_impl(path, true, true)
-    }
-
-    /// [`Cache::load_jsonl_report`] that only *adds*: an entry already
-    /// in memory (or on an earlier line) wins over the file's, and is
-    /// not counted. Compaction merges the base file and segments into a
-    /// cache that already holds them this way, so a session's close
-    /// neither rebuilds a second cache nor reports its own entries as
-    /// superseded. Damaged lines are quarantined as in the full load.
+    /// Adds the entries of the JSON-lines file at `path` (missing file =
+    /// empty) that memory does not hold yet: an entry already in memory,
+    /// or on an earlier line, wins over the file's and is not counted.
+    /// Compaction merges the base file and segments into a cache that
+    /// already holds them this way, so a session's close neither rebuilds
+    /// a second cache nor reports its own entries as superseded. Torn,
+    /// truncated or checksum-mismatched lines are appended verbatim to the
+    /// `<path>.quarantine` sidecar, counted as `quarantined`, and traced as
+    /// `cache.quarantined_lines` — the merge continues.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "file not found" (including
     /// failure to write the quarantine sidecar).
     pub fn merge_jsonl(&self, path: &Path) -> std::io::Result<LoadReport> {
-        self.load_jsonl_impl(path, true, false)
+        self.load_jsonl_impl(path, LoadMode::Merge)
     }
 
-    /// [`Cache::load_jsonl_report`] without the quarantine sidecar:
-    /// damaged lines are counted but left in place and nothing is
-    /// written anywhere. This is the right load for files another
-    /// *live* process may still be appending to (a peer's segment,
-    /// where a torn final line is expected mid-append), or that only the
-    /// compaction-lease holder may act on (the base file, whose damaged
-    /// lines compaction quarantines).
+    /// Loads the JSON-lines file at `path` (missing file = empty) over
+    /// what memory holds: when the same `(ns, key)` appears more than
+    /// once, later lines win and earlier ones count as `superseded` (the
+    /// next [`Cache::save_jsonl`] compacts them away). Damaged lines are
+    /// counted as `quarantined` but left in place, and nothing is written
+    /// anywhere. This is the right load for files another *live* process
+    /// may still be appending to (a peer's segment, where a torn final
+    /// line is expected mid-append), or that only the compaction-lease
+    /// holder may act on (the base file, whose damaged lines compaction
+    /// quarantines through [`Cache::merge_jsonl`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "file not found".
     pub fn load_jsonl_lenient(&self, path: &Path) -> std::io::Result<LoadReport> {
-        self.load_jsonl_impl(path, false, true)
+        self.load_jsonl_impl(path, LoadMode::Lenient)
     }
 
-    fn load_jsonl_impl(
-        &self,
-        path: &Path,
-        quarantine: bool,
-        overwrite: bool,
-    ) -> std::io::Result<LoadReport> {
+    fn load_jsonl_impl(&self, path: &Path, mode: LoadMode) -> std::io::Result<LoadReport> {
         let file = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LoadReport::default()),
             Err(e) => return Err(e),
         };
         let mut report = LoadReport::default();
-        let mut sidecar: Option<std::fs::File> = None;
+        let mut sidecar = Quarantine::new(path);
+        let mut intact = 0;
+        let mut canonical = true;
+        let mut last: Option<(String, u64)> = None;
         for line in BufReader::new(file).lines() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let entry = parse_entry(&line).filter(|(ns, key, bits, crc)| match crc {
-                Some(crc) => *crc == line_crc(ns, *key, bits),
-                None => true, // legacy line, structurally intact
-            });
-            let Some((ns, key, bits, _)) = entry else {
-                if quarantine {
-                    let sidecar = match &mut sidecar {
-                        Some(f) => f,
-                        None => sidecar.insert(
-                            std::fs::OpenOptions::new()
-                                .create(true)
-                                .append(true)
-                                .open(quarantine_path(path))?,
-                        ),
-                    };
-                    writeln!(sidecar, "{line}")?;
-                    trace::add("cache.quarantined_lines", 1);
+            let Some((ns, key, bits, crc)) = intact_entry(&line) else {
+                if mode == LoadMode::Merge {
+                    sidecar.put(&line)?;
                 }
                 report.quarantined += 1;
                 continue;
             };
+            intact += 1;
+            canonical &= crc.is_some()
+                && last
+                    .as_ref()
+                    .is_none_or(|(n, k)| (n.as_str(), *k) < (ns.as_str(), key));
+            last = Some((ns.clone(), key));
             let nsh = crate::KeyBuilder::new("ns").str(&ns).finish();
             let blob: Vec<f64> = bits.iter().map(|b| f64::from_bits(*b)).collect();
             let mut inner = lock_recover(&self.inner);
-            if !overwrite && matches!(inner.map.get(&(nsh, key)), Some(Slot::Ready(_))) {
+            if mode == LoadMode::Merge && matches!(inner.map.get(&(nsh, key)), Some(Slot::Ready(_)))
+            {
                 continue;
             }
             if inner
@@ -483,6 +446,7 @@ impl Cache {
         if report.superseded > 0 {
             trace::add("cache.superseded_lines", report.superseded as u64);
         }
+        report.canonical = (canonical && report.quarantined == 0).then_some(intact);
         Ok(report)
     }
 
@@ -551,15 +515,66 @@ pub fn format_line_f64(ns: &str, key: u64, values: &[f64]) -> String {
     line
 }
 
-/// Per-line accounting from [`Cache::load_jsonl_report`].
+/// Per-line accounting from [`Cache::load_jsonl_lenient`] and
+/// [`Cache::merge_jsonl`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadReport {
     /// Distinct entries loaded into memory.
     pub loaded: usize,
     /// Duplicate `(ns, key)` lines replaced by a later line.
     pub superseded: usize,
-    /// Damaged lines moved to the quarantine sidecar.
+    /// Damaged lines skipped (and, by a merge, quarantined).
     pub quarantined: usize,
+    /// `Some(n)` when the file exists and is exactly `n` entries in the
+    /// form [`Cache::save_jsonl`] writes: every line intact and
+    /// checksummed, in strictly increasing `(ns, key)` order. A cache
+    /// holding exactly those `n` entries would save the same file.
+    pub canonical: Option<usize>,
+}
+
+/// How [`Cache::load_jsonl_impl`] treats a line: the two loads of a
+/// persistent store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoadMode {
+    /// Open-time load ([`Cache::load_jsonl_lenient`]): the file wins over
+    /// memory and writes nothing.
+    Lenient,
+    /// Compaction merge ([`Cache::merge_jsonl`]): memory wins, damaged
+    /// lines go to the quarantine sidecar.
+    Merge,
+}
+
+/// The `<path>.quarantine` sidecar of one file being read, opened on
+/// the first damaged line.
+struct Quarantine {
+    path: PathBuf,
+    file: Option<std::fs::File>,
+}
+
+impl Quarantine {
+    fn new(path: &Path) -> Self {
+        Self {
+            path: quarantine_path(path),
+            file: None,
+        }
+    }
+
+    /// Appends one damaged line verbatim, traced as
+    /// `cache.quarantined_lines`.
+    fn put(&mut self, line: &str) -> std::io::Result<()> {
+        let file = match &mut self.file {
+            Some(f) => f,
+            None => self.file.insert(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?,
+            ),
+        };
+        writeln!(file, "{line}")?;
+        trace::add("cache.quarantined_lines", 1);
+        Ok(())
+    }
 }
 
 /// The quarantine sidecar path for a cache file.
@@ -638,6 +653,14 @@ fn parse_entry(line: &str) -> Option<(String, u64, Vec<u64>, Option<u64>)> {
         }
     };
     Some((ns, key, bits, crc))
+}
+
+/// [`parse_entry`] that keeps only intact lines: a checksummed line
+/// whose `crc` matches its content, or a structurally valid legacy line
+/// without one. The one line check of every reader of the store.
+fn intact_entry(line: &str) -> Option<(String, u64, Vec<u64>, Option<u64>)> {
+    parse_entry(line)
+        .filter(|(ns, key, bits, crc)| crc.is_none_or(|crc| crc == line_crc(ns, *key, bits)))
 }
 
 #[cfg(test)]
@@ -728,7 +751,8 @@ mod tests {
         assert_eq!(cache.save_jsonl(&path).unwrap(), 2);
 
         let reloaded = Cache::new();
-        assert_eq!(reloaded.load_jsonl(&path).unwrap(), 2);
+        let report = reloaded.load_jsonl_lenient(&path).unwrap();
+        assert_eq!((report.loaded, report.canonical), (2, Some(2)));
         let got = reloaded.get_or_compute("blob", 11, || -> Vec<f64> {
             unreachable!("must hit disk entry")
         });
@@ -743,10 +767,11 @@ mod tests {
     #[test]
     fn load_missing_file_is_empty() {
         let cache = Cache::new();
-        let n = cache
-            .load_jsonl(Path::new("/nonexistent/subvt.jsonl"))
-            .unwrap();
-        assert_eq!(n, 0);
+        let missing = Path::new("/nonexistent/subvt.jsonl");
+        let report = cache.load_jsonl_lenient(missing).unwrap();
+        assert_eq!(report, LoadReport::default());
+        assert_eq!(report.canonical, None, "a missing file is not canonical");
+        assert_eq!(cache.merge_jsonl(missing).unwrap(), LoadReport::default());
         assert!(cache.is_empty());
     }
 
@@ -795,16 +820,19 @@ mod tests {
         lines.push(std::fs::read_to_string(&extra_path).unwrap().trim().into());
         std::fs::write(&path, lines.join("\n")).unwrap();
 
+        let expected = LoadReport {
+            loaded: 1,
+            superseded: 0,
+            quarantined: 2,
+            canonical: None,
+        };
+        // The lenient load counts the damage and writes nothing...
+        let lenient = Cache::new();
+        assert_eq!(lenient.load_jsonl_lenient(&path).unwrap(), expected);
+        assert!(!quarantine_path(&path).exists());
+        // ...the merge moves it to the sidecar.
         let reloaded = Cache::new();
-        let report = reloaded.load_jsonl_report(&path).unwrap();
-        assert_eq!(
-            report,
-            LoadReport {
-                loaded: 1,
-                superseded: 0,
-                quarantined: 2
-            }
-        );
+        assert_eq!(reloaded.merge_jsonl(&path).unwrap(), expected);
         assert_eq!(reloaded.get_or_compute("extra", 3, || -1.0), 7.0);
         let sidecar = std::fs::read_to_string(quarantine_path(&path)).unwrap();
         assert_eq!(sidecar.lines().count(), 2, "both damaged lines kept");
@@ -832,13 +860,14 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
 
         let cache = Cache::new();
-        let report = cache.load_jsonl_report(&path).unwrap();
+        let report = cache.load_jsonl_lenient(&path).unwrap();
         assert_eq!(
             report,
             LoadReport {
                 loaded: 1,
                 superseded: 2,
-                quarantined: 0
+                quarantined: 0,
+                canonical: None,
             }
         );
         // Last line wins.
@@ -867,7 +896,8 @@ mod tests {
             LoadReport {
                 loaded: 1,
                 superseded: 0,
-                quarantined: 0
+                quarantined: 0,
+                canonical: Some(2),
             }
         );
         assert_eq!(cache.peek("m", 1), Some(vec![-1.0]), "memory wins");
@@ -887,9 +917,10 @@ mod tests {
         )
         .unwrap();
         let cache = Cache::new();
-        let report = cache.load_jsonl_report(&path).unwrap();
+        let report = cache.load_jsonl_lenient(&path).unwrap();
         assert_eq!(report.loaded, 1);
         assert_eq!(report.quarantined, 0);
+        assert_eq!(report.canonical, None, "a save would add the crc");
         assert_eq!(cache.get_or_compute("old", 10, || -1.0), 2.5);
         std::fs::remove_file(&path).ok();
     }

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use super::{format_line_f64, line_crc, lock_recover, parse_entry, quarantine_path, Cache};
+use super::{format_line_f64, intact_entry, lock_recover, quarantine_path, Cache, Quarantine};
 use crate::json::{json_str, parse_json, Json};
 use crate::{clock, trace};
 
@@ -282,34 +282,15 @@ pub fn scrub_segment(seg_path: &Path) -> std::io::Result<ScrubReport> {
     };
     let mut report = ScrubReport::default();
     let mut kept = String::new();
-    let mut sidecar: Option<std::fs::File> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let intact = parse_entry(line)
-            .map(|(ns, key, bits, crc)| match crc {
-                Some(crc) => crc == line_crc(&ns, key, &bits),
-                None => true,
-            })
-            .unwrap_or(false);
-        if intact {
+    let mut sidecar = Quarantine::new(seg_path);
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        if intact_entry(line).is_some() {
             kept.push_str(line);
             kept.push('\n');
             report.kept += 1;
         } else {
-            let sidecar = match &mut sidecar {
-                Some(f) => f,
-                None => sidecar.insert(
-                    std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(quarantine_path(seg_path))?,
-                ),
-            };
-            writeln!(sidecar, "{line}")?;
+            sidecar.put(line)?;
             report.quarantined += 1;
-            trace::add("cache.quarantined_lines", 1);
         }
     }
     if report.quarantined > 0 {
@@ -511,7 +492,8 @@ fn adopt_dead_segments(cache_path: &Path, cache: &Cache) -> std::io::Result<Adop
 /// What [`compact`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Entries written to the canonical file.
+    /// Entries in the canonical file (written by this compaction when
+    /// `rewritten`).
     pub written: usize,
     /// Segment files merged and removed.
     pub segments_merged: usize,
@@ -519,14 +501,20 @@ pub struct CompactReport {
     pub quarantined: usize,
     /// Segments left in place because a live lease protects them.
     pub skipped_live: usize,
+    /// Whether the base file was rewritten; `false` when it already held
+    /// exactly the merged entries.
+    pub rewritten: bool,
 }
 
 /// Merges the base file and every sealed or dead segment into `cache`,
 /// saves it as the canonical JSONL at `cache_path`, then removes the
-/// merged segments and their stale leases. Segment quarantine sidecars
-/// fold into the base `<cache>.quarantine` so the evidence survives;
-/// once `lease` is released the segment directory is retired too, if
-/// nothing else remains in it.
+/// merged segments and their stale leases. When no segment was merged
+/// and the base file already holds exactly the cache's entries (nothing
+/// damaged, superseded or missing), the save is skipped and the file is
+/// left as it is. Segment quarantine sidecars fold into the base
+/// `<cache>.quarantine` so the evidence survives; once `lease` is
+/// released the segment directory is retired too, if nothing else
+/// remains in it.
 ///
 /// This is the only code that rewrites the base file. `lease` is the
 /// compaction lease from [`claim_compaction`], which makes compactions
@@ -542,7 +530,13 @@ pub struct CompactReport {
 pub fn compact(cache_path: &Path, cache: &Cache, lease: Lease) -> std::io::Result<CompactReport> {
     let base = cache.merge_jsonl(cache_path)?;
     let adopt = adopt_dead_segments(cache_path, cache)?;
-    let written = cache.save_jsonl(cache_path)?;
+    let entries = cache.len();
+    let rewritten = !adopt.adopted.is_empty() || base.canonical != Some(entries);
+    let written = if rewritten {
+        cache.save_jsonl(cache_path)?
+    } else {
+        entries
+    };
     remove_adopted(cache_path, &adopt);
     drop(lease);
     let _ = std::fs::remove_dir(segment_dir(cache_path));
@@ -551,6 +545,7 @@ pub fn compact(cache_path: &Path, cache: &Cache, lease: Lease) -> std::io::Resul
         segments_merged: adopt.adopted.len(),
         quarantined: base.quarantined + adopt.quarantined,
         skipped_live: adopt.skipped_live,
+        rewritten,
     })
 }
 
@@ -830,7 +825,7 @@ mod tests {
         assert_eq!(report.segments_merged, 1);
         assert!(!segment_dir(&cache_path).exists(), "empty dir removed");
         let merged = Cache::new();
-        assert_eq!(merged.load_jsonl(&cache_path).unwrap(), 2);
+        assert_eq!(merged.load_jsonl_lenient(&cache_path).unwrap().loaded, 2);
         assert_eq!(merged.get_or_compute("seg", 1, Vec::new), vec![1.0, 2.0]);
 
         // Byte-identity: the compacted file equals a single-process
@@ -845,6 +840,27 @@ mod tests {
             std::fs::read(&solo_path).unwrap(),
             "compacted store must be byte-identical to a solo save"
         );
+
+        // With nothing new to merge, compaction leaves the canonical
+        // file alone, still retiring the segment directory...
+        let lease = claim_compaction(&cache_path).unwrap().expect("lease free");
+        let again = compact(&cache_path, &Cache::new(), lease).unwrap();
+        assert_eq!((again.written, again.rewritten), (2, false));
+        assert!(!segment_dir(&cache_path).exists());
+        // ...but rewrites one a save would change (here: a legacy line).
+        let legacy = format!(
+            "{{\"ns\":\"seg\",\"key\":\"0000000000000003\",\"bits\":[{}]}}\n",
+            4.0f64.to_bits()
+        );
+        let mut text = std::fs::read_to_string(&cache_path).unwrap();
+        text.push_str(&legacy);
+        std::fs::write(&cache_path, text).unwrap();
+        let lease = claim_compaction(&cache_path).unwrap().expect("lease free");
+        let healed = compact(&cache_path, &Cache::new(), lease).unwrap();
+        assert_eq!((healed.written, healed.rewritten), (3, true));
+        assert!(!std::fs::read_to_string(&cache_path)
+            .unwrap()
+            .contains(&legacy));
         std::fs::remove_dir_all(&dir).ok();
     }
 

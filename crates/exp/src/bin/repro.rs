@@ -19,348 +19,185 @@
 //!                           # spice-backed Monte Carlo + latency artifact
 //! repro --cache c.jsonl all # persist the result cache across runs
 //! repro --keep-going all    # isolate failures; report them, keep sweeping
+//! repro fleet --workers 4 all
+//!                           # shard the sweep over worker processes
 //! repro trace-report t.jsonl
 //!                           # render a saved trace as a span tree
 //! repro trace-report m.json # (manifest files are sniffed and summarised)
 //! repro --list              # list experiment ids
 //! ```
+//!
+//! One parser ([`parse`]) reads the command lines of a plain run, of
+//! `repro fleet` and of a fleet worker, and one run path ([`sweep`])
+//! serves the plain run and the worker. A worker (`--fleet-worker N`,
+//! spawned by `repro fleet`, never by hand) is a `--keep-going` run that
+//! opens its cache as segment `N` and stages each table, and its
+//! manifest, under `<cache>.d/` for the parent to merge instead of
+//! printing them.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use subvt_engine::cache::seg;
+use subvt_engine::fleet::ShardStrategy;
 use subvt_engine::json::{parse_json, Json};
 use subvt_engine::trace::TraceSnapshot;
 use subvt_exp::{tracefmt, FigureFailure, Study, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS};
 use subvt_units::Temperature;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace-report") {
-        let Some(path) = args.get(1) else {
-            eprintln!("usage: repro trace-report <trace-file>");
-            return ExitCode::FAILURE;
-        };
-        return trace_report(path);
-    }
-    if args.first().map(String::as_str) == Some("trace-stitch") {
-        return trace_stitch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        return fleet_main(&args[1..]);
-    }
-    // Hidden: one shard of a fleet, spawned by `repro fleet`.
-    if args.iter().any(|a| a == "--fleet-worker") {
-        return fleet_worker_main(&args);
-    }
-
-    let mut csv = false;
-    let mut keep_going = false;
-    let mut trace_path: Option<String> = None;
-    let mut trace_chrome = false;
-    let mut manifest_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
-    let mut cache_path: Option<String> = None;
-    let mut study = StudyArgs::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--csv" => csv = true,
-            "--keep-going" => keep_going = true,
-            "--backend" | "--circuit-backend" | "--temp" => {
-                if let Err(e) = study.apply(arg, iter.next()) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--jobs" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_engine::configure_jobs(n) {
-                    eprintln!("--jobs must come before any work is scheduled");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--trace" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--trace needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(path.clone());
-            }
-            "--trace-format" => match iter.next().map(String::as_str) {
-                Some("jsonl") => trace_chrome = false,
-                Some("chrome") => trace_chrome = true,
-                _ => {
-                    eprintln!("--trace-format needs one of: jsonl, chrome");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--manifest" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--manifest needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                manifest_path = Some(path.clone());
-            }
-            "--bench" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--bench needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                bench_path = Some(path.clone());
-            }
-            "--cache" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--cache needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                cache_path = Some(path.clone());
-            }
-            "--list" => {
-                for id in ALL_EXPERIMENTS.iter().chain(&EXTENSION_EXPERIMENTS) {
-                    println!("{id}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            other => expand_ids(&mut ids, other),
-        }
-    }
-    if ids.is_empty() {
-        print_help();
-        return ExitCode::FAILURE;
-    }
-    let study = study.study;
-
-    // Leased segment + load, shared with `subvt-serve`: every run
-    // appends to its own segment under `<cache>.d/`, so concurrent runs
-    // against the same file all persist, and the close compacts under
-    // the compaction lease.
-    let mut cache_session: Option<subvt_exp::CacheSession> = None;
-    if let Some(path) = &cache_path {
-        match subvt_exp::CacheSession::open(path.as_ref()) {
-            Ok(session) => cache_session = Some(session),
-            Err(e) => {
-                eprintln!("cannot open cache file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Plain mode runs the ids before the first unknown one and then
-    // stops; `--keep-going` reports the unknown ids with the failures.
-    let run = match ids.iter().position(|id| !subvt_exp::is_experiment(id)) {
-        Some(at) if !keep_going => &ids[..at],
-        _ => &ids[..],
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match argv.first().map(String::as_str) {
+        Some("trace-report") => match argv.get(1) {
+            Some(path) => trace_report(path),
+            None => Err("usage: repro trace-report <trace-file>".to_owned()),
+        },
+        Some("trace-stitch") => trace_stitch(&argv[1..]),
+        _ => parse(&argv).and_then(|args| run(&args)),
     };
-    let mut failures: Vec<FigureFailure> = Vec::new();
-    for outcome in study.run_ids(run) {
-        match outcome {
-            Ok(table) => print!("{}", table.render(csv)),
-            Err(failure) if keep_going => {
-                eprintln!("FAILED {}: {}", failure.id, failure.message);
-                failures.push(failure);
-            }
-            Err(failure) => panic!("{failure}"),
-        }
-    }
-    if let Some(id) = ids.get(run.len()) {
-        eprintln!("unknown experiment `{id}` (try --list)");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(session) = cache_session.take() {
-        if let Err(e) = session.close() {
-            let path = cache_path.as_deref().unwrap_or("?");
-            eprintln!("cannot write cache file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &trace_path {
-        let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(path)?;
-            let tracer = subvt_engine::trace::global();
-            if trace_chrome {
-                tracer.write_chrome(&mut file)
-            } else {
-                tracer.write_jsonl(&mut file)
-            }
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write trace file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &bench_path {
-        // Snapshot (not drain): the manifest writer below still needs
-        // the counters this artifact summarises.
-        let snap = subvt_engine::trace::global().snapshot();
-        match subvt_exp::report::render_spice_bench(&snap) {
-            Ok(artifact) => {
-                if let Err(e) = std::fs::write(path, artifact + "\n") {
-                    eprintln!("cannot write bench file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(msg) => {
-                eprintln!("cannot produce bench file {path}: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &manifest_path {
-        let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(path)?;
-            subvt_exp::report::write_manifest(&mut file, &study, &failures)
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write manifest file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "{} of {} experiments failed (see above)",
-            failures.len(),
-            ids.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// Parses a saved trace (either sink format, sniffed from the content),
-/// validates its invariants, and renders the span-tree report. Manifest
-/// files (from `--manifest`) are also recognised and summarised.
-fn trace_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("cannot read trace file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if text.trim_start().starts_with("{\"ts\":") && text.contains("\"trace_id\"") {
-        // The daemon's JSONL access log (one request per line).
-        return match tracefmt::parse_access_log(&text) {
-            Ok(records) => {
-                print!("{}", tracefmt::render_access_report(&records));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("malformed access log {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if text.trim_start().starts_with("{\"v\":") {
-        // A run manifest, not a trace.
-        return match parse_json(text.trim()) {
-            Ok(manifest) => {
-                print!("{}", tracefmt::render_manifest_report(&manifest));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("malformed manifest {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let trace = match parse_trace(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("malformed trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = tracefmt::validate(&trace) {
-        eprintln!("invalid trace {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    print!("{}", tracefmt::render_report(&trace));
-    ExitCode::SUCCESS
-}
-
-/// Parses a trace in either sink format (sniffed from the content).
-fn parse_trace(text: &str) -> Result<TraceSnapshot, String> {
-    if text.trim_start().starts_with("{\"traceEvents\"") {
-        tracefmt::parse_chrome(text).and_then(|events| tracefmt::trace_from_chrome(&events))
-    } else {
-        tracefmt::parse_jsonl(text)
-    }
-}
-
-/// Loads a trace in either sink format.
-fn load_trace(path: &str) -> Result<TraceSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_trace(&text).map_err(|e| format!("malformed trace {path}: {e}"))
-}
-
-/// Stitches a client-side trace onto a server-side trace via the
-/// wire-propagated `client_span` attributes, prints the combined span
-/// tree, and (with `--out`) writes one Perfetto-loadable Chrome trace.
-fn trace_stitch(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut out_path: Option<&String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--out" {
-            match iter.next() {
-                Some(p) => out_path = Some(p),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [client_path, server_path] = paths[..] else {
-        eprintln!("usage: repro trace-stitch <client-trace> <server-trace> [--out <chrome.json>]");
-        return ExitCode::FAILURE;
-    };
-    let (client, server) = match (load_trace(client_path), load_trace(server_path)) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let stitched = match tracefmt::stitch(&client, &server) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot stitch {client_path} + {server_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = tracefmt::validate(&stitched) {
-        eprintln!("stitched trace is invalid: {e}");
-        return ExitCode::FAILURE;
     }
-    if let Some(path) = out_path {
-        let write = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(path)?;
-            tracefmt::write_stitched_chrome(&stitched, &mut file)
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write stitched trace {path}: {e}");
-            return ExitCode::FAILURE;
+}
+
+/// A parsed `repro` or `repro fleet` command line.
+#[derive(Default)]
+struct Args {
+    /// `repro fleet`: the fleet's supervision options.
+    fleet: Option<FleetOpts>,
+    /// `--fleet-worker N`: this run is shard `N` of a fleet.
+    worker: Option<usize>,
+    help: bool,
+    list: bool,
+    csv: bool,
+    keep_going: bool,
+    jobs: Option<usize>,
+    trace: Option<String>,
+    trace_chrome: bool,
+    manifest: Option<String>,
+    bench: Option<String>,
+    cache: Option<String>,
+    study: StudyArgs,
+    /// The study flags and `--jobs` as given: what `repro fleet`
+    /// forwards to its workers.
+    forward: Vec<String>,
+    ids: Vec<String>,
+}
+
+/// What `repro fleet` adds to a run: how to shard and supervise it.
+struct FleetOpts {
+    workers: usize,
+    strategy: ShardStrategy,
+    max_attempts: u32,
+    deadline_secs: Option<u64>,
+}
+
+impl Default for FleetOpts {
+    fn default() -> Self {
+        Self {
+            workers: 2,
+            strategy: ShardStrategy::KeyRange,
+            max_attempts: 3,
+            deadline_secs: None,
         }
-        eprintln!("wrote stitched Chrome trace to {path}");
     }
-    print!("{}", tracefmt::render_report(&stitched));
-    ExitCode::SUCCESS
+}
+
+/// Parses a command line (without the program name). A leading `fleet`
+/// selects the fleet driver, which rejects options it does not know; a
+/// plain run takes them as experiment ids, which fail as unknown.
+/// Parsing stops at `--help` or `--list`.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let fleet = argv.first().is_some_and(|a| a == "fleet");
+    let mut args = Args {
+        fleet: fleet.then(FleetOpts::default),
+        ..Args::default()
+    };
+    let mut it = argv[usize::from(fleet)..].iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        match (flag, &mut args.fleet) {
+            ("--help" | "-h", _) => {
+                args.help = true;
+                break;
+            }
+            ("--csv", _) => args.csv = true,
+            ("--cache", _) => args.cache = Some(value(&mut it, "--cache needs a file path")?),
+            ("--manifest", _) => {
+                args.manifest = Some(value(&mut it, "--manifest needs a file path")?);
+            }
+            ("--backend" | "--circuit-backend" | "--temp" | "--jobs", opts) => {
+                let given = it.next();
+                // `repro fleet` names a missing value the same way for all four.
+                if opts.is_some() && given.is_none() {
+                    return Err(format!("{flag} needs a value"));
+                }
+                if flag == "--jobs" {
+                    args.jobs = Some(positive(given, flag)?);
+                } else {
+                    args.study.apply(flag, given)?;
+                }
+                if let Some(given) = given {
+                    args.forward.extend([arg.clone(), given.clone()]);
+                }
+            }
+            ("--workers", Some(opts)) => opts.workers = positive(it.next(), flag)?,
+            ("--max-attempts", Some(opts)) => opts.max_attempts = positive(it.next(), flag)?,
+            ("--deadline-secs", Some(opts)) => {
+                opts.deadline_secs = Some(positive(it.next(), flag)?)
+            }
+            ("--shard", Some(opts)) => {
+                opts.strategy =
+                    value(&mut it, "--shard needs one of: key-range, round-robin")?.parse()?;
+            }
+            (other, Some(_)) if other.starts_with('-') => {
+                return Err(format!(
+                    "unknown fleet option {other} (try `repro fleet --help`)"
+                ));
+            }
+            ("--keep-going", None) => args.keep_going = true,
+            ("--list", None) => {
+                args.list = true;
+                break;
+            }
+            ("--trace", None) => args.trace = Some(value(&mut it, "--trace needs a file path")?),
+            ("--trace-format", None) => {
+                args.trace_chrome = match it.next().map(String::as_str) {
+                    Some("jsonl") => false,
+                    Some("chrome") => true,
+                    _ => return Err("--trace-format needs one of: jsonl, chrome".to_owned()),
+                };
+            }
+            ("--bench", None) => args.bench = Some(value(&mut it, "--bench needs a file path")?),
+            ("--fleet-worker", None) => {
+                let index = it.next().and_then(|v| v.parse().ok());
+                args.worker = Some(index.ok_or("--fleet-worker needs a worker index")?);
+            }
+            (other, _) => expand_ids(&mut args.ids, other),
+        }
+    }
+    Ok(args)
+}
+
+/// The value after a flag, or the `missing` error.
+fn value(it: &mut std::slice::Iter<'_, String>, missing: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| missing.to_owned())
+}
+
+/// A flag's value as a positive integer.
+fn positive<T: FromStr + PartialOrd + Default>(
+    value: Option<&String>,
+    flag: &str,
+) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{flag} needs a positive integer"))
 }
 
 /// Expands `all`/`ext`/`everything` tokens, collecting experiment ids.
@@ -377,8 +214,8 @@ fn expand_ids(ids: &mut Vec<String>, token: &str) {
 }
 
 /// The `--backend/--circuit-backend/--temp` flags parsed into one
-/// [`Study`]: the one parser behind `repro`, the study `repro fleet`
-/// records and forwards to its workers, and `--fleet-worker`.
+/// [`Study`]: the study a run uses, and the one `repro fleet` records
+/// and forwards to its workers.
 #[derive(Default)]
 struct StudyArgs {
     study: Study,
@@ -418,165 +255,306 @@ impl StudyArgs {
     }
 }
 
+/// Runs a parsed command line.
+fn run(args: &Args) -> Result<(), String> {
+    let help = if args.fleet.is_some() {
+        FLEET_HELP
+    } else {
+        HELP
+    };
+    if args.help {
+        eprintln!("{help}");
+        return Ok(());
+    }
+    if args.list {
+        for id in ALL_EXPERIMENTS.iter().chain(&EXTENSION_EXPERIMENTS) {
+            println!("{id}");
+        }
+        return Ok(());
+    }
+    if args.ids.is_empty() {
+        return Err(help.to_owned());
+    }
+    match &args.fleet {
+        Some(opts) => fleet(args, opts),
+        None => sweep(args),
+    }
+}
+
+/// Runs the ids through [`Study::run_ids`] and prints each table in id
+/// order; a fleet worker stages them for its parent instead.
+fn sweep(args: &Args) -> Result<(), String> {
+    if let Some(n) = args.jobs {
+        if !subvt_engine::configure_jobs(n) {
+            return Err("--jobs must come before any work is scheduled".to_owned());
+        }
+    }
+    let study = args.study.study;
+
+    // Leased segment + load, shared with `subvt-serve`: every run
+    // appends to its own segment under `<cache>.d/`, so concurrent runs
+    // against the same file all persist, and the close compacts under
+    // the compaction lease. A fleet worker claims segment `N` instead.
+    let session = match (&args.cache, args.worker) {
+        (None, None) => None,
+        (None, Some(_)) => return Err("--fleet-worker requires --cache and a worker index".into()),
+        (Some(path), None) => Some(
+            subvt_exp::CacheSession::open(path.as_ref())
+                .map_err(|e| format!("cannot open cache file {path}: {e}"))?,
+        ),
+        (Some(path), Some(idx)) => Some(
+            subvt_exp::CacheSession::open_segment(path.as_ref(), &idx.to_string())
+                .map_err(|e| format!("fleet worker {idx}: cannot open cache segment: {e}"))?
+                .ok_or_else(|| {
+                    format!(
+                        "fleet worker {idx}: segment is held by a live process; \
+                         refusing to double-run a shard"
+                    )
+                })?,
+        ),
+    };
+    let staging = args
+        .worker
+        .zip(args.cache.as_deref())
+        .map(|(idx, cache)| (idx, seg::segment_dir(cache.as_ref())));
+    let crash_marker = staging
+        .as_ref()
+        .and_then(|_| std::env::var_os("SUBVT_FLEET_CRASH_ONCE"));
+
+    // Plain mode runs the ids before the first unknown one and then
+    // stops; `--keep-going` (and a fleet worker) reports the unknown ids
+    // with the failures.
+    let keep_going = args.keep_going || staging.is_some();
+    let ids = &args.ids;
+    let run = match ids.iter().position(|id| !subvt_exp::is_experiment(id)) {
+        Some(at) if !keep_going => &ids[..at],
+        _ => &ids[..],
+    };
+    let mut failures: Vec<FigureFailure> = Vec::new();
+    let mut staged = 0;
+    for (id, outcome) in run.iter().zip(study.run_ids(run)) {
+        match outcome {
+            Ok(table) => {
+                let text = table.render(args.csv);
+                let Some((_, dir)) = &staging else {
+                    print!("{text}");
+                    continue;
+                };
+                let path = dir.join(format!("out-{id}.{}", ext(args.csv)));
+                write_atomic(&path, text.as_bytes())
+                    .map_err(|e| format!("cannot stage output for {id}: {e}"))?;
+                staged += 1;
+                // Chaos hook for the integration/CI crash drills: the
+                // first worker (fleet-wide) to claim the marker file
+                // tears its segment tail and SIGKILLs itself after its
+                // first staged table — one injected crash per fleet run.
+                if let (1, Some(marker), Some(session)) = (staged, &crash_marker, &session) {
+                    fleet_crash_once(Path::new(marker), session);
+                }
+            }
+            Err(failure) if keep_going => {
+                eprintln!("FAILED {}: {}", failure.id, failure.message);
+                failures.push(failure);
+            }
+            Err(failure) => panic!("{failure}"),
+        }
+    }
+    if let Some(id) = ids.get(run.len()) {
+        return Err(format!("unknown experiment `{id}` (try --list)"));
+    }
+
+    if let (Some(session), Some(path)) = (session, &args.cache) {
+        session
+            .close()
+            .map_err(|e| format!("cannot write cache file {path}: {e}"))?;
+    }
+    if let Some(path) = &args.trace {
+        let write = || -> std::io::Result<()> {
+            let mut file = std::fs::File::create(path)?;
+            let tracer = subvt_engine::trace::global();
+            if args.trace_chrome {
+                tracer.write_chrome(&mut file)
+            } else {
+                tracer.write_jsonl(&mut file)
+            }
+        };
+        write().map_err(|e| format!("cannot write trace file {path}: {e}"))?;
+    }
+    if let Some(path) = &args.bench {
+        // Snapshot (not drain): the manifest writer below still needs
+        // the counters this artifact summarises.
+        let snap = subvt_engine::trace::global().snapshot();
+        let artifact = subvt_exp::report::render_spice_bench(&snap)
+            .map_err(|msg| format!("cannot produce bench file {path}: {msg}"))?;
+        std::fs::write(path, artifact + "\n")
+            .map_err(|e| format!("cannot write bench file {path}: {e}"))?;
+    }
+    // A worker stages its manifest atomically: a kill mid-write must not
+    // hand the parent a torn file.
+    let manifest = match &staging {
+        Some((idx, dir)) => Some(dir.join(format!("seg-{idx}-manifest.json"))),
+        None => args.manifest.as_ref().map(PathBuf::from),
+    };
+    if let Some(path) = manifest {
+        let mut buf: Vec<u8> = Vec::new();
+        subvt_exp::report::write_manifest(&mut buf, &study, &failures)
+            .and_then(|()| match staging {
+                Some(_) => write_atomic(&path, &buf),
+                None => std::fs::write(&path, &buf),
+            })
+            .map_err(|e| format!("cannot write manifest file {}: {e}", path.display()))?;
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} of {} experiments failed (see above)",
+            failures.len(),
+            ids.len()
+        ))
+    }
+}
+
+/// The extension of a staged table.
+fn ext(csv: bool) -> &'static str {
+    if csv {
+        "csv"
+    } else {
+        "txt"
+    }
+}
+
+/// Writes `path` through a sibling `.tmp` file and a rename, so a reader
+/// never sees a torn file.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Parses a saved trace (either sink format, sniffed from the content),
+/// validates its invariants, and renders the span-tree report. Manifest
+/// files (from `--manifest`) and the daemon's access log are also
+/// recognised and summarised.
+fn trace_report(path: &str) -> Result<(), String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace file {path}: {e}"))?;
+    let report = if text.trim_start().starts_with("{\"ts\":") && text.contains("\"trace_id\"") {
+        // The daemon's JSONL access log (one request per line).
+        let records = tracefmt::parse_access_log(&text)
+            .map_err(|e| format!("malformed access log {path}: {e}"))?;
+        tracefmt::render_access_report(&records)
+    } else if text.trim_start().starts_with("{\"v\":") {
+        // A run manifest, not a trace.
+        let manifest =
+            parse_json(text.trim()).map_err(|e| format!("malformed manifest {path}: {e}"))?;
+        tracefmt::render_manifest_report(&manifest)
+    } else {
+        let trace = parse_trace(&text).map_err(|e| format!("malformed trace {path}: {e}"))?;
+        tracefmt::validate(&trace).map_err(|e| format!("invalid trace {path}: {e}"))?;
+        tracefmt::render_report(&trace)
+    };
+    print!("{report}");
+    Ok(())
+}
+
+/// Parses a trace in either sink format (sniffed from the content).
+fn parse_trace(text: &str) -> Result<TraceSnapshot, String> {
+    if text.trim_start().starts_with("{\"traceEvents\"") {
+        tracefmt::parse_chrome(text).and_then(|events| tracefmt::trace_from_chrome(&events))
+    } else {
+        tracefmt::parse_jsonl(text)
+    }
+}
+
+/// Loads a trace in either sink format.
+fn load_trace(path: &str) -> Result<TraceSnapshot, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_trace(&text).map_err(|e| format!("malformed trace {path}: {e}"))
+}
+
+/// Stitches a client-side trace onto a server-side trace via the
+/// wire-propagated `client_span` attributes, prints the combined span
+/// tree, and (with `--out`) writes one Perfetto-loadable Chrome trace.
+fn trace_stitch(argv: &[String]) -> Result<(), String> {
+    let mut paths: Vec<&String> = Vec::new();
+    let mut out_path: Option<String> = None;
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--out" {
+            out_path = Some(value(&mut it, "--out needs a file path")?);
+        } else {
+            paths.push(arg);
+        }
+    }
+    let [client_path, server_path] = paths[..] else {
+        return Err(
+            "usage: repro trace-stitch <client-trace> <server-trace> [--out <chrome.json>]"
+                .to_owned(),
+        );
+    };
+    let client = load_trace(client_path)?;
+    let server = load_trace(server_path)?;
+    let stitched = tracefmt::stitch(&client, &server)
+        .map_err(|e| format!("cannot stitch {client_path} + {server_path}: {e}"))?;
+    tracefmt::validate(&stitched).map_err(|e| format!("stitched trace is invalid: {e}"))?;
+    if let Some(path) = out_path {
+        let write = || -> std::io::Result<()> {
+            let mut file = std::fs::File::create(&path)?;
+            tracefmt::write_stitched_chrome(&stitched, &mut file)
+        };
+        write().map_err(|e| format!("cannot write stitched trace {path}: {e}"))?;
+        eprintln!("wrote stitched Chrome trace to {path}");
+    }
+    print!("{}", tracefmt::render_report(&stitched));
+    Ok(())
+}
+
 /// The fleet driver: shards the sweep matrix across N worker
 /// processes over the segmented shared cache, supervises them with
 /// the retry/deadline ladder, merges their outputs and manifests in
 /// the original argument order, and compacts the cache segments into
 /// one canonical file on the way out.
-fn fleet_main(args: &[String]) -> ExitCode {
-    use std::path::PathBuf;
+fn fleet(args: &Args, opts: &FleetOpts) -> Result<(), String> {
     use std::time::Duration;
-    use subvt_engine::cache::seg;
-    use subvt_engine::fleet::{plan, supervise, FleetPolicy, ShardStrategy};
-
-    let mut workers = 2usize;
-    let mut strategy = ShardStrategy::KeyRange;
-    let mut max_attempts = 3u32;
-    let mut deadline_secs: Option<u64> = None;
-    let mut csv = false;
-    let mut cache_arg: Option<String> = None;
-    let mut manifest_path: Option<String> = None;
-    let mut study = StudyArgs::default();
-    let mut passthrough: Vec<String> = Vec::new();
-    let mut ids: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--workers" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--workers needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                workers = n;
-            }
-            "--shard" => {
-                match iter.next().map(|v| v.parse::<ShardStrategy>()) {
-                    Some(Ok(s)) => strategy = s,
-                    other => {
-                        if let Some(Err(e)) = other {
-                            eprintln!("{e}");
-                        } else {
-                            eprintln!("--shard needs one of: key-range, round-robin");
-                        }
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--max-attempts" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--max-attempts needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                max_attempts = n;
-            }
-            "--deadline-secs" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--deadline-secs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                deadline_secs = Some(n);
-            }
-            "--csv" => csv = true,
-            "--cache" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--cache needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                cache_arg = Some(path.clone());
-            }
-            "--manifest" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--manifest needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                manifest_path = Some(path.clone());
-            }
-            "--backend" | "--circuit-backend" | "--temp" | "--jobs" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("{arg} needs a value");
-                    return ExitCode::FAILURE;
-                };
-                if arg != "--jobs" {
-                    if let Err(e) = study.apply(arg, Some(value)) {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                passthrough.push(arg.clone());
-                passthrough.push(value.clone());
-            }
-            "--help" | "-h" => {
-                print_fleet_help();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown fleet option {other} (try `repro fleet --help`)");
-                return ExitCode::FAILURE;
-            }
-            other => expand_ids(&mut ids, other),
-        }
-    }
-    if ids.is_empty() {
-        print_fleet_help();
-        return ExitCode::FAILURE;
-    }
+    use subvt_engine::fleet::{plan, supervise, FleetPolicy};
 
     // Without --cache the fleet still needs a shared store for its
     // segments and staged outputs; use a scratch one and remove it at
     // the end.
-    let scratch_dir: Option<PathBuf> = if cache_arg.is_none() {
-        Some(std::env::temp_dir().join(format!("subvt-fleet-{}", std::process::id())))
-    } else {
-        None
-    };
-    let cache_path: PathBuf = match (&cache_arg, &scratch_dir) {
-        (Some(p), _) => PathBuf::from(p),
-        (None, Some(dir)) => {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create scratch dir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            dir.join("fleet-cache.jsonl")
+    let scratch_dir = std::env::temp_dir().join(format!("subvt-fleet-{}", std::process::id()));
+    let cache_path = match &args.cache {
+        Some(path) => PathBuf::from(path),
+        None => {
+            std::fs::create_dir_all(&scratch_dir)
+                .map_err(|e| format!("cannot create scratch dir {}: {e}", scratch_dir.display()))?;
+            scratch_dir.join("fleet-cache.jsonl")
         }
-        (None, None) => unreachable!(),
     };
 
     // The parent holds the compaction lease for the whole fleet run: a
     // stale (dead-holder) lease is reclaimed, a live holder is an error
     // — two fleets over one store must not interleave compactions — and
     // its workers' closes never compact behind its back.
-    let lease = match seg::claim_compaction(&cache_path) {
-        Ok(Some(lease)) => lease,
-        Ok(None) => {
-            eprintln!(
+    let lease = seg::claim_compaction(&cache_path)
+        .map_err(|e| {
+            format!(
+                "cannot claim the compaction lease for {}: {e}",
+                cache_path.display()
+            )
+        })?
+        .ok_or_else(|| {
+            format!(
                 "cache file {} has a live compaction-lease holder; \
                  refusing to run a fleet over it",
                 cache_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!(
-                "cannot claim the compaction lease for {}: {e}",
-                cache_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+            )
+        })?;
 
-    let shards = plan(&ids, workers, strategy);
+    let ids = &args.ids;
+    let (workers, strategy) = (opts.workers, opts.strategy);
+    let shards = plan(ids, workers, strategy);
     let outdir = seg::segment_dir(&cache_path);
     let active = shards.iter().filter(|s| !s.ids.is_empty()).count();
     eprintln!(
@@ -584,16 +562,10 @@ fn fleet_main(args: &[String]) -> ExitCode {
         ids.len()
     );
 
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot resolve own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exe = std::env::current_exe().map_err(|e| format!("cannot resolve own executable: {e}"))?;
     let policy = FleetPolicy {
-        max_attempts,
-        deadline: deadline_secs.map(Duration::from_secs),
+        max_attempts: opts.max_attempts,
+        deadline: opts.deadline_secs.map(Duration::from_secs),
         poll: Duration::from_millis(25),
     };
     let mut tail_quarantined = 0usize;
@@ -613,8 +585,8 @@ fn fleet_main(args: &[String]) -> ExitCode {
                 .arg(shard.index.to_string())
                 .arg("--cache")
                 .arg(&cache_path)
-                .args(&passthrough);
-            if csv {
+                .args(&args.forward);
+            if args.csv {
                 cmd.arg("--csv");
             }
             cmd.args(&shard.ids)
@@ -632,23 +604,16 @@ fn fleet_main(args: &[String]) -> ExitCode {
                 tail_quarantined += r.quarantined;
             }
         },
-    );
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet supervision failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(|e| format!("fleet supervision failed: {e}"))?;
 
     // Merge staged outputs in the original argument order, so fleet
     // stdout is byte-identical to the single-process run.
-    let ext = if csv { "csv" } else { "txt" };
+    let staged = |id: &str| outdir.join(format!("out-{id}.{}", ext(args.csv)));
     let mut failures: Vec<FigureFailure> = Vec::new();
     let mut merged = String::new();
-    for id in &ids {
-        let staged = outdir.join(format!("out-{id}.{ext}"));
-        match std::fs::read_to_string(&staged) {
+    for id in ids {
+        match std::fs::read_to_string(staged(id)) {
             Ok(text) => merged.push_str(&text),
             Err(_) => {
                 eprintln!("FAILED {id}: no output from its fleet worker");
@@ -684,7 +649,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
         std::fs::remove_file(&path).ok();
     }
 
-    if let Some(path) = &manifest_path {
+    if let Some(path) = &args.manifest {
         let mut shards_json = String::new();
         for (i, (shard, run)) in shards.iter().zip(&report.runs).enumerate() {
             if i > 0 {
@@ -713,179 +678,44 @@ fn fleet_main(args: &[String]) -> ExitCode {
             let mut file = std::fs::File::create(path)?;
             subvt_exp::report::write_fleet_manifest(
                 &mut file,
-                &study.study,
+                &args.study.study,
                 &failures,
                 &fragment,
                 &worker_manifests,
             )
         };
-        if let Err(e) = write() {
-            eprintln!("cannot write manifest file {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write().map_err(|e| format!("cannot write manifest file {path}: {e}"))?;
     }
 
     // Retire the staged outputs, then fold every worker segment into
     // the canonical file.
-    for id in &ids {
-        std::fs::remove_file(outdir.join(format!("out-{id}.{ext}"))).ok();
+    for id in ids {
+        std::fs::remove_file(staged(id)).ok();
     }
-    match seg::compact(&cache_path, &subvt_engine::Cache::new(), lease) {
-        Ok(r) => eprintln!(
-            "fleet: compacted cache ({} entries, {} segment(s) merged)",
-            r.written, r.segments_merged
-        ),
-        Err(e) => {
-            eprintln!("cannot compact cache {}: {e}", cache_path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(dir) = &scratch_dir {
-        std::fs::remove_dir_all(dir).ok();
+    let r = seg::compact(&cache_path, &subvt_engine::Cache::new(), lease)
+        .map_err(|e| format!("cannot compact cache {}: {e}", cache_path.display()))?;
+    eprintln!(
+        "fleet: compacted cache ({} entries, {} segment(s) merged)",
+        r.written, r.segments_merged
+    );
+    if args.cache.is_none() {
+        std::fs::remove_dir_all(&scratch_dir).ok();
     }
     if failures.is_empty() && report.failed == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        eprintln!(
+        Err(format!(
             "{} of {} experiments failed (see above)",
             failures.len(),
             ids.len()
-        );
-        ExitCode::FAILURE
+        ))
     }
-}
-
-/// One shard of a fleet: claims its segment, runs its ids, stages each
-/// rendered table atomically under `<cache>.d/`, and writes its own
-/// manifest for the parent's merge. Spawned by [`fleet_main`]; never
-/// invoked by hand.
-fn fleet_worker_main(args: &[String]) -> ExitCode {
-    use subvt_engine::cache::seg;
-
-    let mut worker_idx: Option<usize> = None;
-    let mut cache_arg: Option<String> = None;
-    let mut csv = false;
-    let mut study = StudyArgs::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--fleet-worker" => {
-                let Some(n) = iter.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--fleet-worker needs a worker index");
-                    return ExitCode::FAILURE;
-                };
-                worker_idx = Some(n);
-            }
-            "--cache" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--cache needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                cache_arg = Some(path.clone());
-            }
-            "--csv" => csv = true,
-            "--jobs" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                subvt_engine::configure_jobs(n);
-            }
-            "--backend" | "--circuit-backend" | "--temp" => {
-                if let Err(e) = study.apply(arg, iter.next()) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown fleet-worker option {other}");
-                return ExitCode::FAILURE;
-            }
-            other => ids.push(other.to_owned()),
-        }
-    }
-    let (Some(idx), Some(cache_arg)) = (worker_idx, cache_arg) else {
-        eprintln!("--fleet-worker requires --cache and a worker index");
-        return ExitCode::FAILURE;
-    };
-    let study = study.study;
-    let cache_path = std::path::Path::new(&cache_arg);
-
-    let session = match subvt_exp::CacheSession::open_segment(cache_path, &idx.to_string()) {
-        Ok(Some(session)) => session,
-        Ok(None) => {
-            eprintln!(
-                "fleet worker {idx}: segment is held by a live process; \
-                 refusing to double-run a shard"
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("fleet worker {idx}: cannot open cache segment: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outdir = seg::segment_dir(cache_path);
-    let ext = if csv { "csv" } else { "txt" };
-    let crash_marker = std::env::var_os("SUBVT_FLEET_CRASH_ONCE");
-
-    for (i, id) in ids.iter().enumerate() {
-        let table = match study.run(id) {
-            Ok(table) => table,
-            Err(e) => {
-                eprintln!("fleet worker {idx}: experiment `{id}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let rendered = table.render(csv);
-        let staged = outdir.join(format!("out-{id}.{ext}"));
-        let tmp = outdir.join(format!("out-{id}.{ext}.tmp"));
-        let write = std::fs::write(&tmp, &rendered).and_then(|()| std::fs::rename(&tmp, &staged));
-        if let Err(e) = write {
-            eprintln!("fleet worker {idx}: cannot stage output for {id}: {e}");
-            return ExitCode::FAILURE;
-        }
-        // Chaos hook for the integration/CI crash drills: the first
-        // worker (fleet-wide) to claim the marker file tears its
-        // segment tail and SIGKILLs itself after its first result —
-        // exactly one injected crash per fleet run.
-        if i == 0 {
-            if let Some(marker) = &crash_marker {
-                fleet_crash_once(std::path::Path::new(marker), &session);
-            }
-        }
-    }
-
-    // Stage this worker's manifest (atomically — a kill mid-write must
-    // not hand the parent a torn file).
-    let mut buf: Vec<u8> = Vec::new();
-    if let Err(e) = subvt_exp::report::write_manifest(&mut buf, &study, &[]) {
-        eprintln!("fleet worker {idx}: cannot render manifest: {e}");
-        return ExitCode::FAILURE;
-    }
-    let manifest = outdir.join(format!("seg-{idx}-manifest.json"));
-    let tmp = outdir.join(format!("seg-{idx}-manifest.json.tmp"));
-    let write = std::fs::write(&tmp, &buf).and_then(|()| std::fs::rename(&tmp, &manifest));
-    if let Err(e) = write {
-        eprintln!("fleet worker {idx}: cannot stage manifest: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = session.close() {
-        eprintln!("fleet worker {idx}: cannot seal cache segment: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// Injects one fleet-wide crash when `SUBVT_FLEET_CRASH_ONCE` is set:
 /// atomically claims the marker file (losers return and run on), tears
 /// the segment's tail mid-append, and SIGKILLs this process.
-fn fleet_crash_once(marker: &std::path::Path, session: &subvt_exp::CacheSession) {
+fn fleet_crash_once(marker: &Path, session: &subvt_exp::CacheSession) {
     use std::io::Write as _;
 
     if std::fs::OpenOptions::new()
@@ -915,50 +745,52 @@ fn fleet_crash_once(marker: &std::path::Path, session: &subvt_exp::CacheSession)
     std::process::abort();
 }
 
-fn print_fleet_help() {
-    eprintln!("usage: repro fleet [options] <experiment...|all|ext|everything>");
-    eprintln!();
-    eprintln!("Shards the experiments across N worker processes over a shared,");
-    eprintln!("lease-segmented result cache; crashed workers are re-run and the");
-    eprintln!("merged output is byte-identical to the single-process run.");
-    eprintln!();
-    eprintln!("options:");
-    eprintln!("  --workers <N>        worker processes (default: 2)");
-    eprintln!("  --shard <s>          sharding: key-range (default) | round-robin");
-    eprintln!("  --max-attempts <N>   attempts per shard before giving up (default: 3)");
-    eprintln!("  --deadline-secs <N>  per-attempt wall-clock budget (default: none)");
-    eprintln!("  --cache <path>       shared cache file (default: a scratch file,");
-    eprintln!("                       removed after the run)");
-    eprintln!("  --manifest <path>    merged fleet manifest: parent summary, a `fleet`");
-    eprintln!("                       block (shards/restarts/reclaims), and every");
-    eprintln!("                       worker manifest verbatim");
-    eprintln!("  --csv                CSV output instead of aligned text");
-    eprintln!("  --backend/--circuit-backend/--temp/--jobs  forwarded to workers");
-}
+const FLEET_HELP: &str = "\
+usage: repro fleet [options] <experiment...|all|ext|everything>
 
-fn print_help() {
-    eprintln!("usage: repro [options] <experiment...|all|ext|everything>");
-    eprintln!("       repro fleet --workers <N> [options] <experiment...>");
-    eprintln!("       repro trace-report <trace-file|access-log|manifest>");
-    eprintln!("       repro trace-stitch <client-trace> <server-trace> [--out <chrome.json>]");
-    eprintln!("       repro --list");
-    eprintln!();
-    eprintln!("options:");
-    eprintln!("  --csv                CSV output instead of aligned text");
-    eprintln!("  --backend <b>        device-model backend: analytic (default) | tcad");
-    eprintln!("  --circuit-backend <b> circuit-metric backend: analytic (default) | spice");
-    eprintln!("  --temp <K>           operating temperature in kelvin (default: 300, room)");
-    eprintln!("  --jobs <N>           engine worker threads (default: cores, or $SUBVT_JOBS)");
-    eprintln!("  --trace <path>       write the run's trace on exit");
-    eprintln!("  --trace-format <f>   trace sink: jsonl (default) | chrome (Perfetto)");
-    eprintln!("  --manifest <path>    write a per-run summary manifest (JSON)");
-    eprintln!("  --bench <path>       write a BENCH_spice.json artifact (needs a");
-    eprintln!("                       `montecarlo --circuit-backend spice` run)");
-    eprintln!("  --cache <path>       load the result cache before, persist it after");
-    eprintln!("  --keep-going         isolate experiment failures: report each in the");
-    eprintln!("                       manifest's failures block, run the full sweep, and");
-    eprintln!("                       exit nonzero only at the end");
-    eprintln!();
-    eprintln!("Reproduces the tables and figures of 'Nanometer Device Scaling");
-    eprintln!("in Subthreshold Circuits' (DAC 2007) from the subvt stack.");
-}
+Shards the experiments across N worker processes over a shared,
+lease-segmented result cache; crashed workers are re-run and the
+merged output is byte-identical to the single-process run.
+
+options:
+  --workers <N>        worker processes (default: 2)
+  --shard <s>          sharding: key-range (default) | round-robin
+  --max-attempts <N>   attempts per shard before giving up (default: 3)
+  --deadline-secs <N>  per-attempt wall-clock budget (default: none)
+  --cache <path>       shared cache file (default: a scratch file,
+                       removed after the run)
+  --manifest <path>    merged fleet manifest: parent summary, a `fleet`
+                       block (shards/restarts/reclaims), and every
+                       worker manifest verbatim
+  --csv                CSV output instead of aligned text
+  --backend/--circuit-backend/--temp/--jobs  forwarded to workers";
+
+const HELP: &str = "\
+usage: repro [options] <experiment...|all|ext|everything>
+       repro fleet --workers <N> [options] <experiment...>
+       repro trace-report <trace-file|access-log|manifest>
+       repro trace-stitch <client-trace> <server-trace> [--out <chrome.json>]
+       repro --list
+
+options:
+  --csv                CSV output instead of aligned text
+  --backend <b>        device-model backend: analytic (default) | tcad
+  --circuit-backend <b> circuit-metric backend: analytic (default) | spice
+  --temp <K>           operating temperature in kelvin (default: 300, room)
+  --jobs <N>           engine worker threads (default: cores, or $SUBVT_JOBS)
+  --trace <path>       write the run's trace on exit
+  --trace-format <f>   trace sink: jsonl (default) | chrome (Perfetto)
+  --manifest <path>    write a per-run summary manifest (JSON)
+  --bench <path>       write a BENCH_spice.json artifact (needs a
+                       `montecarlo --circuit-backend spice` run)
+  --cache <path>       load the result cache before, persist it after
+  --keep-going         isolate experiment failures: report each in the
+                       manifest's failures block, run the full sweep, and
+                       exit nonzero only at the end
+
+Reproduces the tables and figures of 'Nanometer Device Scaling
+in Subthreshold Circuits' (DAC 2007) from the subvt stack.";
+
+#[cfg(test)]
+#[path = "repro/tests.rs"]
+mod tests;

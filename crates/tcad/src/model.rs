@@ -213,11 +213,6 @@ pub struct TcadModel {
 pub static TCAD_COARSE: TcadModel = TcadModel::new(MeshDensity::Coarse, Fidelity::Anchored);
 /// Coarse-mesh per-device backend (one cached extraction per device).
 pub static TCAD_COARSE_DIRECT: TcadModel = TcadModel::new(MeshDensity::Coarse, Fidelity::Direct);
-/// Standard-mesh anchored backend.
-pub static TCAD_STANDARD: TcadModel = TcadModel::new(MeshDensity::Standard, Fidelity::Anchored);
-/// Standard-mesh per-device backend.
-pub static TCAD_STANDARD_DIRECT: TcadModel =
-    TcadModel::new(MeshDensity::Standard, Fidelity::Direct);
 
 impl TcadModel {
     /// Creates a backend at the given mesh density and fidelity. The
@@ -364,11 +359,13 @@ mod tests {
 
     #[test]
     fn cache_ids_distinguish_configurations() {
+        let standard = TcadModel::new(MeshDensity::Standard, Fidelity::Anchored);
+        let standard_direct = TcadModel::new(MeshDensity::Standard, Fidelity::Direct);
         let ids = [
             TCAD_COARSE.cache_id(),
             TCAD_COARSE_DIRECT.cache_id(),
-            TCAD_STANDARD.cache_id(),
-            TCAD_STANDARD_DIRECT.cache_id(),
+            standard.cache_id(),
+            standard_direct.cache_id(),
         ];
         for (i, a) in ids.iter().enumerate() {
             assert!(a.starts_with("tcad."), "{a}");
@@ -383,7 +380,8 @@ mod tests {
     fn cache_keys_carry_the_solver_revision() {
         // Pinned: a change here must be a deliberate revision bump.
         assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v3");
-        assert_eq!(TCAD_STANDARD_DIRECT.cache_id(), "tcad.standard.direct.v3");
+        let standard_direct = TcadModel::new(MeshDensity::Standard, Fidelity::Direct);
+        assert_eq!(standard_direct.cache_id(), "tcad.standard.direct.v3");
         let p = DeviceParams::reference_90nm_nfet();
         let d = MeshDensity::Coarse;
         let keys = [

@@ -238,7 +238,7 @@ fn cache_lock_contention_persists_through_segment() {
     assert_eq!(segments.len(), 1, "the run must leave one sealed segment");
     let loaded = subvt_engine::Cache::new();
     assert!(
-        loaded.load_jsonl(&segments[0]).unwrap() > 0,
+        loaded.load_jsonl_lenient(&segments[0]).unwrap().loaded > 0,
         "the segment must hold the run's computed entries"
     );
 
@@ -327,4 +327,73 @@ fn deterministic_plans_inject_identical_fault_sets() {
     // at minimum the harness must not crash. (Avoid asserting inequality
     // — 14 Bernoulli draws can collide across seeds.)
     let _ = failed(&c);
+}
+
+/// The sorted, de-duplicated ids of the `FAILED <id>: …` lines.
+fn failed_ids(stderr: &[u8]) -> Vec<String> {
+    let mut ids: Vec<String> = String::from_utf8_lossy(stderr)
+        .lines()
+        .filter_map(|l| l.strip_prefix("FAILED ")?.split_once(':'))
+        .map(|(id, _)| id.to_owned())
+        .collect();
+    ids.sort();
+    ids.dedup();
+    ids
+}
+
+#[test]
+fn one_worker_fleet_fails_the_ids_a_keep_going_run_fails() {
+    // A seeded plan draws job panics in the order a run hands its ids to
+    // `Study::run_ids`; one worker gets them in argument order, so it
+    // fails the same ids as the single process and stages the rest.
+    let plan = "seed=42,panic=0.5";
+    let single = run_ok(
+        repro()
+            .env("SUBVT_FAULTS", plan)
+            .args(["--keep-going", "--csv", "all"]),
+    );
+    let fleet = run_ok(repro().env("SUBVT_FAULTS", plan).args([
+        "fleet",
+        "--workers",
+        "1",
+        "--max-attempts",
+        "1",
+        "--csv",
+        "all",
+    ]));
+    assert_ne!(single.status.code(), Some(0));
+    assert_ne!(fleet.status.code(), Some(0));
+    let failed = failed_ids(&single.stderr);
+    assert_eq!(failed.len(), 6, "{failed:?}");
+    assert_eq!(failed_ids(&fleet.stderr), failed);
+    assert_eq!(
+        String::from_utf8(fleet.stdout).unwrap(),
+        String::from_utf8(single.stdout).unwrap()
+    );
+}
+
+#[test]
+#[cfg(unix)]
+fn a_warm_close_leaves_the_cache_file_alone() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = tmpdir("warm-close");
+    let cache = dir.join("pa.jsonl");
+    std::fs::remove_file(&cache).ok();
+    let args = ["--csv", "table2", "fig2"];
+    let cold = run_ok(repro().arg("--cache").arg(&cache).args(args));
+    assert_eq!(cold.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&cold.stderr).contains("cache compacted"));
+    let inode = std::fs::metadata(&cache).unwrap().ino();
+    let bytes = std::fs::read(&cache).unwrap();
+
+    let warm = run_ok(repro().arg("--cache").arg(&cache).args(args));
+    let stderr = String::from_utf8(warm.stderr).unwrap();
+    assert_eq!(warm.status.code(), Some(0), "{stderr}");
+    assert_eq!(warm.stdout, cold.stdout);
+    assert!(!stderr.contains("cache compacted"), "{stderr}");
+    assert_eq!(std::fs::metadata(&cache).unwrap().ino(), inode);
+    assert_eq!(std::fs::read(&cache).unwrap(), bytes);
+    assert!(!subvt_engine::cache::seg::segment_dir(&cache).exists());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -47,7 +47,7 @@ fn design_cache_round_trips_through_disk_without_recompute() {
 
     // A fresh cache loaded from disk serves the flows as pure hits.
     let fresh = subvt_engine::Cache::new();
-    assert_eq!(fresh.load_jsonl(&path).unwrap(), saved);
+    assert_eq!(fresh.load_jsonl_lenient(&path).unwrap().loaded, saved);
     let misses_before = fresh.stats().misses;
     let recalled: StudyContext = {
         let sup = fresh.get_or_compute("design", design_key("supervth"), || {
