@@ -55,26 +55,32 @@ impl DenseMatrix {
         self.data[row * self.n + col] = value;
     }
 
-    /// Adds into entry `(row, col)` — the natural MNA "stamp" operation.
-    #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        self.data[row * self.n + col] += value;
+    /// An `n × n` zero matrix with one spare entry past its `n²`: the
+    /// sink where a stamp plan drops the entries of ground's row and
+    /// column.
+    pub(crate) fn with_sink(n: usize) -> Self {
+        Self {
+            n,
+            data: vec![0.0; n * n + 1],
+        }
     }
 
-    /// Resets all entries to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(0.0);
+    /// The entries, row-major, then the sink of a [`DenseMatrix::with_sink`]
+    /// matrix.
+    pub(crate) fn entries_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Copies another matrix of the same dimension into this one without
-    /// reallocating.
+    /// reallocating. A sink entry is not copied.
     ///
     /// # Panics
     ///
     /// Panics if the dimensions differ.
     pub fn copy_from(&mut self, other: &DenseMatrix) {
         assert_eq!(self.n, other.n, "dimension mismatch in copy_from");
-        self.data.copy_from_slice(&other.data);
+        let n2 = self.n * self.n;
+        self.data[..n2].copy_from_slice(&other.data[..n2]);
     }
 }
 
@@ -112,16 +118,13 @@ const CACHED_PIVOT_MIN_RATIO: f64 = 0.1;
 /// Three entry points, in decreasing cost order:
 ///
 /// 1. [`LuFactors::factor`] — full factorization with a fresh pivot
-///    search (what [`solve_in_place`] always did).
+///    search.
 /// 2. [`LuFactors::refactor_cached`] — value-only refactorization
 ///    reusing the pivot permutation cached by the last successful
 ///    [`LuFactors::factor`]; rejected when a cached pivot is degenerate.
-/// 3. [`LuFactors::solve`] — forward/back substitution for a new
-///    right-hand side against the current factors.
-///
-/// The elimination arithmetic is identical, operation for operation, to
-/// the historical one-shot `solve_in_place`, so factoring once and
-/// solving is bitwise-identical to the fused solve.
+/// 3. [`LuFactors::solve`] (or [`LuFactors::solve_into`]) —
+///    forward/back substitution for a new right-hand side against the
+///    current factors.
 #[derive(Debug, Clone, Default)]
 pub struct LuFactors {
     n: usize,
@@ -173,22 +176,21 @@ impl LuFactors {
     }
 
     /// Eliminates column `col` using pivot row `perm[col]`, storing the
-    /// multipliers in place of the eliminated entries. The arithmetic and
-    /// traversal order mirror the historical `solve_in_place` exactly.
+    /// multipliers in place of the eliminated entries.
     fn eliminate(&mut self, col: usize) {
         let n = self.n;
         let prow = self.perm[col];
-        let pivot = self.lu.get(prow, col);
-        for r in (col + 1)..n {
-            let row = self.perm[r];
-            let factor = self.lu.get(row, col) / pivot;
+        let data = &mut self.lu.data;
+        let pivot = data[prow * n + col];
+        for &row in &self.perm[col + 1..] {
+            let (p, r) = row_pair(data, n, prow, row);
+            let factor = r[col] / pivot;
             if factor == 0.0 {
                 continue;
             }
-            self.lu.set(row, col, factor);
-            for k in (col + 1)..n {
-                let v = self.lu.get(row, k) - factor * self.lu.get(prow, k);
-                self.lu.set(row, k, v);
+            r[col] = factor;
+            for (v, &u) in r[col + 1..].iter_mut().zip(&p[col + 1..]) {
+                *v -= factor * u;
             }
         }
     }
@@ -273,17 +275,31 @@ impl LuFactors {
     /// Panics if no factorization is held or `b.len()` differs from the
     /// factored dimension.
     pub fn solve(&self, b: &mut [f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// [`LuFactors::solve`] into a caller-owned `x`, so a Newton loop
+    /// solves without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no factorization is held or `b` or `x` is not of the
+    /// factored dimension.
+    pub fn solve_into(&self, b: &mut [f64], x: &mut [f64]) {
         assert!(self.factored, "solve() requires a successful factor()");
         let n = self.n;
         assert_eq!(b.len(), n, "rhs length must match matrix dimension");
+        assert_eq!(x.len(), n, "solution length must match matrix dimension");
+        let lu = &self.lu.data;
 
         // Forward substitution: replay the stored multipliers in the
         // exact order the fused elimination applied them.
         for col in 0..n {
             let prow = self.perm[col];
-            for r in (col + 1)..n {
-                let row = self.perm[r];
-                let factor = self.lu.get(row, col);
+            for &row in &self.perm[col + 1..] {
+                let factor = lu[row * n + col];
                 if factor == 0.0 {
                     continue;
                 }
@@ -292,43 +308,41 @@ impl LuFactors {
         }
 
         // Back substitution.
-        let mut x = vec![0.0; n];
         for col in (0..n).rev() {
             let row = self.perm[col];
+            let u = &lu[row * n..][..n];
             let mut sum = b[row];
-            for k in (col + 1)..n {
-                sum -= self.lu.get(row, k) * x[k];
+            for (a, xk) in u[col + 1..].iter().zip(&x[col + 1..]) {
+                sum -= a * xk;
             }
-            x[col] = sum / self.lu.get(row, col);
+            x[col] = sum / u[col];
         }
-        x
     }
 }
 
-/// Solves `A·x = b` by LU decomposition with partial pivoting. `b` is
-/// overwritten with factorization scratch; `a` is read but no longer
-/// consumed. One-shot convenience over [`LuFactors`] — identical
-/// arithmetic, so results match the factored path bit for bit.
-///
-/// # Errors
-///
-/// Returns [`SingularMatrixError`] when a pivot below `1e-300` is
-/// encountered.
-///
-/// # Panics
-///
-/// Panics if `b.len()` differs from the matrix dimension.
-pub fn solve_in_place(a: &DenseMatrix, b: &mut [f64]) -> Result<Vec<f64>, SingularMatrixError> {
-    assert_eq!(b.len(), a.len(), "rhs length must match matrix dimension");
-    let mut lu = LuFactors::new();
-    lu.factor(a)?;
-    Ok(lu.solve(b))
+/// Rows `p` (read) and `r` (written) of a row-major matrix with `n`
+/// columns, `p != r`.
+fn row_pair(data: &mut [f64], n: usize, p: usize, r: usize) -> (&[f64], &mut [f64]) {
+    if p < r {
+        let (head, tail) = data.split_at_mut(r * n);
+        (&head[p * n..][..n], &mut tail[..n])
+    } else {
+        let (head, tail) = data.split_at_mut(p * n);
+        (&tail[..n], &mut head[r * n..][..n])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use subvt_engine::rng::SplitMix64;
+
+    /// The one-shot factor-and-solve the split paths are checked against.
+    fn solve_in_place(a: &DenseMatrix, b: &mut [f64]) -> Result<Vec<f64>, SingularMatrixError> {
+        let mut lu = LuFactors::new();
+        lu.factor(a)?;
+        Ok(lu.solve(b))
+    }
 
     fn from_rows(rows: &[&[f64]]) -> DenseMatrix {
         let n = rows.len();
@@ -420,12 +434,15 @@ mod tests {
 
     #[test]
     fn stamp_accumulates() {
-        let mut m = DenseMatrix::zeros(2);
-        m.add(0, 0, 1.0);
-        m.add(0, 0, 2.5);
+        let mut m = DenseMatrix::with_sink(2);
+        m.entries_mut()[0] += 1.0;
+        m.entries_mut()[0] += 2.5;
+        m.entries_mut()[4] += 7.0;
         assert_eq!(m.get(0, 0), 3.5);
-        m.clear();
-        assert_eq!(m.get(0, 0), 0.0);
+        // The sink is not an entry: a copy leaves it behind.
+        let mut plain = DenseMatrix::zeros(2);
+        plain.copy_from(&m);
+        assert_eq!(plain, from_rows(&[&[3.5, 0.0], &[0.0, 0.0]]));
     }
 
     #[test]

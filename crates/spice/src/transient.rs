@@ -71,26 +71,42 @@ impl TransientResult {
     }
 }
 
+/// A step count past this is a mistyped `dt`, not a run: each step
+/// keeps its node voltages and branch currents, so the waveforms alone
+/// would outgrow memory long before.
+const MAX_STEPS: f64 = 1.0e9;
+
+impl TransientSpec {
+    /// The number of steps the spec takes.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::InvalidTransientSpec`] when `dt` is not finite and
+    /// positive, `t_stop` is not finite or shorter than half a step, or
+    /// the run would take more than [`MAX_STEPS`] steps.
+    fn steps(&self) -> Result<usize, SpiceError> {
+        let (dt, t_stop) = (self.dt, self.t_stop);
+        let steps = (t_stop / dt).round();
+        if !(dt.is_finite() && dt > 0.0 && t_stop.is_finite())
+            || t_stop <= dt / 2.0
+            || steps > MAX_STEPS
+        {
+            return Err(SpiceError::InvalidTransientSpec { dt, t_stop });
+        }
+        Ok(steps as usize)
+    }
+}
+
 /// Runs a transient analysis. The initial condition is the DC operating
 /// point with all waveforms evaluated at `t = 0`.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::InvalidTransientSpec`] when the spec cannot
-/// produce at least one time step (non-finite or non-positive `dt`, or a
-/// `t_stop` shorter than half a step), and propagates solver failures
-/// from the initial operating point or any time step.
+/// Returns [`SpiceError::InvalidTransientSpec`] for a spec that cannot
+/// run (see [`transient_from`]) before solving anything, and propagates
+/// solver failures from the initial operating point or any time step.
 pub fn transient(net: &Netlist, spec: TransientSpec) -> Result<TransientResult, SpiceError> {
-    if !(spec.dt.is_finite() && spec.t_stop.is_finite())
-        || spec.dt <= 0.0
-        || spec.t_stop <= spec.dt / 2.0
-    {
-        return Err(SpiceError::InvalidTransientSpec {
-            dt: spec.dt,
-            t_stop: spec.t_stop,
-        });
-    }
-    net.validate()?;
+    spec.steps()?;
     let op = crate::mna::dc_operating_point(net)?;
     transient_from(net, spec, &op)
 }
@@ -107,14 +123,32 @@ pub fn transient(net: &Netlist, spec: TransientSpec) -> Result<TransientResult, 
 ///
 /// # Errors
 ///
-/// Propagates [`SpiceError`] from any time step.
+/// Checked before anything is solved or allocated:
+/// [`SpiceError::InvalidTransientSpec`] when the spec cannot produce at
+/// least one time step (non-finite or non-positive `dt`, a non-finite
+/// `t_stop` or one shorter than half a step) or asks for more than a
+/// billion steps; [`SpiceError::InvalidNetlist`] for non-physical element
+/// values; [`SpiceError::MismatchedInitialSolution`] when `initial` does
+/// not hold one voltage per node and one current per voltage source.
+/// Then propagates [`SpiceError`] from any time step.
 pub fn transient_from(
     net: &Netlist,
     spec: TransientSpec,
     initial: &DcSolution,
 ) -> Result<TransientResult, SpiceError> {
+    let steps = spec.steps()?;
+    net.validate()?;
+    let sources = (net.elements().iter())
+        .filter(|e| matches!(e.element, Element::VSource { .. }))
+        .count();
+    let given = (initial.node_voltages.len(), initial.branch_currents.len());
+    let expected = (net.node_count(), sources);
+    if given != expected {
+        return Err(SpiceError::MismatchedInitialSolution { given, expected });
+    }
     let mut solver = Solver::new(net);
-    let result = integrate(&mut solver, net, spec, initial);
+    solver.load(initial);
+    let result = integrate(&mut solver, spec, steps);
     let tally = &mut solver.work.tally;
     if let Ok(res) = &result {
         tally.tran_runs += 1;
@@ -127,107 +161,59 @@ pub fn transient_from(
     result
 }
 
-/// The time-stepping loop behind [`transient_from`].
+/// The time-stepping loop behind [`transient_from`], from the solver's
+/// loaded unknowns.
 fn integrate(
     solver: &mut Solver<'_>,
-    net: &Netlist,
     spec: TransientSpec,
-    initial: &DcSolution,
+    steps: usize,
 ) -> Result<TransientResult, SpiceError> {
-    let n_v = net.node_count() - 1;
-    let dim = solver.dim();
-
-    let mut x = vec![0.0; dim];
-    x[..n_v].copy_from_slice(&initial.node_voltages[1..]);
-    for (i, &b) in initial.branch_currents.iter().enumerate() {
-        x[n_v + i] = b;
-    }
-
-    let n_caps = solver.cap_count();
-    let mut cap_i_prev = vec![0.0; n_caps];
-
-    let steps = (spec.t_stop / spec.dt).round() as usize;
-    let mut time = Vec::with_capacity(steps + 1);
-    let mut voltages = Vec::with_capacity(steps + 1);
-    let mut branches = Vec::with_capacity(steps + 1);
-    let mut newton_iterations = Vec::with_capacity(steps);
-
-    let push = |t: f64,
-                x: &[f64],
-                time: &mut Vec<f64>,
-                voltages: &mut Vec<Vec<f64>>,
-                branches: &mut Vec<Vec<f64>>| {
-        time.push(t);
-        let mut v = Vec::with_capacity(n_v + 1);
-        v.push(0.0);
-        v.extend_from_slice(&x[..n_v]);
-        voltages.push(v);
-        branches.push(x[n_v..].to_vec());
+    let mut res = TransientResult {
+        time: Vec::with_capacity(steps + 1),
+        voltages: Vec::with_capacity(steps + 1),
+        branch_currents: Vec::with_capacity(steps + 1),
+        newton_iterations: Vec::with_capacity(steps),
     };
-    push(0.0, &x, &mut time, &mut voltages, &mut branches);
+    let mut push = |t: f64, solver: &Solver<'_>| {
+        let point = solver.to_solution(0);
+        res.time.push(t);
+        res.voltages.push(point.node_voltages);
+        res.branch_currents.push(point.branch_currents);
+    };
+    push(0.0, solver);
 
     let factor = match spec.method {
         Integrator::BackwardEuler => 1.0 / spec.dt,
         Integrator::Trapezoidal => 2.0 / spec.dt,
     };
 
-    let mut v_prev: Vec<f64> = x[..n_v].to_vec();
+    // Each capacitor's voltage and current at the last accepted point.
+    let mut cap_v_prev: Vec<f64> = solver.capacitors().map(|(v, _)| v).collect();
+    let mut cap_i_prev = vec![0.0; cap_v_prev.len()];
     for step in 1..=steps {
         let t = step as f64 * spec.dt;
         solver.time = t;
         let caps = CapMode::Companion {
             factor,
-            v_prev: &v_prev,
+            v_prev: &cap_v_prev,
             i_prev: &cap_i_prev,
         };
-        let (x_new, iters) = solver.newton(x, caps)?;
-        x = x_new;
-        newton_iterations.push(iters);
+        let iterations = solver.newton(caps)?;
 
-        // Update capacitor history currents.
-        let mut cap_idx = 0usize;
-        for named in net.elements() {
-            if let Element::Capacitor { a, b, farads } = &named.element {
-                let v_now = node_v(&x, n_v, *a) - node_v(&x, n_v, *b);
-                let v_old = node_v_prev(&v_prev, *a) - node_v_prev(&v_prev, *b);
-                // The companion residual is `g·(v − v_prev) − i_prev`.
-                // Backward Euler has no current history (i_prev stays 0);
-                // trapezoidal carries i_new = 2C/h·Δv − i_old.
-                if spec.method == Integrator::Trapezoidal {
-                    cap_i_prev[cap_idx] = factor * farads * (v_now - v_old) - cap_i_prev[cap_idx];
-                }
-                cap_idx += 1;
+        // Update capacitor history.
+        for (k, (v_now, farads)) in solver.capacitors().enumerate() {
+            // The companion residual is `g·(v − v_prev) − i_prev`.
+            // Backward Euler has no current history (i_prev stays 0);
+            // trapezoidal carries i_new = 2C/h·Δv − i_old.
+            if spec.method == Integrator::Trapezoidal {
+                cap_i_prev[k] = factor * farads * (v_now - cap_v_prev[k]) - cap_i_prev[k];
             }
+            cap_v_prev[k] = v_now;
         }
-        v_prev.copy_from_slice(&x[..n_v]);
-        push(t, &x, &mut time, &mut voltages, &mut branches);
+        push(t, solver);
+        res.newton_iterations.push(iterations);
     }
-
-    Ok(TransientResult {
-        time,
-        voltages,
-        branch_currents: branches,
-        newton_iterations,
-    })
-}
-
-#[inline]
-fn node_v(x: &[f64], n_v: usize, node: usize) -> f64 {
-    debug_assert!(node == 0 || node - 1 < n_v);
-    if node == 0 {
-        0.0
-    } else {
-        x[node - 1]
-    }
-}
-
-#[inline]
-fn node_v_prev(v_prev: &[f64], node: usize) -> f64 {
-    if node == 0 {
-        0.0
-    } else {
-        v_prev[node - 1]
-    }
+    Ok(res)
 }
 
 #[cfg(test)]
@@ -353,6 +339,90 @@ mod tests {
                 "dt={dt}, t_stop={t_stop} should be rejected"
             );
         }
+    }
+
+    /// The RC circuit's own DC operating point.
+    fn rc_start() -> (Netlist, DcSolution) {
+        let (net, _) = rc_circuit();
+        let op = crate::mna::dc_operating_point(&net).expect("operating point");
+        (net, op)
+    }
+
+    #[test]
+    fn transient_from_rejects_a_degenerate_spec() {
+        let (net, op) = rc_start();
+        for (dt, t_stop) in [
+            (0.0, 1.0e-6),
+            (-1.0e-9, 1.0e-6),
+            (f64::NAN, 1.0e-6),
+            (f64::INFINITY, 1.0e-6),
+            (1.0e-9, f64::NAN),
+            (1.0e-300, 1.0e-6),
+        ] {
+            let spec = TransientSpec {
+                t_stop,
+                dt,
+                method: Integrator::Trapezoidal,
+            };
+            assert!(
+                matches!(
+                    transient_from(&net, spec, &op),
+                    Err(SpiceError::InvalidTransientSpec { dt: d, t_stop: t })
+                        if d.to_bits() == dt.to_bits() && t.to_bits() == t_stop.to_bits()
+                ),
+                "dt={dt}, t_stop={t_stop} should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn transient_from_rejects_node_voltages_that_do_not_fit_the_netlist() {
+        let (net, op) = rc_start();
+        let spec = TransientSpec::with_steps(1.0e-6, 10, Integrator::Trapezoidal);
+        for len in [0, 2, 4] {
+            let initial = DcSolution {
+                node_voltages: vec![0.0; len],
+                ..op.clone()
+            };
+            assert_eq!(
+                transient_from(&net, spec, &initial),
+                Err(SpiceError::MismatchedInitialSolution {
+                    given: (len, 1),
+                    expected: (3, 1),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn transient_from_rejects_branch_currents_that_do_not_fit_the_netlist() {
+        let (net, op) = rc_start();
+        let spec = TransientSpec::with_steps(1.0e-6, 10, Integrator::Trapezoidal);
+        for len in [2, 0] {
+            let initial = DcSolution {
+                branch_currents: vec![0.0; len],
+                ..op.clone()
+            };
+            assert_eq!(
+                transient_from(&net, spec, &initial),
+                Err(SpiceError::MismatchedInitialSolution {
+                    given: (3, len),
+                    expected: (3, 1),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn transient_from_rejects_an_invalid_netlist() {
+        let (net, op) = rc_start();
+        let mut bad = net.clone();
+        bad.isource("I1", Netlist::GROUND, 1, Waveform::Dc(f64::NAN));
+        let spec = TransientSpec::with_steps(1.0e-6, 10, Integrator::Trapezoidal);
+        assert!(matches!(
+            transient_from(&bad, spec, &op),
+            Err(SpiceError::InvalidNetlist { element, .. }) if element == "I1"
+        ));
     }
 
     #[test]
