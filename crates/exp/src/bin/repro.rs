@@ -520,6 +520,12 @@ fn fleet(args: &Args, opts: &FleetOpts) -> Result<(), String> {
     use std::time::Duration;
     use subvt_engine::fleet::{plan, supervise, FleetPolicy};
 
+    // An unknown id fails the whole fleet before anything is spawned or
+    // claimed, as it fails a plain run.
+    if let Some(id) = args.ids.iter().find(|id| !subvt_exp::is_experiment(id)) {
+        return Err(format!("unknown experiment `{id}` (try --list)"));
+    }
+
     // Without --cache the fleet still needs a shared store for its
     // segments and staged outputs; use a scratch one and remove it at
     // the end.

@@ -147,6 +147,28 @@ fn fleet_with_injected_sigkill_matches_single_process_byte_for_byte() {
 }
 
 #[test]
+fn fleet_rejects_an_unknown_id_before_it_spawns_a_worker() {
+    let dir = tmpdir("unknown");
+    let cache = dir.join("cache.jsonl");
+    let out = run_ok(
+        repro()
+            .arg("fleet")
+            .arg("--workers")
+            .arg("2")
+            .arg("--cache")
+            .arg(&cache)
+            .args(["table1", "fig99"]),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr, "unknown experiment `fig99` (try --list)\n");
+    assert!(out.stdout.is_empty());
+    // No worker ran and no lease or segment was taken.
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fleet_single_worker_degenerates_to_the_plain_run() {
     let dir = tmpdir("solo");
     let plain = run_ok(repro().arg("--csv").args(IDS));
