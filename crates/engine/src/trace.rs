@@ -1063,20 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new();
-        set_enabled(false);
-        drop(tracer.span("ghost"));
-        tracer.add("c", 1);
-        tracer.observe("h", 1.0);
-        set_enabled(true);
-        let snap = tracer.snapshot();
-        assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
-        assert!(snap.hists.is_empty());
-    }
-
-    #[test]
     fn json_escaping_covers_controls() {
         assert_eq!(json_str("a\nb"), "\"a\\nb\"");
         assert_eq!(json_str("q\"\\"), "\"q\\\"\\\\\"");

@@ -21,6 +21,7 @@ use subvt_units::{Temperature, Volts};
 
 use crate::context::{Study, StudyContext, V_SUBVT};
 use crate::report;
+use crate::runner::RunError;
 use crate::table::{fmt, Table};
 
 /// Extension A — temperature: subthreshold swing, leakage and the
@@ -28,7 +29,7 @@ use crate::table::{fmt, Table};
 ///
 /// Expected physics: `S_S ∝ T`, `I_off` exponential in `T`, and `V_min`
 /// rising with temperature (leakage energy grows).
-pub fn ext_temperature(study: &Study) -> Table {
+pub fn ext_temperature(study: &Study) -> Result<Table, RunError> {
     let mut t = Table::new(
         "Ext A: temperature dependence, 90 nm reference device",
         &[
@@ -43,8 +44,8 @@ pub fn ext_temperature(study: &Study) -> Table {
     for celsius in [-25.0, 0.0, 25.0, 50.0, 75.0, 100.0] {
         let mut dev = DeviceParams::reference_90nm_nfet();
         dev.temperature = Temperature::from_celsius(celsius);
-        let ch = model.characterize(&dev).expect("backend characterize");
-        let pair = subvt_circuits::CmosPair::balanced_with(model, dev).expect("backend balance");
+        let ch = model.characterize(&dev)?;
+        let pair = subvt_circuits::CmosPair::balanced_with(model, dev)?;
         let mep = InverterChain::paper_chain(pair).minimum_energy_point();
         t.push_row(vec![
             fmt(celsius, 0),
@@ -54,7 +55,7 @@ pub fn ext_temperature(study: &Study) -> Table {
             fmt(mep.energy.as_femtojoules(), 3),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension B — the oxide-scaling ablation: re-run the super-V_th flow
@@ -63,7 +64,7 @@ pub fn ext_temperature(study: &Study) -> Table {
 ///
 /// This isolates the paper's root cause: if the oxide had kept pace,
 /// performance-driven scaling would NOT wreck the subthreshold swing.
-pub fn ext_oxide_scaling(study: &Study) -> Table {
+pub fn ext_oxide_scaling(study: &Study) -> Result<Table, RunError> {
     let paper = SuperVthStrategy::default();
     let ideal = SuperVthStrategy::with_ideal_oxide_scaling();
     let mut t = Table::new(
@@ -78,28 +79,23 @@ pub fn ext_oxide_scaling(study: &Study) -> Table {
     );
     let model = study.model();
     for node in TechNode::ALL {
-        let d_paper = paper
-            .design_device_with(node, DeviceKind::Nfet, model)
-            .expect("paper-rate design");
-        let d_ideal = ideal
-            .design_device_with(node, DeviceKind::Nfet, model)
-            .expect("ideal-rate design");
-        let ch = |d| model.characterize(d).expect("backend characterize");
+        let d_paper = paper.design_device_with(node, DeviceKind::Nfet, model)?;
+        let d_ideal = ideal.design_device_with(node, DeviceKind::Nfet, model)?;
         t.push_row(vec![
             node.name().to_owned(),
             fmt(d_paper.geometry.t_ox.get(), 2),
             fmt(d_ideal.geometry.t_ox.get(), 2),
-            fmt(ch(&d_paper).s_s.get(), 1),
-            fmt(ch(&d_ideal).s_s.get(), 1),
+            fmt(model.characterize(&d_paper)?.s_s.get(), 1),
+            fmt(model.characterize(&d_ideal)?.s_s.get(), 1),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension C — SRAM under scaling: 6T hold/read butterfly SNM and
 /// maximum bits per bit-line at 250 mV, both strategies at each node
 /// (the paper's §2.3.2 bit-line argument, quantified).
-pub fn ext_sram(ctx: &StudyContext) -> Table {
+pub fn ext_sram(ctx: &StudyContext) -> Result<Table, RunError> {
     let v = Volts::new(V_SUBVT);
     let mut t = Table::new(
         "Ext C: 6T SRAM at 250 mV under both scaling strategies",
@@ -130,14 +126,14 @@ pub fn ext_sram(ctx: &StudyContext) -> Table {
             cell_sub.max_bits_per_bitline(v, 10.0).to_string(),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension D — variability: Pelgrom V_th-mismatch Monte Carlo on FO1
 /// delay (σ/µ) and inverter SNM for the 90 nm and 32 nm super-V_th
 /// devices across supplies — quantifying the §1 claim that "timing
 /// variability grows dramatically as V_dd reduces".
-pub fn ext_variability(ctx: &StudyContext) -> Table {
+pub fn ext_variability(ctx: &StudyContext) -> Result<Table, RunError> {
     let mut t = Table::new(
         "Ext D: V_th-mismatch Monte Carlo (400 samples, seed 2007)",
         &[
@@ -163,7 +159,7 @@ pub fn ext_variability(ctx: &StudyContext) -> Table {
             fmt(s32.failure_fraction * 100.0, 1),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Monte-Carlo variability routed through the circuit-backend seam:
@@ -180,7 +176,7 @@ pub fn ext_variability(ctx: &StudyContext) -> Table {
 /// `BENCH_spice.json`)
 /// — the table itself is a deterministic function of `(backend, seed)`,
 /// so warm- and cold-started runs stay byte-identical.
-pub fn montecarlo(ctx: &StudyContext) -> Table {
+pub fn montecarlo(ctx: &StudyContext) -> Result<Table, RunError> {
     const DELAY_SAMPLES: usize = 200;
     const SNM_SAMPLES: usize = 100;
     const SEED: u64 = 2007;
@@ -208,12 +204,8 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
     for mv in supplies {
         let v = Volts::from_millivolts(mv);
         let t0 = std::time::Instant::now();
-        let (d, d_wall) = circuit
-            .delay_variability(&pair, v, DELAY_SAMPLES, SEED)
-            .expect("Monte-Carlo delay sweep");
-        let (s, s_wall) = circuit
-            .snm_variability(&pair, v, SNM_SAMPLES, SEED)
-            .expect("Monte-Carlo SNM sweep");
+        let (d, d_wall) = circuit.delay_variability(&pair, v, DELAY_SAMPLES, SEED)?;
+        let (s, s_wall) = circuit.snm_variability(&pair, v, SNM_SAMPLES, SEED)?;
         primary_ms += t0.elapsed().as_secs_f64() * 1e3;
         sample_ms.extend(d_wall.iter().chain(&s_wall));
         failures += (DELAY_SAMPLES - d.samples.len()) as u64;
@@ -237,12 +229,8 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
         let t0 = std::time::Instant::now();
         for mv in supplies {
             let v = Volts::from_millivolts(mv);
-            reference
-                .delay_variability(&pair, v, DELAY_SAMPLES, SEED)
-                .expect("analytic reference delay sweep");
-            reference
-                .snm_variability(&pair, v, SNM_SAMPLES, SEED)
-                .expect("analytic reference SNM sweep");
+            reference.delay_variability(&pair, v, DELAY_SAMPLES, SEED)?;
+            reference.snm_variability(&pair, v, SNM_SAMPLES, SEED)?;
         }
         let analytic_ms = t0.elapsed().as_secs_f64() * 1e3;
         subvt_engine::trace::gauge("montecarlo.analytic_ms", analytic_ms);
@@ -253,7 +241,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
     } else {
         subvt_engine::trace::gauge("montecarlo.analytic_ms", primary_ms);
     }
-    t
+    Ok(t)
 }
 
 /// Extension E — stacked gates: worst-case NAND2/NOR2 noise margins and
@@ -264,7 +252,7 @@ pub fn montecarlo(ctx: &StudyContext) -> Table {
 /// (Mukhopadhyay et al.): with both NAND inputs low the two series-off
 /// NFETs self-reverse-bias, so `I(00)` sits well below the single-off
 /// `I(01)` vector — the ratio is the stack factor.
-pub fn ext_gates(ctx: &StudyContext) -> Table {
+pub fn ext_gates(ctx: &StudyContext) -> Result<Table, RunError> {
     let v = Volts::new(V_SUBVT);
     let mut t = Table::new(
         "Ext E: gate library at 250 mV (super-Vth scaling)",
@@ -300,14 +288,14 @@ pub fn ext_gates(ctx: &StudyContext) -> Table {
             fmt(i01 / i00, 2),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension G — ring oscillator: 5-stage ring frequency at 250 mV per
 /// super-V_th node as an independent cross-check of the FO1 delay chain
 /// (`f_osc = 1/(2·N·t_p)` ⇒ the implied stage delay should track the
 /// analytic Eq. 4 estimate within its loading factor).
-pub fn ext_ringosc(ctx: &StudyContext) -> Table {
+pub fn ext_ringosc(ctx: &StudyContext) -> Result<Table, RunError> {
     const STAGES: usize = 5;
     const STEPS: usize = 1500;
     let v = Volts::new(V_SUBVT);
@@ -340,7 +328,7 @@ pub fn ext_ringosc(ctx: &StudyContext) -> Table {
             fmt(ratio, 2),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension H — temperature sweep of the paper's core circuit metrics:
@@ -348,7 +336,7 @@ pub fn ext_ringosc(ctx: &StudyContext) -> Table {
 /// Eq. 3(b), parity-checked side by side) and minimum-energy point from
 /// 250 K to 400 K. The paper holds temperature fixed; this opens the
 /// knob the physics layer always carried.
-pub fn ext_temp(ctx: &StudyContext) -> Table {
+pub fn ext_temp(ctx: &StudyContext) -> Result<Table, RunError> {
     let v = Volts::new(V_SUBVT);
     let d90 = &ctx.supervth[0];
     let mut t = Table::new(
@@ -384,7 +372,7 @@ pub fn ext_temp(ctx: &StudyContext) -> Table {
             fmt(mep.energy.as_femtojoules(), 3),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Extension F — backend cross-validation: the 90 nm reference NFET
@@ -396,11 +384,9 @@ pub fn ext_temp(ctx: &StudyContext) -> Table {
 /// shape (S_S within a few percent of analytic), while the direct
 /// backend additionally reports deck-corrected V_th and currents —
 /// near-identical at this anchor device by construction.
-pub fn ext_backends() -> Table {
+pub fn ext_backends() -> Result<Table, RunError> {
     let dev = DeviceParams::reference_90nm_nfet();
-    let base = subvt_model::analytic()
-        .characterize(&dev)
-        .expect("analytic backend");
+    let base = subvt_model::analytic().characterize(&dev)?;
     let models: [&'static dyn DeviceModel; 3] = [
         subvt_model::analytic(),
         &subvt_tcad::model::TCAD_COARSE,
@@ -418,7 +404,7 @@ pub fn ext_backends() -> Table {
         ],
     );
     for m in models {
-        let ch = m.characterize(&dev).expect("backend characterize");
+        let ch = m.characterize(&dev)?;
         t.push_row(vec![
             m.cache_id(),
             fmt(ch.s_s.get(), 1),
@@ -428,7 +414,7 @@ pub fn ext_backends() -> Table {
             fmt((ch.i_off.get() / base.i_off.get()).log10(), 3),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -437,7 +423,7 @@ mod tests {
 
     #[test]
     fn temperature_trends() {
-        let t = ext_temperature(&Study::default());
+        let t = ext_temperature(&Study::default()).unwrap();
         let ss: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         let ioff: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         assert!(
@@ -454,7 +440,7 @@ mod tests {
 
     #[test]
     fn oxide_ablation_confirms_papers_root_cause() {
-        let t = ext_oxide_scaling(&Study::default());
+        let t = ext_oxide_scaling(&Study::default()).unwrap();
         // At 32 nm the ideal-oxide flow must show materially better S_S
         // than the paper-rate flow.
         let paper_32: f64 = t.rows[3][3].parse().unwrap();
@@ -467,7 +453,7 @@ mod tests {
 
     #[test]
     fn sram_bits_per_line_shrink_under_supervth() {
-        let t = ext_sram(StudyContext::cached());
+        let t = ext_sram(StudyContext::cached()).unwrap();
         let first: f64 = t.rows[0][3].parse().unwrap();
         let last: f64 = t.rows[3][3].parse().unwrap();
         assert!(
@@ -481,7 +467,7 @@ mod tests {
 
     #[test]
     fn variability_explodes_at_low_supply() {
-        let t = ext_variability(StudyContext::cached());
+        let t = ext_variability(StudyContext::cached()).unwrap();
         let lowest: f64 = t.rows[0][2].parse().unwrap(); // 200 mV, 32 nm
         let nominal: f64 = t.rows[4][2].parse().unwrap(); // 1.2 V, 32 nm
         assert!(
@@ -492,7 +478,7 @@ mod tests {
 
     #[test]
     fn montecarlo_experiment_tracks_backend_and_supply() {
-        let t = montecarlo(StudyContext::cached());
+        let t = montecarlo(StudyContext::cached()).unwrap();
         assert!(t.title.contains("analytic"), "default backend: {}", t.title);
         assert_eq!(t.rows.len(), 3);
         // Delay variability falls and SNM mean grows as V_dd rises.
@@ -504,7 +490,7 @@ mod tests {
 
     #[test]
     fn gate_library_shows_margin_ordering_and_stack_effect() {
-        let t = ext_gates(StudyContext::cached());
+        let t = ext_gates(StudyContext::cached()).unwrap();
         for row in &t.rows {
             let inv: f64 = row[1].parse().unwrap();
             let nand: f64 = row[2].parse().unwrap();
@@ -523,7 +509,7 @@ mod tests {
 
     #[test]
     fn ring_oscillator_tracks_analytic_fo1() {
-        let t = ext_ringosc(StudyContext::cached());
+        let t = ext_ringosc(StudyContext::cached()).unwrap();
         let mut f_prev = f64::INFINITY;
         for row in &t.rows {
             let f_khz: f64 = row[1].parse().unwrap();
@@ -539,7 +525,7 @@ mod tests {
 
     #[test]
     fn temperature_sweep_degrades_margins_and_raises_vmin() {
-        let t = ext_temp(StudyContext::cached());
+        let t = ext_temp(StudyContext::cached()).unwrap();
         let ss: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         let snm: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         let vmin: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();

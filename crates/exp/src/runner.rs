@@ -1,7 +1,9 @@
 //! Experiment registry and dispatch for the `repro` binary.
 
+use subvt_circuits::CircuitError;
 use subvt_core::strategy::DesignError;
 use subvt_engine::faultinject::{should_inject, FaultSite};
+use subvt_model::ModelError;
 
 use crate::context::{Study, StudyContext};
 use crate::table::Table;
@@ -31,6 +33,10 @@ pub enum RunError {
     UnknownId,
     /// A design flow, or the backend re-characterizing a design, failed.
     Design(DesignError),
+    /// The device-model backend failed to characterize a device.
+    Model(ModelError),
+    /// The circuit backend failed to simulate or measure a circuit.
+    Circuit(CircuitError),
 }
 
 impl core::fmt::Display for RunError {
@@ -38,6 +44,8 @@ impl core::fmt::Display for RunError {
         match self {
             RunError::UnknownId => f.write_str("unknown experiment id"),
             RunError::Design(e) => write!(f, "design flow failed: {e}"),
+            RunError::Model(e) => write!(f, "device model failed: {e}"),
+            RunError::Circuit(e) => write!(f, "circuit backend failed: {e}"),
         }
     }
 }
@@ -47,6 +55,18 @@ impl std::error::Error for RunError {}
 impl From<DesignError> for RunError {
     fn from(e: DesignError) -> Self {
         RunError::Design(e)
+    }
+}
+
+impl From<ModelError> for RunError {
+    fn from(e: ModelError) -> Self {
+        RunError::Model(e)
+    }
+}
+
+impl From<CircuitError> for RunError {
+    fn from(e: CircuitError) -> Self {
+        RunError::Circuit(e)
     }
 }
 
@@ -98,15 +118,15 @@ fn registry(id: &str) -> Option<Experiment> {
         "fig10" => Designs(|c| Ok(figs_compare::fig10(c))),
         "fig11" => Designs(|c| Ok(figs_compare::fig11(c))),
         "fig12" => Designs(|c| Ok(figs_compare::fig12(c))),
-        "ext-temperature" => Plain(|s| Ok(extensions::ext_temperature(s))),
-        "ext-oxide" => Plain(|s| Ok(extensions::ext_oxide_scaling(s))),
-        "ext-sram" => Designs(|c| Ok(extensions::ext_sram(c))),
-        "ext-variability" => Designs(|c| Ok(extensions::ext_variability(c))),
-        "ext-gates" => Designs(|c| Ok(extensions::ext_gates(c))),
-        "ext-backends" => Plain(|_| Ok(extensions::ext_backends())),
-        "ext-ringosc" => Designs(|c| Ok(extensions::ext_ringosc(c))),
-        "ext-temp" => Designs(|c| Ok(extensions::ext_temp(c))),
-        "montecarlo" => Designs(|c| Ok(extensions::montecarlo(c))),
+        "ext-temperature" => Plain(extensions::ext_temperature),
+        "ext-oxide" => Plain(extensions::ext_oxide_scaling),
+        "ext-sram" => Designs(extensions::ext_sram),
+        "ext-variability" => Designs(extensions::ext_variability),
+        "ext-gates" => Designs(extensions::ext_gates),
+        "ext-backends" => Plain(|_| extensions::ext_backends()),
+        "ext-ringosc" => Designs(extensions::ext_ringosc),
+        "ext-temp" => Designs(extensions::ext_temp),
+        "montecarlo" => Designs(extensions::montecarlo),
         _ => return None,
     })
 }

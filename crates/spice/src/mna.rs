@@ -827,10 +827,17 @@ pub fn cold_start_forced() -> bool {
 /// `spice.newton.iterations`; when
 /// [`cold_start_forced`] is set the initial guess is ignored and the
 /// solve routes through the cold [`dc_operating_point`] path instead.
+///
+/// # Errors
+///
+/// [`SpiceError::MismatchedInitialSolution`] when `initial` does not
+/// hold one voltage per node and one current per voltage source, even
+/// when cold starts are forced; otherwise the first solver error.
 pub fn dc_operating_point_from(
     net: &Netlist,
     initial: &DcSolution,
 ) -> Result<DcSolution, SpiceError> {
+    check_initial_shape(net, initial)?;
     if cold_start_forced() {
         return dc_operating_point(net);
     }
@@ -838,6 +845,22 @@ pub fn dc_operating_point_from(
     let result = dc_operating_point_from_with(net, initial, &mut work);
     work.tally.emit();
     result
+}
+
+/// Checks that `initial` holds one voltage per node (ground included)
+/// and one current per voltage source of `net`, the shape
+/// [`Solver::load`] copies from.
+pub(crate) fn check_initial_shape(net: &Netlist, initial: &DcSolution) -> Result<(), SpiceError> {
+    let sources = (net.elements().iter())
+        .filter(|e| matches!(e.element, Element::VSource { .. }))
+        .count();
+    let given = (initial.node_voltages.len(), initial.branch_currents.len());
+    let expected = (net.node_count(), sources);
+    if given == expected {
+        Ok(())
+    } else {
+        Err(SpiceError::MismatchedInitialSolution { given, expected })
+    }
 }
 
 /// [`dc_operating_point_from`] through a caller-owned [`Workspace`], so
@@ -1107,6 +1130,33 @@ mod tests {
         // Branch current: 3 V across 3 kΩ = 1 mA flowing through the
         // source from + to − is negative (delivering power).
         assert!((sol.branch_currents[0] + 1.0e-3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dc_warm_start_rejects_a_solution_that_does_not_fit_the_netlist() {
+        let mut net = Netlist::new();
+        let a = net.node("a");
+        let b = net.node("b");
+        net.vsource("V1", a, Netlist::GROUND, Waveform::Dc(3.0));
+        net.resistor("R1", a, b, 1_000.0);
+        net.resistor("R2", b, Netlist::GROUND, 2_000.0);
+        let op = dc_operating_point(&net).unwrap();
+        for (nodes, branches) in [(2, 1), (4, 1), (0, 1), (3, 0), (3, 2)] {
+            let initial = DcSolution {
+                node_voltages: vec![0.0; nodes],
+                branch_currents: vec![0.0; branches],
+                ..op.clone()
+            };
+            assert_eq!(
+                dc_operating_point_from(&net, &initial),
+                Err(SpiceError::MismatchedInitialSolution {
+                    given: (nodes, branches),
+                    expected: (3, 1),
+                })
+            );
+        }
+        // The solution's own shape still warm-starts.
+        assert!(dc_operating_point_from(&net, &op).is_ok());
     }
 
     #[test]

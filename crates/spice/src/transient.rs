@@ -2,8 +2,8 @@
 //! integration with capacitor companion models and a Newton solve per
 //! time point.
 
-use crate::mna::{CapMode, DcSolution, Solver, SpiceError};
-use crate::netlist::{Element, Netlist};
+use crate::mna::{check_initial_shape, CapMode, DcSolution, Solver, SpiceError};
+use crate::netlist::Netlist;
 
 /// Time-integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,14 +138,7 @@ pub fn transient_from(
 ) -> Result<TransientResult, SpiceError> {
     let steps = spec.steps()?;
     net.validate()?;
-    let sources = (net.elements().iter())
-        .filter(|e| matches!(e.element, Element::VSource { .. }))
-        .count();
-    let given = (initial.node_voltages.len(), initial.branch_currents.len());
-    let expected = (net.node_count(), sources);
-    if given != expected {
-        return Err(SpiceError::MismatchedInitialSolution { given, expected });
-    }
+    check_initial_shape(net, initial)?;
     let mut solver = Solver::new(net);
     solver.load(initial);
     let result = integrate(&mut solver, spec, steps);

@@ -9,8 +9,11 @@ use subvt_engine::faultinject::{self, FaultSite};
 use subvt_engine::recovery::{self, RecoveryStep};
 use subvt_engine::trace;
 
-/// Outer-loop convergence tolerance on the potential update, volts.
-const GUMMEL_TOL: f64 = 1.0e-6;
+/// Outer-loop convergence tolerance on the potential update, volts:
+/// the iteration ends at the first Poisson solve that moves ψ by less
+/// than 10 nV anywhere. Plain Gummel stalls short of it at on-state
+/// biases; the Anderson mixing of the undamped path reaches it.
+const GUMMEL_TOL: f64 = 1.0e-8;
 /// Stopping tolerance of the Poisson Newton inside each Gummel
 /// iteration, volts: the first update below it ends the inner solve.
 /// The outer loop still converges to [`GUMMEL_TOL`], so the inner solve
@@ -26,6 +29,13 @@ const RECOVERY_RELAX: f64 = 0.5;
 /// How many pieces the bias-substep recovery rung splits a failing ramp
 /// step into.
 const SUBSTEP_SPLIT: usize = 4;
+/// How many past iterates the Anderson mixing of the undamped path
+/// remembers. Shallower histories restart too often near the edge of
+/// the convergence basin (DESIGN.md, *subvt-tcad*).
+const ANDERSON_DEPTH: usize = 6;
+/// Tikhonov weight of the Anderson normal equations, relative to their
+/// largest diagonal entry.
+const ANDERSON_RIDGE: f64 = 1.0e-10;
 
 /// Errors from the device simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,9 +271,15 @@ impl DeviceSimulator {
         self.phi_n.clone_from(&snap.phi_n);
     }
 
+    /// The Gummel loop at one bias point. On the undamped path
+    /// (`relax == 1.0`) each unconverged Poisson solve is Anderson-mixed
+    /// with the previous ones before the continuity solve; the damped
+    /// rungs under-relax instead.
     fn gummel_at(&mut self, bias: Bias, relax: f64) -> Result<(), TcadError> {
         let (vt, ni) = thermals(&self.device);
         let zeros = vec![0.0; self.device.len()];
+        let mut psi_before = vec![0.0; self.device.len()];
+        let mut anderson = (relax == 1.0).then(|| Anderson::new(self.device.len()));
         let mut last_residual = f64::INFINITY;
         trace::add("tcad.gummel.bias_points", 1);
         let record = |iterations: usize, residual: f64| {
@@ -277,7 +293,7 @@ impl DeviceSimulator {
             }
         };
         for iteration in 1..=MAX_GUMMEL {
-            let psi_before = self.psi.clone();
+            psi_before.copy_from_slice(&self.psi);
             let out = solve_to(
                 &self.device,
                 &mut self.psi,
@@ -293,12 +309,24 @@ impl DeviceSimulator {
             }
             if relax < 1.0 {
                 // Damping-increase rung: under-relax the potential
-                // update. The `relax == 1.0` production path skips this
-                // loop entirely so its arithmetic is untouched.
+                // update.
                 for (p, pb) in self.psi.iter_mut().zip(&psi_before) {
                     *p = pb + relax * (*p - pb);
                 }
             }
+            let residual = self
+                .psi
+                .iter()
+                .zip(&psi_before)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            let converged = residual < GUMMEL_TOL;
+            if !converged {
+                if let Some(anderson) = &mut anderson {
+                    anderson.mix(&psi_before, &mut self.psi, residual > last_residual);
+                }
+            }
+            last_residual = residual;
             self.n = match solve_electrons(&self.device, &self.psi, &bias) {
                 Ok(n) => n,
                 Err(e) => {
@@ -313,14 +341,7 @@ impl DeviceSimulator {
                     self.phi_n[idx] = self.psi[idx] - vt * (self.n[idx] / ni).ln();
                 }
             }
-            let residual = self
-                .psi
-                .iter()
-                .zip(&psi_before)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            last_residual = residual;
-            if residual < GUMMEL_TOL {
+            if converged {
                 self.bias = bias;
                 record(iteration, residual);
                 return Ok(());
@@ -338,6 +359,138 @@ impl DeviceSimulator {
     pub fn drain_current(&self) -> f64 {
         drain_current(&self.device, &self.psi, &self.n)
     }
+}
+
+/// Type-II Anderson mixing of the Gummel fixed-point map `x ↦ g(x)`,
+/// where `x` is ψ before a Poisson solve and `g` is ψ after it (Walker &
+/// Ni, SIAM J. Numer. Anal. 49, 2011). With `f = g − x`, it keeps the
+/// last [`ANDERSON_DEPTH`] differences `Δf`, `Δg` of successive
+/// iterates, solves the ridge-regularised normal equations
+/// `(ΔFᵀΔF + λI) γ = ΔFᵀf` and replaces `g` by `g − ΔG γ`. The history
+/// restarts whenever the residual `‖f‖∞` rises. Every buffer is
+/// allocated once, by [`Anderson::new`].
+struct Anderson {
+    /// `Δf` columns, a ring of `ANDERSON_DEPTH` slots of one value per
+    /// node.
+    df: Vec<f64>,
+    /// `Δg` columns, laid out as `df`.
+    dg: Vec<f64>,
+    /// `f` of the iterate being mixed (scratch).
+    f: Vec<f64>,
+    /// `f` and `g` of the previous iterate.
+    f_prev: Vec<f64>,
+    g_prev: Vec<f64>,
+    /// Whether `f_prev`/`g_prev` hold an iterate.
+    has_prev: bool,
+    /// Filled slots of the ring, and the slot the next pair goes to.
+    stored: usize,
+    next: usize,
+}
+
+impl Anderson {
+    fn new(len: usize) -> Self {
+        Self {
+            df: vec![0.0; ANDERSON_DEPTH * len],
+            dg: vec![0.0; ANDERSON_DEPTH * len],
+            f: vec![0.0; len],
+            f_prev: vec![0.0; len],
+            g_prev: vec![0.0; len],
+            has_prev: false,
+            stored: 0,
+            next: 0,
+        }
+    }
+
+    /// Mixes the iterate `x ↦ g` into `g` in place. `rose` reports that
+    /// this iterate's residual exceeds the previous one's, which clears
+    /// the history (the iterate is then taken unmixed).
+    fn mix(&mut self, x: &[f64], g: &mut [f64], rose: bool) {
+        let len = self.f.len();
+        for ((f, g), x) in self.f.iter_mut().zip(&*g).zip(x) {
+            *f = g - x;
+        }
+        if rose {
+            self.stored = 0;
+            self.next = 0;
+        } else if self.has_prev {
+            let slot = self.next * len..(self.next + 1) * len;
+            for ((df, f), fp) in self.df[slot.clone()]
+                .iter_mut()
+                .zip(&self.f)
+                .zip(&self.f_prev)
+            {
+                *df = f - fp;
+            }
+            for ((dg, g), gp) in self.dg[slot].iter_mut().zip(&*g).zip(&self.g_prev) {
+                *dg = g - gp;
+            }
+            self.stored = (self.stored + 1).min(ANDERSON_DEPTH);
+            self.next = (self.next + 1) % ANDERSON_DEPTH;
+        }
+        // From here on `f_prev`/`g_prev` hold this iterate: the previous
+        // one of the next call.
+        std::mem::swap(&mut self.f, &mut self.f_prev);
+        self.g_prev.copy_from_slice(g);
+        self.has_prev = true;
+
+        let k = self.stored;
+        if k == 0 {
+            return;
+        }
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>();
+        let mut gram = [[0.0; ANDERSON_DEPTH]; ANDERSON_DEPTH];
+        let mut gamma = [0.0; ANDERSON_DEPTH];
+        for (i, di) in self.df.chunks_exact(len).take(k).enumerate() {
+            for (j, dj) in self.df.chunks_exact(len).take(i + 1).enumerate() {
+                gram[i][j] = dot(di, dj);
+                gram[j][i] = gram[i][j];
+            }
+            gamma[i] = dot(di, &self.f_prev);
+        }
+        let ridge = ANDERSON_RIDGE * (0..k).map(|i| gram[i][i]).fold(0.0, f64::max);
+        for (i, row) in gram.iter_mut().enumerate().take(k) {
+            row[i] += ridge;
+        }
+        if !cholesky_solve(&mut gram, &mut gamma, k) {
+            // A degenerate history (say, all-zero differences): take the
+            // iterate unmixed and start afresh.
+            self.stored = 0;
+            self.next = 0;
+            return;
+        }
+        for (gamma, dg) in gamma.iter().zip(self.dg.chunks_exact(len)).take(k) {
+            for (g, dg) in g.iter_mut().zip(dg) {
+                *g -= gamma * dg;
+            }
+        }
+    }
+}
+
+/// Solves the symmetric positive definite `k × k` system `a·x = b` in
+/// place by Cholesky factorization (`b` becomes `x`). Returns `false`
+/// when `a` is not numerically positive definite.
+fn cholesky_solve(
+    a: &mut [[f64; ANDERSON_DEPTH]; ANDERSON_DEPTH],
+    b: &mut [f64; ANDERSON_DEPTH],
+    k: usize,
+) -> bool {
+    for j in 0..k {
+        let d = a[j][j] - (0..j).map(|p| a[j][p] * a[j][p]).sum::<f64>();
+        if !(d > 0.0 && d.is_finite()) {
+            return false;
+        }
+        a[j][j] = d.sqrt();
+        for i in j + 1..k {
+            a[i][j] = (a[i][j] - (0..j).map(|p| a[i][p] * a[j][p]).sum::<f64>()) / a[j][j];
+        }
+    }
+    for i in 0..k {
+        b[i] = (b[i] - (0..i).map(|p| a[i][p] * b[p]).sum::<f64>()) / a[i][i];
+    }
+    for i in (0..k).rev() {
+        b[i] = (b[i] - (i + 1..k).map(|p| a[p][i] * b[p]).sum::<f64>()) / a[i][i];
+    }
+    true
 }
 
 /// Saved converged state, restored before each recovery-ladder attempt
@@ -465,6 +618,56 @@ mod tests {
         );
         // The failed step leaves the last converged state in place.
         assert_eq!(sim.bias(), Bias::default());
+    }
+
+    #[test]
+    fn anderson_mixing_solves_a_linear_fixed_point_in_a_few_steps() {
+        // x ↦ M·x + c with M = diag(0.9, 0.5, −0.3): plain iteration
+        // from 0 needs nearly 300 steps to reach 1e-12, as the 0.9 mode
+        // decays by 0.9 per step. Three independent differences span the space,
+        // so the mixed iteration lands on the fixed point right after.
+        let (m, c) = ([0.9, 0.5, -0.3], [1.0, 2.0, 3.0]);
+        let fixed: Vec<f64> = m.iter().zip(&c).map(|(m, c)| c / (1.0 - m)).collect();
+        let mut anderson = Anderson::new(3);
+        let mut x = vec![0.0; 3];
+        let mut last = f64::INFINITY;
+        for step in 1..=8 {
+            let mut g: Vec<f64> = (0..3).map(|i| m[i] * x[i] + c[i]).collect();
+            let residual = g
+                .iter()
+                .zip(&x)
+                .map(|(g, x)| (g - x).abs())
+                .fold(0.0, f64::max);
+            if residual < 1e-12 {
+                assert!(step <= 6, "converged only at step {step}");
+                for (g, want) in g.iter().zip(&fixed) {
+                    assert!((g - want).abs() < 1e-10, "{g} vs {want}");
+                }
+                return;
+            }
+            anderson.mix(&x, &mut g, residual > last);
+            last = residual;
+            x = g;
+        }
+        panic!("no convergence in 8 mixed steps: x = {x:?}, want {fixed:?}");
+    }
+
+    #[test]
+    fn cholesky_solves_a_small_spd_system() {
+        let mut a = [[0.0; ANDERSON_DEPTH]; ANDERSON_DEPTH];
+        a[0][..2].copy_from_slice(&[4.0, 2.0]);
+        a[1][..2].copy_from_slice(&[2.0, 3.0]);
+        let mut b = [0.0; ANDERSON_DEPTH];
+        b[..2].copy_from_slice(&[8.0, 7.0]);
+        assert!(cholesky_solve(&mut a.clone(), &mut b, 2));
+        // 4x + 2y = 8, 2x + 3y = 7 → x = 1.25, y = 1.5.
+        assert!(
+            (b[0] - 1.25).abs() < 1e-14 && (b[1] - 1.5).abs() < 1e-14,
+            "{b:?}"
+        );
+        // Not positive definite: refused, not divided by zero.
+        a[1][1] = 1.0;
+        assert!(!cholesky_solve(&mut a, &mut [1.0; ANDERSON_DEPTH], 2));
     }
 
     #[test]

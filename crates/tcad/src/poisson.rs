@@ -13,7 +13,7 @@
 //! [`solve`] iterates to an update below 1 nV. The Gummel loop stops
 //! each of its Poisson solves at a loose tolerance instead (an inexact
 //! inner solve): it relinearizes after every continuity solve, and its
-//! own 1 µV test on the potential change decides convergence, so
+//! own 10 nV test on the potential change decides convergence, so
 //! resolving each linearization to 1 nV only repeats banded LU solves.
 
 use subvt_engine::trace;
@@ -67,9 +67,10 @@ pub fn neutral_potential(n_net: f64, vt: f64, ni: f64) -> f64 {
     vt * (n_net / (2.0 * ni)).asinh()
 }
 
-/// Dirichlet potential of a contact node under `bias`.
-pub fn contact_potential(device: &Mosfet2d, idx: usize, bias: &Bias) -> Option<f64> {
-    let (vt, ni) = thermals(device);
+/// Dirichlet potential of a contact node under `bias`, `None` off the
+/// contacts. `(vt, ni)` are the device's [`thermals`], which callers
+/// compute once per solve rather than once per node.
+fn contact_potential(device: &Mosfet2d, idx: usize, bias: &Bias, vt: f64, ni: f64) -> Option<f64> {
     match device.mesh.boundary[idx] {
         Boundary::Gate => Some(bias.v_gate + vt * (N_POLY / ni).ln()),
         Boundary::Source => Some(bias.v_source + neutral_potential(device.doping[idx], vt, ni)),
@@ -89,7 +90,7 @@ pub fn initial_guess(device: &Mosfet2d, bias: &Bias) -> Vec<f64> {
     for j in 0..mesh.ny() {
         for i in 0..mesh.nx() {
             let idx = mesh.idx(i, j);
-            psi[idx] = match contact_potential(device, idx, bias) {
+            psi[idx] = match contact_potential(device, idx, bias, vt, ni) {
                 Some(v) => v,
                 None => match mesh.material[idx] {
                     Material::Silicon => neutral_potential(device.doping[idx], vt, ni),
@@ -188,7 +189,7 @@ fn solve_inner(
             for i in 0..nx {
                 let idx = mesh.idx(i, j);
                 let row = order.local(i, j);
-                if let Some(bc) = contact_potential(device, idx, bias) {
+                if let Some(bc) = contact_potential(device, idx, bias, vt, ni) {
                     // Dirichlet row: δψ = bc − ψ.
                     jac.set(row, row, 1.0);
                     rhs[row] = bc - psi[idx];

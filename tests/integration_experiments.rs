@@ -151,6 +151,45 @@ fn repro_stops_at_an_unknown_id_unless_keep_going() {
     assert!(stderr.contains("1 of 3 experiments failed"), "{stderr}");
 }
 
+/// Under `--keep-going`, an extension whose device backend fails is a
+/// typed failure, not a panic. The persisted cache holds a TCAD anchor
+/// calibration whose ratios are NaN, at the `tcad.model` calibration
+/// key of the coarse reference anchor (as pinned by subvt-tcad's
+/// `cache_keys_carry_the_solver_revision`); the backend rejects it, so
+/// `ext-temperature` fails while `table1` still prints.
+#[test]
+fn a_failing_backend_fails_an_extension_with_a_typed_error() {
+    let cache = std::env::temp_dir().join(format!("subvt-exp-nancal-{}.jsonl", std::process::id()));
+    let nan = f64::NAN.to_bits();
+    std::fs::write(
+        &cache,
+        format!(
+            "{{\"ns\":\"tcad.model\",\"key\":\"c8f73650c6b6005b\",\
+             \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
+        ),
+    )
+    .expect("write cache");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--backend", "tcad", "--keep-going", "--cache"])
+        .arg(&cache)
+        .args(["--csv", "table1", "ext-temperature"])
+        .output()
+        .expect("repro runs");
+    std::fs::remove_file(&cache).ok();
+    std::fs::remove_dir_all(cache.with_extension("jsonl.d")).ok();
+
+    assert!(!out.status.success());
+    let table1 = Study::default().run("table1").expect("table1").to_csv();
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), table1);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("FAILED ext-temperature: device model failed: ")
+            && stderr.contains("degenerate anchor calibration"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
 /// One process renders fig6 under four studies — 300 K before 350 K —
 /// and each render is byte-identical to a fresh single-configuration
 /// `repro --csv fig6` run.

@@ -517,7 +517,7 @@ fn nan_calibration_cache(name: &str) -> std::path::PathBuf {
     std::fs::write(
         &cache_path,
         format!(
-            "{{\"ns\":\"tcad.model\",\"key\":\"b4c169e54032beae\",\
+            "{{\"ns\":\"tcad.model\",\"key\":\"c8f73650c6b6005b\",\
              \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
         ),
     )
@@ -527,9 +527,10 @@ fn nan_calibration_cache(name: &str) -> std::path::PathBuf {
 
 /// Spawned-binary test: a served `experiment` whose backend fails
 /// answers `compute_failed` every time, a typed error rather than a
-/// panic followed by a quarantine. The daemon loads a persisted TCAD
-/// anchor calibration whose ratios are NaN; the backend rejects it, so
-/// every design flow through the TCAD backend fails. It runs in its own
+/// panic followed by a quarantine, for a paper id and an extension. The
+/// daemon loads a persisted TCAD anchor calibration whose ratios are
+/// NaN; the backend rejects it, so every design flow and every
+/// characterization through the TCAD backend fails. It runs in its own
 /// process because the calibration is memoized once per process.
 #[test]
 fn a_failing_backend_answers_compute_failed_not_a_panic() {
@@ -539,19 +540,29 @@ fn a_failing_backend_answers_compute_failed_not_a_panic() {
     let mut child = spawn_daemon(&cache_path);
     let mut client =
         Client::connect_ready(child.addr.as_str(), Duration::from_secs(10)).expect("ready");
-    for _ in 0..2 {
-        let r = client
-            .call("experiment", r#"{"id":"table2","backend":"tcad"}"#)
-            .expect("experiment call");
-        assert!(!r.ok);
-        assert_eq!(
-            r.error_code.as_deref(),
-            Some("compute_failed"),
-            "a backend failure is a typed compute error: {}",
-            r.raw
-        );
-        let msg = r.error_message.unwrap_or_default();
-        assert!(msg.contains("design flow failed"), "{msg}");
+    // A paper id fails in its design flows, an extension id in its own
+    // characterization.
+    for (id, cause) in [
+        ("table2", "design flow failed"),
+        ("ext-temperature", "device model failed"),
+    ] {
+        for _ in 0..2 {
+            let r = client
+                .call(
+                    "experiment",
+                    &format!(r#"{{"id":"{id}","backend":"tcad"}}"#),
+                )
+                .expect("experiment call");
+            assert!(!r.ok);
+            assert_eq!(
+                r.error_code.as_deref(),
+                Some("compute_failed"),
+                "a backend failure is a typed compute error: {}",
+                r.raw
+            );
+            let msg = r.error_message.unwrap_or_default();
+            assert!(msg.contains(cause), "{id}: {msg}");
+        }
     }
     let alive = client
         .call("params", r#"{"node":"ref90"}"#)
