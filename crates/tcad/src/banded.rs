@@ -48,6 +48,16 @@ impl BandedMatrix {
         }
     }
 
+    /// Turns the matrix into an `n × n` zero matrix of half-bandwidth
+    /// `bw`, reusing its storage: no allocation when `n·(2·bw + 1)`
+    /// entries fit in what the matrix has held before.
+    pub(crate) fn reset(&mut self, n: usize, bw: usize) {
+        self.n = n;
+        self.bw = bw;
+        self.data.clear();
+        self.data.resize(n * (2 * bw + 1), 0.0);
+    }
+
     /// Matrix dimension.
     pub fn len(&self) -> usize {
         self.n
@@ -112,18 +122,18 @@ impl BandedMatrix {
         }
     }
 
-    /// Solves `A·x = b` in place by banded LU without pivoting,
-    /// destroying the matrix.
+    /// Solves `A·x = b` in place by banded LU without pivoting: `b`
+    /// becomes `x`, and the matrix is overwritten by its factors.
     ///
     /// # Errors
     ///
     /// Returns [`ZeroPivotError`] if a pivot magnitude falls below
-    /// 1e-300.
+    /// 1e-300; `b` then holds a partly eliminated right-hand side.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_in_place(mut self, b: &mut [f64]) -> Result<Vec<f64>, ZeroPivotError> {
+    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), ZeroPivotError> {
         assert_eq!(b.len(), self.n);
         let (n, bw) = (self.n, self.bw);
         let w = 2 * bw + 1;
@@ -150,17 +160,17 @@ impl BandedMatrix {
                 b[k + d] -= factor * b[k];
             }
         }
-        // Back substitution.
-        let mut x = vec![0.0; n];
+        // Back substitution: `b[k + 1..]` already holds `x[k + 1..]`.
         for (k, row) in self.data.chunks_exact(w).enumerate().rev() {
             let reach = bw.min(n - 1 - k);
-            let mut acc = b[k];
-            for (a, xc) in row[bw + 1..=bw + reach].iter().zip(&x[k + 1..=k + reach]) {
+            let (head, x) = b.split_at_mut(k + 1);
+            let mut acc = head[k];
+            for (a, xc) in row[bw + 1..=bw + reach].iter().zip(&x[..reach]) {
                 acc -= a * xc;
             }
-            x[k] = acc / row[bw];
+            head[k] = acc / row[bw];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -249,8 +259,8 @@ mod tests {
                 m.set(i, i + 1, -1.0);
             }
         }
-        let mut b = vec![1.0; n];
-        let x = m.solve_in_place(&mut b).unwrap();
+        let mut x = vec![1.0; n];
+        m.solve_in_place(&mut x).unwrap();
         let want = [2.5, 4.0, 4.5, 4.0, 2.5];
         for (got, w) in x.iter().zip(want) {
             assert!((got - w).abs() < 1e-10, "{got} vs {w}");
@@ -281,8 +291,8 @@ mod tests {
         }
         let m_copy = m.clone();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut rhs = b.clone();
-        let x = m.solve_in_place(&mut rhs).unwrap();
+        let mut x = b.clone();
+        m.solve_in_place(&mut x).unwrap();
         let mut check = vec![0.0; n];
         m_copy.mul_vec(&x, &mut check);
         for (c, w) in check.iter().zip(&b) {
@@ -305,16 +315,38 @@ mod tests {
         }
         m.clear_row(0);
         m.set(0, 0, 1.0);
-        let mut b = vec![7.0, 0.0, 0.0, 0.0];
-        let x = m.solve_in_place(&mut b).unwrap();
+        let mut x = vec![7.0, 0.0, 0.0, 0.0];
+        m.solve_in_place(&mut x).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_pivot_detected() {
-        let m = BandedMatrix::zeros(3, 1);
+        let mut m = BandedMatrix::zeros(3, 1);
         let mut b = vec![1.0; 3];
         assert!(m.solve_in_place(&mut b).is_err());
+    }
+
+    #[test]
+    fn a_reset_matrix_solves_as_a_fresh_one() {
+        // The storage of a larger, factored system is reused for a
+        // smaller one: the stale factors must not leak into its solve.
+        let mut rng = SplitMix64::new(0x5e7);
+        let mut reused = random_dominant(&mut rng, 40, 6, &[3]);
+        reused.solve_in_place(&mut vec![1.0; 40]).unwrap();
+        let fresh = random_dominant(&mut rng, 25, 4, &[0, 24]);
+        reused.reset(25, 4);
+        for i in 0..25usize {
+            for j in i.saturating_sub(4)..=(i + 4).min(24) {
+                reused.set(i, j, fresh.get(i, j));
+            }
+        }
+        let rhs: Vec<f64> = (0..25).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
+        let (mut x_reused, mut x_fresh) = (rhs.clone(), rhs);
+        reused.solve_in_place(&mut x_reused).unwrap();
+        fresh.clone().solve_in_place(&mut x_fresh).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_reused), bits(&x_fresh));
     }
 
     #[test]
@@ -330,8 +362,8 @@ mod tests {
             let (n, bw) = (10, 2);
             let m = random_dominant(&mut rng, n, bw, &[]);
             let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
-            let mut b = rhs.clone();
-            let x = m.clone().solve_in_place(&mut b).unwrap();
+            let mut x = rhs.clone();
+            m.clone().solve_in_place(&mut x).unwrap();
             let mut check = vec![0.0; n];
             m.mul_vec(&x, &mut check);
             for (c, w) in check.iter().zip(&rhs) {
@@ -352,8 +384,8 @@ mod tests {
                 let m = random_dominant(&mut rng, n, bw, &dirichlet);
                 let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
                 let want = dense_solve(&m, &rhs);
-                let mut b = rhs.clone();
-                let x = m.clone().solve_in_place(&mut b).unwrap();
+                let mut x = rhs.clone();
+                m.clone().solve_in_place(&mut x).unwrap();
                 for (k, (got, w)) in x.iter().zip(&want).enumerate() {
                     assert!(
                         (got - w).abs() <= 1e-12 * w.abs().max(1.0),

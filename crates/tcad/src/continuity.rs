@@ -10,11 +10,10 @@
 
 use subvt_units::consts::Q;
 
-use crate::banded::BandedMatrix;
 use crate::device::Mosfet2d;
 use crate::gummel::TcadError;
 use crate::mesh::{BandOrder, Boundary, Mesh};
-use crate::poisson::{thermals, Bias};
+use crate::poisson::{thermals, Bias, Workspace};
 
 /// Bernoulli function `B(x) = x/(e^x − 1)`, series-expanded near zero.
 ///
@@ -69,71 +68,104 @@ pub fn equilibrium_electrons(n_net: f64, ni: f64) -> f64 {
 /// zero pivot (not expected for a connected silicon region with at
 /// least one contact).
 pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Result<Vec<f64>, TcadError> {
+    let mut n = vec![0.0; device.len()];
+    solve_electrons_in(&mut Workspace::new(device), device, psi, bias, &mut n)?;
+    Ok(n)
+}
+
+/// [`solve_electrons`] in a [`Workspace`] built for `device`, writing
+/// the silicon entries of `n` in place (its oxide entries are left as
+/// they are). On an error `n` is unchanged.
+///
+/// Each face's Scharfetter–Gummel pair `c·B(±Δψ/v_T)` is evaluated once
+/// and stamped into the rows of both its nodes. The x-faces go first,
+/// then the y-faces, so every row accumulates its left, right, upper
+/// and lower face in that order: the order of a node-by-node assembly,
+/// and hence its bits.
+///
+/// # Errors
+///
+/// As [`solve_electrons`].
+pub(crate) fn solve_electrons_in(
+    ws: &mut Workspace,
+    device: &Mosfet2d,
+    psi: &[f64],
+    bias: &Bias,
+    n: &mut [f64],
+) -> Result<(), TcadError> {
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
     let nx = mesh.nx();
     let ny = mesh.ny();
-    let order = BandOrder::new(mesh, device.j_si0);
+    let j0 = device.j_si0;
+    let order = BandOrder::new(mesh, j0);
+    let mat = &mut ws.matrix;
+    let rhs = &mut ws.rhs[..order.unknowns()];
+    mat.reset(order.unknowns(), order.bandwidth());
+    rhs.fill(0.0);
 
-    let mut mat = BandedMatrix::zeros(order.unknowns(), order.bandwidth());
-    let mut rhs = vec![0.0; order.unknowns()];
-
-    for j in device.j_si0..ny {
+    let contact = |idx: usize| {
+        matches!(
+            mesh.boundary[idx],
+            Boundary::Source | Boundary::Drain | Boundary::Substrate
+        )
+    };
+    for j in j0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
-            let row = order.local(i, j);
-            match mesh.boundary[idx] {
-                Boundary::Source | Boundary::Drain | Boundary::Substrate => {
-                    mat.set(row, row, 1.0);
-                    rhs[row] = equilibrium_electrons(device.doping[idx], ni);
-                    continue;
-                }
-                _ => {}
-            }
-            let wx = Mesh::dual_width(&mesh.xs, i);
-            let wy = Mesh::dual_width(&mesh.ys, j);
-
-            let face = |nb: (usize, usize), d: f64, a: f64, mat: &mut BandedMatrix| {
-                let nb_idx = mesh.idx(nb.0, nb.1);
-                let col = order.local(nb.0, nb.1);
-                let mu = 0.5 * (device.mobility[idx] + device.mobility[nb_idx]);
-                let c = Q * mu * vt * a / d;
-                let du = (psi[nb_idx] - psi[idx]) / vt;
-                // Flux into this node: c·(n_nb·B(du) − n_self·B(−du)).
-                mat.add(row, col, c * bernoulli(du));
-                mat.add(row, row, -c * bernoulli(-du));
-            };
-            if i > 0 {
-                face((i - 1, j), mesh.xs[i] - mesh.xs[i - 1], wy, &mut mat);
-            }
-            if i + 1 < nx {
-                face((i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy, &mut mat);
-            }
-            if j > device.j_si0 {
-                face((i, j - 1), mesh.ys[j] - mesh.ys[j - 1], wx, &mut mat);
-            }
-            if j + 1 < ny {
-                face((i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx, &mut mat);
+            if contact(idx) {
+                let row = order.local(i, j);
+                mat.set(row, row, 1.0);
+                rhs[row] = equilibrium_electrons(device.doping[idx], ni);
             }
         }
     }
+    // The face from node `a` to node `b`, at spacing `d` and transverse
+    // dual width `w`. The flux into `a` is c·(n_b·B(du) − n_a·B(−du));
+    // seen from `b`, du is exactly −du, and `mu` and `c` are symmetric.
+    let mut face = |a: (usize, usize), b: (usize, usize), d: f64, w: f64| {
+        let (ia, ib) = (mesh.idx(a.0, a.1), mesh.idx(b.0, b.1));
+        let (ra, rb) = (order.local(a.0, a.1), order.local(b.0, b.1));
+        let mu = 0.5 * (device.mobility[ia] + device.mobility[ib]);
+        let c = Q * mu * vt * w / d;
+        let du = (psi[ib] - psi[ia]) / vt;
+        let (forward, backward) = (c * bernoulli(du), c * bernoulli(-du));
+        if !contact(ia) {
+            mat.add(ra, rb, forward);
+            mat.add(ra, ra, -backward);
+        }
+        if !contact(ib) {
+            mat.add(rb, ra, backward);
+            mat.add(rb, rb, -forward);
+        }
+    };
+    for j in j0..ny {
+        let wy = Mesh::dual_width(&mesh.ys, j);
+        for i in 0..nx - 1 {
+            face((i, j), (i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy);
+        }
+    }
+    for j in j0..ny - 1 {
+        for i in 0..nx {
+            let wx = Mesh::dual_width(&mesh.xs, i);
+            face((i, j), (i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx);
+        }
+    }
 
-    let n_local = mat
-        .solve_in_place(&mut rhs)
+    mat.solve_in_place(rhs)
         .map_err(|e| TcadError::ContinuityZeroPivot {
             bias: *bias,
             row: e.row,
         })?;
 
-    let mut n = vec![0.0; mesh.len()];
-    for j in device.j_si0..ny {
+    for j in j0..ny {
         for i in 0..nx {
             // Direct elimination can leave tiny negative values in
             // near-depleted cells; floor them at a physical minimum.
-            n[mesh.idx(i, j)] = n_local[order.local(i, j)].max(1.0e-12 * ni);
+            n[mesh.idx(i, j)] = rhs[order.local(i, j)].max(1.0e-12 * ni);
         }
     }
-    Ok(n)
+    Ok(())
 }
 
 /// Terminal electron current at the drain contact, amps per micron of

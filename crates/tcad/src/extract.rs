@@ -181,7 +181,7 @@ impl subvt_engine::Blob for Extraction {
 /// changes results, together with the `tcad.model` tags and the
 /// revision in [`crate::TcadModel`]'s `cache_id`.
 pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) -> u64 {
-    subvt_engine::KeyBuilder::new("tcad.extract.v4")
+    subvt_engine::KeyBuilder::new("tcad.extract.v5")
         .keyed(params)
         .str(density.as_str())
         .f64(step)

@@ -2,9 +2,9 @@
 //! electron-continuity solves with bias ramping — the outer loop that
 //! turns the PDE modules into a biased device simulator.
 
-use crate::continuity::{drain_current, solve_electrons};
+use crate::continuity::{drain_current, solve_electrons_in};
 use crate::device::Mosfet2d;
-use crate::poisson::{initial_guess, solve, solve_to, thermals, Bias};
+use crate::poisson::{initial_guess, solve_in, thermals, Bias, Workspace, PSI_TOL};
 use subvt_engine::faultinject::{self, FaultSite};
 use subvt_engine::recovery::{self, RecoveryStep};
 use subvt_engine::trace;
@@ -23,6 +23,12 @@ const GUMMEL_POISSON_TOL: f64 = 1.0e-2;
 const MAX_GUMMEL: usize = 80;
 /// Maximum bias step when ramping, volts.
 const RAMP_STEP: f64 = 0.1;
+/// How close, volts, two ramp steps' `ΔV_g` and `ΔV_d` must be for the
+/// continuation predictor to treat the second as a repeat of the first.
+const STEP_MATCH: f64 = 1.0e-9;
+/// Converged states the continuation predictor remembers besides the
+/// current one: two, for a quadratic extrapolation.
+const HISTORY: usize = 2;
 /// Under-relaxation factor applied by the damping-increase recovery
 /// rung (1.0 = the undamped production path).
 const RECOVERY_RELAX: f64 = 0.5;
@@ -107,6 +113,11 @@ pub struct DeviceSimulator {
     psi: Vec<f64>,
     n: Vec<f64>,
     phi_n: Vec<f64>,
+    /// The converged states before the current one, newest first (at
+    /// most [`HISTORY`]): the continuation predictor's history.
+    history: Vec<Converged>,
+    /// Buffers of the Poisson and continuity solves.
+    workspace: Workspace,
 }
 
 impl DeviceSimulator {
@@ -118,13 +129,23 @@ impl DeviceSimulator {
     /// indicate a malformed mesh).
     pub fn new(device: Mosfet2d) -> Result<Self, TcadError> {
         let bias = Bias::default();
+        let mut workspace = Workspace::new(&device);
         let mut psi = initial_guess(&device, &bias);
         let zeros = vec![0.0; device.len()];
-        let out = solve(&device, &mut psi, &zeros, &zeros, &bias);
+        let out = solve_in(
+            &mut workspace,
+            &device,
+            &mut psi,
+            &zeros,
+            &zeros,
+            &bias,
+            PSI_TOL,
+        );
         if !out.converged {
             return Err(TcadError::PoissonDiverged { bias });
         }
-        let n = solve_electrons(&device, &psi, &bias)?;
+        let mut n = vec![0.0; device.len()];
+        solve_electrons_in(&mut workspace, &device, &psi, &bias, &mut n)?;
         let phi_n = zeros;
         Ok(Self {
             device,
@@ -132,6 +153,8 @@ impl DeviceSimulator {
             psi,
             n,
             phi_n,
+            history: Vec::with_capacity(HISTORY + 1),
+            workspace,
         })
     }
 
@@ -162,6 +185,9 @@ impl DeviceSimulator {
     /// step is declared failed; each rung is recorded in the trace as a
     /// `tcad.gummel` recovery.
     ///
+    /// The call is all or nothing: on an error the simulator is left in
+    /// the state, bias and predictor history it was called in.
+    ///
     /// # Errors
     ///
     /// Returns [`TcadError`] if any intermediate point fails after the
@@ -171,6 +197,10 @@ impl DeviceSimulator {
         let steps_d = ((v_drain - self.bias.v_drain).abs() / RAMP_STEP).ceil() as usize;
         let steps = steps_g.max(steps_d).max(1);
         let (g0, d0) = (self.bias.v_gate, self.bias.v_drain);
+        // A failed step restores its own pre-step state and leaves the
+        // history alone, so only a ramp of several steps needs a
+        // checkpoint of the state it was entered with.
+        let entry = (steps > 1).then(|| (self.state_snapshot(), self.history.clone()));
         for k in 1..=steps {
             let f = k as f64 / steps as f64;
             let bias = Bias {
@@ -178,41 +208,68 @@ impl DeviceSimulator {
                 v_drain: d0 + f * (v_drain - d0),
                 ..self.bias
             };
-            self.converge_at(bias)?;
+            if let Err(err) = self.converge_at(bias) {
+                if let Some((state, history)) = entry {
+                    self.restore_snapshot(&state);
+                    self.history = history;
+                }
+                return Err(err);
+            }
         }
         Ok(())
     }
 
     /// One ramp step with the recovery ladder wrapped around the plain
-    /// Gummel solve. The happy path is a single undamped [`Self::gummel_at`]
-    /// call — bit-identical to the pre-ladder behavior.
+    /// Gummel solve. The happy path is a single undamped
+    /// [`Self::predicted_gummel_at`] call. On success the pre-step state
+    /// joins the predictor's history, whichever rung succeeded.
     fn converge_at(&mut self, bias: Bias) -> Result<(), TcadError> {
         // Chaos harness: an injected divergence fires *before* the
-        // solver mutates any state, so the plain-retry rung below
-        // reproduces the fault-free solve bit for bit.
+        // solver mutates any state, so the plain-retry rung reproduces
+        // the fault-free solve bit for bit.
         let snapshot = self.state_snapshot();
         let first = if faultinject::should_inject(FaultSite::SolverDiverge) {
             Err(TcadError::PoissonDiverged { bias })
         } else {
-            self.gummel_at(bias, 1.0)
+            self.predicted_gummel_at(bias)
         };
-        let Err(first_err) = first else {
-            return Ok(());
+        let result = match first {
+            Ok(()) => Ok(()),
+            Err(first_err) => self.recover(bias, &snapshot, first_err),
         };
+        if result.is_ok() {
+            let StateSnapshot {
+                bias, psi, phi_n, ..
+            } = snapshot;
+            self.history.insert(0, Converged { bias, psi, phi_n });
+            self.history.truncate(HISTORY);
+        }
+        result
+    }
+
+    /// The recovery ladder after a failed first attempt at `bias`: each
+    /// rung starts from `snapshot`, the pre-step state. Ends restored to
+    /// `snapshot` with `first_err` when every rung fails.
+    fn recover(
+        &mut self,
+        bias: Bias,
+        snapshot: &StateSnapshot,
+        first_err: TcadError,
+    ) -> Result<(), TcadError> {
         let at = format!("Vg={}, Vd={}: {first_err}", bias.v_gate, bias.v_drain);
 
         // Rung 1: identical re-run from the pre-step state. Clears
         // injected faults exactly; a deterministic real failure fails
         // again and escalates.
-        self.restore_snapshot(&snapshot);
-        let retried = self.gummel_at(bias, 1.0);
+        self.restore_snapshot(snapshot);
+        let retried = self.predicted_gummel_at(bias);
         recovery::record("tcad.gummel", RecoveryStep::Retry, &at, retried.is_ok());
         if retried.is_ok() {
             return Ok(());
         }
 
         // Rung 2: stronger damping (under-relaxed potential updates).
-        self.restore_snapshot(&snapshot);
+        self.restore_snapshot(snapshot);
         let damped = self.gummel_at(bias, RECOVERY_RELAX);
         recovery::record(
             "tcad.gummel",
@@ -225,7 +282,7 @@ impl DeviceSimulator {
         }
 
         // Rung 3: split the ramp step into smaller bias moves, damped.
-        self.restore_snapshot(&snapshot);
+        self.restore_snapshot(snapshot);
         let (g0, d0) = (snapshot.bias.v_gate, snapshot.bias.v_drain);
         let mut substepped = Ok(());
         for k in 1..=SUBSTEP_SPLIT {
@@ -251,8 +308,43 @@ impl DeviceSimulator {
         }
         // Ladder exhausted: restore the last good state and surface the
         // original failure.
-        self.restore_snapshot(&snapshot);
+        self.restore_snapshot(snapshot);
         Err(first_err)
+    }
+
+    /// The undamped Gummel loop at `bias`, started from the continuation
+    /// predictor's guess. Every undamped attempt made from the pre-step
+    /// state comes through here, so the retry rung reproduces the first
+    /// attempt bit for bit.
+    fn predicted_gummel_at(&mut self, bias: Bias) -> Result<(), TcadError> {
+        self.predict(bias);
+        self.gummel_at(bias, 1.0)
+    }
+
+    /// Continuation predictor. When the ramp step to `bias` repeats the
+    /// previous step (the same `ΔV_g` and `ΔV_d` within [`STEP_MATCH`]),
+    /// extrapolates ψ and φ_n along the converged history: quadratically,
+    /// `3x₀ − 3x₁ + x₂`, when the step before that was the same too, and
+    /// linearly, `2x₀ − x₁`, otherwise. `n` needs no guess: the first
+    /// continuity solve recomputes it.
+    fn predict(&mut self, bias: Bias) {
+        let step = |from: Bias, to: Bias| (to.v_gate - from.v_gate, to.v_drain - from.v_drain);
+        let repeats = |a: (f64, f64), b: (f64, f64)| {
+            (a.0 - b.0).abs() <= STEP_MATCH && (a.1 - b.1).abs() <= STEP_MATCH
+        };
+        let Some(x1) = self.history.first() else {
+            return;
+        };
+        let last = step(x1.bias, self.bias);
+        if !repeats(step(self.bias, bias), last) {
+            return;
+        }
+        let x2 = self
+            .history
+            .get(1)
+            .filter(|x2| repeats(step(x2.bias, x1.bias), last));
+        extrapolate(&mut self.psi, &x1.psi, x2.map(|x2| &x2.psi[..]));
+        extrapolate(&mut self.phi_n, &x1.phi_n, x2.map(|x2| &x2.phi_n[..]));
     }
 
     fn state_snapshot(&self) -> StateSnapshot {
@@ -294,7 +386,8 @@ impl DeviceSimulator {
         };
         for iteration in 1..=MAX_GUMMEL {
             psi_before.copy_from_slice(&self.psi);
-            let out = solve_to(
+            let out = solve_in(
+                &mut self.workspace,
                 &self.device,
                 &mut self.psi,
                 &self.phi_n,
@@ -327,13 +420,17 @@ impl DeviceSimulator {
                 }
             }
             last_residual = residual;
-            self.n = match solve_electrons(&self.device, &self.psi, &bias) {
-                Ok(n) => n,
-                Err(e) => {
-                    record(iteration, last_residual);
-                    return Err(e);
-                }
-            };
+            let solved = solve_electrons_in(
+                &mut self.workspace,
+                &self.device,
+                &self.psi,
+                &bias,
+                &mut self.n,
+            );
+            if let Err(e) = solved {
+                record(iteration, last_residual);
+                return Err(e);
+            }
             // Update the electron quasi-Fermi potential for the next
             // Poisson linearization.
             for idx in 0..self.device.len() {
@@ -493,6 +590,31 @@ fn cholesky_solve(
     true
 }
 
+/// Extrapolates `x0` in place from the two earlier points `x1`, `x2` of
+/// a uniformly stepped sequence (quadratic), or from `x1` alone (linear).
+fn extrapolate(x0: &mut [f64], x1: &[f64], x2: Option<&[f64]>) {
+    match x2 {
+        Some(x2) => {
+            for ((x0, x1), x2) in x0.iter_mut().zip(x1).zip(x2) {
+                *x0 = 3.0 * *x0 - 3.0 * x1 + x2;
+            }
+        }
+        None => {
+            for (x0, x1) in x0.iter_mut().zip(x1) {
+                *x0 = 2.0 * *x0 - x1;
+            }
+        }
+    }
+}
+
+/// A converged state of the predictor's history.
+#[derive(Debug, Clone, PartialEq)]
+struct Converged {
+    bias: Bias,
+    psi: Vec<f64>,
+    phi_n: Vec<f64>,
+}
+
 /// Saved converged state, restored before each recovery-ladder attempt
 /// (the failed attempt leaves `psi`/`n`/`phi_n` dirty).
 struct StateSnapshot {
@@ -618,6 +740,75 @@ mod tests {
         );
         // The failed step leaves the last converged state in place.
         assert_eq!(sim.bias(), Bias::default());
+    }
+
+    #[test]
+    fn a_failed_set_bias_leaves_the_simulator_as_it_was() {
+        let mut sim = simulator();
+        // Six equal ramp steps: the predictor's history is full.
+        sim.set_bias(0.3, 0.6).unwrap();
+        let before = sim.clone();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Far outside the Gummel basin: the ramp climbs a few volts
+        // before a step fails through the whole recovery ladder.
+        assert!(sim.set_bias(100.0, 100.0).is_err());
+        assert_eq!(sim.bias(), before.bias());
+        assert_eq!(bits(sim.potential()), bits(before.potential()));
+        assert_eq!(bits(&sim.phi_n), bits(&before.phi_n));
+        assert_eq!(
+            bits(sim.electron_density()),
+            bits(before.electron_density())
+        );
+        // The history is restored too: the next (predicted) step solves
+        // as though the failed call never happened.
+        assert!(sim.history == before.history);
+        let mut clean = before;
+        clean.set_bias(0.35, 0.7).unwrap();
+        sim.set_bias(0.35, 0.7).unwrap();
+        assert_eq!(
+            sim.drain_current().to_bits(),
+            clean.drain_current().to_bits()
+        );
+    }
+
+    #[test]
+    fn the_predictor_extrapolates_repeated_ramp_steps() {
+        let mut sim = simulator();
+        let equilibrium = sim.psi.clone();
+        // No history yet: the first step starts from the current state.
+        sim.predict(Bias {
+            v_drain: 0.1,
+            ..Bias::default()
+        });
+        assert_eq!(sim.psi, equilibrium);
+        sim.set_bias(0.0, 0.1).unwrap();
+        let (x0, x1) = (sim.psi.clone(), equilibrium);
+        // A step that differs from the last one is not predicted.
+        sim.predict(Bias {
+            v_gate: 0.1,
+            v_drain: 0.1,
+            ..Bias::default()
+        });
+        assert_eq!(sim.psi, x0);
+        // The same step again: linear.
+        sim.predict(Bias {
+            v_drain: 0.2,
+            ..Bias::default()
+        });
+        for k in 0..x0.len() {
+            assert_eq!(sim.psi[k], 2.0 * x0[k] - x1[k]);
+        }
+        sim.psi.clone_from(&x0);
+        sim.set_bias(0.0, 0.2).unwrap();
+        let (x2, x1, x0) = (x1, x0, sim.psi.clone());
+        // A third equal step: quadratic.
+        sim.predict(Bias {
+            v_drain: 0.3,
+            ..Bias::default()
+        });
+        for k in 0..x0.len() {
+            assert_eq!(sim.psi[k], 3.0 * x0[k] - 3.0 * x1[k] + x2[k]);
+        }
     }
 
     #[test]

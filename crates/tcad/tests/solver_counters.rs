@@ -1,8 +1,10 @@
 //! The TCAD solver's counters keep their invariants over one cold
 //! coarse characterization of the reference NFET: every Gummel bias
 //! point runs at least one Poisson solve, each Poisson solve inside the
-//! Gummel loop stops after about one Newton step, and every lookup of
-//! the extraction cache is counted as exactly one hit or miss.
+//! Gummel loop stops after about one Newton step, the continuation
+//! predictor keeps the two sweeps within 470 Gummel iterations, and
+//! every lookup of the extraction cache is counted as exactly one hit
+//! or miss.
 //!
 //! The tracer and the cache are process-global, so this file holds a
 //! single test: no other test's solves can land in its trace.
@@ -33,6 +35,15 @@ fn cold_characterization_keeps_the_solver_counter_invariants() {
     assert!(
         solves >= bias_points,
         "{solves} Poisson solves for {bias_points} bias points"
+    );
+
+    // 536 without the continuation predictor, 439 with it.
+    let gummel = &snap.hists["tcad.gummel.iterations"];
+    assert_eq!(gummel.count, bias_points);
+    assert!(
+        gummel.sum <= 470.0,
+        "{} Gummel iterations over the two sweeps",
+        gummel.sum
     );
 
     let newton = &snap.hists["tcad.poisson.iterations"];

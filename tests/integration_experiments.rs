@@ -164,7 +164,7 @@ fn a_failing_backend_fails_an_extension_with_a_typed_error() {
     std::fs::write(
         &cache,
         format!(
-            "{{\"ns\":\"tcad.model\",\"key\":\"c8f73650c6b6005b\",\
+            "{{\"ns\":\"tcad.model\",\"key\":\"cba1ce003bd28834\",\
              \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
         ),
     )

@@ -517,7 +517,7 @@ fn nan_calibration_cache(name: &str) -> std::path::PathBuf {
     std::fs::write(
         &cache_path,
         format!(
-            "{{\"ns\":\"tcad.model\",\"key\":\"c8f73650c6b6005b\",\
+            "{{\"ns\":\"tcad.model\",\"key\":\"cba1ce003bd28834\",\
              \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
         ),
     )
