@@ -225,3 +225,68 @@ fn one_process_renders_fig6_under_four_studies() {
         }
     }
 }
+
+/// `repro`'s command-line errors, run on the built binary: each line
+/// fails while parsing, before any experiment runs, with its exact
+/// stderr and exit code 1.
+#[test]
+fn malformed_repro_command_lines_fail_with_their_message() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--jobs", "0", "table1"],
+            "--jobs needs a positive integer",
+        ),
+        (
+            &["--jobs", "abc", "table1"],
+            "--jobs needs a positive integer",
+        ),
+        (&["--cache"], "--cache needs a file path"),
+        (&["--trace"], "--trace needs a file path"),
+        (
+            &["--trace-format"],
+            "--trace-format needs one of: jsonl, chrome",
+        ),
+        (
+            &["--trace-format", "xml", "table1"],
+            "--trace-format needs one of: jsonl, chrome",
+        ),
+        (
+            &["--backend", "spice", "table1"],
+            "--backend needs one of: analytic, tcad",
+        ),
+        (
+            &["fleet", "--workers", "0", "table1"],
+            "--workers needs a positive integer",
+        ),
+        (
+            &["fleet", "--keep-going", "table1"],
+            "unknown fleet option --keep-going (try `repro fleet --help`)",
+        ),
+        (&["fig99"], "unknown experiment `fig99` (try --list)"),
+        (&["trace-report"], "usage: repro trace-report <trace-file>"),
+        (&["trace-stitch", "a", "--out"], "--out needs a file path"),
+        (
+            &["trace-stitch", "a"],
+            "usage: repro trace-stitch <client-trace> <server-trace> [--out <chrome.json>]",
+        ),
+    ];
+    for (argv, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(*argv)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("{want}\n"),
+            "{argv:?}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?}");
+    }
+    let help = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--help", "--jobs", "0"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(help.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&help.stderr).starts_with("usage: repro [options]"));
+}

@@ -701,6 +701,112 @@ fn queued_idvg_requests_of_one_sweep_group_run_as_one_batch() {
     server.join().expect("join");
 }
 
+const SERVE_HELP: &str = "\
+usage: subvt-serve [options]
+
+options:
+  --addr HOST:PORT     bind address (default 127.0.0.1:7171; port 0 = free port)
+  --workers N          compute worker threads (default 2)
+  --queue N            admission queue capacity (default 64)
+  --deadline-ms N      per-request compute deadline (default 30000)
+  --max-attempts N     supervisor attempts before quarantine (default 1)
+  --cache PATH         persist the response/design cache across restarts
+  --jobs N             engine worker threads (default: cores, or $SUBVT_JOBS)
+  --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)
+  --access-log PATH    append one JSONL line per request (DESIGN.md section 6)
+  --window-secs N      rolling latency/SLO window (default 60)
+  --trace PATH         write the request span tree on shutdown
+  --trace-format F     trace file format: jsonl (default) | chrome
+
+Protocol: newline-framed JSON over TCP, plus GET /metrics and
+GET /healthz over the same port. Each request picks its own
+`backend` and `circuit_backend`. See DESIGN.md section 8.
+";
+
+#[test]
+fn malformed_command_lines_fail_before_binding() {
+    // Each line fails (or prints its help) while parsing, so no case
+    // binds a port.
+    let mut cases: Vec<(Vec<&str>, i32, String)> = Vec::new();
+    let mut fails = |argv: &[&'static str], stderr: &str| {
+        cases.push((argv.to_vec(), 1, format!("{stderr}\n")));
+    };
+    for flag in [
+        "--workers",
+        "--queue",
+        "--deadline-ms",
+        "--max-attempts",
+        "--jobs",
+        "--window-secs",
+    ] {
+        let want = format!("{flag} needs a positive integer");
+        for value in [None, Some("0"), Some("abc"), Some("-3")] {
+            let argv: Vec<&'static str> = [Some(flag), value].into_iter().flatten().collect();
+            fails(&argv, &want);
+        }
+    }
+    fails(
+        &["--max-attempts", "5000000000"],
+        "--max-attempts needs a positive integer",
+    );
+    fails(&["--addr"], "--addr needs HOST:PORT");
+    fails(&["--cache"], "--cache needs a file path");
+    fails(&["--access-log"], "--access-log needs a file path");
+    fails(&["--trace"], "--trace needs a file path");
+    fails(
+        &["--trace-format"],
+        "--trace-format needs one of: jsonl, chrome",
+    );
+    fails(
+        &["--trace-format", "xml"],
+        "--trace-format needs one of: jsonl, chrome",
+    );
+    fails(
+        &["--slo"],
+        "--slo needs METHOD=QUANTILE:MS (e.g. vtc=p99:50)",
+    );
+    fails(
+        &["--slo", "vtc"],
+        "bad --slo `vtc`: `vtc`: expected method=p50|p95|p99:ms",
+    );
+    fails(
+        &["--slo", "vtc=p42:5"],
+        "bad --slo `vtc=p42:5`: `vtc=p42:5`: unknown quantile `p42`",
+    );
+    fails(
+        &["--slo", "vtc=p99:0"],
+        "bad --slo `vtc=p99:0`: `vtc=p99:0`: threshold must be a positive number of ms",
+    );
+    fails(&["--bogus"], "unknown argument `--bogus` (try --help)");
+    fails(&["extra"], "unknown argument `extra` (try --help)");
+    // The first bad flag wins, and a bad flag before `--help` fails.
+    fails(
+        &["--workers", "2", "--queue", "0", "--bogus"],
+        "--queue needs a positive integer",
+    );
+    fails(
+        &["--jobs", "2", "--trace-format", "chrome", "--bogus"],
+        "unknown argument `--bogus` (try --help)",
+    );
+    fails(
+        &["--workers", "0", "--help"],
+        "--workers needs a positive integer",
+    );
+    for help in [&["--help"][..], &["-h"], &["--help", "--workers", "0"]] {
+        cases.push((help.to_vec(), 0, SERVE_HELP.to_owned()));
+    }
+
+    for (argv, code, stderr) in &cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_subvt-serve"))
+            .args(argv)
+            .output()
+            .expect("run subvt-serve");
+        assert_eq!(out.status.code(), Some(*code), "{argv:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), *stderr, "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+    }
+}
+
 // ---------------------------------------------------------------- helpers
 
 /// Sends raw bytes, half-closes the write side, and returns everything
