@@ -16,16 +16,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use subvt_bench::benchjson::{diff, parse_bench, render_diff, BenchSummary, DiffConfig};
+use subvt_engine::cli::parsed;
 
 fn main() -> ExitCode {
     match run() {
-        Ok(regressed) => {
-            if regressed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("subvt-bench-diff: {msg}");
             ExitCode::from(2)
@@ -42,18 +38,18 @@ fn run() -> Result<bool, String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--threshold" => {
-                cfg.threshold = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| t.is_finite() && *t >= 1.0)
-                    .ok_or("--threshold needs a number >= 1.0")?;
+                cfg.threshold = parsed(
+                    iter.next(),
+                    |t: &f64| t.is_finite() && *t >= 1.0,
+                    "--threshold needs a number >= 1.0",
+                )?;
             }
             "--min-ms" => {
-                cfg.min_ms = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|m: &f64| m.is_finite() && *m >= 0.0)
-                    .ok_or("--min-ms needs a non-negative number")?;
+                cfg.min_ms = parsed(
+                    iter.next(),
+                    |m: &f64| m.is_finite() && *m >= 0.0,
+                    "--min-ms needs a non-negative number",
+                )?;
             }
             "--report-only" => report_only = true,
             "--help" | "-h" => {

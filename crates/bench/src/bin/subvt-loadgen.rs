@@ -29,16 +29,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use subvt_engine::cli::{self, parsed, positive, value, TraceFormat};
 use subvt_engine::json::Json;
 use subvt_engine::trace;
 use subvt_serve::client::{http_get, Client};
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
-
+/// A parsed `subvt-loadgen` command line.
 struct Options {
     addr: String,
     wait_ready_ms: u64,
@@ -48,14 +44,14 @@ struct Options {
 }
 
 enum Action {
-    Ping,
+    /// `ping` or `shutdown`: one call, its response line printed as is.
+    Plain(&'static str),
     Call {
         method: String,
         params: String,
         print_payload: bool,
     },
     Metrics,
-    Shutdown,
     Mixed {
         requests: usize,
         concurrency: usize,
@@ -65,80 +61,8 @@ enum Action {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Keep client span ids disjoint from the server's so a stitched
-    // trace never collides (the daemon allocates from 1 upward).
-    trace::raise_id_floor(1 << 32);
-    if opts.wait_ready_ms > 0 {
-        let timeout = Duration::from_millis(opts.wait_ready_ms);
-        if let Err(e) = Client::connect_ready(opts.addr.as_str(), timeout) {
-            eprintln!("server at {} not ready: {e}", opts.addr);
-            return ExitCode::FAILURE;
-        }
-    }
-    let run = || -> Result<(), String> {
-        match &opts.action {
-            Action::Ping => {
-                let mut c = client(&opts)?;
-                let r = c.call("ping", "{}").map_err(|e| e.to_string())?;
-                println!("{}", r.raw);
-                Ok(())
-            }
-            Action::Call {
-                method,
-                params,
-                print_payload,
-            } => {
-                let mut c = client(&opts)?;
-                let r = c.call(method, params).map_err(|e| e.to_string())?;
-                if !r.ok {
-                    return Err(format!("request failed: {}", r.raw));
-                }
-                if *print_payload {
-                    match r.result_json() {
-                        // A string payload (e.g. `experiment`) prints
-                        // decoded — byte-identical to repro stdout.
-                        Ok(Json::Str(text)) => print!("{text}"),
-                        _ => println!("{}", r.result.as_deref().unwrap_or("null")),
-                    }
-                } else {
-                    println!("{}", r.raw);
-                }
-                Ok(())
-            }
-            Action::Metrics => {
-                let body = http_get(opts.addr.as_str(), "/metrics").map_err(|e| e.to_string())?;
-                print!("{body}");
-                Ok(())
-            }
-            Action::Shutdown => {
-                let mut c = client(&opts)?;
-                let r = c.call("shutdown", "{}").map_err(|e| e.to_string())?;
-                println!("{}", r.raw);
-                Ok(())
-            }
-            Action::Mixed {
-                requests,
-                concurrency,
-                out,
-            } => run_mixed(&opts.addr, *requests, *concurrency, out.as_deref()),
-            Action::BatchProbe => run_batch_probe(&opts.addr),
-        }
-    };
-    let outcome = run();
-    if let Some(path) = &opts.trace {
-        if let Err(msg) = write_trace(path, opts.trace_format) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match outcome {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv).and_then(|opts| run(&opts)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -147,24 +71,77 @@ fn main() -> ExitCode {
     }
 }
 
-fn write_trace(path: &str, format: TraceFormat) -> Result<(), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?;
-    let mut out = std::io::BufWriter::new(file);
-    let tracer = trace::global();
-    match format {
-        TraceFormat::Jsonl => tracer.write_jsonl(&mut out),
-        TraceFormat::Chrome => tracer.write_chrome(&mut out),
+/// Runs the action, then writes the client trace; a trace that cannot
+/// be written is the error reported.
+fn run(opts: &Options) -> Result<(), String> {
+    // Keep client span ids disjoint from the server's so a stitched
+    // trace never collides (the daemon allocates from 1 upward).
+    trace::raise_id_floor(1 << 32);
+    if opts.wait_ready_ms > 0 {
+        let timeout = Duration::from_millis(opts.wait_ready_ms);
+        Client::connect_ready(opts.addr.as_str(), timeout)
+            .map_err(|e| format!("server at {} not ready: {e}", opts.addr))?;
     }
-    .and_then(|()| out.flush())
-    .map_err(|e| format!("cannot write {path}: {e}"))
+    let outcome = act(opts);
+    if let Some(path) = &opts.trace {
+        cli::write_trace(path, opts.trace_format)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    outcome
+}
+
+fn act(opts: &Options) -> Result<(), String> {
+    match &opts.action {
+        Action::Plain(method) => {
+            let r = client(opts)?
+                .call(method, "{}")
+                .map_err(|e| e.to_string())?;
+            println!("{}", r.raw);
+            Ok(())
+        }
+        Action::Call {
+            method,
+            params,
+            print_payload,
+        } => {
+            let r = client(opts)?
+                .call(method, params)
+                .map_err(|e| e.to_string())?;
+            if !r.ok {
+                return Err(format!("request failed: {}", r.raw));
+            }
+            if *print_payload {
+                match r.result_json() {
+                    // A string payload (e.g. `experiment`) prints
+                    // decoded — byte-identical to repro stdout.
+                    Ok(Json::Str(text)) => print!("{text}"),
+                    _ => println!("{}", r.result.as_deref().unwrap_or("null")),
+                }
+            } else {
+                println!("{}", r.raw);
+            }
+            Ok(())
+        }
+        Action::Metrics => {
+            let body = http_get(opts.addr.as_str(), "/metrics").map_err(|e| e.to_string())?;
+            print!("{body}");
+            Ok(())
+        }
+        Action::Mixed {
+            requests,
+            concurrency,
+            out,
+        } => run_mixed(&opts.addr, *requests, *concurrency, out.as_deref()),
+        Action::BatchProbe => run_batch_probe(&opts.addr),
+    }
 }
 
 fn client(opts: &Options) -> Result<Client, String> {
     Client::connect(opts.addr.as_str()).map_err(|e| format!("cannot connect to {}: {e}", opts.addr))
 }
 
-fn parse_args() -> Result<Options, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses a command line (without the program name).
+fn parse(argv: &[String]) -> Result<Options, String> {
     let mut addr: Option<String> = None;
     let mut wait_ready_ms = 0u64;
     let mut action: Option<Action> = None;
@@ -175,52 +152,38 @@ fn parse_args() -> Result<Options, String> {
     let mut concurrency = 4usize;
     let mut out: Option<String> = None;
     let mut trace: Option<String> = None;
-    let mut trace_format = TraceFormat::Jsonl;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => addr = Some(iter.next().ok_or("--addr needs HOST:PORT")?.clone()),
+    let mut trace_format = TraceFormat::default();
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => addr = Some(value(&mut it, "--addr needs HOST:PORT")?),
             "--wait-ready-ms" => {
-                wait_ready_ms = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--wait-ready-ms needs an integer")?;
+                wait_ready_ms = parsed(it.next(), |_| true, "--wait-ready-ms needs an integer")?;
             }
-            "--call" => call_method = Some(iter.next().ok_or("--call needs a method")?.clone()),
-            "--params" => call_params = iter.next().ok_or("--params needs JSON")?.clone(),
+            "--call" => call_method = Some(value(&mut it, "--call needs a method")?),
+            "--params" => call_params = value(&mut it, "--params needs JSON")?,
             "--print" => {
-                print_payload = match iter.next().map(String::as_str) {
+                print_payload = match it.next().map(String::as_str) {
                     Some("payload") => true,
                     Some("line") => false,
                     _ => return Err("--print needs one of: payload, line".to_owned()),
                 };
             }
             "--metrics" => action = Some(Action::Metrics),
-            "--shutdown" => action = Some(Action::Shutdown),
+            "--shutdown" => action = Some(Action::Plain("shutdown")),
             "--batch-probe" => action = Some(Action::BatchProbe),
             "--mixed" => {
-                mixed_requests = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--mixed needs a request count")?,
-                );
+                mixed_requests = Some(parsed(
+                    it.next(),
+                    |_| true,
+                    "--mixed needs a request count",
+                )?);
             }
-            "--concurrency" => {
-                concurrency = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--concurrency needs a positive integer")?;
-            }
-            "--out" => out = Some(iter.next().ok_or("--out needs a path")?.clone()),
-            "--trace" => trace = Some(iter.next().ok_or("--trace needs a path")?.clone()),
-            "--trace-format" => {
-                trace_format = match iter.next().map(String::as_str) {
-                    Some("jsonl") => TraceFormat::Jsonl,
-                    Some("chrome") => TraceFormat::Chrome,
-                    _ => return Err("--trace-format needs one of: jsonl, chrome".to_owned()),
-                };
-            }
+            "--concurrency" => concurrency = positive(it.next(), flag)?,
+            "--out" => out = Some(value(&mut it, "--out needs a path")?),
+            "--trace" => trace = Some(value(&mut it, "--trace needs a path")?),
+            "--trace-format" => trace_format = it.next().map_or("", String::as_str).parse()?,
             "--help" | "-h" => {
                 return Err("see module docs: subvt-loadgen --addr A [--call|--mixed|--metrics|--batch-probe|--shutdown] [--trace PATH --trace-format jsonl|chrome]".to_owned());
             }
@@ -241,7 +204,7 @@ fn parse_args() -> Result<Options, String> {
             out,
         }
     } else {
-        action.unwrap_or(Action::Ping)
+        action.unwrap_or(Action::Plain("ping"))
     };
     Ok(Options {
         addr,

@@ -16,10 +16,10 @@
 //! * **Supervision** — [`supervise`] runs one child process per
 //!   non-empty shard and applies the same retry/deadline ladder the
 //!   in-process [`crate::supervisor`] applies to jobs: an abnormal
-//!   exit (signal or non-zero status) re-runs the shard up to
-//!   `max_attempts`, a deadline overrun kills and re-runs, and a shard
-//!   that exhausts its attempts is reported failed (quarantined)
-//!   rather than wedging the fleet.
+//!   exit (signal, or non-zero status before the shard finished)
+//!   re-runs the shard up to `max_attempts`, a deadline overrun kills
+//!   and re-runs, and a shard that exhausts its attempts is reported
+//!   failed (quarantined) rather than wedging the fleet.
 //!
 //! Determinism note: a re-run shard recomputes exactly the same
 //! content-addressed entries its dead predecessor was computing, so
@@ -180,9 +180,12 @@ fn crash_reason(status: std::process::ExitStatus) -> String {
 /// abnormal exits re-run the shard (fresh spawn, same shard) up to
 /// `policy.max_attempts`; deadline overruns kill and re-run; exhausted
 /// shards are marked failed. `spawn(shard, attempt)` launches one
-/// attempt; `on_crash(shard, reason)` runs after each abnormal exit,
-/// *before* the respawn — the fleet driver uses it to scrub the dead
-/// worker's segment tail.
+/// attempt; `finished(shard)`, asked after a non-zero exit, says the
+/// attempt completed its shard anyway (a worker that reports failed
+/// ids exits non-zero, and a re-run would fail them again), so the exit
+/// is the shard's result, not a crash; `on_crash(shard, reason)` runs
+/// after each abnormal exit, *before* the respawn — the fleet driver
+/// uses it to scrub the dead worker's segment tail.
 ///
 /// Publishes `fleet.restarts` and `fleet.shards_failed` counters.
 ///
@@ -194,6 +197,7 @@ pub fn supervise(
     shards: &[Shard],
     policy: &FleetPolicy,
     mut spawn: impl FnMut(&Shard, u32) -> io::Result<Child>,
+    mut finished: impl FnMut(&Shard) -> bool,
     mut on_crash: impl FnMut(&Shard, &str),
 ) -> io::Result<FleetReport> {
     struct Live<'a> {
@@ -231,7 +235,7 @@ pub fn supervise(
             let entry = &mut live[i];
             let mut crashed: Option<String> = None;
             match entry.child.try_wait()? {
-                Some(status) if status.success() => {
+                Some(status) if status.success() || finished(entry.shard) => {
                     live.swap_remove(i);
                     continue;
                 }
@@ -379,6 +383,7 @@ mod tests {
                     .args(["-c", script])
                     .spawn()
             },
+            |_| false,
             |shard, reason| crashes.push((shard.index, reason.to_owned())),
         )
         .unwrap();
@@ -410,6 +415,7 @@ mod tests {
                     .args(["-c", "exit 3"])
                     .spawn()
             },
+            |_| false,
             |_, _| {},
         )
         .unwrap();
@@ -417,6 +423,40 @@ mod tests {
         assert_eq!(report.runs[0].attempts, 2);
         assert!(report.runs[0].failed);
         assert_eq!(report.runs[0].crashes, vec!["exit code 3"; 2]);
+    }
+
+    #[test]
+    fn a_finished_shard_that_exits_nonzero_is_not_re_run() {
+        let shards: Vec<Shard> = (0..2)
+            .map(|index| Shard {
+                index,
+                ids: ids(&["a"]),
+                key_lo: 0,
+                key_hi: 0,
+            })
+            .collect();
+        // Both workers exit 1; only shard 0 finished (say, it staged a
+        // manifest that lists failed ids). Shard 1 died mid-shard.
+        let mut crashes = Vec::new();
+        let report = supervise(
+            &shards,
+            &FleetPolicy::default(),
+            |_, _| {
+                std::process::Command::new("sh")
+                    .args(["-c", "exit 1"])
+                    .spawn()
+            },
+            |shard| shard.index == 0,
+            |shard, reason| crashes.push((shard.index, reason.to_owned())),
+        )
+        .unwrap();
+        assert_eq!(report.runs[0].attempts, 1);
+        assert!(!report.runs[0].failed);
+        assert!(report.runs[0].crashes.is_empty());
+        assert_eq!(report.runs[1].attempts, 3);
+        assert!(report.runs[1].failed);
+        assert_eq!((report.restarts, report.failed), (2, 1));
+        assert_eq!(crashes, vec![(1, "exit code 1".to_owned()); 3]);
     }
 
     #[test]
@@ -436,6 +476,7 @@ mod tests {
             &shards,
             &policy,
             |_, _| std::process::Command::new("sleep").arg("10").spawn(),
+            |_| false,
             |_, _| {},
         )
         .unwrap();
@@ -455,6 +496,7 @@ mod tests {
             &shards,
             &FleetPolicy::default(),
             |_, _| panic!("empty shard must not spawn"),
+            |_| panic!("empty shard must not finish"),
             |_, _| {},
         )
         .unwrap();

@@ -39,6 +39,9 @@
 //! same CRC/quarantine path, and compaction back to one canonical
 //! file (DESIGN.md §10).
 //!
+//! [`cli`] reads the command lines of the workspace's binaries: flag
+//! values, `--jobs` and the trace file.
+//!
 //! The process-wide instances used by the experiment harness are
 //! [`global`] (sized by [`configure_jobs`], the `SUBVT_JOBS`
 //! environment variable, or the machine's parallelism) and
@@ -48,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod clock;
 pub mod executor;
 pub mod faultinject;

@@ -37,9 +37,11 @@ fn every_flag_form_parses() {
         ("--trace t.jsonl t", |a| {
             a.trace.as_deref() == Some("t.jsonl")
         }),
-        ("--trace-format chrome t", |a| a.trace_chrome),
+        ("--trace-format chrome t", |a| {
+            a.trace_format == TraceFormat::Chrome
+        }),
         ("--trace-format chrome --trace-format jsonl t", |a| {
-            !a.trace_chrome
+            a.trace_format == TraceFormat::Jsonl
         }),
         ("--manifest m.json t", |a| {
             a.manifest.as_deref() == Some("m.json")

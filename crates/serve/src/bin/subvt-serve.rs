@@ -18,217 +18,118 @@
 //! before exit.
 
 use std::io::Write;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use subvt_engine::cli::{self, positive, value, TraceFormat};
 use subvt_serve::{signal, Config, Server, SloRule};
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Jsonl,
-    Chrome,
-}
-
 fn main() -> ExitCode {
-    let mut config = Config {
-        addr: "127.0.0.1:7171".to_owned(),
-        watch_signals: true,
-        ..Config::default()
-    };
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut trace_format = TraceFormat::Jsonl;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let Some(addr) = iter.next() else {
-                    eprintln!("--addr needs HOST:PORT");
-                    return ExitCode::FAILURE;
-                };
-                config.addr = addr.clone();
-            }
-            "--workers" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                else {
-                    eprintln!("--workers needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                config.workers = n;
-            }
-            "--queue" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                else {
-                    eprintln!("--queue needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                config.queue_capacity = n;
-            }
-            "--deadline-ms" => {
-                let Some(ms) = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--deadline-ms needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                config.deadline = Duration::from_millis(ms);
-            }
-            "--max-attempts" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--max-attempts needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                config.max_attempts = n;
-            }
-            "--cache" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--cache needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                config.cache_path = Some(path.into());
-            }
-            "--jobs" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                else {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                if !subvt_engine::configure_jobs(n) {
-                    eprintln!("--jobs must come before any work is scheduled");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--slo" => {
-                let Some(spec) = iter.next() else {
-                    eprintln!("--slo needs METHOD=QUANTILE:MS (e.g. vtc=p99:50)");
-                    return ExitCode::FAILURE;
-                };
-                match SloRule::parse(spec) {
-                    Ok(rule) => config.slos.push(rule),
-                    Err(e) => {
-                        eprintln!("bad --slo `{spec}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--access-log" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--access-log needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                config.access_log = Some(path.into());
-            }
-            "--window-secs" => {
-                let Some(n) = iter
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--window-secs needs a positive integer");
-                    return ExitCode::FAILURE;
-                };
-                config.window_secs = n;
-            }
-            "--trace" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--trace needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                trace_path = Some(path.into());
-            }
-            "--trace-format" => {
-                let format = match iter.next().map(String::as_str) {
-                    Some("jsonl") => TraceFormat::Jsonl,
-                    Some("chrome") => TraceFormat::Chrome,
-                    _ => {
-                        eprintln!("--trace-format needs one of: jsonl, chrome");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                trace_format = format;
-            }
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    signal::install();
-    let server = match Server::start(config) {
-        Ok(server) => server,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv).and_then(serve) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("subvt-serve listening on {}", server.addr());
-    std::io::stdout().flush().ok();
-    let joined = server.join();
-    if let Some(path) = &trace_path {
-        if let Err(e) = write_trace(path, trace_format) {
-            eprintln!("cannot write trace {}: {e}", path.display());
-        }
-    }
-    match joined {
-        Ok(()) => {
-            eprintln!("subvt-serve: graceful shutdown complete");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("shutdown error: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn write_trace(path: &std::path::Path, format: TraceFormat) -> std::io::Result<()> {
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let tracer = subvt_engine::trace::global();
-    match format {
-        TraceFormat::Jsonl => tracer.write_jsonl(&mut out)?,
-        TraceFormat::Chrome => tracer.write_chrome(&mut out)?,
-    }
-    out.flush()
+/// A parsed `subvt-serve` command line.
+struct Args {
+    config: Config,
+    jobs: Option<usize>,
+    trace: Option<PathBuf>,
+    trace_format: TraceFormat,
 }
 
-fn print_help() {
-    eprintln!("usage: subvt-serve [options]");
-    eprintln!();
-    eprintln!("options:");
-    eprintln!("  --addr HOST:PORT     bind address (default 127.0.0.1:7171; port 0 = free port)");
-    eprintln!("  --workers N          compute worker threads (default 2)");
-    eprintln!("  --queue N            admission queue capacity (default 64)");
-    eprintln!("  --deadline-ms N      per-request compute deadline (default 30000)");
-    eprintln!("  --max-attempts N     supervisor attempts before quarantine (default 1)");
-    eprintln!("  --cache PATH         persist the response/design cache across restarts");
-    eprintln!("  --jobs N             engine worker threads (default: cores, or $SUBVT_JOBS)");
-    eprintln!("  --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)");
-    eprintln!("  --access-log PATH    append one JSONL line per request (DESIGN.md section 6)");
-    eprintln!("  --window-secs N      rolling latency/SLO window (default 60)");
-    eprintln!("  --trace PATH         write the request span tree on shutdown");
-    eprintln!("  --trace-format F     trace file format: jsonl (default) | chrome");
-    eprintln!();
-    eprintln!("Protocol: newline-framed JSON over TCP, plus GET /metrics and");
-    eprintln!("GET /healthz over the same port. Each request picks its own");
-    eprintln!("`backend` and `circuit_backend`. See DESIGN.md section 8.");
+/// Parses a command line (without the program name); `None` is a
+/// request for the help text.
+fn parse(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        config: Config {
+            addr: "127.0.0.1:7171".to_owned(),
+            watch_signals: true,
+            ..Config::default()
+        },
+        jobs: None,
+        trace: None,
+        trace_format: TraceFormat::default(),
+    };
+    let config = &mut args.config;
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let flag = arg.as_str();
+        match flag {
+            "--addr" => config.addr = value(&mut it, "--addr needs HOST:PORT")?,
+            "--workers" => config.workers = positive(it.next(), flag)?,
+            "--queue" => config.queue_capacity = positive(it.next(), flag)?,
+            "--deadline-ms" => config.deadline = Duration::from_millis(positive(it.next(), flag)?),
+            "--max-attempts" => config.max_attempts = positive(it.next(), flag)?,
+            "--cache" => {
+                config.cache_path = Some(value(&mut it, "--cache needs a file path")?.into())
+            }
+            "--jobs" => args.jobs = Some(positive(it.next(), flag)?),
+            "--slo" => {
+                let spec = value(&mut it, "--slo needs METHOD=QUANTILE:MS (e.g. vtc=p99:50)")?;
+                let rule = SloRule::parse(&spec).map_err(|e| format!("bad --slo `{spec}`: {e}"))?;
+                config.slos.push(rule);
+            }
+            "--access-log" => {
+                config.access_log = Some(value(&mut it, "--access-log needs a file path")?.into());
+            }
+            "--window-secs" => config.window_secs = positive(it.next(), flag)?,
+            "--trace" => args.trace = Some(value(&mut it, "--trace needs a file path")?.into()),
+            "--trace-format" => {
+                args.trace_format = it.next().map_or("", String::as_str).parse()?;
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}` (try --help)")),
+        }
+    }
+    Ok(Some(args))
 }
+
+/// Serves until a signal or the `shutdown` method drains the daemon.
+fn serve(args: Option<Args>) -> Result<(), String> {
+    let Some(args) = args else {
+        eprintln!("{HELP}");
+        return Ok(());
+    };
+    cli::apply_jobs(args.jobs)?;
+    signal::install();
+    let server = Server::start(args.config).map_err(|e| format!("cannot start server: {e}"))?;
+    println!("subvt-serve listening on {}", server.addr());
+    std::io::stdout().flush().ok();
+    let joined = server.join();
+    if let Some(path) = &args.trace {
+        if let Err(e) = cli::write_trace(path, args.trace_format) {
+            eprintln!("cannot write trace {}: {e}", path.display());
+        }
+    }
+    joined.map_err(|e| format!("shutdown error: {e}"))?;
+    eprintln!("subvt-serve: graceful shutdown complete");
+    Ok(())
+}
+
+const HELP: &str = "\
+usage: subvt-serve [options]
+
+options:
+  --addr HOST:PORT     bind address (default 127.0.0.1:7171; port 0 = free port)
+  --workers N          compute worker threads (default 2)
+  --queue N            admission queue capacity (default 64)
+  --deadline-ms N      per-request compute deadline (default 30000)
+  --max-attempts N     supervisor attempts before quarantine (default 1)
+  --cache PATH         persist the response/design cache across restarts
+  --jobs N             engine worker threads (default: cores, or $SUBVT_JOBS)
+  --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)
+  --access-log PATH    append one JSONL line per request (DESIGN.md section 6)
+  --window-secs N      rolling latency/SLO window (default 60)
+  --trace PATH         write the request span tree on shutdown
+  --trace-format F     trace file format: jsonl (default) | chrome
+
+Protocol: newline-framed JSON over TCP, plus GET /metrics and
+GET /healthz over the same port. Each request picks its own
+`backend` and `circuit_backend`. See DESIGN.md section 8.";

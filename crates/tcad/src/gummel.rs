@@ -73,6 +73,13 @@ pub enum TcadError {
         /// Requested sweep end point, volts.
         v_max: f64,
     },
+    /// A requested bias was not a finite voltage.
+    InvalidBias {
+        /// Requested gate bias, volts.
+        v_gate: f64,
+        /// Requested drain bias, volts.
+        v_drain: f64,
+    },
 }
 
 impl core::fmt::Display for TcadError {
@@ -98,6 +105,10 @@ impl core::fmt::Display for TcadError {
             TcadError::InvalidSweep { step, v_max } => write!(
                 f,
                 "invalid sweep spec: step={step}, v_max={v_max} (both must be finite and positive)"
+            ),
+            TcadError::InvalidBias { v_gate, v_drain } => write!(
+                f,
+                "invalid bias: Vg={v_gate}, Vd={v_drain} (both must be finite)"
             ),
         }
     }
@@ -190,9 +201,13 @@ impl DeviceSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`TcadError`] if any intermediate point fails after the
-    /// full ladder.
+    /// Returns [`TcadError::InvalidBias`] for a non-finite voltage, and
+    /// [`TcadError`] if any intermediate point fails after the full
+    /// ladder.
     pub fn set_bias(&mut self, v_gate: f64, v_drain: f64) -> Result<(), TcadError> {
+        if !(v_gate.is_finite() && v_drain.is_finite()) {
+            return Err(TcadError::InvalidBias { v_gate, v_drain });
+        }
         let steps_g = ((v_gate - self.bias.v_gate).abs() / RAMP_STEP).ceil() as usize;
         let steps_d = ((v_drain - self.bias.v_drain).abs() / RAMP_STEP).ceil() as usize;
         let steps = steps_g.max(steps_d).max(1);
@@ -769,6 +784,26 @@ mod tests {
             sim.drain_current().to_bits(),
             clean.drain_current().to_bits()
         );
+    }
+
+    #[test]
+    fn a_non_finite_bias_is_a_typed_error_that_changes_nothing() {
+        let mut sim = simulator();
+        sim.set_bias(0.3, 0.6).unwrap();
+        let before = sim.clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (v_gate, v_drain) in [(bad, 0.6), (0.3, bad)] {
+                let err = sim.set_bias(v_gate, v_drain).unwrap_err();
+                assert!(
+                    matches!(err, TcadError::InvalidBias { v_gate: g, v_drain: d }
+                        if g.to_bits() == v_gate.to_bits() && d.to_bits() == v_drain.to_bits()),
+                    "{err}"
+                );
+                // `DeviceSimulator` compares its fields (and no field
+                // holds a NaN), so `==` checks state, bias and history.
+                assert!(sim == before, "({v_gate}, {v_drain})");
+            }
+        }
     }
 
     #[test]

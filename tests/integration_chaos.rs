@@ -372,6 +372,66 @@ fn one_worker_fleet_fails_the_ids_a_keep_going_run_fails() {
     );
 }
 
+/// The sorted `FAILED <id>: <message>` lines.
+fn failed_lines(stderr: &[u8]) -> Vec<String> {
+    let mut lines: Vec<String> = String::from_utf8_lossy(stderr)
+        .lines()
+        .filter(|l| l.starts_with("FAILED "))
+        .map(str::to_owned)
+        .collect();
+    lines.sort();
+    lines.dedup();
+    lines
+}
+
+#[test]
+fn a_fleet_worker_that_reports_failed_ids_is_not_re_run() {
+    // At the default `--max-attempts`, the worker's exit 1 is its
+    // result: it staged its manifest, so the parent neither re-runs it
+    // nor replaces its messages.
+    let plan = "seed=42,panic=0.5";
+    let dir = tmpdir("fleet-result");
+    let manifest_path = dir.join("fleet.json");
+    let single = run_ok(
+        repro()
+            .env("SUBVT_FAULTS", plan)
+            .args(["--keep-going", "--csv", "all"]),
+    );
+    let fleet = run_ok(
+        repro()
+            .env("SUBVT_FAULTS", plan)
+            .args(["fleet", "--workers", "1", "--csv", "--manifest"])
+            .arg(&manifest_path)
+            .arg("all"),
+    );
+    let stderr = String::from_utf8_lossy(&fleet.stderr);
+    assert_eq!(fleet.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("re-running worker"), "{stderr}");
+    assert!(!stderr.contains("died"), "{stderr}");
+    assert_eq!(fleet.stdout, single.stdout);
+    let failed = failed_lines(&single.stderr);
+    assert_eq!(failed.len(), 6, "{failed:?}");
+    assert_eq!(failed_lines(&fleet.stderr), failed);
+
+    let manifest = read_manifest(&manifest_path);
+    let block = manifest.get("fleet").expect("a fleet block");
+    assert_eq!(block.get("restarts").and_then(Json::as_u64), Some(0));
+    assert_eq!(block.get("shards_failed").and_then(Json::as_u64), Some(0));
+    let mut listed: Vec<String> = manifest
+        .get("failures")
+        .and_then(Json::as_arr)
+        .expect("a failures block")
+        .iter()
+        .map(|f| {
+            let field = |k: &str| f.get(k).and_then(Json::as_str).expect("id and message");
+            format!("FAILED {}: {}", field("id"), field("message"))
+        })
+        .collect();
+    listed.sort();
+    assert_eq!(listed, failed);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 #[cfg(unix)]
 fn a_warm_close_leaves_the_cache_file_alone() {
