@@ -26,8 +26,8 @@ pub fn crossing_time(
 ) -> Option<f64> {
     let mut seen = 0usize;
     for k in 1..result.time.len() {
-        let v0 = result.voltages[k - 1][node];
-        let v1 = result.voltages[k][node];
+        let v0 = result.voltage(k - 1, node);
+        let v1 = result.voltage(k, node);
         // A sample landing exactly on `level` makes the sign product
         // vanish for both adjacent intervals; the crossing belongs to the
         // interval that *arrives* at the level (d1 == 0), never the one
@@ -98,8 +98,8 @@ pub fn supply_energy(result: &TransientResult, branch: usize, supply_node: usize
     let mut energy = 0.0;
     for k in 1..result.time.len() {
         let dt = result.time[k] - result.time[k - 1];
-        let p0 = -result.branch_currents[k - 1][branch] * result.voltages[k - 1][supply_node];
-        let p1 = -result.branch_currents[k][branch] * result.voltages[k][supply_node];
+        let p0 = -result.branch_current(k - 1, branch) * result.voltage(k - 1, supply_node);
+        let p1 = -result.branch_current(k, branch) * result.voltage(k, supply_node);
         energy += 0.5 * (p0 + p1) * dt;
     }
     energy
@@ -113,14 +113,14 @@ mod tests {
 
     fn ramp_result() -> TransientResult {
         // Synthetic: node 1 ramps 0→1 over [0,1], node 2 ramps 1→0.
-        TransientResult {
-            time: (0..=10).map(|i| i as f64 / 10.0).collect(),
-            voltages: (0..=10)
-                .map(|i| vec![0.0, i as f64 / 10.0, 1.0 - i as f64 / 10.0])
-                .collect(),
-            branch_currents: (0..=10).map(|_| vec![-1.0e-3]).collect(),
-            newton_iterations: vec![1; 10],
-        }
+        let voltages: Vec<Vec<f64>> = (0..=10)
+            .map(|i| vec![0.0, i as f64 / 10.0, 1.0 - i as f64 / 10.0])
+            .collect();
+        TransientResult::from_rows(
+            (0..=10).map(|i| i as f64 / 10.0).collect(),
+            &voltages,
+            &vec![vec![-1.0e-3]; 11],
+        )
     }
 
     #[test]
@@ -156,12 +156,11 @@ mod tests {
     fn waveform_starting_on_level_still_crosses() {
         // If the first sample sits exactly on the level and the waveform
         // leaves it, that departure is the (single) crossing.
-        let r = TransientResult {
-            time: vec![0.0, 1.0, 2.0],
-            voltages: vec![vec![0.0, 0.5], vec![0.0, 1.0], vec![0.0, 1.0]],
-            branch_currents: vec![vec![]; 3],
-            newton_iterations: vec![1; 2],
-        };
+        let r = TransientResult::from_rows(
+            vec![0.0, 1.0, 2.0],
+            &[vec![0.0, 0.5], vec![0.0, 1.0], vec![0.0, 1.0]],
+            &[vec![], vec![], vec![]],
+        );
         let t = crossing_time(&r, 1, 0.5, Edge::Rising, 0).unwrap();
         assert!((t - 0.0).abs() < 1e-12);
         assert!(crossing_time(&r, 1, 0.5, Edge::Any, 1).is_none());
@@ -175,12 +174,12 @@ mod tests {
         // in `propagation_delay` lands on the true post-edge crossing.
         let out = [1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0];
         let inp = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let r = TransientResult {
-            time: (0..=10).map(|i| i as f64 / 10.0).collect(),
-            voltages: (0..=10).map(|i| vec![0.0, inp[i], out[i]]).collect(),
-            branch_currents: (0..=10).map(|_| vec![]).collect(),
-            newton_iterations: vec![1; 10],
-        };
+        let voltages: Vec<Vec<f64>> = (0..=10).map(|i| vec![0.0, inp[i], out[i]]).collect();
+        let r = TransientResult::from_rows(
+            (0..=10).map(|i| i as f64 / 10.0).collect(),
+            &voltages,
+            &vec![vec![]; 11],
+        );
         let d = propagation_delay(&r, 1, 2, 1.0, Edge::Rising).unwrap();
         // Input crosses at t = 0.4, output falls through 0.5 at t = 0.6.
         assert!((d - 0.2).abs() < 1e-12, "delay {d}");

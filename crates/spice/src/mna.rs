@@ -681,15 +681,30 @@ impl<'a> Solver<'a> {
         })
     }
 
+    /// The node count (ground included) and branch-current count of
+    /// one solution.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.n_nodes, self.dim() - (self.n_nodes - 1))
+    }
+
+    /// Appends the current unknowns to `voltages` (ground's 0 V, then
+    /// one per node) and `currents` (one per voltage source).
+    pub(crate) fn append_point(&self, voltages: &mut Vec<f64>, currents: &mut Vec<f64>) {
+        let n_v = self.n_nodes - 1;
+        voltages.push(0.0);
+        voltages.extend_from_slice(&self.x[..n_v]);
+        currents.extend_from_slice(&self.x[n_v..self.dim()]);
+    }
+
     /// The current unknowns as a [`DcSolution`].
     pub(crate) fn to_solution(&self, iterations: usize) -> DcSolution {
-        let n_v = self.n_nodes - 1;
-        let mut node_voltages = Vec::with_capacity(self.n_nodes);
-        node_voltages.push(0.0);
-        node_voltages.extend_from_slice(&self.x[..n_v]);
+        let (nodes, branches) = self.shape();
+        let mut node_voltages = Vec::with_capacity(nodes);
+        let mut branch_currents = Vec::with_capacity(branches);
+        self.append_point(&mut node_voltages, &mut branch_currents);
         DcSolution {
             node_voltages,
-            branch_currents: self.x[n_v..self.dim()].to_vec(),
+            branch_currents,
             iterations,
         }
     }

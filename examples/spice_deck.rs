@@ -64,7 +64,7 @@ CL  out 0 5f
         TransientSpec::with_steps(15.0e-6, 1500, Integrator::Trapezoidal),
     )?;
     let out_t = net_tran.find_node("out").expect("out");
-    let final_v = res.voltages.last().unwrap()[out_t];
+    let final_v = res.voltage(res.time.len() - 1, out_t);
     println!(
         "\nTransient: out settles at {:.1} mV after the input pulse",
         final_v * 1e3
