@@ -330,7 +330,11 @@ fn sweep(args: &Args) -> Result<(), String> {
                 }
             }
             Err(failure) if keep_going => {
-                eprintln!("FAILED {}: {}", failure.id, failure.message);
+                // A fleet worker's failures go to its staged manifest;
+                // the parent prints them once, in argument order.
+                if staging.is_none() {
+                    eprintln!("FAILED {}: {}", failure.id, failure.message);
+                }
                 failures.push(failure);
             }
             Err(failure) => panic!("{failure}"),
@@ -377,9 +381,14 @@ fn sweep(args: &Args) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!(
-            "{} of {} experiments failed (see above)",
+            "{} of {} experiments failed ({})",
             failures.len(),
-            ids.len()
+            ids.len(),
+            if staging.is_some() {
+                "staged for the fleet"
+            } else {
+                "see above"
+            }
         ))
     }
 }

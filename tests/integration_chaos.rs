@@ -372,7 +372,7 @@ fn one_worker_fleet_fails_the_ids_a_keep_going_run_fails() {
     );
 }
 
-/// The sorted `FAILED <id>: <message>` lines.
+/// The sorted `FAILED <id>: <message>` lines, duplicates kept.
 fn failed_lines(stderr: &[u8]) -> Vec<String> {
     let mut lines: Vec<String> = String::from_utf8_lossy(stderr)
         .lines()
@@ -380,7 +380,6 @@ fn failed_lines(stderr: &[u8]) -> Vec<String> {
         .map(str::to_owned)
         .collect();
     lines.sort();
-    lines.dedup();
     lines
 }
 
@@ -411,6 +410,7 @@ fn a_fleet_worker_that_reports_failed_ids_is_not_re_run() {
     assert_eq!(fleet.stdout, single.stdout);
     let failed = failed_lines(&single.stderr);
     assert_eq!(failed.len(), 6, "{failed:?}");
+    // Only the parent prints a failed id; its worker staged it.
     assert_eq!(failed_lines(&fleet.stderr), failed);
 
     let manifest = read_manifest(&manifest_path);
