@@ -6,7 +6,6 @@
 //! subvt-loadgen --addr A --call experiment --params '{"id":"fig2","format":"csv"}' --print payload
 //! subvt-loadgen --addr A --mixed 200 --concurrency 8 --out BENCH_serve.json
 //! subvt-loadgen --addr A --mixed 50 --trace client-trace.json --trace-format chrome
-//! subvt-loadgen --addr A --batch-probe      # needs a --workers 1 server
 //! subvt-loadgen --addr A --metrics          # dump GET /metrics
 //! subvt-loadgen --addr A --shutdown         # graceful drain
 //! ```
@@ -57,7 +56,6 @@ enum Action {
         concurrency: usize,
         out: Option<String>,
     },
-    BatchProbe,
 }
 
 fn main() -> ExitCode {
@@ -132,7 +130,6 @@ fn act(opts: &Options) -> Result<(), String> {
             concurrency,
             out,
         } => run_mixed(&opts.addr, *requests, *concurrency, out.as_deref()),
-        Action::BatchProbe => run_batch_probe(&opts.addr),
     }
 }
 
@@ -172,7 +169,6 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             }
             "--metrics" => action = Some(Action::Metrics),
             "--shutdown" => action = Some(Action::Plain("shutdown")),
-            "--batch-probe" => action = Some(Action::BatchProbe),
             "--mixed" => {
                 mixed_requests = Some(parsed(
                     it.next(),
@@ -185,7 +181,7 @@ fn parse(argv: &[String]) -> Result<Options, String> {
             "--trace" => trace = Some(value(&mut it, "--trace needs a path")?),
             "--trace-format" => trace_format = it.next().map_or("", String::as_str).parse()?,
             "--help" | "-h" => {
-                return Err("see module docs: subvt-loadgen --addr A [--call|--mixed|--metrics|--batch-probe|--shutdown] [--trace PATH --trace-format jsonl|chrome]".to_owned());
+                return Err("see module docs: subvt-loadgen --addr A [--call|--mixed|--metrics|--shutdown] [--trace PATH --trace-format jsonl|chrome]".to_owned());
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -385,102 +381,4 @@ fn run_mixed(
         return Err(format!("{errors} requests failed"));
     }
     Ok(())
-}
-
-/// Deterministic sweep-batching probe. Requires a `--workers 1`
-/// server: one `sleep` occupies the single worker, three
-/// bias-compatible `idvg` requests pile up behind it, and the worker
-/// must merge them into one executor pass on wake-up.
-fn run_batch_probe(addr: &str) -> Result<(), String> {
-    let counters_before = read_counters(addr)?;
-    let sleeper = {
-        let addr = addr.to_owned();
-        std::thread::spawn(move || {
-            Client::connect(addr.as_str())
-                .and_then(|mut c| c.call("sleep", r#"{"ms":600,"token":"batch-probe"}"#))
-        })
-    };
-    // Wait until the sleep actually occupies the worker.
-    wait_for_gauge(addr, "serve.inflight", 1.0, Duration::from_secs(5))?;
-    let probes: Vec<_> = [0.20, 0.25, 0.30]
-        .into_iter()
-        .map(|v| {
-            let addr = addr.to_owned();
-            std::thread::spawn(move || {
-                Client::connect(addr.as_str()).and_then(|mut c| {
-                    c.call(
-                        "idvg",
-                        &format!(r#"{{"node":"ref90","v_ds":0.05,"v_gs":[{v}]}}"#),
-                    )
-                })
-            })
-        })
-        .collect();
-    // All three must be queued before the sleeper releases the worker.
-    wait_for_gauge(addr, "serve.queue.depth", 3.0, Duration::from_secs(5))?;
-    for probe in probes {
-        let r = probe
-            .join()
-            .map_err(|_| "probe thread panicked".to_owned())
-            .and_then(|r| r.map_err(|e| e.to_string()))?;
-        if !r.ok {
-            return Err(format!("probe request failed: {}", r.raw));
-        }
-    }
-    sleeper
-        .join()
-        .map_err(|_| "sleeper thread panicked".to_owned())
-        .and_then(|r| r.map_err(|e| e.to_string()))?;
-    let counters_after = read_counters(addr)?;
-    let delta = |name: &str| -> i64 {
-        counters_after.get(name).copied().unwrap_or(0) as i64
-            - counters_before.get(name).copied().unwrap_or(0) as i64
-    };
-    let runs = delta("serve.batch.runs");
-    let merged = delta("serve.batch.merged");
-    if runs < 1 || merged < 2 {
-        return Err(format!(
-            "batching did not engage: batch.runs +{runs}, batch.merged +{merged}"
-        ));
-    }
-    println!("batch-probe: ok runs=+{runs} merged=+{merged}");
-    Ok(())
-}
-
-fn read_counters(addr: &str) -> Result<std::collections::BTreeMap<String, u64>, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let r = client.call("metrics", "{}").map_err(|e| e.to_string())?;
-    let json = r.result_json()?;
-    let mut out = std::collections::BTreeMap::new();
-    if let Some(Json::Obj(members)) = json.get("counters").cloned() {
-        for (name, value) in members {
-            if let Some(v) = value.as_u64() {
-                out.insert(name, v);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn wait_for_gauge(addr: &str, name: &str, want: f64, timeout: Duration) -> Result<(), String> {
-    let started = Instant::now();
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    loop {
-        let r = client.call("metrics", "{}").map_err(|e| e.to_string())?;
-        let json = r.result_json()?;
-        let got = json
-            .get("gauges")
-            .and_then(|g| g.get(name))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        if got >= want {
-            return Ok(());
-        }
-        if started.elapsed() > timeout {
-            return Err(format!(
-                "timed out waiting for gauge {name} >= {want} (last {got})"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }

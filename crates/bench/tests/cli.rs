@@ -60,6 +60,14 @@ fn loadgen_rejects_malformed_command_lines() {
     );
     fails(vec![vec!["--bogus"]], "unknown argument `--bogus`");
     fails(vec![vec!["extra"]], "unknown argument `extra`");
+    // The sweep-batching probe is gone with sweep batching.
+    fails(
+        vec![
+            vec!["--batch-probe"],
+            vec!["--addr", "127.0.0.1:9", "--batch-probe"],
+        ],
+        "unknown argument `--batch-probe`",
+    );
     // Without `--addr` every action fails; a zero wait or request
     // count is a value, not an error.
     fails(
@@ -67,7 +75,6 @@ fn loadgen_rejects_malformed_command_lines() {
             vec![],
             vec!["--metrics"],
             vec!["--shutdown"],
-            vec!["--batch-probe"],
             vec!["--call", "ping"],
             vec!["--wait-ready-ms", "0"],
             vec!["--mixed", "0"],
@@ -85,8 +92,12 @@ fn loadgen_rejects_malformed_command_lines() {
         "--concurrency needs a positive integer",
     );
     fails(
-        vec![vec!["--help"], vec!["-h"], vec!["--help", "--concurrency", "0"]],
-        "see module docs: subvt-loadgen --addr A [--call|--mixed|--metrics|--batch-probe|--shutdown] \
+        vec![
+            vec!["--help"],
+            vec!["-h"],
+            vec!["--help", "--concurrency", "0"],
+        ],
+        "see module docs: subvt-loadgen --addr A [--call|--mixed|--metrics|--shutdown] \
          [--trace PATH --trace-format jsonl|chrome]",
     );
     check(env!("CARGO_BIN_EXE_subvt-loadgen"), &cases);

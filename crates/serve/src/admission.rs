@@ -120,25 +120,6 @@ impl Admission {
         }
     }
 
-    /// Removes and returns every queued job whose query shares
-    /// `group` as its [`Query::idvg_group`] — the sweep-batching
-    /// steal. Order is preserved.
-    pub fn steal_idvg_group(&self, group: u64) -> Vec<Job> {
-        let mut state = self.state.lock().expect("admission lock");
-        let mut stolen = Vec::new();
-        let mut rest = VecDeque::with_capacity(state.queue.len());
-        for job in state.queue.drain(..) {
-            if job.query.idvg_group() == Some(group) {
-                stolen.push(job);
-            } else {
-                rest.push_back(job);
-            }
-        }
-        state.queue = rest;
-        trace::gauge("serve.queue.depth", state.queue.len() as f64);
-        stolen
-    }
-
     /// Closes the queue: subsequent submits are rejected, blocked
     /// `pop` calls return `None`, and every job still queued is
     /// returned for typed rejection.
@@ -150,11 +131,6 @@ impl Admission {
         drop(state);
         self.ready.notify_all();
         flushed
-    }
-
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.state.lock().expect("admission lock").queue.len()
     }
 }
 
@@ -201,24 +177,5 @@ mod tests {
         assert!(adm.pop().is_none(), "closed+empty pop must return None");
         let (c, _rxc) = job("c", "sleep", r#"{"ms":1}"#);
         assert!(matches!(adm.submit(c), Err(Rejected::Closed(_))));
-    }
-
-    #[test]
-    fn steal_takes_only_the_compatible_group() {
-        let adm = Admission::new(8);
-        let (a, _ra) = job("a", "idvg", r#"{"node":"ref90","v_ds":0.05,"v_gs":[0.1]}"#);
-        let (b, _rb) = job("b", "idvg", r#"{"node":"ref90","v_ds":0.05,"v_gs":[0.2]}"#);
-        let (c, _rc) = job("c", "idvg", r#"{"node":"ref90","v_ds":1.2,"v_gs":[0.2]}"#);
-        let (d, _rd) = job("d", "sleep", r#"{"ms":1}"#);
-        let group = a.query.idvg_group().unwrap();
-        for j in [a, b, c, d] {
-            adm.submit(j).unwrap();
-        }
-        let stolen = adm.steal_idvg_group(group);
-        assert_eq!(
-            stolen.iter().map(|j| j.id.as_str()).collect::<Vec<_>>(),
-            ["a", "b"]
-        );
-        assert_eq!(adm.depth(), 2);
     }
 }

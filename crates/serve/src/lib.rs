@@ -22,23 +22,21 @@
 //!   requests share one cache key in the `serve.resp` namespace, so N
 //!   concurrent identical requests are computed exactly once (the
 //!   engine's single-flight in-flight slot) and answered N times.
-//! * **Sweep batching** ([`server`]): a worker popping an `idvg`
-//!   request steals every queued request that differs only in bias
-//!   points and computes the union sweep in one executor pass.
-//! * **Supervision**: every compute runs under
-//!   [`subvt_engine::Supervisor`] with a per-request deadline; a
-//!   panicking (poison) request is quarantined and subsequently refused
-//!   with a typed error while the server keeps serving.
+//! * **Supervision** ([`server`]): each worker pops one request at a
+//!   time and runs its compute under [`subvt_engine::Supervisor`] with
+//!   a per-request deadline; a panicking (poison) request is
+//!   quarantined and subsequently refused with a typed error while the
+//!   server keeps serving.
 //! * **Observability** ([`observatory`], [`accesslog`]): queue depth,
-//!   in-flight gauge, dedup/batch counters and per-endpoint latency
+//!   in-flight gauge, dedup counters and per-endpoint latency
 //!   histograms land in the engine's metrics registry and are exported
 //!   through `GET /metrics` as conformant Prometheus text, alongside
 //!   rolling-window (last N seconds) latency quantiles and `--slo`
 //!   error-budget burn rates. Each request runs under a per-request
-//!   span tree (`serve.request` → `admission`/`dedup`/`batch.merge`/
-//!   `compute`/`serialize`) that parents onto the client's span when
-//!   the request carries wire trace context ([`proto::TraceContext`]),
-//!   and `--access-log` appends one structured JSONL line per request.
+//!   span tree (`serve.request` → `admission`/`dedup`/`compute`/
+//!   `serialize`) that parents onto the client's span when the request
+//!   carries wire trace context ([`proto::TraceContext`]), and
+//!   `--access-log` appends one structured JSONL line per request.
 //!
 //! Graceful shutdown (SIGTERM / ctrl-c / the `shutdown` method) stops
 //! accepting, rejects still-queued and new work with `shutting_down`,

@@ -206,19 +206,21 @@ impl Device {
         Ok(pair.at_temperature(Temperature::from_kelvin(temp_k)))
     }
 
-    /// Evaluates the drain current at every `v_gs` bias in one pass over
-    /// the engine pool — the shared body of single and batched `idvg`.
+    /// Evaluates the drain current at every `v_gs` bias, in order, on
+    /// the calling thread: one compact-model evaluation per point costs
+    /// far less than an engine-pool job would.
     ///
     /// # Errors
     ///
     /// A human-readable message when device resolution fails.
-    pub fn idvg_currents(self, v_ds: f64, v_gs: &[f64]) -> Result<Vec<f64>, String> {
+    fn idvg_currents(self, v_ds: f64, v_gs: &[f64]) -> Result<Vec<f64>, String> {
         let (params, chars) = self.nfet()?;
         let model = MosModel::from_device(&params, &chars);
         let vds = Volts::new(v_ds);
-        Ok(subvt_engine::global().map(v_gs.to_vec(), move |v| {
-            model.drain_current(Volts::new(v), vds).get()
-        }))
+        Ok(v_gs
+            .iter()
+            .map(|&v| model.drain_current(Volts::new(v), vds).get())
+            .collect())
     }
 }
 
@@ -835,20 +837,6 @@ impl Query {
             Query::Panic { token } => kb.str(token).finish(),
         }
     }
-
-    /// Batch-compatibility key: two `idvg` queries with the same group
-    /// key differ only in bias points and can share one executor pass.
-    /// `None` for every other method.
-    pub fn idvg_group(&self) -> Option<u64> {
-        match self {
-            Query::IdVg { dev, v_ds, .. } => Some(
-                dev.absorb(KeyBuilder::new("serve.batch").str("idvg"))
-                    .f64(*v_ds)
-                    .finish(),
-            ),
-            _ => None,
-        }
-    }
 }
 
 /// A UTF-8 string packed into the cache's `Vec<f64>` blob model:
@@ -889,7 +877,7 @@ impl Blob for TextBlob {
 }
 
 /// Renders the `idvg` payload for one bias list.
-pub fn idvg_payload(v_gs: &[f64], i_d: &[f64]) -> String {
+fn idvg_payload(v_gs: &[f64], i_d: &[f64]) -> String {
     format!(
         "{{\"unit\":\"A/um\",\"v_gs\":{},\"i_d\":{}}}",
         fmt_f64s(v_gs),
@@ -1185,20 +1173,6 @@ mod tests {
             assert!(matches!(query, Query::Circuit { .. }), "{method}");
             assert_eq!(query.method(), method);
         }
-    }
-
-    #[test]
-    fn idvg_groups_ignore_bias_points_only() {
-        let a = q("idvg", r#"{"node":"ref90","v_ds":0.05,"v_gs":[0.1,0.2]}"#).unwrap();
-        let b = q("idvg", r#"{"node":"ref90","v_ds":0.05,"v_gs":[0.3]}"#).unwrap();
-        let c = q("idvg", r#"{"node":"ref90","v_ds":1.2,"v_gs":[0.3]}"#).unwrap();
-        assert_ne!(a.key(), b.key());
-        assert_eq!(a.idvg_group(), b.idvg_group());
-        assert_ne!(b.idvg_group(), c.idvg_group());
-        assert_eq!(
-            q("ping_or_other", "{}").unwrap_err().0,
-            ErrorCode::UnknownMethod
-        );
     }
 
     #[test]

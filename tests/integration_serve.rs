@@ -641,13 +641,13 @@ fn served_payloads_and_keys_match_the_pin() {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
-/// Sweep batching through the daemon: with the only worker held, three
-/// queued `idvg` requests of one sweep group run as one batch (one run,
-/// two merged members), the fourth request of another group runs on its
-/// own, and every member answers exactly what an in-process compute of
-/// its own request gives.
+/// One compute path per request: with the only worker held, four
+/// `idvg` requests queue behind it (three share a device and `V_ds`,
+/// and two of those share a bias point). Each one is computed on its
+/// own and answers exactly what an in-process compute of its own
+/// request gives; nothing is merged into a shared sweep.
 #[test]
-fn queued_idvg_requests_of_one_sweep_group_run_as_one_batch() {
+fn queued_idvg_requests_each_answer_their_own_compute() {
     let _guard = serial();
     let server = start(Config {
         workers: 1,
@@ -659,7 +659,7 @@ fn queued_idvg_requests_of_one_sweep_group_run_as_one_batch() {
     let occupant = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .call("sleep", r#"{"ms":1000,"token":"batch-occupant"}"#)
+            .call("sleep", r#"{"ms":1000,"token":"idvg-occupant"}"#)
             .expect("occupant call")
     });
     wait_for_gauge(addr, "serve.inflight", 1.0);
@@ -684,18 +684,25 @@ fn queued_idvg_requests_of_one_sweep_group_run_as_one_batch() {
 
     for (params, call) in requests.iter().zip(calls) {
         let served = call.join().expect("idvg thread");
-        assert!(served.ok, "batched request must succeed: {}", served.raw);
+        assert!(served.ok, "queued request must succeed: {}", served.raw);
         let q = Query::from_request("idvg", &parse_json(params).unwrap()).expect("parses");
         let direct = query::compute(&q).expect("in-process compute");
         assert_eq!(
             served.result.as_deref(),
             Some(direct.as_str()),
-            "batched payload must equal the in-process compute of {params}"
+            "served payload must equal the in-process compute of {params}"
         );
     }
     let after = counters();
-    assert_eq!(delta(&before, &after, "serve.batch.runs"), 1);
-    assert_eq!(delta(&before, &after, "serve.batch.merged"), 2);
+    assert_eq!(
+        delta(&before, &after, "serve.computed"),
+        requests.len() as u64
+    );
+    let batch: Vec<&String> = after
+        .keys()
+        .filter(|name| name.starts_with("serve.batch"))
+        .collect();
+    assert!(batch.is_empty(), "no sweep-batch counters: {batch:?}");
 
     server.shutdown();
     server.join().expect("join");
