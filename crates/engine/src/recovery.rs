@@ -2,14 +2,12 @@
 //!
 //! Solvers and the job supervisor escalate through deterministic
 //! recovery ladders when a step fails (see DESIGN.md §7). Every rung
-//! they climb is recorded here as a [`RecoveryRecord`] in a
-//! process-global registry, and mirrored as a
-//! `recovery.<site>.<step>` trace counter, so a run's manifest can
-//! report exactly which mitigations fired and whether they worked.
-//! On the happy path nothing is recorded and nothing is locked beyond
-//! one atomic load per drain, keeping fault-free runs byte-identical.
-
-use std::sync::{Mutex, OnceLock};
+//! they climb bumps a `recovery.<site>.<step>` counter on the global
+//! tracer, which also stores it as a [`RecoveryRecord`] while it keeps
+//! spans (see [`trace::Tracer::set_keep_spans`]), so a run's manifest
+//! can report exactly which mitigations fired and whether they worked.
+//! A process that writes no span sink stores no records. On the happy
+//! path nothing is recorded, keeping fault-free runs byte-identical.
 
 use crate::trace;
 
@@ -62,34 +60,21 @@ pub struct RecoveryRecord {
     pub recovered: bool,
 }
 
-fn registry() -> &'static Mutex<Vec<RecoveryRecord>> {
-    static REGISTRY: OnceLock<Mutex<Vec<RecoveryRecord>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Records one recovery attempt and bumps its trace counter.
+/// Records one recovery attempt on the global tracer (see
+/// [`trace::Tracer::record_recovery`]).
 pub fn record(site: &str, step: RecoveryStep, detail: impl Into<String>, recovered: bool) {
-    trace::add(&format!("recovery.{site}.{}", step.as_str()), 1);
-    registry()
-        .lock()
-        .expect("recovery registry lock")
-        .push(RecoveryRecord {
-            site: site.to_string(),
-            step,
-            detail: detail.into(),
-            recovered,
-        });
+    trace::global().record_recovery(site, step, detail, recovered);
 }
 
 /// Returns a copy of all records accumulated so far.
 pub fn snapshot() -> Vec<RecoveryRecord> {
-    registry().lock().expect("recovery registry lock").clone()
+    trace::global().recoveries()
 }
 
 /// Removes and returns all accumulated records (manifest writers call
 /// this once per run).
 pub fn drain() -> Vec<RecoveryRecord> {
-    std::mem::take(&mut *registry().lock().expect("recovery registry lock"))
+    trace::global().take_recoveries()
 }
 
 #[cfg(test)]

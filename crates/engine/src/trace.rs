@@ -7,6 +7,18 @@
 //! cost of anything worth tracing here. (`set_enabled(false)` exists so
 //! benches can measure that claim.)
 //!
+//! # Retention
+//!
+//! A tracer keeps every closed span (and every recovery record, see
+//! [`Tracer::record_recovery`]) until the process exits, because a sink
+//! written at the end reads them all. A long-lived process that writes
+//! no span sink calls [`Tracer::set_keep_spans`]`(false)`: its spans
+//! still get ids and parent links (so child spans, executor task
+//! contexts and anything that logs a span id work unchanged), but
+//! closing one takes no lock and stores nothing. Counters, gauges and
+//! histograms are kept either way; their size does not grow with
+//! uptime.
+//!
 //! # Span hierarchy
 //!
 //! Every span carries a process-unique `id` and an optional `parent` id.
@@ -37,11 +49,18 @@
 //!   writer itself is [`TraceSnapshot::write_chrome`], which also
 //!   exports stitched client/server traces.
 //!
-//! Draining either sink first runs registered *flush hooks* (see
-//! [`Tracer::register_flush`]); the engine cache uses one to publish its
-//! hit/miss statistics as `cache.<ns>.hit`/`cache.<ns>.miss` counters,
-//! so every drained trace carries cache stats even when no code path
-//! incremented them explicitly.
+//! Two reads serve the sinks, and both first run the registered *flush
+//! hooks* (see [`Tracer::register_flush`]):
+//!
+//! * [`Tracer::flushed_metrics`] — counters, gauges and histograms, no
+//!   spans: what a metrics scrape reads, at a cost independent of how
+//!   many spans were recorded;
+//! * [`Tracer::flushed_snapshot`] — everything, spans included: what the
+//!   trace files and the run manifest read.
+//!
+//! The engine cache uses a flush hook to publish its hit/miss statistics
+//! as `cache.<ns>.hit`/`cache.<ns>.miss` counters, so every sink carries
+//! cache stats even when no code path incremented them explicitly.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -50,6 +69,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::{json_f64, json_str};
+use crate::recovery::{RecoveryRecord, RecoveryStep};
 
 /// JSONL schema version written by [`Tracer::write_jsonl`].
 pub const SCHEMA_VERSION: u64 = 2;
@@ -353,6 +373,7 @@ impl TraceSnapshot {
 #[derive(Default)]
 struct TracerState {
     spans: Vec<SpanRecord>,
+    recoveries: Vec<RecoveryRecord>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Histogram>,
@@ -386,6 +407,9 @@ pub struct Tracer {
     epoch: Instant,
     state: Mutex<TracerState>,
     flush_hooks: Mutex<Vec<FlushHook>>,
+    /// Whether closed spans and recovery records are stored (see the
+    /// module docs' *Retention*).
+    keep_spans: AtomicBool,
 }
 
 /// Span ids are allocated from one process-wide counter so ids stay
@@ -496,7 +520,21 @@ impl Tracer {
             epoch: Instant::now(),
             state: Mutex::new(TracerState::default()),
             flush_hooks: Mutex::new(Vec::new()),
+            keep_spans: AtomicBool::new(true),
         }
+    }
+
+    /// Sets whether closed spans and recovery records are stored (the
+    /// default) or discarded. A process that writes no span sink turns
+    /// this off so its memory does not grow with the spans it closes;
+    /// spans opened from then on are discarded when they close.
+    pub fn set_keep_spans(&self, keep: bool) {
+        self.keep_spans.store(keep, Ordering::Relaxed);
+    }
+
+    /// Whether closed spans and recovery records are stored.
+    fn keeps_spans(&self) -> bool {
+        self.keep_spans.load(Ordering::Relaxed)
     }
 
     /// Locks the recorded state, counting the lock for [`locks_taken`].
@@ -517,18 +555,21 @@ impl Tracer {
                 parent: None,
                 started: Instant::now(),
                 attrs: Vec::new(),
+                keep: false,
             };
         }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = current_span_id();
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
+        let keep = self.keeps_spans();
         Span {
             tracer: self,
-            name: name.into(),
+            name: if keep { name.into() } else { String::new() },
             id,
             parent,
             started: Instant::now(),
             attrs: Vec::new(),
+            keep,
         }
     }
 
@@ -600,9 +641,45 @@ impl Tracer {
         self.state().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Registers a hook that runs whenever the trace is drained into a
-    /// sink (or via [`Tracer::drain`]), letting external stats systems
-    /// publish their totals as counters/gauges just in time.
+    /// Records one recovery-ladder rung (see [`crate::recovery`]): bumps
+    /// the `recovery.<site>.<step>` counter, and stores the record only
+    /// while the tracer [keeps spans](Tracer::set_keep_spans), under one
+    /// lock.
+    pub fn record_recovery(
+        &self,
+        site: &str,
+        step: RecoveryStep,
+        detail: impl Into<String>,
+        recovered: bool,
+    ) {
+        let mut state = self.state();
+        if enabled() {
+            state.add(&format!("recovery.{site}.{}", step.as_str()), 1);
+        }
+        if self.keeps_spans() {
+            state.recoveries.push(RecoveryRecord {
+                site: site.to_owned(),
+                step,
+                detail: detail.into(),
+                recovered,
+            });
+        }
+    }
+
+    /// A copy of the recovery records stored so far, oldest first.
+    pub fn recoveries(&self) -> Vec<RecoveryRecord> {
+        self.state().recoveries.clone()
+    }
+
+    /// Removes and returns the stored recovery records, oldest first.
+    pub fn take_recoveries(&self) -> Vec<RecoveryRecord> {
+        std::mem::take(&mut self.state().recoveries)
+    }
+
+    /// Registers a hook that runs before every sink read
+    /// ([`Tracer::flushed_metrics`], [`Tracer::flushed_snapshot`] and the
+    /// writers built on it), letting external stats systems publish
+    /// their totals as counters/gauges just in time.
     pub fn register_flush(&self, hook: impl Fn(&Tracer) + Send + Sync + 'static) {
         self.flush_hooks
             .lock()
@@ -611,25 +688,47 @@ impl Tracer {
     }
 
     /// Raw snapshot of everything recorded so far (flush hooks are NOT
-    /// run — use [`Tracer::drain`] for sink-equivalent data).
+    /// run — use [`Tracer::flushed_snapshot`] for sink-equivalent data).
     pub fn snapshot(&self) -> TraceSnapshot {
+        self.read(true)
+    }
+
+    /// Runs the flush hooks, then reads the counters, gauges and
+    /// histograms. The snapshot's `spans` is empty, so the cost does not
+    /// depend on how many spans were recorded: this is what a metrics
+    /// scrape reads.
+    pub fn flushed_metrics(&self) -> TraceSnapshot {
+        self.run_flush_hooks();
+        self.read(false)
+    }
+
+    /// Runs the flush hooks, then snapshots everything, spans included.
+    /// This is what the trace files and the run manifest read.
+    pub fn flushed_snapshot(&self) -> TraceSnapshot {
+        self.run_flush_hooks();
+        self.read(true)
+    }
+
+    fn run_flush_hooks(&self) {
+        let hooks: Vec<FlushHook> = self.flush_hooks.lock().expect("flush lock").clone();
+        for hook in hooks {
+            hook(self);
+        }
+    }
+
+    fn read(&self, with_spans: bool) -> TraceSnapshot {
         let state = self.state();
         TraceSnapshot {
-            spans: state.spans.clone(),
+            spans: if with_spans {
+                state.spans.clone()
+            } else {
+                Vec::new()
+            },
             counters: state.counters.clone(),
             gauges: state.gauges.clone(),
             hists: state.hists.clone(),
             wall_us: self.epoch.elapsed().as_micros() as u64,
         }
-    }
-
-    /// Runs the flush hooks, then snapshots. This is what the sinks use.
-    pub fn drain(&self) -> TraceSnapshot {
-        let hooks: Vec<FlushHook> = self.flush_hooks.lock().expect("flush lock").clone();
-        for hook in hooks {
-            hook(self);
-        }
-        self.snapshot()
     }
 
     /// Writes the versioned JSON-lines trace described in the module
@@ -639,7 +738,7 @@ impl Tracer {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let snap = self.drain();
+        let snap = self.flushed_snapshot();
         for s in &snap.spans {
             write!(
                 w,
@@ -723,7 +822,7 @@ impl Tracer {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_chrome(&self, w: &mut impl Write) -> std::io::Result<()> {
-        self.drain()
+        self.flushed_snapshot()
             .write_chrome(w, "subvt-repro", |lane| match lane {
                 0 => "main".to_owned(),
                 n => format!("worker-{}", n - 1),
@@ -741,6 +840,8 @@ pub struct Span<'t> {
     parent: Option<u64>,
     started: Instant,
     attrs: Vec<(String, AttrValue)>,
+    /// Whether the tracer stores this span when it closes.
+    keep: bool,
 }
 
 impl Span<'_> {
@@ -756,9 +857,10 @@ impl Span<'_> {
         self
     }
 
-    /// Attaches a typed attribute to an already-bound span.
+    /// Attaches a typed attribute to an already-bound span (a no-op for
+    /// a span the tracer discards).
     pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<AttrValue>) {
-        if self.id != 0 {
+        if self.keep {
             self.attrs.push((key.into(), value.into()));
         }
     }
@@ -777,6 +879,9 @@ impl Drop for Span<'_> {
                 stack.remove(pos);
             }
         });
+        if !self.keep {
+            return; // discarded: no lock, nothing stored
+        }
         let start_us = self.started.duration_since(self.tracer.epoch).as_micros() as u64;
         let dur_us = self.started.elapsed().as_micros() as u64;
         let record = SpanRecord {
@@ -1040,9 +1145,87 @@ mod tests {
     fn flush_hooks_run_on_drain() {
         let tracer = Tracer::new();
         tracer.register_flush(|t| t.set_counter("flushed", 9));
+        drop(tracer.span("kept"));
         assert_eq!(tracer.counter("flushed"), 0);
-        let snap = tracer.drain();
+        let snap = tracer.flushed_snapshot();
         assert_eq!(snap.counters["flushed"], 9);
+        assert_eq!(snap.spans.len(), 1);
+    }
+
+    #[test]
+    fn the_metrics_read_runs_the_flush_hooks_and_returns_no_spans() {
+        let tracer = Tracer::new();
+        let flushes = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&flushes);
+        tracer.register_flush(move |t| {
+            t.set_counter("flushed", seen.fetch_add(1, Ordering::Relaxed) + 1);
+        });
+        drop(tracer.span("kept").attr("k", 1u64));
+        tracer.gauge("g", 0.5);
+        tracer.observe("h", 3.0);
+        let metrics = tracer.flushed_metrics();
+        assert_eq!(flushes.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.counters["flushed"], 1);
+        assert_eq!(metrics.gauges["g"], 0.5);
+        assert_eq!(metrics.hists["h"].count, 1);
+        assert!(metrics.spans.is_empty());
+        // The spans are still there for a full snapshot.
+        assert_eq!(tracer.flushed_snapshot().spans.len(), 1);
+        assert_eq!(flushes.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_discarding_tracer_counts_but_holds_no_spans_or_recovery_records() {
+        let tracer = Tracer::new();
+        tracer.set_keep_spans(false);
+        let root = tracer.span("root");
+        let root_id = root.id();
+        for i in 0..10_000u64 {
+            let mut span = tracer.span("closed").attr("i", i);
+            span.set_attr("twice", true);
+            assert_ne!(span.id(), 0, "a discarded span still gets an id");
+            assert_eq!(current_span_id(), Some(span.id()));
+            {
+                let child = tracer.span("child");
+                assert_eq!(current_span_id(), Some(child.id()));
+            }
+            drop(span);
+            tracer.add("closed", 1);
+        }
+        assert_eq!(current_span_id(), Some(root_id), "the stack unwinds");
+        {
+            let _ctx = task_context(Some(root_id));
+            assert_eq!(current_span_id(), Some(root_id));
+        }
+        drop(root);
+        let locks = locks_taken();
+        drop(tracer.span("lockless"));
+        assert_eq!(
+            locks_taken(),
+            locks,
+            "closing a discarded span takes no lock"
+        );
+        tracer.record_recovery("test.site", RecoveryStep::Retry, "attempt 1", true);
+        let snap = tracer.flushed_snapshot();
+        assert_eq!(snap.counters["closed"], 10_000);
+        assert_eq!(snap.counters["recovery.test.site.retry"], 1);
+        assert!(snap.spans.is_empty());
+        assert!(tracer.recoveries().is_empty());
+        assert_eq!(current_span_id(), None);
+    }
+
+    #[test]
+    fn a_keeping_tracer_stores_recovery_records_until_taken() {
+        let tracer = Tracer::new();
+        tracer.record_recovery("test.site", RecoveryStep::Retry, "attempt 1", true);
+        tracer.record_recovery("test.site", RecoveryStep::BiasSubstep, "vg=0.3", false);
+        let records = tracer.recoveries();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].step, RecoveryStep::BiasSubstep);
+        assert!(!records[1].recovered);
+        assert_eq!(tracer.counter("recovery.test.site.retry"), 1);
+        assert_eq!(tracer.take_recoveries(), records);
+        assert!(tracer.recoveries().is_empty());
     }
 
     #[test]

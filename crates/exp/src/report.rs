@@ -313,7 +313,7 @@ pub fn render_spice_bench(snap: &TraceSnapshot) -> Result<String, String> {
 /// process: global cache stats, the study's backend cache ids, the
 /// engine pool width, plus the given figure failures.
 fn drain_manifest(study: &Study, failures: &[FigureFailure]) -> String {
-    let snap = trace::global().drain();
+    let snap = trace::global().flushed_snapshot();
     let stats = subvt_engine::global_cache().stats();
     let recoveries = subvt_engine::recovery::drain();
     render_manifest(

@@ -354,6 +354,32 @@ pub fn trapz(x: &[f64], y: &[f64]) -> f64 {
         .sum()
 }
 
+/// The largest magnitude among `values` (0 when empty), propagating
+/// NaN: one NaN anywhere makes the result NaN, so a convergence check
+/// `max_abs(..) < tol` fails and an `is_finite` guard sees it. (A plain
+/// `fold(0.0, f64::max)` drops a NaN, because `f64::max` returns the
+/// other operand.) On finite data the result is the `f64::max` fold's,
+/// bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use subvt_physics::math::max_abs;
+/// assert_eq!(max_abs([1.0, -3.0, 2.0]), 3.0);
+/// assert_eq!(max_abs([]), 0.0);
+/// assert!(max_abs([1.0, f64::NAN, 2.0]).is_nan());
+/// ```
+pub fn max_abs(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(0.0, |max, v| {
+        let v = v.abs();
+        if v > max || v.is_nan() {
+            v
+        } else {
+            max
+        }
+    })
+}
+
 /// Linear interpolation of `(xs, ys)` at `x`, clamping outside the range.
 ///
 /// # Panics
@@ -399,6 +425,21 @@ mod tests {
             assert!((erf(x) - want).abs() < 2e-6, "erf({x})");
             assert!((erf(-x) + want).abs() < 2e-6, "erf(-{x})");
         }
+    }
+
+    #[test]
+    fn max_abs_keeps_the_fold_bits_on_finite_data_and_propagates_nan() {
+        let mut rng = SplitMix64::new(0x3a7f);
+        for len in [1, 2, 7, 64] {
+            let mut v: Vec<f64> = (0..len).map(|_| -1.0e3 + 2.0e3 * rng.next_f64()).collect();
+            v[len / 2] = -0.0;
+            let fold = v.iter().fold(0.0f64, |acc, x| acc.max(x.abs()));
+            assert_eq!(max_abs(v.iter().copied()).to_bits(), fold.to_bits());
+            v[len - 1] = f64::NAN;
+            assert!(max_abs(v.iter().copied()).is_nan(), "len {len}");
+        }
+        assert!(max_abs([f64::NAN, 1.0, f64::INFINITY]).is_nan());
+        assert_eq!(max_abs([-f64::INFINITY, 1.0]), f64::INFINITY);
     }
 
     #[test]

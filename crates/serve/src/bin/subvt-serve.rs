@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use subvt_engine::cli::{self, positive, value, TraceFormat};
+use subvt_engine::trace;
 use subvt_serve::{signal, Config, Server, SloRule};
 
 fn main() -> ExitCode {
@@ -98,6 +99,10 @@ fn serve(args: Option<Args>) -> Result<(), String> {
         return Ok(());
     };
     cli::apply_jobs(args.jobs)?;
+    // Only the shutdown `--trace` writer reads spans; without it the
+    // daemon keeps its metrics but lets spans go as they close, so its
+    // memory stays flat with uptime.
+    trace::global().set_keep_spans(args.trace.is_some());
     signal::install();
     let server = Server::start(args.config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("subvt-serve listening on {}", server.addr());
@@ -127,7 +132,9 @@ options:
   --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)
   --access-log PATH    append one JSONL line per request (DESIGN.md section 6)
   --window-secs N      rolling latency/SLO window (default 60)
-  --trace PATH         write the request span tree on shutdown
+  --trace PATH         keep every span and write the request span tree on
+                       shutdown (without it: counters, gauges and
+                       histograms only, no spans)
   --trace-format F     trace file format: jsonl (default) | chrome
 
 Protocol: newline-framed JSON over TCP, plus GET /metrics and

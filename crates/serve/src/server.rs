@@ -748,7 +748,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job) {
 /// JSON metrics payload for the `metrics` protocol method: counters
 /// and gauges only (histograms live in `/metrics`).
 fn metrics_json() -> String {
-    let snap = trace::global().drain();
+    let snap = trace::global().flushed_metrics();
     let mut out = String::from("{\"counters\":{");
     for (i, (name, value)) in snap.counters.iter().enumerate() {
         if i > 0 {
@@ -828,7 +828,7 @@ fn push_family(
 /// smoke jobs assert on; rolling-window quantiles and SLO status come
 /// from the [`Observatory`].
 fn metrics_text(shared: &Shared) -> String {
-    let snap = trace::global().drain();
+    let snap = trace::global().flushed_metrics();
     let mut out = String::new();
     let named = |name: &str| format!("name=\"{}\"", escape_label(name));
     push_family(

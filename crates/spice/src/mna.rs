@@ -8,6 +8,7 @@
 //! supply delivering power has a negative branch current.
 
 use subvt_engine::trace;
+use subvt_physics::math::max_abs;
 use subvt_physics::{DeviceKind, PreparedMos};
 use subvt_units::Volts;
 
@@ -624,7 +625,7 @@ impl<'a> Solver<'a> {
         for iter in 1..=MAX_NEWTON {
             self.assemble::<true>(caps);
             let rhs = &mut self.f[..dim];
-            let f_norm = max_abs(rhs);
+            let f_norm = max_abs(rhs.iter().copied());
             rhs.iter_mut().for_each(|v| *v = -*v);
             let lu = &mut self.work.lu;
             if lu.refactor_cached(&self.jac).is_ok() {
@@ -640,7 +641,10 @@ impl<'a> Solver<'a> {
             // norms — a step pinned at the clamp used to masquerade as
             // progress, and branch-current blow-ups were invisible.
             let (x, dx) = (&mut self.x, &self.dx);
-            let (max_dv_raw, max_di) = (max_abs(&dx[..n_v]), max_abs(&dx[n_v..]));
+            let (max_dv_raw, max_di) = (
+                max_abs(dx[..n_v].iter().copied()),
+                max_abs(dx[n_v..].iter().copied()),
+            );
             for (i, (x, d)) in x.iter_mut().zip(dx).enumerate() {
                 *x += if i < n_v {
                     d.clamp(-MAX_DV, MAX_DV)
@@ -665,11 +669,11 @@ impl<'a> Solver<'a> {
             // Branch currents converge when their step is small relative
             // to the currents actually flowing (amps scale, same floor
             // construction as the KCL residual check).
-            let branch_scale = max_abs(&x[n_v..dim]);
+            let branch_scale = max_abs(x[n_v..dim].iter().copied());
             if max_dv_raw < VTOL && max_di <= ITOL.max(1e-9 * branch_scale) {
                 // Verify the KCL residual at the accepted point.
                 self.assemble::<false>(caps);
-                if max_abs(&self.f[..n_v]) < self.residual_floor() {
+                if max_abs(self.f[..n_v].iter().copied()) < self.residual_floor() {
                     return Ok(iter);
                 }
             }
@@ -677,7 +681,7 @@ impl<'a> Solver<'a> {
         self.assemble::<false>(caps);
         Err(SpiceError::NoConvergence {
             iterations: MAX_NEWTON,
-            residual: max_abs(&self.f[..dim]),
+            residual: max_abs(self.f[..dim].iter().copied()),
         })
     }
 
@@ -708,10 +712,6 @@ impl<'a> Solver<'a> {
             iterations,
         }
     }
-}
-
-fn max_abs(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |acc, x| acc.max(x.abs()))
 }
 
 /// Recovery-ladder site name for DC operating-point solves.
@@ -1266,6 +1266,19 @@ mod tests {
     }
 
     #[test]
+    fn a_single_nan_unknown_is_no_convergence_not_a_solution() {
+        let mut net = Netlist::new();
+        let (a, b) = (net.node("a"), net.node("b"));
+        net.vsource("V1", a, Netlist::GROUND, Waveform::Dc(1.0));
+        net.resistor("R1", a, b, 1.0e3);
+        net.resistor("R2", b, Netlist::GROUND, 1.0e3);
+        let mut solver = Solver::new(&net);
+        solver.x[1] = f64::NAN;
+        let err = solver.newton(CapMode::Open).unwrap_err();
+        assert!(matches!(err, SpiceError::NoConvergence { .. }), "{err:?}");
+    }
+
+    #[test]
     fn residual_floor_ignores_branch_voltage_rows() {
         // Regression for the unit-mixing bug: the relative floor used to
         // scale off max|f| over the FULL residual vector, so a megavolt
@@ -1279,8 +1292,8 @@ mod tests {
         let x0 = vec![0.0; solver.dim()];
         let (f, _, _) = stamped(&mut solver, &x0, None);
         // At x = 0 the branch row carries the full −1e6 V source value…
-        assert!(max_abs(&f) >= 1.0e6);
-        let old_floor = ITOL.max(1e-9 * max_abs(&f));
+        assert!(max_abs(f.iter().copied()) >= 1.0e6);
+        let old_floor = ITOL.max(1e-9 * max_abs(f.iter().copied()));
         assert!(old_floor >= 1.0e-3, "old formula floor = {old_floor:e}");
         // …but the KCL-scaled floor stays at the amp-valued tolerance.
         assert!(

@@ -8,6 +8,7 @@ use crate::poisson::{initial_guess, solve_in, thermals, Bias, Workspace, PSI_TOL
 use subvt_engine::faultinject::{self, FaultSite};
 use subvt_engine::recovery::{self, RecoveryStep};
 use subvt_engine::trace;
+use subvt_physics::math::max_abs;
 
 /// Outer-loop convergence tolerance on the potential update, volts:
 /// the iteration ends at the first Poisson solve that moves ψ by less
@@ -422,12 +423,7 @@ impl DeviceSimulator {
                     *p = pb + relax * (*p - pb);
                 }
             }
-            let residual = self
-                .psi
-                .iter()
-                .zip(&psi_before)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
+            let residual = potential_update(&self.psi, &psi_before);
             let converged = residual < GUMMEL_TOL;
             if !converged {
                 if let Some(anderson) = &mut anderson {
@@ -471,6 +467,13 @@ impl DeviceSimulator {
     pub fn drain_current(&self) -> f64 {
         drain_current(&self.device, &self.psi, &self.n)
     }
+}
+
+/// The Gummel residual: the largest potential change `|ψ − ψ_before|`
+/// at any node, volts. A NaN anywhere makes it NaN, so the iteration
+/// cannot count as converged.
+fn potential_update(psi: &[f64], psi_before: &[f64]) -> f64 {
+    max_abs(psi.iter().zip(psi_before).map(|(a, b)| a - b))
 }
 
 /// Type-II Anderson mixing of the Gummel fixed-point map `x ↦ g(x)`,
@@ -844,6 +847,18 @@ mod tests {
         for k in 0..x0.len() {
             assert_eq!(sim.psi[k], 3.0 * x0[k] - 3.0 * x1[k] + x2[k]);
         }
+    }
+
+    #[test]
+    fn a_single_nan_potential_is_not_a_converged_gummel_update() {
+        let before = [0.1, -0.2, 0.3, 0.4];
+        let mut after = before.map(|v| v + 1.0e-9);
+        after[3] = before[3] - 2.0e-9;
+        let update = potential_update(&after, &before);
+        assert!(update < GUMMEL_TOL && update > 1.0e-9, "{update}");
+        after[1] = f64::NAN;
+        let update = potential_update(&after, &before);
+        assert!(update.is_nan(), "{update}");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! resolving each linearization to 1 nV only repeats banded LU solves.
 
 use subvt_engine::trace;
+use subvt_physics::math::max_abs;
 use subvt_units::consts::{EPS_OX, EPS_SI, Q};
 
 use crate::banded::BandedMatrix;
@@ -327,14 +328,12 @@ fn solve_inner(
             };
         }
 
-        let mut max_update = 0.0f64;
-        for j in 0..ny {
-            for i in 0..nx {
-                let step = rhs[order.local(i, j)].clamp(-MAX_DPSI, MAX_DPSI);
-                psi[mesh.idx(i, j)] += step;
-                max_update = max_update.max(step.abs());
-            }
-        }
+        let nodes = (0..ny).flat_map(|j| (0..nx).map(move |i| (i, j)));
+        let max_update = max_abs(nodes.map(|(i, j)| {
+            let step = rhs[order.local(i, j)].clamp(-MAX_DPSI, MAX_DPSI);
+            psi[mesh.idx(i, j)] += step;
+            step
+        }));
         last_update = max_update;
         if max_update < tol {
             return PoissonSolve {
@@ -370,6 +369,16 @@ mod tests {
     #[test]
     fn equilibrium_converges() {
         let _ = solved_equilibrium();
+    }
+
+    #[test]
+    fn a_single_nan_in_the_state_is_not_a_converged_solve() {
+        let (dev, mut psi) = solved_equilibrium();
+        let phi = vec![0.0; dev.len()];
+        // One bulk silicon node, away from every contact.
+        psi[dev.mesh.idx(dev.mesh.nx() / 2, dev.mesh.ny() - 2)] = f64::NAN;
+        let out = solve(&dev, &mut psi, &phi, &phi, &Bias::default());
+        assert!(!out.converged, "{out:?}");
     }
 
     #[test]

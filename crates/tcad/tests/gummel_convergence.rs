@@ -21,10 +21,10 @@ fn on_state_bias_converges_to_1e_8_within_40_iterations() {
     let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
     let mut sim = DeviceSimulator::new(dev).expect("equilibrium");
     sim.set_bias(1.1, 1.2).expect("ramp to V_g = 1.1 V");
-    let before = trace::global().drain();
+    let before = trace::global().flushed_metrics();
     // One 100 mV ramp step, so exactly one Gummel bias point.
     sim.set_bias(1.2, 1.2).expect("V_g = V_d = 1.2 V");
-    let after = trace::global().drain();
+    let after = trace::global().flushed_metrics();
 
     let delta = |name: &str| {
         let (c0, s0) = hist(&before, name);

@@ -27,7 +27,7 @@ fn cold_characterization_keeps_the_solver_counter_invariants() {
     let warm = sweep_and_extract(&params, MeshDensity::Coarse).expect("warm sweep");
     assert_eq!(cold, warm);
     // The drain runs the flush hook that publishes the cache counters.
-    let snap = trace::global().drain();
+    let snap = trace::global().flushed_metrics();
 
     let bias_points = counter(&snap, "tcad.gummel.bias_points");
     let solves = counter(&snap, "tcad.poisson.solves");

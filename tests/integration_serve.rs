@@ -315,6 +315,63 @@ fn warm_restart_answers_from_cache_with_zero_new_misses() {
     std::fs::remove_file(&cache_path).ok();
 }
 
+/// Spawned-binary test: a daemon without `--trace` keeps no spans, so
+/// its peak resident set and the shape of its `/metrics` body stay flat
+/// while it answers ten times more cache hits.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_without_trace_stays_flat_with_uptime() {
+    let _guard = serial();
+    let cache_path =
+        std::env::temp_dir().join(format!("subvt-serve-flat-{}.jsonl", std::process::id()));
+    std::fs::remove_file(&cache_path).ok();
+    let mut child = spawn_daemon(&cache_path);
+    let pid = child.child.id();
+    let peak_kib = || -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmHWM in /proc/<pid>/status")
+    };
+    let mut client =
+        Client::connect_ready(child.addr.as_str(), Duration::from_secs(10)).expect("ready");
+    let mut hits = |n: usize| {
+        for _ in 0..n {
+            let r = client
+                .call("params", r#"{"node":"ref90"}"#)
+                .expect("params call");
+            assert!(r.ok, "{}", r.raw);
+        }
+    };
+    let addr = child.addr.clone();
+    let metrics = || http_get(addr.as_str(), "/metrics").expect("metrics");
+
+    hits(1_000);
+    let (peak_1k, metrics_1k) = (peak_kib(), metrics());
+    hits(10_000);
+    let (peak_11k, metrics_11k) = (peak_kib(), metrics());
+    assert!(
+        peak_11k < peak_1k + 2 * 1024,
+        "VmHWM grew from {peak_1k} kB to {peak_11k} kB over 10,000 cache hits"
+    );
+    // Only sample values change: every count line gains a digit, and
+    // no line, family or label comes with the extra hits.
+    let shape = |body: &str| -> Vec<String> {
+        body.lines()
+            .map(|l| match l.rsplit_once(' ') {
+                Some((series, _)) if !l.starts_with('#') => series.to_owned(),
+                _ => l.to_owned(),
+            })
+            .collect()
+    };
+    assert_eq!(shape(&metrics_1k), shape(&metrics_11k));
+    client.call("shutdown", "{}").expect("shutdown");
+    child.wait_success();
+    std::fs::remove_file(&cache_path).ok();
+}
+
 #[test]
 fn http_shim_error_paths_answer_typed_statuses_without_hanging() {
     let _guard = serial();
@@ -722,7 +779,9 @@ options:
   --slo M=Q:MS         latency SLO, repeatable (e.g. vtc=p99:50; Q: p50|p95|p99)
   --access-log PATH    append one JSONL line per request (DESIGN.md section 6)
   --window-secs N      rolling latency/SLO window (default 60)
-  --trace PATH         write the request span tree on shutdown
+  --trace PATH         keep every span and write the request span tree on
+                       shutdown (without it: counters, gauges and
+                       histograms only, no spans)
   --trace-format F     trace file format: jsonl (default) | chrome
 
 Protocol: newline-framed JSON over TCP, plus GET /metrics and
