@@ -11,6 +11,15 @@
 //! direct solve also side-steps the enormous dynamic range of carrier
 //! densities (1e2…1e20 cm⁻³) that makes iterative residual tests
 //! unreliable for the continuity system.
+//!
+//! [`BandedMatrix::factor`] and [`BandedMatrix::solve`] are the one
+//! factorization path and the one substitution path. The split lets a
+//! factorization serve more than one right-hand side: the Gummel loop's
+//! Poisson solves factor the Jacobian at a bias point's first iteration
+//! and after any iteration whose residual rose, and every other Newton
+//! step is a chord step that runs only the `O(n·bw)` substitutions on
+//! those factors (see [`crate::poisson`]). A factorization followed by a
+//! solve keeps the bits of the fused elimination it replaced.
 
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the textbook algorithms
 
@@ -122,27 +131,110 @@ impl BandedMatrix {
         }
     }
 
-    /// Solves `A·x = b` in place by banded LU without pivoting: `b`
-    /// becomes `x`, and the matrix is overwritten by its factors.
+    /// Factors the matrix in place by banded LU without pivoting. The
+    /// upper band becomes `U` (diagonal included); each entry of the
+    /// lower band becomes the multiplier that eliminated it, so the
+    /// unit lower factor `L` holds the row operations that [`Self::solve`]
+    /// replays on a right-hand side.
     ///
     /// # Errors
     ///
     /// Returns [`ZeroPivotError`] if a pivot magnitude falls below
-    /// 1e-300; `b` then holds a partly eliminated right-hand side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), ZeroPivotError> {
-        assert_eq!(b.len(), self.n);
+    /// 1e-300; the matrix then holds a partial factorization that
+    /// [`Self::solve`] must not use.
+    pub fn factor(&mut self) -> Result<(), ZeroPivotError> {
         let (n, bw) = (self.n, self.bw);
         let w = 2 * bw + 1;
         // Row `r` is the slice `data[r·w..(r+1)·w]` and its slot `s`
         // holds column `r + s − bw`: the diagonal sits at slot `bw`, and
-        // column `k` of row `k + d` at slot `bw − d`.
+        // column `k` of row `k + d` at slot `bw − d`, where the
+        // multiplier is stored once the column is eliminated (no later
+        // step reads column `k` of a row below the pivot again).
         for k in 0..n {
             let reach = bw.min(n - 1 - k);
             let (head, tail) = self.data.split_at_mut((k + 1) * w);
+            let pivot_row = &head[k * w..];
+            let pivot = pivot_row[bw];
+            if pivot.abs() < 1e-300 {
+                return Err(ZeroPivotError { row: k });
+            }
+            let upper = &pivot_row[bw + 1..=bw + reach];
+            for (d, row) in (1..=reach).zip(tail.chunks_exact_mut(w)) {
+                let factor = row[bw - d] / pivot;
+                row[bw - d] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for (a, u) in row[bw + 1 - d..=bw + reach - d].iter_mut().zip(upper) {
+                    *a -= factor * u;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `A·x = b` in place with the factors of [`Self::factor`]:
+    /// `b` becomes `x`. The forward substitution subtracts the
+    /// multipliers in the order the elimination applied them, so a
+    /// solve right after a factorization has the bits of an elimination
+    /// that carries the right-hand side along, and every later solve
+    /// with the same factors costs `O(n·bw)` instead of `O(n·bw²)`.
+    ///
+    /// The matrix must hold the factors of a successful
+    /// [`Self::factor`]; on an unfactored matrix the result is
+    /// meaningless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the matrix dimension.
+    pub fn solve(&self, b: &mut [f64]) {
+        assert_eq!(b.len(), self.n);
+        let (n, bw) = (self.n, self.bw);
+        let w = 2 * bw + 1;
+        // Forward substitution, `L·y = b`, row by row: row `i` subtracts
+        // its multipliers left to right, the order in which the
+        // elimination reached it, and each `b[j]` it reads is final.
+        for (i, row) in self.data.chunks_exact(w).enumerate() {
+            let reach = bw.min(i);
+            let (y, rest) = b.split_at_mut(i);
+            let mut acc = rest[0];
+            for (l, yj) in row[bw - reach..bw].iter().zip(&y[i - reach..]) {
+                if *l != 0.0 {
+                    acc -= l * yj;
+                }
+            }
+            rest[0] = acc;
+        }
+        // Back substitution, `U·x = y`: `b[k + 1..]` already holds
+        // `x[k + 1..]`.
+        for (k, row) in self.data.chunks_exact(w).enumerate().rev() {
+            let reach = bw.min(n - 1 - k);
+            let (head, x) = b.split_at_mut(k + 1);
+            let mut acc = head[k];
+            for (a, xc) in row[bw + 1..=bw + reach].iter().zip(&x[..reach]) {
+                acc -= a * xc;
+            }
+            head[k] = acc / row[bw];
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use subvt_engine::rng::SplitMix64;
+
+    /// The fused elimination this module shipped before the split into
+    /// [`BandedMatrix::factor`] and [`BandedMatrix::solve`], kept as the
+    /// bit-level reference: it carries `b` through the elimination and
+    /// overwrites the matrix without storing the multipliers.
+    fn solve_in_place(m: &mut BandedMatrix, b: &mut [f64]) -> Result<(), ZeroPivotError> {
+        assert_eq!(b.len(), m.n);
+        let (n, bw) = (m.n, m.bw);
+        let w = 2 * bw + 1;
+        for k in 0..n {
+            let reach = bw.min(n - 1 - k);
+            let (head, tail) = m.data.split_at_mut((k + 1) * w);
             let pivot_row = &head[k * w..];
             let pivot = pivot_row[bw];
             if pivot.abs() < 1e-300 {
@@ -160,8 +252,7 @@ impl BandedMatrix {
                 b[k + d] -= factor * b[k];
             }
         }
-        // Back substitution: `b[k + 1..]` already holds `x[k + 1..]`.
-        for (k, row) in self.data.chunks_exact(w).enumerate().rev() {
+        for (k, row) in m.data.chunks_exact(w).enumerate().rev() {
             let reach = bw.min(n - 1 - k);
             let (head, x) = b.split_at_mut(k + 1);
             let mut acc = head[k];
@@ -172,12 +263,18 @@ impl BandedMatrix {
         }
         Ok(())
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use subvt_engine::rng::SplitMix64;
+    /// Factors a copy of `m` and solves `m·x = b` in place.
+    fn factor_solve(m: &BandedMatrix, b: &mut [f64]) -> Result<(), ZeroPivotError> {
+        let mut lu = m.clone();
+        lu.factor()?;
+        lu.solve(b);
+        Ok(())
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
 
     /// Uniform sample in `[lo, hi)`.
     fn uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
@@ -260,7 +357,7 @@ mod tests {
             }
         }
         let mut x = vec![1.0; n];
-        m.solve_in_place(&mut x).unwrap();
+        factor_solve(&m, &mut x).unwrap();
         let want = [2.5, 4.0, 4.5, 4.0, 2.5];
         for (got, w) in x.iter().zip(want) {
             assert!((got - w).abs() < 1e-10, "{got} vs {w}");
@@ -289,12 +386,11 @@ mod tests {
                 m.set(i, i + 3, -1.0);
             }
         }
-        let m_copy = m.clone();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let mut x = b.clone();
-        m.solve_in_place(&mut x).unwrap();
+        factor_solve(&m, &mut x).unwrap();
         let mut check = vec![0.0; n];
-        m_copy.mul_vec(&x, &mut check);
+        m.mul_vec(&x, &mut check);
         for (c, w) in check.iter().zip(&b) {
             assert!((c - w).abs() < 1e-9);
         }
@@ -316,15 +412,14 @@ mod tests {
         m.clear_row(0);
         m.set(0, 0, 1.0);
         let mut x = vec![7.0, 0.0, 0.0, 0.0];
-        m.solve_in_place(&mut x).unwrap();
+        factor_solve(&m, &mut x).unwrap();
         assert!((x[0] - 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_pivot_detected() {
         let mut m = BandedMatrix::zeros(3, 1);
-        let mut b = vec![1.0; 3];
-        assert!(m.solve_in_place(&mut b).is_err());
+        assert_eq!(m.factor(), Err(ZeroPivotError { row: 0 }));
     }
 
     #[test]
@@ -333,7 +428,7 @@ mod tests {
         // smaller one: the stale factors must not leak into its solve.
         let mut rng = SplitMix64::new(0x5e7);
         let mut reused = random_dominant(&mut rng, 40, 6, &[3]);
-        reused.solve_in_place(&mut vec![1.0; 40]).unwrap();
+        reused.factor().unwrap();
         let fresh = random_dominant(&mut rng, 25, 4, &[0, 24]);
         reused.reset(25, 4);
         for i in 0..25usize {
@@ -343,9 +438,8 @@ mod tests {
         }
         let rhs: Vec<f64> = (0..25).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
         let (mut x_reused, mut x_fresh) = (rhs.clone(), rhs);
-        reused.solve_in_place(&mut x_reused).unwrap();
-        fresh.clone().solve_in_place(&mut x_fresh).unwrap();
-        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        factor_solve(&reused, &mut x_reused).unwrap();
+        factor_solve(&fresh, &mut x_fresh).unwrap();
         assert_eq!(bits(&x_reused), bits(&x_fresh));
     }
 
@@ -363,7 +457,7 @@ mod tests {
             let m = random_dominant(&mut rng, n, bw, &[]);
             let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
             let mut x = rhs.clone();
-            m.clone().solve_in_place(&mut x).unwrap();
+            factor_solve(&m, &mut x).unwrap();
             let mut check = vec![0.0; n];
             m.mul_vec(&x, &mut check);
             for (c, w) in check.iter().zip(&rhs) {
@@ -385,7 +479,7 @@ mod tests {
                 let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
                 let want = dense_solve(&m, &rhs);
                 let mut x = rhs.clone();
-                m.clone().solve_in_place(&mut x).unwrap();
+                factor_solve(&m, &mut x).unwrap();
                 for (k, (got, w)) in x.iter().zip(&want).enumerate() {
                     assert!(
                         (got - w).abs() <= 1e-12 * w.abs().max(1.0),
@@ -404,6 +498,56 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn factor_then_solve_keeps_the_bits_of_the_fused_elimination() {
+        // The matrices of `matches_dense_elimination_at_mesh_bandwidths`,
+        // contact rows included, each factored once and then solved for
+        // several right-hand sides, as the chord steps reuse a factor.
+        for bw in [1, 14, 15, 17, 19] {
+            for case in 0..8 {
+                let mut rng = SplitMix64::stream(bw as u64, case);
+                let n = bw + 1 + (rng.next_u64() % (4 * bw as u64 + 8)) as usize;
+                let dirichlet: Vec<usize> = (0..n).filter(|_| rng.next_f64() < 0.15).collect();
+                let m = random_dominant(&mut rng, n, bw, &dirichlet);
+                let mut lu = m.clone();
+                lu.factor().unwrap();
+                for rhs_case in 0..4 {
+                    let rhs: Vec<f64> = (0..n).map(|_| uniform(&mut rng, -3.0, 3.0)).collect();
+                    let mut fused = rhs.clone();
+                    solve_in_place(&mut m.clone(), &mut fused).unwrap();
+                    let mut split = rhs;
+                    lu.solve(&mut split);
+                    assert_eq!(
+                        bits(&split),
+                        bits(&fused),
+                        "bw {bw}, case {case}, right-hand side {rhs_case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_pivot_fails_the_factorization_at_the_fused_row() {
+        let mut rng = SplitMix64::new(0x2e70);
+        // An empty row, and a row that elimination cancels exactly: the
+        // second row of [[1, 1], [1, 1]] leaves a zero pivot behind.
+        let mut empty = random_dominant(&mut rng, 30, 5, &[0, 29]);
+        empty.clear_row(17);
+        let mut cancelling = random_dominant(&mut rng, 12, 3, &[]);
+        cancelling.clear_row(4);
+        cancelling.clear_row(5);
+        for (i, j) in [(4, 4), (4, 5), (5, 4), (5, 5)] {
+            cancelling.set(i, j, 1.0);
+        }
+        for (m, row) in [(empty, 17), (cancelling, 5)] {
+            let mut fused = m.clone();
+            let want = solve_in_place(&mut fused, &mut vec![1.0; m.len()]);
+            assert_eq!(want, Err(ZeroPivotError { row }));
+            assert_eq!(m.clone().factor(), want);
         }
     }
 }

@@ -99,7 +99,7 @@ pub(crate) fn solve_electrons_in(
     let ny = mesh.ny();
     let j0 = device.j_si0;
     let order = BandOrder::new(mesh, j0);
-    let mat = &mut ws.matrix;
+    let mat = &mut ws.continuity;
     let rhs = &mut ws.rhs[..order.unknowns()];
     mat.reset(order.unknowns(), order.bandwidth());
     rhs.fill(0.0);
@@ -152,11 +152,11 @@ pub(crate) fn solve_electrons_in(
         }
     }
 
-    mat.solve_in_place(rhs)
-        .map_err(|e| TcadError::ContinuityZeroPivot {
-            bias: *bias,
-            row: e.row,
-        })?;
+    mat.factor().map_err(|e| TcadError::ContinuityZeroPivot {
+        bias: *bias,
+        row: e.row,
+    })?;
+    mat.solve(rhs);
 
     for j in j0..ny {
         for i in 0..nx {

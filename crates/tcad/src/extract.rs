@@ -177,11 +177,11 @@ impl subvt_engine::Blob for Extraction {
 /// [`Extraction`]: the full parameter set (via the canonical
 /// [`subvt_engine::Keyed`] stream shared with the analytic backend's
 /// cache keys), the mesh density and the sweep spec. The schema tag is
-/// versioned — bump it whenever the solver or the extraction recipe
-/// changes results, together with the `tcad.model` tags and the
-/// revision in [`crate::TcadModel`]'s `cache_id`.
+/// versioned by the crate's solver revision, which the `tcad.model` tags
+/// and [`crate::TcadModel`]'s `cache_id` share — bump it whenever the
+/// solver or the extraction recipe changes results.
 pub fn extraction_key(params: &DeviceParams, density: MeshDensity, step: f64) -> u64 {
-    subvt_engine::KeyBuilder::new("tcad.extract.v5")
+    subvt_engine::KeyBuilder::new(concat!("tcad.extract.", solver_revision!()))
         .keyed(params)
         .str(density.as_str())
         .f64(step)

@@ -4,7 +4,9 @@
 
 use crate::continuity::{drain_current, solve_electrons_in};
 use crate::device::Mosfet2d;
-use crate::poisson::{initial_guess, solve_in, thermals, Bias, Workspace, PSI_TOL};
+use crate::poisson::{
+    initial_guess, solve_in, thermals, Bias, Linearization, Problem, Workspace, PSI_TOL,
+};
 use subvt_engine::faultinject::{self, FaultSite};
 use subvt_engine::recovery::{self, RecoveryStep};
 use subvt_engine::trace;
@@ -144,14 +146,18 @@ impl DeviceSimulator {
         let mut workspace = Workspace::new(&device);
         let mut psi = initial_guess(&device, &bias);
         let zeros = vec![0.0; device.len()];
+        let problem = Problem {
+            device: &device,
+            phi_n: &zeros,
+            phi_p: &zeros,
+            bias: &bias,
+        };
         let out = solve_in(
             &mut workspace,
-            &device,
+            &problem,
             &mut psi,
-            &zeros,
-            &zeros,
-            &bias,
             PSI_TOL,
+            Linearization::Newton,
         );
         if !out.converged {
             return Err(TcadError::PoissonDiverged { bias });
@@ -383,6 +389,14 @@ impl DeviceSimulator {
     /// (`relax == 1.0`) each unconverged Poisson solve is Anderson-mixed
     /// with the previous ones before the continuity solve; the damped
     /// rungs under-relax instead.
+    ///
+    /// The first iteration's Poisson solve is a plain Newton solve, and
+    /// later ones are chord solves that reuse the factors of its last
+    /// Jacobian. An iteration whose residual rose (the signal that also
+    /// restarts the Anderson history) makes the next solve a Newton
+    /// solve again. Every call starts with a Newton solve, so no chord
+    /// step reuses the factors of an earlier call, and a retried ramp
+    /// step keeps its bits.
     fn gummel_at(&mut self, bias: Bias, relax: f64) -> Result<(), TcadError> {
         let (vt, ni) = thermals(&self.device);
         let zeros = vec![0.0; self.device.len()];
@@ -400,16 +414,21 @@ impl DeviceSimulator {
                 );
             }
         };
+        let mut linearization = Linearization::Newton;
         for iteration in 1..=MAX_GUMMEL {
             psi_before.copy_from_slice(&self.psi);
+            let problem = Problem {
+                device: &self.device,
+                phi_n: &self.phi_n,
+                phi_p: &zeros,
+                bias: &bias,
+            };
             let out = solve_in(
                 &mut self.workspace,
-                &self.device,
+                &problem,
                 &mut self.psi,
-                &self.phi_n,
-                &zeros,
-                &bias,
                 GUMMEL_POISSON_TOL,
+                linearization,
             );
             if !out.converged {
                 trace::add("tcad.gummel.poisson_failures", 1);
@@ -425,9 +444,15 @@ impl DeviceSimulator {
             }
             let residual = potential_update(&self.psi, &psi_before);
             let converged = residual < GUMMEL_TOL;
+            let rose = residual > last_residual;
+            linearization = if rose {
+                Linearization::Newton
+            } else {
+                Linearization::Chord
+            };
             if !converged {
                 if let Some(anderson) = &mut anderson {
-                    anderson.mix(&psi_before, &mut self.psi, residual > last_residual);
+                    anderson.mix(&psi_before, &mut self.psi, rose);
                 }
             }
             last_residual = residual;

@@ -43,6 +43,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// The TCAD solver revision, as a string literal for `concat!`. Every
+/// TCAD cache key carries it: the `tcad.extract` and `tcad.model` tags
+/// and [`TcadModel`]'s `cache_id`, which the design, topology and
+/// circuit caches key on. Bump it with any change to the solver's bits,
+/// so caches written by an older solver are never read back.
+macro_rules! solver_revision {
+    () => {
+        "v6"
+    };
+}
+
 pub mod banded;
 pub mod continuity;
 pub mod device;

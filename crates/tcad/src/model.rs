@@ -307,8 +307,8 @@ impl TcadModel {
 /// Tags of the `tcad.model` keys: the anchor calibration and the
 /// per-device corrections. Like [`crate::extract::extraction_key`]'s
 /// tag, they carry the solver revision.
-const CAL_TAG: &str = "tcad.model.cal.v5";
-const DIRECT_TAG: &str = "tcad.model.direct.v5";
+const CAL_TAG: &str = concat!("tcad.model.cal.", solver_revision!());
+const DIRECT_TAG: &str = concat!("tcad.model.direct.", solver_revision!());
 
 /// Cache key of a `tcad.model` entry.
 fn model_key(tag: &str, params: &DeviceParams, density: MeshDensity) -> u64 {
@@ -323,12 +323,12 @@ impl DeviceModel for TcadModel {
         "tcad"
     }
 
-    /// `tcad.{density}.{fidelity}.v5`. The design, topology and circuit
-    /// caches key on this id, so its solver revision keeps their entries
-    /// in step with the `tcad.extract` and `tcad.model` tags.
+    /// `tcad.{density}.{fidelity}.{revision}`. The design, topology and
+    /// circuit caches key on this id, so its solver revision keeps their
+    /// entries in step with the `tcad.extract` and `tcad.model` tags.
     fn cache_id(&self) -> String {
         format!(
-            "tcad.{}.{}.v5",
+            concat!("tcad.{}.{}.", solver_revision!()),
             self.density.as_str(),
             self.fidelity.as_str()
         )
@@ -379,9 +379,9 @@ mod tests {
     #[test]
     fn cache_keys_carry_the_solver_revision() {
         // Pinned: a change here must be a deliberate revision bump.
-        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v5");
+        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v6");
         let standard_direct = TcadModel::new(MeshDensity::Standard, Fidelity::Direct);
-        assert_eq!(standard_direct.cache_id(), "tcad.standard.direct.v5");
+        assert_eq!(standard_direct.cache_id(), "tcad.standard.direct.v6");
         let p = DeviceParams::reference_90nm_nfet();
         let d = MeshDensity::Coarse;
         let keys = [
@@ -392,14 +392,14 @@ mod tests {
         assert_eq!(
             keys,
             [
-                0x2b94_6814_b6bc_8c97,
-                0xcba1_ce00_3bd2_8834,
-                0xd60e_ead5_b652_5178
+                0xf576_0e51_ac92_67a8,
+                0xa6b1_e06c_32bb_e051,
+                0xe002_ba9a_9b87_8cd5
             ],
             "{keys:#x?}"
         );
         // Caches written by earlier solver revisions never match.
-        for rev in ["v1", "v2", "v3", "v4"] {
+        for rev in ["v1", "v2", "v3", "v4", "v5"] {
             let previous = [
                 KeyBuilder::new(&format!("tcad.extract.{rev}"))
                     .keyed(&p)
@@ -413,7 +413,7 @@ mod tests {
                 assert_ne!(new, old, "{rev}");
             }
         }
-        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v4");
+        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v5");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! coarse characterization of the reference NFET: every Gummel bias
 //! point runs at least one Poisson solve, each Poisson solve inside the
 //! Gummel loop stops after about one Newton step, the continuation
-//! predictor keeps the two sweeps within 470 Gummel iterations, and
-//! every lookup of the extraction cache is counted as exactly one hit
-//! or miss.
+//! predictor keeps the two sweeps within 470 Gummel iterations, the
+//! chord steps leave at most two Poisson factorizations per bias point,
+//! and every lookup of the extraction cache is counted as exactly one
+//! hit or miss.
 //!
 //! The tracer and the cache are process-global, so this file holds a
 //! single test: no other test's solves can land in its trace.
@@ -37,7 +38,8 @@ fn cold_characterization_keeps_the_solver_counter_invariants() {
         "{solves} Poisson solves for {bias_points} bias points"
     );
 
-    // 536 without the continuation predictor, 439 with it.
+    // 536 without the continuation predictor, 439 with it, 454 with the
+    // chord Poisson steps.
     let gummel = &snap.hists["tcad.gummel.iterations"];
     assert_eq!(gummel.count, bias_points);
     assert!(
@@ -53,6 +55,18 @@ fn cold_characterization_keeps_the_solver_counter_invariants() {
         mean <= 1.5,
         "{mean:.2} Newton steps per Poisson solve: the Gummel loop's inner solve must stay inexact"
     );
+
+    // 474 factorizations when every Newton step factored, 95 with the
+    // chord steps (18 of them in the two equilibrium solves).
+    let (factor, resolve) = (
+        counter(&snap, "tcad.poisson.factor"),
+        counter(&snap, "tcad.poisson.resolve"),
+    );
+    assert!(
+        factor <= 2 * bias_points,
+        "{factor} Poisson factorizations for {bias_points} bias points"
+    );
+    assert!(resolve > 0, "no Poisson chord step reused a factorization");
 
     let (hits, misses) = (
         counter(&snap, "cache.tcad.extract.hit"),

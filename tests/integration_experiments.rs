@@ -164,7 +164,7 @@ fn a_failing_backend_fails_an_extension_with_a_typed_error() {
     std::fs::write(
         &cache,
         format!(
-            "{{\"ns\":\"tcad.model\",\"key\":\"cba1ce003bd28834\",\
+            "{{\"ns\":\"tcad.model\",\"key\":\"a6b1e06c32bbe051\",\
              \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
         ),
     )
