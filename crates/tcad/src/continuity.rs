@@ -1,13 +1,28 @@
 //! Scharfetter–Gummel electron continuity: given a potential field, the
 //! steady-state electron density solves a linear M-matrix system, solved
-//! directly with the banded LU (robust against the 18-decade dynamic
+//! directly with the banded LDLᵀ (robust against the 18-decade dynamic
 //! range of carrier densities).
+//!
+//! The system is assembled in the Slotboom variable
+//! `u = n·e^{−ψ/v_T} = n_i·e^{−φ_n/v_T}`, in which it is symmetric. The
+//! Scharfetter–Gummel flux from node `b` into its neighbour `a` is
+//! `c·(n_b·B(Δψ/v_T) − n_a·B(−Δψ/v_T))`, `Δψ = ψ_b − ψ_a`, and since
+//! `B(−x) = B(x)·e^x` it is `s·(u_b − u_a)` with the one face weight
+//! `s = c·B(Δψ/v_T)·e^{ψ_b/v_T} = c·B(−Δψ/v_T)·e^{ψ_a/v_T}`. A contact
+//! pins `u = n_i·e^{−V/v_T}` at its applied voltage `V` (the equilibrium
+//! density at the contact's built-in potential), and its column is
+//! folded into the right-hand side of its neighbours. The density is
+//! recovered as `n = u·e^{ψ/v_T}`. Terminal currents
+//! ([`contact_current`]) sum the same face weights, so they satisfy the
+//! discrete equations the solve satisfied: the currents into all
+//! contacts sum to zero, and at zero bias each vanishes.
 //!
 //! The solver is unipolar (electrons only): hole current is negligible
 //! for the NFET terminal characteristics studied here, and holes stay in
 //! quasi-equilibrium with the grounded substrate (`φ_p = 0`). This is
 //! the standard approximation for MOSFET subthreshold analysis.
 
+use subvt_engine::trace;
 use subvt_units::consts::Q;
 
 use crate::device::Mosfet2d;
@@ -60,12 +75,12 @@ pub fn equilibrium_electrons(n_net: f64, ni: f64) -> f64 {
 /// Solves the electron continuity equation for the density field `n`
 /// (cm⁻³, silicon nodes; oxide entries left at zero). The silicon nodes
 /// are numbered along the mesh's shorter axis ([`BandOrder`]), so the
-/// banded LU's half-bandwidth is the silicon depth.
+/// banded LDLᵀ's half-bandwidth is the silicon depth.
 ///
 /// # Errors
 ///
-/// Returns [`TcadError::ContinuityZeroPivot`] if the banded LU meets a
-/// zero pivot (not expected for a connected silicon region with at
+/// Returns [`TcadError::ContinuityZeroPivot`] if the factorization meets
+/// a zero pivot (not expected for a connected silicon region with at
 /// least one contact).
 pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Result<Vec<f64>, TcadError> {
     let mut n = vec![0.0; device.len()];
@@ -73,15 +88,46 @@ pub fn solve_electrons(device: &Mosfet2d, psi: &[f64], bias: &Bias) -> Result<Ve
     Ok(n)
 }
 
+/// Applied voltage of a continuity contact, `None` off the contacts.
+/// The gate is no contact of the silicon: its oxide carries no current.
+fn contact_voltage(boundary: Boundary, bias: &Bias) -> Option<f64> {
+    match boundary {
+        Boundary::Source => Some(bias.v_source),
+        Boundary::Drain => Some(bias.v_drain),
+        Boundary::Substrate => Some(bias.v_substrate),
+        Boundary::Gate | Boundary::Interior => None,
+    }
+}
+
+/// `c·B((ψ_b − ψ_a)/v_T)` for the face from node `a` to its right or
+/// upper neighbour `b`, at spacing `d` and transverse dual width `w`:
+/// times `e^{ψ_b/v_T}`, the face's Slotboom weight. The solve and
+/// [`contact_current`] both weigh a face through here, in this one
+/// orientation, so they see the same bits.
+fn face_coupling(
+    device: &Mosfet2d,
+    psi: &[f64],
+    vt: f64,
+    a: usize,
+    b: usize,
+    d: f64,
+    w: f64,
+) -> f64 {
+    let mu = 0.5 * (device.mobility[a] + device.mobility[b]);
+    let c = Q * mu * vt * w / d;
+    c * bernoulli((psi[b] - psi[a]) / vt)
+}
+
 /// [`solve_electrons`] in a [`Workspace`] built for `device`, writing
 /// the silicon entries of `n` in place (its oxide entries are left as
-/// they are). On an error `n` is unchanged.
+/// they are). On an error `n` is unchanged. Counts every call in
+/// `tcad.continuity.solves`.
 ///
-/// Each face's Scharfetter–Gummel pair `c·B(±Δψ/v_T)` is evaluated once
-/// and stamped into the rows of both its nodes. The x-faces go first,
-/// then the y-faces, so every row accumulates its left, right, upper
-/// and lower face in that order: the order of a node-by-node assembly,
-/// and hence its bits.
+/// Each face's weight is evaluated once and stamped into the rows of
+/// both its nodes (a contact node's column goes to the other node's
+/// right-hand side instead). The x-faces go first, then the y-faces,
+/// so every row accumulates its left, right, upper and lower face in
+/// that order.
 ///
 /// # Errors
 ///
@@ -93,50 +139,59 @@ pub(crate) fn solve_electrons_in(
     bias: &Bias,
     n: &mut [f64],
 ) -> Result<(), TcadError> {
+    trace::add("tcad.continuity.solves", 1);
     let mesh = &device.mesh;
     let (vt, ni) = thermals(device);
     let nx = mesh.nx();
     let ny = mesh.ny();
     let j0 = device.j_si0;
     let order = BandOrder::new(mesh, j0);
-    let mat = &mut ws.continuity;
-    let rhs = &mut ws.rhs[..order.unknowns()];
+    let Workspace {
+        continuity: mat,
+        rhs,
+        slotboom,
+        ..
+    } = ws;
+    let rhs = &mut rhs[..order.unknowns()];
     mat.reset(order.unknowns(), order.bandwidth());
-    rhs.fill(0.0);
 
-    let contact = |idx: usize| {
-        matches!(
-            mesh.boundary[idx],
-            Boundary::Source | Boundary::Drain | Boundary::Substrate
-        )
-    };
     for j in j0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
-            if contact(idx) {
-                let row = order.local(i, j);
-                mat.set(row, row, 1.0);
-                rhs[row] = equilibrium_electrons(device.doping[idx], ni);
-            }
+            let row = order.local(i, j);
+            slotboom[idx] = (psi[idx] / vt).exp();
+            rhs[row] = match contact_voltage(mesh.boundary[idx], bias) {
+                Some(v) => {
+                    mat.set(row, row, 1.0);
+                    ni * (-v / vt).exp()
+                }
+                None => 0.0,
+            };
         }
     }
-    // The face from node `a` to node `b`, at spacing `d` and transverse
-    // dual width `w`. The flux into `a` is c·(n_b·B(du) − n_a·B(−du));
-    // seen from `b`, du is exactly −du, and `mu` and `c` are symmetric.
+    let contact = |idx: usize| contact_voltage(mesh.boundary[idx], bias).is_some();
+    // The flux into `a` is s·(u_b − u_a) and into `b` its negative. A
+    // contact row keeps its pinned `u` on the right-hand side, which
+    // the other node's row reads to fold the contact's column.
     let mut face = |a: (usize, usize), b: (usize, usize), d: f64, w: f64| {
         let (ia, ib) = (mesh.idx(a.0, a.1), mesh.idx(b.0, b.1));
         let (ra, rb) = (order.local(a.0, a.1), order.local(b.0, b.1));
-        let mu = 0.5 * (device.mobility[ia] + device.mobility[ib]);
-        let c = Q * mu * vt * w / d;
-        let du = (psi[ib] - psi[ia]) / vt;
-        let (forward, backward) = (c * bernoulli(du), c * bernoulli(-du));
-        if !contact(ia) {
-            mat.add(ra, rb, forward);
-            mat.add(ra, ra, -backward);
-        }
-        if !contact(ib) {
-            mat.add(rb, ra, backward);
-            mat.add(rb, rb, -forward);
+        let s = face_coupling(device, psi, vt, ia, ib, d, w) * slotboom[ib];
+        match (contact(ia), contact(ib)) {
+            (false, false) => {
+                mat.add(ra, rb, s);
+                mat.add(ra, ra, -s);
+                mat.add(rb, rb, -s);
+            }
+            (false, true) => {
+                mat.add(ra, ra, -s);
+                rhs[ra] -= s * rhs[rb];
+            }
+            (true, false) => {
+                mat.add(rb, rb, -s);
+                rhs[rb] -= s * rhs[ra];
+            }
+            (true, true) => {}
         }
     };
     for j in j0..ny {
@@ -162,62 +217,81 @@ pub(crate) fn solve_electrons_in(
         for i in 0..nx {
             // Direct elimination can leave tiny negative values in
             // near-depleted cells; floor them at a physical minimum.
-            n[mesh.idx(i, j)] = rhs[order.local(i, j)].max(1.0e-12 * ni);
+            let idx = mesh.idx(i, j);
+            n[idx] = (rhs[order.local(i, j)] * slotboom[idx]).max(1.0e-12 * ni);
         }
     }
     Ok(())
 }
 
-/// Terminal electron current at the drain contact, amps per micron of
-/// gate width: the net Scharfetter–Gummel flux from interior silicon
-/// into the drain Dirichlet nodes.
-pub fn drain_current(device: &Mosfet2d, psi: &[f64], n: &[f64]) -> f64 {
+/// Signed terminal electron current into the nodes of `contact`, amps
+/// per micron of gate width: the net Scharfetter–Gummel flux
+/// `Σ s·(u_nb − u_node)` over the faces from each of its nodes to a
+/// neighbour off the contact, with the face weights of the solve and
+/// `u = n·e^{−ψ/v_T}`. The currents into all contacts of a converged
+/// state sum to zero. The gate, behind the oxide, carries none.
+pub fn contact_current(device: &Mosfet2d, psi: &[f64], n: &[f64], contact: Boundary) -> f64 {
     let mesh = &device.mesh;
     let (vt, _) = thermals(device);
     let nx = mesh.nx();
     let ny = mesh.ny();
+    let slotboom = |idx: usize| (psi[idx] / vt).exp();
     let mut total = 0.0;
 
     for j in device.j_si0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
-            if mesh.boundary[idx] != Boundary::Drain {
+            if mesh.boundary[idx] != contact {
                 continue;
             }
+            let e_node = slotboom(idx);
+            let u_node = n[idx] / e_node;
             let wx = Mesh::dual_width(&mesh.xs, i);
             let wy = Mesh::dual_width(&mesh.ys, j);
-            let flux = |nb: (usize, usize), d: f64, a: f64| {
+            // `nb` lies `before` (left of or below) the node or after
+            // it; the face weight is taken in the solve's orientation.
+            let flux = |nb: (usize, usize), before: bool, d: f64, w: f64| {
                 let nb_idx = mesh.idx(nb.0, nb.1);
-                if mesh.boundary[nb_idx] == Boundary::Drain {
+                if mesh.boundary[nb_idx] == contact {
                     return 0.0;
                 }
-                let mu = 0.5 * (device.mobility[idx] + device.mobility[nb_idx]);
-                let c = Q * mu * vt * a / d;
-                let du = (psi[nb_idx] - psi[idx]) / vt;
-                c * (n[nb_idx] * bernoulli(du) - n[idx] * bernoulli(-du))
+                let e_nb = slotboom(nb_idx);
+                let s = if before {
+                    face_coupling(device, psi, vt, nb_idx, idx, d, w) * e_node
+                } else {
+                    face_coupling(device, psi, vt, idx, nb_idx, d, w) * e_nb
+                };
+                s * (n[nb_idx] / e_nb - u_node)
             };
             if i > 0 {
-                total += flux((i - 1, j), mesh.xs[i] - mesh.xs[i - 1], wy);
+                total += flux((i - 1, j), true, mesh.xs[i] - mesh.xs[i - 1], wy);
             }
             if i + 1 < nx {
-                total += flux((i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy);
+                total += flux((i + 1, j), false, mesh.xs[i + 1] - mesh.xs[i], wy);
             }
             if j > device.j_si0 {
-                total += flux((i, j - 1), mesh.ys[j] - mesh.ys[j - 1], wx);
+                total += flux((i, j - 1), true, mesh.ys[j] - mesh.ys[j - 1], wx);
             }
             if j + 1 < ny {
-                total += flux((i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx);
+                total += flux((i, j + 1), false, mesh.ys[j + 1] - mesh.ys[j], wx);
             }
         }
     }
     // Currents are per cm of device depth; report per µm of gate width.
-    total.abs() * 1.0e-4
+    total * 1.0e-4
+}
+
+/// Terminal electron current at the drain contact, amps per micron of
+/// gate width: the magnitude of [`contact_current`] into the drain.
+pub fn drain_current(device: &Mosfet2d, psi: &[f64], n: &[f64]) -> f64 {
+    contact_current(device, psi, n, Boundary::Drain).abs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::{MeshDensity, Mosfet2d};
+    use crate::gummel::DeviceSimulator;
     use crate::poisson::{initial_guess, solve};
     use subvt_engine::rng::SplitMix64;
     use subvt_physics::device::DeviceParams;
@@ -258,6 +332,62 @@ mod tests {
         let n = solve_electrons(&dev, &psi, &bias).unwrap();
         let id = drain_current(&dev, &psi, &n);
         assert!(id < 1.0e-15, "equilibrium leakage {id} A/µm");
+    }
+
+    #[test]
+    fn contacts_pin_the_equilibrium_density() {
+        // `u = n_i` at a grounded contact is the equilibrium density at
+        // the contact's built-in potential.
+        let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        let bias = Bias::default();
+        let mut psi = initial_guess(&dev, &bias);
+        let phi = vec![0.0; dev.len()];
+        assert!(solve(&dev, &mut psi, &phi, &phi, &bias).converged);
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
+        let (_, ni) = thermals(&dev);
+        let mut contacts = 0;
+        for (idx, boundary) in dev.mesh.boundary.iter().enumerate() {
+            if contact_voltage(*boundary, &bias).is_some() {
+                let want = equilibrium_electrons(dev.doping[idx], ni);
+                assert!(
+                    (n[idx] / want - 1.0).abs() < 1e-12,
+                    "node {idx} ({boundary:?}): {:e} vs {want:e}",
+                    n[idx]
+                );
+                contacts += 1;
+            }
+        }
+        assert!(contacts > 0);
+    }
+
+    #[test]
+    fn terminal_currents_are_conserved() {
+        // The coarse reference NFET from (0, 0.05) V to (1.2, 1.2) V,
+        // one simulator ramping between the points: the currents into
+        // the drain, source and substrate cancel.
+        let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        let mut sim = DeviceSimulator::new(dev).expect("equilibrium");
+        let biases = [
+            (0.0, 0.05),
+            (0.3, 0.05),
+            (0.6, 0.05),
+            (1.2, 0.05),
+            (1.2, 1.2),
+            (0.6, 1.2),
+            (0.0, 1.2),
+        ];
+        for (v_g, v_d) in biases {
+            sim.set_bias(v_g, v_d).expect("converged bias point");
+            let (dev, psi, n) = (sim.device(), sim.potential(), sim.electron_density());
+            let [i_d, i_s, i_b] = [Boundary::Drain, Boundary::Source, Boundary::Substrate]
+                .map(|contact| contact_current(dev, psi, n, contact));
+            assert_eq!(i_d.abs().to_bits(), sim.drain_current().to_bits());
+            let imbalance = (i_d + i_s + i_b).abs();
+            assert!(
+                imbalance <= 1e-6 * i_d.abs(),
+                "({v_g}, {v_d}) V: I_D {i_d:e}, I_S {i_s:e}, I_B {i_b:e} A/µm"
+            );
+        }
     }
 
     #[test]

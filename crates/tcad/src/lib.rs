@@ -9,16 +9,18 @@
 //!    uses — uniform substrate, Gaussian-tail source/drain, 2-D Gaussian
 //!    halo pockets (the paper's Fig. 1a/1b).
 //! 2. [`poisson`] solves the nonlinear Poisson equation (finite volume,
-//!    Boltzmann carriers, damped Newton, banded LU).
+//!    Boltzmann carriers, damped Newton, banded LDLᵀ).
 //! 3. [`continuity`] solves the linear Scharfetter–Gummel electron
-//!    system (banded LU).
+//!    system in the Slotboom variable (banded LDLᵀ).
 //! 4. [`gummel`] couples them with bias ramping.
 //! 5. [`extract`] sweeps I_d–V_g and extracts S_S, V_th, I_off, I_on and
 //!    DIBL.
 //!
-//! [`banded`] is the one linear solver: both systems number their nodes
-//! along the mesh's shorter axis ([`mesh::BandOrder`]), so the banded
-//! LU's half-bandwidth is the mesh depth.
+//! [`banded`] is the one linear solver, a symmetric LDLᵀ: both systems
+//! are symmetric once their Dirichlet columns are folded into the
+//! right-hand side, and both number their nodes along the mesh's
+//! shorter axis ([`mesh::BandOrder`]), so the half-bandwidth is the
+//! mesh depth.
 //!
 //! Scope: DC, unipolar (electron) transport, Boltzmann statistics, no
 //! quantum or strain corrections — sufficient for the subthreshold
@@ -47,10 +49,13 @@
 /// TCAD cache key carries it: the `tcad.extract` and `tcad.model` tags
 /// and [`TcadModel`]'s `cache_id`, which the design, topology and
 /// circuit caches key on. Bump it with any change to the solver's bits,
-/// so caches written by an older solver are never read back.
+/// so caches written by an older solver are never read back. v7 solves
+/// both Gummel systems with the banded symmetric LDLᵀ: the Poisson
+/// Jacobian with its Dirichlet columns folded away, and the continuity
+/// system in the Slotboom variable.
 macro_rules! solver_revision {
     () => {
-        "v6"
+        "v7"
     };
 }
 

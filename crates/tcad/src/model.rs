@@ -379,9 +379,9 @@ mod tests {
     #[test]
     fn cache_keys_carry_the_solver_revision() {
         // Pinned: a change here must be a deliberate revision bump.
-        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v6");
+        assert_eq!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v7");
         let standard_direct = TcadModel::new(MeshDensity::Standard, Fidelity::Direct);
-        assert_eq!(standard_direct.cache_id(), "tcad.standard.direct.v6");
+        assert_eq!(standard_direct.cache_id(), "tcad.standard.direct.v7");
         let p = DeviceParams::reference_90nm_nfet();
         let d = MeshDensity::Coarse;
         let keys = [
@@ -392,14 +392,14 @@ mod tests {
         assert_eq!(
             keys,
             [
-                0xf576_0e51_ac92_67a8,
-                0xa6b1_e06c_32bb_e051,
-                0xe002_ba9a_9b87_8cd5
+                0x7576_c27b_6226_024d,
+                0x2149_d158_728f_d9da,
+                0xb3c1_e8af_a21a_043e
             ],
             "{keys:#x?}"
         );
         // Caches written by earlier solver revisions never match.
-        for rev in ["v1", "v2", "v3", "v4", "v5"] {
+        for rev in ["v1", "v2", "v3", "v4", "v5", "v6"] {
             let previous = [
                 KeyBuilder::new(&format!("tcad.extract.{rev}"))
                     .keyed(&p)
@@ -413,7 +413,7 @@ mod tests {
                 assert_ne!(new, old, "{rev}");
             }
         }
-        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v5");
+        assert_ne!(TCAD_COARSE.cache_id(), "tcad.coarse.anchored.v6");
     }
 
     #[test]

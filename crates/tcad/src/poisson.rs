@@ -7,18 +7,22 @@
 //! `p = n_i·e^{(φ_p−ψ)/v_T}`; oxide nodes are charge-free. Contacts are
 //! Dirichlet; every other boundary is a natural Neumann (reflecting)
 //! boundary of the finite-volume scheme. Each Newton step solves its
-//! Jacobian directly with the banded LU, nodes numbered along the
-//! mesh's shorter axis.
+//! Jacobian directly with the banded LDLᵀ, nodes numbered along the
+//! mesh's shorter axis. The Jacobian is symmetric once the Dirichlet
+//! columns are folded away: a contact row is the identity, and a
+//! neighbour of a contact moves the contact's term `c·(bc − ψ_c)` to its
+//! right-hand side. Each solve computes the contact potentials once,
+//! when its bias first reaches the [`Workspace`].
 //!
 //! [`solve`] iterates to an update below 1 nV. The Gummel loop stops
 //! each of its Poisson solves at a loose tolerance instead (an inexact
 //! inner solve): it relinearizes after every continuity solve, and its
 //! own 10 nV test on the potential change decides convergence, so
-//! resolving each linearization to 1 nV only repeats banded LU solves.
+//! resolving each linearization to 1 nV only repeats banded solves.
 //!
 //! For the same reason the Gummel loop does not refactor the Jacobian
 //! at every step (the chord rule). The first Poisson solve of a bias
-//! point is a plain Newton solve, and the [`Workspace`] keeps the LU
+//! point is a plain Newton solve, and the [`Workspace`] keeps the LDLᵀ
 //! factors of its last Jacobian. Later solves are chord solves: each
 //! step assembles the residual alone and runs a forward and a back
 //! substitution on those factors. A chord step that does not halve the
@@ -31,7 +35,7 @@ use subvt_engine::trace;
 use subvt_physics::math::max_abs;
 use subvt_units::consts::{EPS_OX, EPS_SI, Q};
 
-use crate::banded::{BandedMatrix, ZeroPivotError};
+use crate::banded::{SymBandedMatrix, ZeroPivotError};
 use crate::device::{Mosfet2d, N_POLY};
 use crate::mesh::{BandOrder, Boundary, Material, Mesh};
 
@@ -139,19 +143,29 @@ fn coupling(mat: &[Material], ia: usize, ib: usize, d: f64, a: f64) -> f64 {
 /// Scratch shared by the Gummel loop's two linear solves, allocated once
 /// per [`crate::DeviceSimulator`] so that no Newton or Gummel iteration
 /// allocates. It holds a band buffer for each system, the right-hand
-/// side that the banded LU overwrites with the solution, and the Poisson
-/// face couplings, which depend on the device alone. The Poisson buffer
-/// is never written by the continuity solve, so the LU factors it holds
-/// after a factorization survive for the chord steps of a Gummel loop.
+/// side that the banded LDLᵀ overwrites with the solution, the contact
+/// potentials of the last bias, the Slotboom factors of the continuity
+/// solve, and the Poisson face couplings, which depend on the device
+/// alone. The Poisson buffer is never written by the continuity solve,
+/// so the factors it holds after a factorization survive for the chord
+/// steps of a Gummel loop.
 #[derive(Debug, Clone)]
 pub(crate) struct Workspace {
-    /// The Poisson Jacobian, and after a factorization its LU factors.
-    poisson: BandedMatrix,
+    /// The Poisson Jacobian, and after a factorization its factors.
+    poisson: SymBandedMatrix,
     /// Whether `poisson` holds the factors of a successful
     /// factorization that a chord step may reuse.
     factored: bool,
-    pub(crate) continuity: BandedMatrix,
+    /// The bias whose Dirichlet potentials `contact_psi` holds.
+    contacts_at: Option<Bias>,
+    /// Dirichlet potential of each contact node, stored at its mesh
+    /// index (entries off the contacts are unused).
+    contact_psi: Vec<f64>,
+    pub(crate) continuity: SymBandedMatrix,
     pub(crate) rhs: Vec<f64>,
+    /// `e^{ψ/v_T}` of each silicon node at the last continuity solve,
+    /// stored at its mesh index.
+    pub(crate) slotboom: Vec<f64>,
     /// Coupling of the face from node `(i, j)` to `(i + 1, j)`, stored
     /// at `mesh.idx(i, j)`.
     coupling_x: Vec<f64>,
@@ -192,13 +206,32 @@ impl Workspace {
         }
         let (order, silicon) = (BandOrder::new(mesh, 0), BandOrder::new(mesh, device.j_si0));
         Self {
-            poisson: BandedMatrix::zeros(order.unknowns(), order.bandwidth()),
+            poisson: SymBandedMatrix::zeros(order.unknowns(), order.bandwidth()),
             factored: false,
-            continuity: BandedMatrix::zeros(silicon.unknowns(), silicon.bandwidth()),
+            contacts_at: None,
+            contact_psi: vec![0.0; mesh.len()],
+            continuity: SymBandedMatrix::zeros(silicon.unknowns(), silicon.bandwidth()),
             rhs: vec![0.0; order.unknowns()],
+            slotboom: vec![0.0; mesh.len()],
             coupling_x,
             coupling_y,
         }
+    }
+
+    /// Computes the Dirichlet potential of every contact node under the
+    /// problem's bias, unless `contact_psi` already holds them.
+    fn pin_contacts(&mut self, problem: &Problem<'_>) {
+        if self.contacts_at == Some(*problem.bias) {
+            return;
+        }
+        let device = problem.device;
+        let (vt, ni) = thermals(device);
+        for idx in 0..device.mesh.len() {
+            if let Some(bc) = contact_potential(device, idx, problem.bias, vt, ni) {
+                self.contact_psi[idx] = bc;
+            }
+        }
+        self.contacts_at = Some(*problem.bias);
     }
 }
 
@@ -369,6 +402,7 @@ fn newton_step(
 ) -> Result<f64, ZeroPivotError> {
     let mesh = &problem.device.mesh;
     let order = BandOrder::new(mesh, 0);
+    ws.pin_contacts(problem);
     if refactor {
         ws.factored = false;
         ws.poisson.reset(order.unknowns(), order.bandwidth());
@@ -391,18 +425,23 @@ fn newton_step(
 
 /// Writes the Newton right-hand side `−F(ψ)` into `ws.rhs` and, when
 /// `jacobian` is set, the Jacobian `∂F/∂ψ` into the zeroed `ws.poisson`.
-/// A contact row is the identity with `bc − ψ` on the right.
+/// A contact row is the identity with `bc − ψ` on the right, and every
+/// other row moves its contact neighbours' terms `c·(bc − ψ_c)` to the
+/// right as well, which leaves the Jacobian symmetric. Only its upper
+/// triangle is written: each face between two free nodes is stamped
+/// from the row of the lower-numbered one.
 fn assemble(ws: &mut Workspace, problem: &Problem<'_>, psi: &[f64], jacobian: bool) {
     let Problem {
         device,
         phi_n,
         phi_p,
-        bias,
+        ..
     } = *problem;
     let mesh = &device.mesh;
     let Workspace {
         poisson,
         rhs,
+        contact_psi,
         coupling_x,
         coupling_y,
         ..
@@ -410,29 +449,36 @@ fn assemble(ws: &mut Workspace, problem: &Problem<'_>, psi: &[f64], jacobian: bo
     let mut jac = jacobian.then_some(poisson);
     let (vt, ni) = thermals(device);
     let (nx, ny) = (mesh.nx(), mesh.ny());
+    let free = |idx: usize| mesh.boundary[idx] == Boundary::Interior;
     // Every node is an unknown, numbered along the shorter (depth) axis.
     let order = BandOrder::new(mesh, 0);
     for j in 0..ny {
         for i in 0..nx {
             let idx = mesh.idx(i, j);
             let row = order.local(i, j);
-            if let Some(bc) = contact_potential(device, idx, bias, vt, ni) {
+            if !free(idx) {
                 // Dirichlet row: δψ = bc − ψ.
                 if let Some(jac) = &mut jac {
                     jac.set(row, row, 1.0);
                 }
-                rhs[row] = bc - psi[idx];
+                rhs[row] = contact_psi[idx] - psi[idx];
                 continue;
             }
             let mut f = 0.0;
             let mut diag = 0.0;
+            let mut fold = 0.0;
 
             let mut face = |nb: (usize, usize), c: f64| {
                 let nb_idx = mesh.idx(nb.0, nb.1);
                 f += c * (psi[nb_idx] - psi[idx]);
                 diag -= c;
-                if let Some(jac) = &mut jac {
-                    jac.set(row, order.local(nb.0, nb.1), c);
+                if !free(nb_idx) {
+                    fold += c * (contact_psi[nb_idx] - psi[nb_idx]);
+                } else if let Some(jac) = &mut jac {
+                    let col = order.local(nb.0, nb.1);
+                    if col > row {
+                        jac.set(row, col, c);
+                    }
                 }
             };
             if i > 0 {
@@ -459,7 +505,7 @@ fn assemble(ws: &mut Workspace, problem: &Problem<'_>, psi: &[f64], jacobian: bo
             if let Some(jac) = &mut jac {
                 jac.set(row, row, diag);
             }
-            rhs[row] = -f;
+            rhs[row] = -f - fold;
         }
     }
 }
@@ -467,6 +513,8 @@ fn assemble(ws: &mut Workspace, problem: &Problem<'_>, psi: &[f64], jacobian: bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::banded::tests::BandedLu;
+    use crate::continuity::{bernoulli, drain_current, equilibrium_electrons, solve_electrons};
     use crate::device::MeshDensity;
     use subvt_physics::device::DeviceParams;
 
@@ -498,6 +546,239 @@ mod tests {
             }
         }
         (bias, phi_n)
+    }
+
+    /// A Newton step of solver revision v6, the reference of
+    /// [`the_symmetric_solves_agree_with_the_lu_path_on_the_golden_input`]:
+    /// the Jacobian keeps its Dirichlet columns and is solved by the
+    /// banded LU. Returns the update's infinity-norm.
+    fn lu_newton_step(problem: &Problem<'_>, psi: &mut [f64]) -> f64 {
+        let Problem {
+            device,
+            phi_n,
+            phi_p,
+            bias,
+        } = *problem;
+        let ws = Workspace::new(device);
+        let mesh = &device.mesh;
+        let (vt, ni) = thermals(device);
+        let (nx, ny) = (mesh.nx(), mesh.ny());
+        let order = BandOrder::new(mesh, 0);
+        let mut jac = BandedLu::zeros(order.unknowns(), order.bandwidth());
+        let mut rhs = vec![0.0; order.unknowns()];
+        for j in 0..ny {
+            for i in 0..nx {
+                let idx = mesh.idx(i, j);
+                let row = order.local(i, j);
+                if let Some(bc) = contact_potential(device, idx, bias, vt, ni) {
+                    jac.set(row, row, 1.0);
+                    rhs[row] = bc - psi[idx];
+                    continue;
+                }
+                let (mut f, mut diag) = (0.0, 0.0);
+                let mut face = |nb: (usize, usize), c: f64| {
+                    f += c * (psi[mesh.idx(nb.0, nb.1)] - psi[idx]);
+                    diag -= c;
+                    jac.set(row, order.local(nb.0, nb.1), c);
+                };
+                if i > 0 {
+                    face((i - 1, j), ws.coupling_x[mesh.idx(i - 1, j)]);
+                }
+                if i + 1 < nx {
+                    face((i + 1, j), ws.coupling_x[idx]);
+                }
+                if j > 0 {
+                    face((i, j - 1), ws.coupling_y[mesh.idx(i, j - 1)]);
+                }
+                if j + 1 < ny {
+                    face((i, j + 1), ws.coupling_y[idx]);
+                }
+                if mesh.material[idx] == Material::Silicon {
+                    let vol = Mesh::dual_width(&mesh.xs, i) * Mesh::dual_width(&mesh.ys, j);
+                    let n = ni * ((psi[idx] - phi_n[idx]) / vt).min(60.0).exp();
+                    let p = ni * ((phi_p[idx] - psi[idx]) / vt).min(60.0).exp();
+                    f += Q * vol * (device.doping[idx] + p - n);
+                    diag -= Q * vol * (n + p) / vt;
+                }
+                jac.set(row, row, diag);
+                rhs[row] = -f;
+            }
+        }
+        jac.factor().expect("nonzero pivots");
+        jac.solve(&mut rhs);
+        let nodes = (0..ny).flat_map(|j| (0..nx).map(move |i| (i, j)));
+        max_abs(nodes.map(|(i, j)| {
+            let step = rhs[order.local(i, j)].clamp(-MAX_DPSI, MAX_DPSI);
+            psi[mesh.idx(i, j)] += step;
+            step
+        }))
+    }
+
+    /// The Newton iterations of a v6 solve to `tol`.
+    fn lu_solve_to(problem: &Problem<'_>, psi: &mut [f64], tol: f64) -> usize {
+        (1..=MAX_NEWTON)
+            .find(|_| lu_newton_step(problem, psi) < tol)
+            .expect("converged")
+    }
+
+    /// The v6 continuity solve: the Scharfetter–Gummel system in the
+    /// electron density, each face's Bernoulli pair `c·B(±Δψ/v_T)`
+    /// stamped into a general band, contacts pinned at the equilibrium
+    /// density, solved by the banded LU.
+    fn lu_electrons(device: &Mosfet2d, psi: &[f64]) -> Vec<f64> {
+        let mesh = &device.mesh;
+        let (vt, ni) = thermals(device);
+        let (nx, ny, j0) = (mesh.nx(), mesh.ny(), device.j_si0);
+        let order = BandOrder::new(mesh, j0);
+        let mut mat = BandedLu::zeros(order.unknowns(), order.bandwidth());
+        let mut rhs = vec![0.0; order.unknowns()];
+        let contact = |idx: usize| {
+            matches!(
+                mesh.boundary[idx],
+                Boundary::Source | Boundary::Drain | Boundary::Substrate
+            )
+        };
+        for j in j0..ny {
+            for i in 0..nx {
+                let idx = mesh.idx(i, j);
+                if contact(idx) {
+                    let row = order.local(i, j);
+                    mat.set(row, row, 1.0);
+                    rhs[row] = equilibrium_electrons(device.doping[idx], ni);
+                }
+            }
+        }
+        let mut face = |a: (usize, usize), b: (usize, usize), d: f64, w: f64| {
+            let (ia, ib) = (mesh.idx(a.0, a.1), mesh.idx(b.0, b.1));
+            let (ra, rb) = (order.local(a.0, a.1), order.local(b.0, b.1));
+            let mu = 0.5 * (device.mobility[ia] + device.mobility[ib]);
+            let c = Q * mu * vt * w / d;
+            let du = (psi[ib] - psi[ia]) / vt;
+            let (forward, backward) = (c * bernoulli(du), c * bernoulli(-du));
+            if !contact(ia) {
+                mat.add(ra, rb, forward);
+                mat.add(ra, ra, -backward);
+            }
+            if !contact(ib) {
+                mat.add(rb, ra, backward);
+                mat.add(rb, rb, -forward);
+            }
+        };
+        for j in j0..ny {
+            let wy = Mesh::dual_width(&mesh.ys, j);
+            for i in 0..nx - 1 {
+                face((i, j), (i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy);
+            }
+        }
+        for j in j0..ny - 1 {
+            for i in 0..nx {
+                let wx = Mesh::dual_width(&mesh.xs, i);
+                face((i, j), (i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx);
+            }
+        }
+        mat.factor().expect("nonzero pivots");
+        mat.solve(&mut rhs);
+        let mut n = vec![0.0; device.len()];
+        for j in j0..ny {
+            for i in 0..nx {
+                n[mesh.idx(i, j)] = rhs[order.local(i, j)].max(1.0e-12 * ni);
+            }
+        }
+        n
+    }
+
+    /// The v6 drain current: the Bernoulli-pair flux in the electron
+    /// density from the drain's neighbours into its nodes.
+    fn lu_drain_current(device: &Mosfet2d, psi: &[f64], n: &[f64]) -> f64 {
+        let mesh = &device.mesh;
+        let (vt, _) = thermals(device);
+        let (nx, ny) = (mesh.nx(), mesh.ny());
+        let mut total = 0.0;
+        for j in device.j_si0..ny {
+            for i in 0..nx {
+                let idx = mesh.idx(i, j);
+                if mesh.boundary[idx] != Boundary::Drain {
+                    continue;
+                }
+                let wx = Mesh::dual_width(&mesh.xs, i);
+                let wy = Mesh::dual_width(&mesh.ys, j);
+                let flux = |nb: (usize, usize), d: f64, a: f64| {
+                    let nb_idx = mesh.idx(nb.0, nb.1);
+                    if mesh.boundary[nb_idx] == Boundary::Drain {
+                        return 0.0;
+                    }
+                    let mu = 0.5 * (device.mobility[idx] + device.mobility[nb_idx]);
+                    let c = Q * mu * vt * a / d;
+                    let du = (psi[nb_idx] - psi[idx]) / vt;
+                    c * (n[nb_idx] * bernoulli(du) - n[idx] * bernoulli(-du))
+                };
+                if i > 0 {
+                    total += flux((i - 1, j), mesh.xs[i] - mesh.xs[i - 1], wy);
+                }
+                if i + 1 < nx {
+                    total += flux((i + 1, j), mesh.xs[i + 1] - mesh.xs[i], wy);
+                }
+                if j > device.j_si0 {
+                    total += flux((i, j - 1), mesh.ys[j] - mesh.ys[j - 1], wx);
+                }
+                if j + 1 < ny {
+                    total += flux((i, j + 1), mesh.ys[j + 1] - mesh.ys[j], wx);
+                }
+            }
+        }
+        total.abs() * 1.0e-4
+    }
+
+    /// The largest relative difference of the nonzero entries of `want`.
+    fn worst_relative(got: &[f64], want: &[f64]) -> f64 {
+        max_abs(
+            got.iter()
+                .zip(want)
+                .filter(|(_, w)| **w != 0.0)
+                .map(|(g, w)| (g - w) / w),
+        )
+    }
+
+    #[test]
+    fn the_symmetric_solves_agree_with_the_lu_path_on_the_golden_input() {
+        // `tests/golden_bits.rs`'s solves, against solver revision v6's
+        // banded LU, Dirichlet columns and electron-density continuity.
+        let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        let (bias, phi_n) = biased(&dev);
+        let phi_p = vec![0.0; dev.len()];
+        let problem = Problem {
+            device: &dev,
+            phi_n: &phi_n,
+            phi_p: &phi_p,
+            bias: &bias,
+        };
+        let (mut psi, mut psi_lu) = (initial_guess(&dev, &bias), initial_guess(&dev, &bias));
+        for (tol, iterations) in [(1.0e-2, 12), (PSI_TOL, 3)] {
+            let out = solve_to(&dev, &mut psi, &phi_n, &phi_p, &bias, tol);
+            assert!(out.converged, "{out:?}");
+            assert_eq!(out.iterations, iterations, "tolerance {tol}");
+            assert_eq!(
+                lu_solve_to(&problem, &mut psi_lu, tol),
+                iterations,
+                "tolerance {tol}"
+            );
+            let gap = worst_relative(&psi, &psi_lu);
+            assert!(gap <= 1.0e-13, "tolerance {tol}: ψ differs by {gap:e}");
+        }
+
+        let n = solve_electrons(&dev, &psi, &bias).unwrap();
+        let n_lu = lu_electrons(&dev, &psi_lu);
+        let gap = worst_relative(&n, &n_lu);
+        assert!(gap <= 1.0e-10, "n differs by {gap:e}");
+
+        let (i_d, i_lu) = (
+            drain_current(&dev, &psi, &n),
+            lu_drain_current(&dev, &psi_lu, &n_lu),
+        );
+        assert!(
+            (i_d / i_lu - 1.0).abs() <= 1.0e-11,
+            "I_D {i_d:e} vs {i_lu:e}"
+        );
     }
 
     #[test]

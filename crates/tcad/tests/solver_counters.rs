@@ -1,7 +1,8 @@
 //! The TCAD solver's counters keep their invariants over one cold
 //! coarse characterization of the reference NFET: every Gummel bias
 //! point runs at least one Poisson solve, each Poisson solve inside the
-//! Gummel loop stops after about one Newton step, the continuation
+//! Gummel loop stops after about one Newton step, each Gummel iteration
+//! and each equilibrium runs one continuity solve, the continuation
 //! predictor keeps the two sweeps within 470 Gummel iterations, the
 //! chord steps leave at most two Poisson factorizations per bias point,
 //! and every lookup of the extraction cache is counted as exactly one
@@ -45,6 +46,15 @@ fn cold_characterization_keeps_the_solver_counter_invariants() {
     assert!(
         gummel.sum <= 470.0,
         "{} Gummel iterations over the two sweeps",
+        gummel.sum
+    );
+
+    // Each Gummel iteration runs one continuity solve, and so does each
+    // sweep's equilibrium.
+    assert_eq!(
+        counter(&snap, "tcad.continuity.solves") as f64,
+        gummel.sum + 2.0,
+        "continuity solves against {} Gummel iterations and 2 equilibria",
         gummel.sum
     );
 

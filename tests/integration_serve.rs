@@ -574,7 +574,7 @@ fn nan_calibration_cache(name: &str) -> std::path::PathBuf {
     std::fs::write(
         &cache_path,
         format!(
-            "{{\"ns\":\"tcad.model\",\"key\":\"a6b1e06c32bbe051\",\
+            "{{\"ns\":\"tcad.model\",\"key\":\"2149d158728fd9da\",\
              \"bits\":[{nan},{nan},{nan},{nan},{nan}]}}\n"
         ),
     )
