@@ -1,7 +1,8 @@
 //! Command-line reading shared by `repro`, `subvt-serve`,
 //! `subvt-loadgen` and `subvt-bench-diff`: the one place a flag's value
-//! is read, checked and named in its error, and the `--jobs` and
-//! `--trace-format` flags more than one of them takes.
+//! is read, checked and named in its error, the `--jobs` and
+//! `--trace-format` flags more than one of them takes, and the
+//! environment variables that configure a run.
 
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -37,9 +38,31 @@ pub fn positive<T: FromStr + PartialOrd + Default>(
     )
 }
 
-/// Sizes the process-wide executor from a `--jobs` value, if one was
-/// given. Fails once the executor has been built.
-pub fn apply_jobs(jobs: Option<usize>) -> Result<(), String> {
+/// Configures this process's run from a `--jobs` value and the
+/// environment, once, in `main`, before any work: the process-wide
+/// executor and the current [run scope](crate::scope) (the root, on the
+/// main thread). These variables are read here and nowhere else, and a
+/// fleet parent's workers inherit them:
+///
+/// * `SUBVT_JOBS` sizes the executor when `jobs` (a `--jobs` value) is
+///   `None`; a value that is not a positive integer is ignored.
+/// * `SUBVT_FAULTS` arms a [fault plan](crate::faultinject::FaultPlan);
+///   a malformed one is reported on stderr and ignored.
+/// * `SUBVT_SPICE_COLD_START`, set to anything but empty or `0`, forces
+///   SPICE cold starts ([`crate::scope::Scope::cold_start`]).
+///
+/// Fails once the executor has been built.
+pub fn configure_run(jobs: Option<usize>) -> Result<(), String> {
+    let var = |name| std::env::var(name).ok();
+    let jobs = jobs.or_else(|| var("SUBVT_JOBS")?.parse().ok().filter(|&n| n > 0));
+    if let Some(spec) = var("SUBVT_FAULTS") {
+        match crate::FaultPlan::parse(&spec) {
+            Ok(plan) => crate::faultinject::configure(Some(plan)),
+            Err(e) => eprintln!("ignoring malformed SUBVT_FAULTS: {e}"),
+        }
+    }
+    let cold = var("SUBVT_SPICE_COLD_START").is_some_and(|v| !v.is_empty() && v != "0");
+    crate::scope::current().set_cold_start(cold);
     match jobs {
         Some(n) if !crate::configure_jobs(n) => {
             Err("--jobs must come before any work is scheduled".to_owned())
@@ -72,7 +95,7 @@ impl FromStr for TraceFormat {
     }
 }
 
-/// Writes the process-wide trace ([`crate::trace::global`]) to `path`;
+/// Writes the current scope's trace ([`crate::trace::global`]) to `path`;
 /// fails on any error creating, writing or flushing the file.
 pub fn write_trace(path: impl AsRef<Path>, format: TraceFormat) -> io::Result<()> {
     let mut out = io::BufWriter::new(std::fs::File::create(path)?);

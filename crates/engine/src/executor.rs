@@ -283,17 +283,21 @@ impl Executor {
             done: Condvar::new(),
         });
         let result_state = Arc::clone(&state);
-        // Capture the spawner's innermost span so spans opened inside
-        // the job attach to the spawn site, not to whatever the stealing
-        // worker happened to be running.
+        // Capture the spawner's run scope and innermost span so the job
+        // records into that scope and its spans attach to the spawn
+        // site, not to whatever the stealing worker happened to be
+        // running.
+        let scope = crate::scope::current();
         let parent_span = crate::trace::current_span_id();
         let job: Job = Box::new(move || {
+            let entered = scope.enter();
             let ctx = crate::trace::task_context(parent_span);
             let result = catch_unwind(AssertUnwindSafe(f)).map_err(JobPanic::from_payload);
-            // Restore the worker's own span context before publishing
-            // the result (the panic path included — `ctx` drops here
-            // regardless of how `f` exited).
+            // Restore the worker's own span context and scope before
+            // publishing the result (the panic path included — both
+            // guards drop here regardless of how `f` exited).
             drop(ctx);
+            drop(entered);
             *result_state.slot.lock().expect("handle lock") = Some(result);
             result_state.done.notify_all();
         });

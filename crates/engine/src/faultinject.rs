@@ -1,13 +1,16 @@
 //! Deterministic fault-injection harness for chaos testing.
 //!
-//! When a [`FaultPlan`] is armed (programmatically via [`configure`], or
-//! through the `SUBVT_FAULTS` environment variable for CLI runs), the
-//! instrumented sites across the workspace — executor job wrappers,
-//! the Gummel/Newton solver entries, cache persistence, supervised
-//! deadlines — consult [`should_inject`] and fail on purpose. The
-//! decision is a pure function of `(seed, site, per-site sequence
-//! number)` through the engine's [`crate::rng::SplitMix64`] streams, so
-//! a given seed replays the same fault schedule on every serial run.
+//! When a [`FaultPlan`] is armed in the current [run
+//! scope](crate::scope) (via [`configure`]; `repro` and `subvt-serve`
+//! arm the root scope from the `SUBVT_FAULTS` environment variable in
+//! `main`), the instrumented sites across the workspace — executor job
+//! wrappers, the Gummel/Newton solver entries, cache persistence,
+//! supervised deadlines — consult [`should_inject`] and fail on
+//! purpose. The decision is a pure function of `(seed, site, per-site
+//! sequence number)` through the engine's [`crate::rng::SplitMix64`]
+//! streams, so a given seed replays the same fault schedule on every
+//! serial run. Each scope holds its own plan, sequence numbers and
+//! tallies: a plan armed in one scope never fires in another.
 //!
 //! Design rules the instrumented sites follow:
 //!
@@ -23,12 +26,12 @@
 //!   against recovery records and reported failures: nothing may fail
 //!   silently.
 //!
-//! With no plan armed (the default, and the only mode tier-1 tests
-//! exercise) every helper short-circuits to "no fault" without touching
-//! the RNG, so the happy path stays byte-identical.
+//! With no plan armed (the default) every helper short-circuits to "no
+//! fault" without touching the RNG, so the happy path stays
+//! byte-identical.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::rng::SplitMix64;
 use crate::trace;
@@ -161,7 +164,9 @@ impl FaultPlan {
     }
 }
 
-struct Harness {
+/// One scope's fault plan, per-site sequence numbers and tallies.
+#[derive(Default)]
+pub(crate) struct Harness {
     plan: Mutex<Option<FaultPlan>>,
     /// Per-site call sequence numbers (the decision-stream indices).
     calls: [AtomicU64; 4],
@@ -172,31 +177,12 @@ struct Harness {
 }
 
 fn harness() -> &'static Harness {
-    static HARNESS: OnceLock<Harness> = OnceLock::new();
-    HARNESS.get_or_init(|| {
-        let from_env =
-            std::env::var("SUBVT_FAULTS")
-                .ok()
-                .and_then(|spec| match FaultPlan::parse(&spec) {
-                    Ok(plan) => Some(plan),
-                    Err(e) => {
-                        eprintln!("ignoring malformed SUBVT_FAULTS: {e}");
-                        None
-                    }
-                });
-        Harness {
-            armed: AtomicBool::new(from_env.is_some()),
-            plan: Mutex::new(from_env),
-            calls: [const { AtomicU64::new(0) }; 4],
-            injected: [const { AtomicU64::new(0) }; 4],
-        }
-    })
+    &crate::scope::current().faults
 }
 
-/// Arms (`Some`) or disarms (`None`) the process-wide fault plan. Also
-/// resets the per-site sequence numbers so a freshly-armed plan replays
-/// its schedule from the start. Chaos tests call this; CLI runs arm via
-/// the `SUBVT_FAULTS` environment variable instead.
+/// Arms (`Some`) or disarms (`None`) the current scope's fault plan.
+/// Also resets the per-site sequence numbers so a freshly-armed plan
+/// replays its schedule from the start.
 pub fn configure(plan: Option<FaultPlan>) {
     let h = harness();
     let mut slot = h.plan.lock().expect("fault plan lock");
@@ -205,11 +191,6 @@ pub fn configure(plan: Option<FaultPlan>) {
     for c in &h.calls {
         c.store(0, Ordering::Release);
     }
-}
-
-/// Whether any fault plan is currently armed.
-pub fn armed() -> bool {
-    harness().armed.load(Ordering::Acquire)
 }
 
 /// Decides whether the next event at `site` is a fault. Deterministic
@@ -242,8 +223,8 @@ pub fn should_inject(site: FaultSite) -> bool {
     fire
 }
 
-/// Per-site counts of faults injected since process start (or the last
-/// [`reset_counts`]), in [`ALL_SITES`] order.
+/// Per-site counts of faults injected in the current scope, in
+/// [`ALL_SITES`] order.
 pub fn injected_counts() -> [(FaultSite, u64); 4] {
     let h = harness();
     let mut out = [(FaultSite::JobPanic, 0); 4];
@@ -256,13 +237,6 @@ pub fn injected_counts() -> [(FaultSite, u64); 4] {
 /// Total faults injected across all sites.
 pub fn injected_total() -> u64 {
     injected_counts().iter().map(|(_, n)| n).sum()
-}
-
-/// Zeroes the per-site injected tallies (test isolation helper).
-pub fn reset_counts() {
-    for c in &harness().injected {
-        c.store(0, Ordering::Release);
-    }
 }
 
 /// Panics if the next [`FaultSite::JobPanic`] decision fires. Called by
@@ -285,24 +259,10 @@ pub fn corrupt_point(line: &mut String) {
     }
 }
 
-/// Serializes the engine's tests that arm the process-global plan or
-/// run supervised jobs (whose `panic_point` reads that plan), so one
-/// test's plan never fires inside another's jobs.
-#[cfg(test)]
-pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The harness is process-global state shared with other engine
-    // tests, so every test here that arms it holds `test_serial` and
-    // restores the disarmed default before it returns.
+    use crate::scope::Scope;
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
@@ -318,7 +278,7 @@ mod tests {
 
     #[test]
     fn disarmed_harness_never_fires() {
-        let _serial = test_serial();
+        let _scope = Scope::fresh().enter();
         configure(None);
         for _ in 0..64 {
             assert!(!should_inject(FaultSite::JobPanic));
@@ -328,7 +288,7 @@ mod tests {
 
     #[test]
     fn armed_schedule_is_deterministic_per_seed() {
-        let _serial = test_serial();
+        let _scope = Scope::fresh().enter();
         let plan = FaultPlan {
             p_diverge: 0.5,
             ..FaultPlan::quiet(1234)
@@ -342,7 +302,6 @@ mod tests {
         let second: Vec<bool> = (0..64)
             .map(|_| should_inject(FaultSite::SolverDiverge))
             .collect();
-        configure(None);
         assert_eq!(first, second);
         let fired = first.iter().filter(|b| **b).count();
         assert!(fired > 8 && fired < 56, "p=0.5 should fire ~half: {fired}");
@@ -350,7 +309,7 @@ mod tests {
 
     #[test]
     fn sites_draw_independent_streams() {
-        let _serial = test_serial();
+        let _scope = Scope::fresh().enter();
         let plan = FaultPlan {
             p_panic: 0.5,
             p_diverge: 0.5,
@@ -364,13 +323,12 @@ mod tests {
         let diverges: Vec<bool> = (0..64)
             .map(|_| should_inject(FaultSite::SolverDiverge))
             .collect();
-        configure(None);
         assert_ne!(panics, diverges, "site streams must be decorrelated");
     }
 
     #[test]
     fn corrupt_point_truncates_when_certain() {
-        let _serial = test_serial();
+        let _scope = Scope::fresh().enter();
         configure(Some(FaultPlan {
             p_corrupt: 1.0,
             ..FaultPlan::quiet(5)
@@ -378,7 +336,6 @@ mod tests {
         let mut line = String::from("{\"ns\":\"t\",\"key\":\"00\",\"bits\":[1,2,3]}");
         let before = line.clone();
         corrupt_point(&mut line);
-        configure(None);
         assert_ne!(line, before);
         assert!(line.ends_with("#torn"));
     }

@@ -40,12 +40,14 @@
 //! file (DESIGN.md §10).
 //!
 //! [`cli`] reads the command lines of the workspace's binaries: flag
-//! values, `--jobs` and the trace file.
+//! values, `--jobs`, the trace file, and the run's environment
+//! variables ([`cli::configure_run`]), which no library reads.
 //!
-//! The process-wide instances used by the experiment harness are
-//! [`global`] (sized by [`configure_jobs`], the `SUBVT_JOBS`
-//! environment variable, or the machine's parallelism) and
-//! [`global_cache`].
+//! The experiment harness runs on one process-wide executor,
+//! [`global`] (sized by [`configure_jobs`] or the machine's
+//! parallelism), and records into and recalls from its [`scope`]: the
+//! tracer ([`trace::global`]), the result cache ([`global_cache`]), the
+//! fault plan and the SPICE cold-start switch of the current run scope.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +62,7 @@ pub mod hash;
 pub mod json;
 pub mod recovery;
 pub mod rng;
+pub mod scope;
 pub mod supervisor;
 pub mod trace;
 
@@ -75,7 +78,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<Executor> = OnceLock::new();
-static GLOBAL_CACHE: OnceLock<Cache> = OnceLock::new();
 static REQUESTED_JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Requests a worker count for the process-wide executor. Returns
@@ -90,24 +92,15 @@ pub fn configure_jobs(jobs: usize) -> bool {
 }
 
 /// Worker count the process-wide executor will use (or uses): the
-/// [`configure_jobs`] request, else `SUBVT_JOBS`, else the machine's
-/// available parallelism.
+/// [`configure_jobs`] request, else the machine's available
+/// parallelism.
 pub fn default_jobs() -> usize {
-    let requested = REQUESTED_JOBS.load(Ordering::SeqCst);
-    if requested > 0 {
-        return requested;
+    match REQUESTED_JOBS.load(Ordering::SeqCst) {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        requested => requested,
     }
-    if let Some(n) = std::env::var("SUBVT_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// The process-wide executor, built on first use.
@@ -115,21 +108,10 @@ pub fn global() -> &'static Executor {
     GLOBAL.get_or_init(|| Executor::new(default_jobs()))
 }
 
-/// The process-wide result cache, built empty on first use. Its
-/// hit/miss statistics are flushed into [`trace::global`] whenever a
-/// trace is drained, so `--trace` output always carries
-/// `cache.<ns>.hit`/`cache.<ns>.miss` counters.
+/// The current [run scope](scope)'s result cache (see
+/// [`scope::Scope::cache`]).
 pub fn global_cache() -> &'static Cache {
-    GLOBAL_CACHE.get_or_init(|| {
-        trace::global().register_flush(|tracer| {
-            // `get()` rather than `expect`: a drain racing this
-            // `get_or_init` could fire before the OnceLock is set.
-            if let Some(cache) = GLOBAL_CACHE.get() {
-                cache.flush_stats_into(tracer);
-            }
-        });
-        Cache::new()
-    })
+    scope::current().cache()
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //!
 //! Solvers and the job supervisor escalate through deterministic
 //! recovery ladders when a step fails (see DESIGN.md §7). Every rung
-//! they climb bumps a `recovery.<site>.<step>` counter on the global
-//! tracer, which also stores it as a [`RecoveryRecord`] while it keeps
-//! spans (see [`trace::Tracer::set_keep_spans`]), so a run's manifest
-//! can report exactly which mitigations fired and whether they worked.
+//! they climb bumps a `recovery.<site>.<step>` counter on the run
+//! scope's tracer ([`trace::global`]), which also stores it as a
+//! [`RecoveryRecord`] while it keeps spans (see
+//! [`trace::Tracer::set_keep_spans`]), so a run's manifest can report
+//! exactly which mitigations fired and whether they worked.
 //! A process that writes no span sink stores no records. On the happy
 //! path nothing is recorded, keeping fault-free runs byte-identical.
 
@@ -60,7 +61,7 @@ pub struct RecoveryRecord {
     pub recovered: bool,
 }
 
-/// Records one recovery attempt on the global tracer (see
+/// Records one recovery attempt on the run scope's tracer (see
 /// [`trace::Tracer::record_recovery`]).
 pub fn record(site: &str, step: RecoveryStep, detail: impl Into<String>, recovered: bool) {
     trace::global().record_recovery(site, step, detail, recovered);
@@ -83,7 +84,7 @@ mod tests {
 
     #[test]
     fn record_snapshot_drain_round_trip() {
-        drain(); // isolate from other tests sharing the process
+        let _scope = crate::scope::Scope::fresh().enter();
         record("test.site", RecoveryStep::Retry, "attempt 1", true);
         record(
             "test.site",

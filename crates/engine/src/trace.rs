@@ -2,10 +2,12 @@
 //! registry (counters, gauges, fixed-bucket histograms), and two
 //! machine-readable sinks.
 //!
-//! The tracer is process-global and always on — recording a span is two
-//! `Instant` reads, one id allocation and one `Vec` push, far below the
-//! cost of anything worth tracing here. (`set_enabled(false)` exists so
-//! benches can measure that claim.)
+//! [`global`] is the tracer of the current [run scope](crate::scope):
+//! the process's root tracer in the binaries, or the tracer of a fresh
+//! scope a test entered to count only its own work. Jobs spawned on the
+//! executor record into their spawner's scope. Tracing is always on —
+//! recording a span is two `Instant` reads, one id allocation and one
+//! `Vec` push, far below the cost of anything worth tracing here.
 //!
 //! # Retention
 //!
@@ -65,7 +67,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::{json_f64, json_str};
@@ -402,7 +404,7 @@ impl TracerState {
 
 type FlushHook = Arc<dyn Fn(&Tracer) + Send + Sync>;
 
-/// Process-global span/metric collector.
+/// Span/metric collector.
 pub struct Tracer {
     epoch: Instant,
     state: Mutex<TracerState>,
@@ -417,10 +419,6 @@ pub struct Tracer {
 /// tracers while the thread-local context stack is shared).
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Global on/off switch; exists so benches can measure the overhead of
-/// the always-on default.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 thread_local! {
     /// Open-span context stack (innermost last). Jobs running on the
     /// executor get a fresh stack seeded with the spawn-site span.
@@ -429,18 +427,6 @@ thread_local! {
     static WORKER_LANE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
     /// Tracer-state locks this thread has taken (see [`locks_taken`]).
     static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Enables or disables all recording (spans, counters, gauges,
-/// histograms). Meant for A/B overhead measurements; production paths
-/// leave tracing on.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
 
 /// How many times this thread has locked a tracer's state, on any
@@ -513,7 +499,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// Creates an empty tracer with its epoch at "now". Most code uses
-    /// the process-wide [`global`] tracer; local instances are for
+    /// the run scope's [`global`] tracer; local instances are for
     /// tests and tools.
     pub fn new() -> Self {
         Self {
@@ -547,17 +533,6 @@ impl Tracer {
     /// the innermost span currently open on this thread (or installed by
     /// the executor's task context).
     pub fn span(&self, name: impl Into<String>) -> Span<'_> {
-        if !enabled() {
-            return Span {
-                tracer: self,
-                name: String::new(),
-                id: 0,
-                parent: None,
-                started: Instant::now(),
-                attrs: Vec::new(),
-                keep: false,
-            };
-        }
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let parent = current_span_id();
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
@@ -575,27 +550,18 @@ impl Tracer {
 
     /// Adds `delta` to a named counter.
     pub fn add(&self, name: &str, delta: u64) {
-        if !enabled() {
-            return;
-        }
         self.state().add(name, delta);
     }
 
     /// Sets a counter to an absolute value (used by flush hooks that
     /// publish externally-accumulated statistics).
     pub fn set_counter(&self, name: &str, value: u64) {
-        if !enabled() {
-            return;
-        }
         let mut state = self.state();
         state.counters.insert(name.to_owned(), value);
     }
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        if !enabled() {
-            return;
-        }
         let mut state = self.state();
         state.gauges.insert(name.to_owned(), value);
     }
@@ -609,9 +575,6 @@ impl Tracer {
     /// the first time `name` is seen (later calls reuse the existing
     /// buckets).
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        if !enabled() {
-            return;
-        }
         self.state().hist(name, bounds).record(value);
     }
 
@@ -623,9 +586,6 @@ impl Tracer {
     /// [`Tracer::observe`] per unit. Zero deltas and empty sample lists
     /// record nothing.
     pub fn record_all(&self, adds: &[(&str, u64)], observations: &[(&str, &[f64])]) {
-        if !enabled() {
-            return;
-        }
         let mut state = self.state();
         for &(name, delta) in adds.iter().filter(|(_, delta)| *delta > 0) {
             state.add(name, delta);
@@ -653,9 +613,7 @@ impl Tracer {
         recovered: bool,
     ) {
         let mut state = self.state();
-        if enabled() {
-            state.add(&format!("recovery.{site}.{}", step.as_str()), 1);
-        }
+        state.add(&format!("recovery.{site}.{}", step.as_str()), 1);
         if self.keeps_spans() {
             state.recoveries.push(RecoveryRecord {
                 site: site.to_owned(),
@@ -845,7 +803,7 @@ pub struct Span<'t> {
 }
 
 impl Span<'_> {
-    /// This span's id (0 when tracing is disabled).
+    /// This span's id (never 0).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -868,9 +826,6 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.id == 0 {
-            return; // opened while disabled
-        }
         SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // Normally a strict LIFO pop; be tolerant of out-of-order
@@ -897,10 +852,9 @@ impl Drop for Span<'_> {
     }
 }
 
-/// The process-global tracer.
+/// The tracer of the current [run scope](crate::scope).
 pub fn global() -> &'static Tracer {
-    static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER.get_or_init(Tracer::new)
+    crate::scope::current().tracer()
 }
 
 /// Opens a span on the global tracer.

@@ -256,6 +256,7 @@ fn run(args: &Args) -> Result<(), String> {
     if args.ids.is_empty() {
         return Err(help.to_owned());
     }
+    cli::configure_run(args.jobs)?;
     match &args.fleet {
         Some(opts) => fleet(args, opts),
         None => sweep(args),
@@ -265,7 +266,6 @@ fn run(args: &Args) -> Result<(), String> {
 /// Runs the ids through [`Study::run_ids`] and prints each table in id
 /// order; a fleet worker stages them for its parent instead.
 fn sweep(args: &Args) -> Result<(), String> {
-    cli::apply_jobs(args.jobs)?;
     let study = args.study.study;
 
     // Leased segment + load, shared with `subvt-serve`: every run

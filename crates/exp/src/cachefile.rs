@@ -41,8 +41,9 @@ pub struct CacheSession {
 }
 
 impl CacheSession {
-    /// Opens `path` against the process-wide cache, as described on the
-    /// module; the load summary goes to stderr.
+    /// Opens `path` against the run scope's cache
+    /// ([`subvt_engine::global_cache`]), as described on the module; the
+    /// load summary goes to stderr.
     ///
     /// # Errors
     ///
@@ -181,15 +182,7 @@ impl CacheSession {
 mod tests {
     use super::*;
 
-    /// Sessions share the process-wide cache and its write-through hook,
-    /// so tests that open them take turns.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use subvt_engine::scope::Scope;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("subvt-exp-cachefile-{}", std::process::id()));
@@ -199,7 +192,7 @@ mod tests {
 
     #[test]
     fn open_missing_file_is_writable_and_empty() {
-        let _serial = serial();
+        let _scope = Scope::fresh().enter();
         let path = temp_path("fresh");
         std::fs::remove_file(&path).ok();
         let session = CacheSession::open(&path).unwrap();
@@ -216,7 +209,7 @@ mod tests {
 
     #[test]
     fn second_session_persists_through_a_segment() {
-        let _serial = serial();
+        let _scope = Scope::fresh().enter();
         let path = temp_path("contended");
         std::fs::remove_file(&path).ok();
         let first = CacheSession::open(&path).unwrap();
@@ -246,7 +239,7 @@ mod tests {
 
     #[test]
     fn stale_compaction_lease_is_reclaimed_by_close() {
-        let _serial = serial();
+        let _scope = Scope::fresh().enter();
         let path = temp_path("stale-lease");
         std::fs::remove_file(&path).ok();
         // A crashed compactor: a lease recording a pid that cannot be a
@@ -272,26 +265,36 @@ mod tests {
 
     #[test]
     fn recycled_pid_lease_is_reclaimed_by_open() {
-        let _serial = serial();
+        let _scope = Scope::fresh().enter();
         let path = temp_path("recycled");
-        std::fs::remove_file(&path).ok();
-        // A lease naming our (live) pid that this process never claimed:
-        // what a crashed process with the same pid leaves behind.
-        let next = SESSION_SEQ.load(Ordering::Relaxed);
-        let leftover =
-            seg::segment_dir(&path).join(format!("seg-p{}-{next}.lease", std::process::id()));
-        std::fs::create_dir_all(leftover.parent().unwrap()).unwrap();
-        let recycled = seg::LeaseInfo {
-            pid: std::process::id(),
-            acquired_unix: subvt_engine::clock::unix_now(),
+        let mut attempts = 0;
+        let session = loop {
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_dir_all(seg::segment_dir(&path)).ok();
+            // A lease naming our (live) pid that this process never
+            // claimed: what a crashed process with the same pid leaves
+            // behind. An open that draws `next` must reclaim it.
+            let next = SESSION_SEQ.load(Ordering::Relaxed);
+            let leftover =
+                seg::segment_dir(&path).join(format!("seg-p{}-{next}.lease", std::process::id()));
+            std::fs::create_dir_all(leftover.parent().unwrap()).unwrap();
+            let recycled = seg::LeaseInfo {
+                pid: std::process::id(),
+                acquired_unix: subvt_engine::clock::unix_now(),
+            };
+            std::fs::write(&leftover, recycled.render()).unwrap();
+            let session = CacheSession::open(&path).expect("open reclaims the unlocked leftover");
+            if session.segment_path().with_extension("lease") == leftover {
+                break session;
+            }
+            // Another test's session drew `next` first: try again.
+            session.close().unwrap();
+            attempts += 1;
+            assert!(
+                attempts < 16,
+                "no open drew the sequence number read before it"
+            );
         };
-        std::fs::write(&leftover, recycled.render()).unwrap();
-        let session = CacheSession::open(&path).unwrap();
-        assert_eq!(
-            session.segment_path().with_extension("lease"),
-            leftover,
-            "open reclaims the unlocked leftover"
-        );
         let reclaimed = subvt_engine::trace::global()
             .snapshot()
             .counters

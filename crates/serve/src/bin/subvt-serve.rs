@@ -98,7 +98,7 @@ fn serve(args: Option<Args>) -> Result<(), String> {
         eprintln!("{HELP}");
         return Ok(());
     };
-    cli::apply_jobs(args.jobs)?;
+    cli::configure_run(args.jobs)?;
     // Only the shutdown `--trace` writer reads spans; without it the
     // daemon keeps its metrics but lets spans go as they close, so its
     // memory stays flat with uptime.

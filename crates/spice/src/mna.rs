@@ -6,8 +6,14 @@
 //! Branch current sign convention: positive current flows from the `pos`
 //! terminal *through the source* to `neg` (passive convention), so a
 //! supply delivering power has a negative branch current.
+//!
+//! DC sweeps and [`dc_operating_point_from`] warm-start Newton from a
+//! neighbouring solution. A run scope that forces cold starts
+//! ([`Scope::cold_start`](subvt_engine::scope::Scope::cold_start))
+//! starts each of those solves from zeros instead; both must print the
+//! same bytes.
 
-use subvt_engine::trace;
+use subvt_engine::{scope, trace};
 use subvt_physics::math::max_abs;
 use subvt_physics::{DeviceKind, PreparedMos};
 use subvt_units::Volts;
@@ -819,29 +825,16 @@ fn continuation(
     result.map(|()| solver.to_solution(iterations))
 }
 
-/// Whether `SUBVT_SPICE_COLD_START` forces every solve to start from
-/// zeros plus the recovery ladder, disabling warm starts and sweep
-/// continuation. Used by CI to verify warm-started results are identical
-/// to cold-started ones; read once per process.
-pub fn cold_start_forced() -> bool {
-    use std::sync::OnceLock;
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("SUBVT_SPICE_COLD_START")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false)
-    })
-}
-
 /// Solves a DC operating point starting from a previous solution
 /// (continuation) — used by sweeps, Monte-Carlo samples, and the
 /// transient initial condition.
 ///
 /// Counts as one DC solve (`spice.dc.solves`) and one warm start
 /// (`spice.newton.warm_start`), and a returned solution observes its
-/// `spice.newton.iterations`; when
-/// [`cold_start_forced`] is set the initial guess is ignored and the
-/// solve routes through the cold [`dc_operating_point`] path instead.
+/// `spice.newton.iterations`. When the run scope forces cold starts
+/// ([`Scope::cold_start`](subvt_engine::scope::Scope::cold_start)) the
+/// initial guess is ignored and the solve routes through the cold
+/// [`dc_operating_point`] path instead.
 ///
 /// # Errors
 ///
@@ -853,7 +846,7 @@ pub fn dc_operating_point_from(
     initial: &DcSolution,
 ) -> Result<DcSolution, SpiceError> {
     check_initial_shape(net, initial)?;
-    if cold_start_forced() {
+    if scope::current().cold_start() {
         return dc_operating_point(net);
     }
     let mut work = Workspace::default();
@@ -925,13 +918,14 @@ pub fn dc_sweep(
         .position(|e| e.name == source_name && matches!(e.element, Element::VSource { .. }))
         .ok_or_else(|| SpiceError::UnknownSource(source_name.to_owned()))?;
 
+    let cold = scope::current().cold_start();
     let mut ws = Workspace::default();
     let result = (|| {
         let mut results: Vec<DcSolution> = Vec::with_capacity(values.len());
         for &value in values {
             set_vsource_dc(&mut work, idx, value);
             let sol = match results.last() {
-                Some(p) if !cold_start_forced() => dc_operating_point_from_with(&work, p, &mut ws)
+                Some(p) if !cold => dc_operating_point_from_with(&work, p, &mut ws)
                     .or_else(|_| cold_operating_point(&work, &mut ws.tally))?,
                 _ => cold_operating_point(&work, &mut ws.tally)?,
             };
@@ -1236,6 +1230,7 @@ mod tests {
     fn injected_divergence_recovers_bit_identically() {
         use subvt_engine::faultinject::{self, FaultPlan};
 
+        let _scope = scope::Scope::fresh().enter();
         let mut net = Netlist::new();
         let a = net.node("a");
         let b = net.node("b");
@@ -1243,14 +1238,12 @@ mod tests {
         net.resistor("R1", a, b, 10_000.0);
         net.resistor("R2", b, Netlist::GROUND, 5_000.0);
 
-        faultinject::configure(None);
         let clean = dc_operating_point(&net).unwrap();
 
         let mut plan = FaultPlan::quiet(77);
         plan.p_diverge = 1.0;
         faultinject::configure(Some(plan));
         let recovered = dc_operating_point(&net);
-        faultinject::configure(None);
 
         let recovered = recovered.unwrap();
         // The Retry rung re-runs the identical Newton solve, so recovered
@@ -1701,5 +1694,123 @@ mod tests {
             "out = {}",
             sol.node_voltages[vout]
         );
+    }
+
+    /// A forced cold start does not hide a warm-start solution of the
+    /// wrong shape: `dc_operating_point_from` rejects it before it
+    /// decides to ignore it.
+    #[test]
+    fn forced_cold_start_still_rejects_a_mismatched_initial_solution() {
+        let cold = scope::Scope::fresh();
+        cold.set_cold_start(true);
+        let _scope = cold.enter();
+        let mut net = Netlist::new();
+        let a = net.node("a");
+        net.vsource("V1", a, Netlist::GROUND, Waveform::Dc(1.0));
+        net.resistor("R1", a, Netlist::GROUND, 1_000.0);
+        let initial = DcSolution {
+            node_voltages: vec![0.0; 3],
+            branch_currents: vec![0.0],
+            iterations: 0,
+        };
+        assert_eq!(
+            dc_operating_point_from(&net, &initial),
+            Err(SpiceError::MismatchedInitialSolution {
+                given: (3, 1),
+                expected: (2, 1),
+            })
+        );
+    }
+
+    /// Every Newton solve adds its LU factorizations to
+    /// `spice.lu.factor` + `spice.lu.resolve` exactly once, whichever
+    /// way it ends: converged, out of iterations, divergent, or on a
+    /// singular matrix.
+    #[test]
+    fn each_newton_solve_counts_its_factorizations_once() {
+        use crate::transient::transient_from;
+        use crate::{Integrator, TransientSpec};
+        use subvt_physics::{DeviceKind, DeviceParams};
+
+        let _scope = scope::Scope::fresh().enter();
+        // `spice.lu.factor + spice.lu.resolve` added while `run` ran.
+        fn factorizations<T>(run: impl FnOnce() -> T) -> (T, u64) {
+            let total = || {
+                let snap = trace::global().snapshot();
+                ["spice.lu.factor", "spice.lu.resolve"]
+                    .iter()
+                    .map(|name| snap.counters.get(*name).copied().unwrap_or(0))
+                    .sum::<u64>()
+            };
+            let before = total();
+            let out = run();
+            (out, total() - before)
+        }
+        // One transient step from all-zero unknowns: exactly one Newton
+        // solve.
+        fn one_newton(net: &Netlist) -> Result<usize, SpiceError> {
+            let sources = net
+                .elements()
+                .iter()
+                .filter(|e| matches!(e.element, Element::VSource { .. }))
+                .count();
+            let zeros = DcSolution {
+                node_voltages: vec![0.0; net.node_count()],
+                branch_currents: vec![0.0; sources],
+                iterations: 0,
+            };
+            let spec = TransientSpec::with_steps(1.0e-12, 1, Integrator::BackwardEuler);
+            transient_from(net, spec, &zeros).map(|res| res.newton_iterations[0])
+        }
+        let nfet = DeviceParams::reference_90nm_nfet();
+
+        // Converged: one factorization per iteration.
+        let mut inverter = Netlist::new();
+        let vdd = inverter.node("vdd");
+        let vin = inverter.node("in");
+        let out = inverter.node("out");
+        inverter.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(0.25));
+        inverter.vsource("VIN", vin, Netlist::GROUND, Waveform::Dc(0.1));
+        let pfet = DeviceParams {
+            kind: DeviceKind::Pfet,
+            ..nfet
+        };
+        inverter.mosfet("MP", pfet.mos_model(), 2.0, out, vin, vdd);
+        inverter.mosfet("MN", nfet.mos_model(), 1.0, out, vin, Netlist::GROUND);
+        let (iterations, n) = factorizations(|| one_newton(&inverter).expect("converges"));
+        assert!(iterations > 1);
+        assert_eq!(n, iterations as u64);
+
+        // Out of iterations: a gate walked toward −1000 V by the 0.3 V
+        // step clamp is still far short after the 200-iteration budget.
+        let walk = gate_walk(-1000.0);
+        match factorizations(|| one_newton(&walk)) {
+            (Err(SpiceError::NoConvergence { iterations, .. }), n) => {
+                assert_eq!(iterations, 200);
+                assert_eq!(n, 200);
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+
+        // Divergent: the guard stops the first step, after one
+        // factorization.
+        let mut blowup = Netlist::new();
+        let a = blowup.node("a");
+        blowup.isource("I1", Netlist::GROUND, a, Waveform::Dc(f64::MAX));
+        blowup.resistor("R1", a, Netlist::GROUND, 1_000.0);
+        match factorizations(|| one_newton(&blowup)) {
+            (Err(SpiceError::NoConvergence { iterations: 1, .. }), n) => assert_eq!(n, 1),
+            other => panic!("expected NoConvergence after one step, got {other:?}"),
+        }
+
+        // Singular: the first factorization fails and nothing is counted.
+        let mut looped = Netlist::new();
+        let l = looped.node("looped");
+        looped.vsource("V1", l, Netlist::GROUND, Waveform::Dc(1.0));
+        looped.vsource("V2", l, Netlist::GROUND, Waveform::Dc(2.0));
+        match factorizations(|| one_newton(&looped)) {
+            (Err(SpiceError::SingularMatrix { .. }), n) => assert_eq!(n, 0),
+            other => panic!("expected SingularMatrix, got {other:?}"),
+        }
     }
 }

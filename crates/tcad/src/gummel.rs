@@ -671,17 +671,9 @@ struct StateSnapshot {
 mod tests {
     use super::*;
     use crate::device::{MeshDensity, Mosfet2d};
+    use subvt_engine::scope::Scope;
+    use subvt_engine::trace::TraceSnapshot;
     use subvt_physics::device::DeviceParams;
-
-    /// The fault plan is process-global: tests that arm it, or that
-    /// need the first solve attempt to be a real one, take turns.
-    static FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn faults() -> std::sync::MutexGuard<'static, ()> {
-        FAULTS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     fn simulator() -> DeviceSimulator {
         let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
@@ -728,7 +720,7 @@ mod tests {
 
     #[test]
     fn injected_divergence_recovers_bit_identically() {
-        let _faults = faults();
+        let _scope = Scope::fresh().enter();
         let mut clean = simulator();
         clean.set_bias(0.3, 0.6).unwrap();
         let i_clean = clean.drain_current();
@@ -740,9 +732,7 @@ mod tests {
             ..subvt_engine::FaultPlan::quiet(31)
         }));
         let mut chaotic = simulator();
-        let result = chaotic.set_bias(0.3, 0.6);
-        subvt_engine::faultinject::configure(None);
-        result.unwrap();
+        chaotic.set_bias(0.3, 0.6).unwrap();
         assert_eq!(
             chaotic.drain_current().to_bits(),
             i_clean.to_bits(),
@@ -757,7 +747,7 @@ mod tests {
 
     #[test]
     fn continuity_zero_pivot_climbs_the_recovery_ladder() {
-        let _faults = faults();
+        let _scope = Scope::fresh().enter();
         let mut sim = simulator();
         // With zero mobility no face conducts, so every rung meets the
         // same zero pivot and the ladder surfaces it as a typed error.
@@ -944,5 +934,42 @@ mod tests {
         sim.set_bias(0.0, 1.2).unwrap();
         let high = sim.drain_current();
         assert!(high > low, "DIBL must raise leakage: {high} vs {low}");
+    }
+
+    /// `(count, sum)` of a histogram, zero when it was never observed.
+    fn hist(snap: &TraceSnapshot, name: &str) -> (u64, f64) {
+        snap.hists.get(name).map_or((0, 0.0), |h| (h.count, h.sum))
+    }
+
+    /// The on-state corner of the reference NFET converges for real: the
+    /// Gummel step to V_g = V_d = 1.2 V ends below a 10 nV potential update
+    /// within 40 iterations.
+    #[test]
+    fn on_state_bias_converges_to_1e_8_within_40_iterations() {
+        let _scope = Scope::fresh().enter();
+        let dev = Mosfet2d::build(&DeviceParams::reference_90nm_nfet(), MeshDensity::Coarse);
+        let mut sim = DeviceSimulator::new(dev).expect("equilibrium");
+        sim.set_bias(1.1, 1.2).expect("ramp to V_g = 1.1 V");
+        let before = trace::global().flushed_metrics();
+        // One 100 mV ramp step, so exactly one Gummel bias point.
+        sim.set_bias(1.2, 1.2).expect("V_g = V_d = 1.2 V");
+        let after = trace::global().flushed_metrics();
+
+        let delta = |name: &str| {
+            let (c0, s0) = hist(&before, name);
+            let (c1, s1) = hist(&after, name);
+            (c1 - c0, s1 - s0)
+        };
+        let (points, iterations) = delta("tcad.gummel.iterations");
+        let (_, residual_log10) = delta("tcad.gummel.residual_log10");
+        assert_eq!(points, 1, "one bias point, no recovery rung");
+        assert!(
+            iterations <= 40.0,
+            "{iterations} Gummel iterations at V_g = V_d = 1.2 V"
+        );
+        assert!(
+            residual_log10 < -8.0,
+            "final potential update 1e{residual_log10:.2} V is not below 1e-8 V"
+        );
     }
 }

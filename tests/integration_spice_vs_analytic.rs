@@ -475,3 +475,63 @@ fn analytic_reproduction_measures_each_deck_once() {
     assert_eq!(counter("cache.spice.vtc.hit"), 16 - distinct_decks);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Warm starts (sweep continuation, Monte-Carlo samples started from the
+/// nominal solution) print the bytes cold starts print: Fig. 4's SNM
+/// sweep through `Study`, and the SPICE backend's SNM and delay Monte
+/// Carlo, each run in a fresh warm scope and in a fresh cold-start
+/// scope. The samples fan out over the executor, so the cold scope's
+/// zero warm starts also show that its jobs ran in it.
+///
+/// The delay samples agree bit for bit. An SNM sample's sweep
+/// continuation stops at its tolerance a few ULPs from where a cold
+/// start stops, so its statistics agree in the bytes the `montecarlo`
+/// table prints and its samples to 1e-12 V.
+#[test]
+fn warm_starts_print_the_bytes_of_cold_starts() {
+    use subvt_circuits::backend::SpiceCircuit;
+    use subvt_circuits::CircuitBackend;
+    use subvt_engine::scope::Scope;
+    use subvt_exp::table::fmt;
+    use subvt_exp::Study;
+
+    let run = |cold: bool| {
+        let scope = Scope::fresh();
+        scope.set_cold_start(cold);
+        let _in = scope.enter();
+        let study = Study {
+            circuit: CircuitBackendKind::Spice,
+            ..Study::default()
+        };
+        let fig4 = study.run_ids(&["fig4"]).remove(0).expect("fig4").to_csv();
+        let v_dd = Volts::new(0.3);
+        let (snm, _) = SpiceCircuit
+            .snm_variability(&pair(), v_dd, 24, 7)
+            .expect("SNM Monte Carlo");
+        let (delay, _) = SpiceCircuit
+            .delay_variability(&pair(), v_dd, 24, 7)
+            .expect("delay Monte Carlo");
+        let warm_starts = scope.tracer().counter("spice.newton.warm_start");
+        (fig4, snm, delay, warm_starts)
+    };
+    let (fig4, snm, delay, warm_starts) = run(false);
+    let (cold_fig4, cold_snm, cold_delay, cold_warm_starts) = run(true);
+    assert!(warm_starts > 0, "the warm run never warm-started");
+    assert_eq!(cold_warm_starts, 0, "a cold-start scope warm-started");
+    assert_eq!(fig4, cold_fig4, "fig4 CSV");
+    // `{:?}` prints each f64 in its shortest round-trip form, so equal
+    // text is equal bits.
+    assert_eq!(format!("{delay:?}"), format!("{cold_delay:?}"));
+    let printed = |s: &subvt_circuits::montecarlo::SnmStatistics| {
+        [
+            fmt(s.mean.as_millivolts(), 1),
+            fmt(s.std_dev.as_millivolts(), 1),
+            fmt(s.failure_fraction * 100.0, 1),
+        ]
+    };
+    assert_eq!(printed(&snm), printed(&cold_snm));
+    assert_eq!(snm.samples.len(), cold_snm.samples.len());
+    for (w, c) in snm.samples.iter().zip(&cold_snm.samples) {
+        assert!((w - c).abs() <= 1e-12, "SNM sample {w} V warm, {c} V cold");
+    }
+}
